@@ -1,35 +1,24 @@
 //! Join-kernel microbenchmarks: the naive reference join against the
-//! indexed kernel, isolated from the estimation formulas.
+//! bitmap kernel, isolated from the estimation formulas.
 //!
 //! One iteration runs the raw path join over every workload query on an
 //! XMark-scale summary (the recursive, large-vocabulary dataset where
-//! candidate lists are longest), so the numbers expose exactly what each
-//! kernel layer buys:
+//! candidate lists are longest):
 //!
 //! * `naive` — [`path_join`]: fresh relation masks, nested-loop
 //!   containment tests, all edges swept per fixpoint pass;
-//! * `worklist` — [`path_join_cached`] with no caches: the worklist
-//!   schedule alone;
-//! * `masks` — plus the memoized relation masks;
-//! * `indexed_cold` — plus containment adjacency, index built inside the
-//!   timed region (what the first workload pass pays);
-//! * `indexed_warm` — the steady state: warm masks, warm adjacency,
-//!   pooled scratch;
 //! * `bitmap_cold` / `bitmap_warm` — the bit-parallel kernel
 //!   ([`path_join_bitmap`]): dense pid-index bitmaps for the surviving
-//!   sets, adjacency-row semi-joins, per-(tag, axis) candidate screens —
-//!   cold builds every bitmap structure inside the timed region, warm is
-//!   the steady state;
-//! * `bitmap_warm_unscreened` — the bitmap kernel with the candidate
-//!   pre-screen ablated, isolating what the per-(tag, axis) bitmaps buy.
+//!   sets, adjacency-row semi-joins, per-(tag, axis) candidate screens,
+//!   worklist fixpoint — cold builds every adjacency inside the timed
+//!   region (what the first workload pass pays), warm is the steady
+//!   state with pooled scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use xpe_core::{
-    path_join, path_join_bitmap, path_join_bitmap_unscreened, path_join_cached, JoinScratch,
-};
+use xpe_core::{path_join, path_join_bitmap, JoinScratch, QueryPlan};
 use xpe_datagen::{generate_workload, Dataset, DatasetSpec, WorkloadConfig};
-use xpe_pathid::{JoinIndexCache, Labeling, RelationMaskCache};
+use xpe_pathid::{JoinIndexCache, Labeling};
 use xpe_synopsis::{Summary, SummaryConfig};
 use xpe_xpath::Query;
 
@@ -63,36 +52,16 @@ fn workload_queries(ds: Dataset) -> (Summary, Vec<Query>) {
     (Summary::build(&doc, SummaryConfig::default()), queries)
 }
 
-fn join_all(
-    summary: &Summary,
-    queries: &[Query],
-    masks: Option<&RelationMaskCache>,
-    adjacency: Option<&JoinIndexCache>,
-    scratch: &mut JoinScratch,
-) -> f64 {
-    let mut sum = 0.0;
-    for q in queries {
-        let j = path_join_cached(summary, q, masks, adjacency, Some(scratch));
-        sum += j.frequency(q.target());
-        scratch.recycle(j);
-    }
-    sum
-}
-
 fn join_all_bitmap(
     summary: &Summary,
     queries: &[Query],
     index: &JoinIndexCache,
     scratch: &mut JoinScratch,
-    screened: bool,
 ) -> f64 {
     let mut sum = 0.0;
     for q in queries {
-        let j = if screened {
-            path_join_bitmap(summary, q, index, Some(scratch))
-        } else {
-            path_join_bitmap_unscreened(summary, q, index, Some(scratch))
-        };
+        let plan = QueryPlan::build(summary, q);
+        let j = path_join_bitmap(summary, q, &plan, index, None, Some(scratch), None);
         sum += j.frequency(q.target());
         scratch.recycle(j);
     }
@@ -114,48 +83,18 @@ fn bench_join_kernel(c: &mut Criterion) {
                 .sum::<f64>()
         })
     });
-    group.bench_function(BenchmarkId::new("worklist", &label), |b| {
-        let mut scratch = JoinScratch::new();
-        b.iter(|| join_all(&summary, &queries, None, None, &mut scratch))
-    });
-    group.bench_function(BenchmarkId::new("masks", &label), |b| {
-        let masks = RelationMaskCache::new();
-        let mut scratch = JoinScratch::new();
-        b.iter(|| join_all(&summary, &queries, Some(&masks), None, &mut scratch))
-    });
-    group.bench_function(BenchmarkId::new("indexed_cold", &label), |b| {
-        let masks = RelationMaskCache::new();
-        let mut scratch = JoinScratch::new();
-        b.iter(|| {
-            let index = JoinIndexCache::new();
-            join_all(&summary, &queries, Some(&masks), Some(&index), &mut scratch)
-        })
-    });
-    group.bench_function(BenchmarkId::new("indexed_warm", &label), |b| {
-        let masks = RelationMaskCache::new();
-        let index = JoinIndexCache::new();
-        let mut scratch = JoinScratch::new();
-        join_all(&summary, &queries, Some(&masks), Some(&index), &mut scratch);
-        b.iter(|| join_all(&summary, &queries, Some(&masks), Some(&index), &mut scratch))
-    });
     group.bench_function(BenchmarkId::new("bitmap_cold", &label), |b| {
         let mut scratch = JoinScratch::new();
         b.iter(|| {
             let index = JoinIndexCache::new();
-            join_all_bitmap(&summary, &queries, &index, &mut scratch, true)
+            join_all_bitmap(&summary, &queries, &index, &mut scratch)
         })
     });
     group.bench_function(BenchmarkId::new("bitmap_warm", &label), |b| {
         let index = JoinIndexCache::new();
         let mut scratch = JoinScratch::new();
-        join_all_bitmap(&summary, &queries, &index, &mut scratch, true);
-        b.iter(|| join_all_bitmap(&summary, &queries, &index, &mut scratch, true))
-    });
-    group.bench_function(BenchmarkId::new("bitmap_warm_unscreened", &label), |b| {
-        let index = JoinIndexCache::new();
-        let mut scratch = JoinScratch::new();
-        join_all_bitmap(&summary, &queries, &index, &mut scratch, false);
-        b.iter(|| join_all_bitmap(&summary, &queries, &index, &mut scratch, false))
+        join_all_bitmap(&summary, &queries, &index, &mut scratch);
+        b.iter(|| join_all_bitmap(&summary, &queries, &index, &mut scratch))
     });
     group.finish();
 }

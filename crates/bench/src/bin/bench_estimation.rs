@@ -1,7 +1,7 @@
 //! Machine-readable performance snapshot for the batched estimation
-//! engine and the parallel summary build.
+//! engine.
 //!
-//! Measures, per dataset and per join kernel (`indexed` and `bitmap`):
+//! Measures, per dataset, with the bitmap join kernel:
 //!
 //! * queries/sec of the serial per-query `Estimator` loop versus
 //!   `EstimationEngine::estimate_batch` (one worker and one per core)
@@ -11,8 +11,7 @@
 //!   (one per core), each row recording the *effective* worker count so
 //!   a 2-core runner's `4`-row is legible as oversubscription
 //!   (`--threads-sweep=1,2,4,0` overrides the list; `0` means auto);
-//! * `Summary::build` wall time at one worker versus one per core
-//!   (kernel-independent, measured once per dataset);
+//! * `Summary::build` wall time;
 //! * kernel counters from one cold workload pass: join-cache hit rate,
 //!   containment adjacencies built and the milliseconds spent building
 //!   them;
@@ -36,18 +35,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use xpe_bench::{load, print_table, ExpContext};
-use xpe_core::{EstimationEngine, Estimator, JoinKernel, DEFAULT_ESTIMATE_CACHE_CAPACITY};
+use xpe_core::{EstimationEngine, Estimator, DEFAULT_ESTIMATE_CACHE_CAPACITY};
 use xpe_datagen::{generate_traffic, Dataset, TrafficConfig};
 use xpe_synopsis::{Summary, SummaryConfig};
 use xpe_xpath::Query;
 
 /// Repetitions per measurement; the best run is reported to damp noise.
 const REPS: usize = 3;
-
-/// Kernels the snapshot covers. The naive reference kernel is excluded:
-/// it exists for differential testing, not serving, and its quadratic
-/// sweeps would dominate the run time of every other measurement.
-const KERNELS: [JoinKernel; 2] = [JoinKernel::Indexed, JoinKernel::Bitmap];
 
 /// Worker counts the scaling sweep measures by default; `0` is the
 /// auto setting (one worker per available core).
@@ -65,7 +59,6 @@ fn best_secs<R>(mut f: impl FnMut() -> R) -> f64 {
 
 struct Row {
     dataset: &'static str,
-    kernel: &'static str,
     queries: usize,
     serial_qps: f64,
     batch1_qps: f64,
@@ -75,7 +68,6 @@ struct Row {
     /// (a 1-core runner legitimately shows none).
     effective_threads: usize,
     build_serial_ms: f64,
-    build_parallel_ms: f64,
     join_cache_hit_rate: f64,
     adjacency_build_ms: f64,
     adjacency_builds: u64,
@@ -88,7 +80,6 @@ struct Row {
 
 struct ScalingRow {
     dataset: &'static str,
-    kernel: &'static str,
     threads: usize,
     effective_threads: usize,
     qps: f64,
@@ -208,180 +199,153 @@ fn main() {
         let summary = Summary::build(&b.doc, SummaryConfig::default());
         let n = queries.len() as f64;
 
-        // Summary construction is kernel-independent; measure once.
-        let build_serial =
-            best_secs(|| Summary::build(&b.doc, SummaryConfig::default().with_threads(1)));
-        // Threshold 0 forces the parallel path so the measurement stays a
-        // parallel-vs-serial comparison even below the size fallback; the
-        // default-config demotion is recorded separately in the JSON.
-        let build_parallel = best_secs(|| {
-            Summary::build(
-                &b.doc,
-                SummaryConfig::default()
-                    .with_threads(0)
-                    .with_parallel_threshold(0),
-            )
+        let build_serial = best_secs(|| Summary::build(&b.doc, SummaryConfig::default()));
+
+        let serial = best_secs(|| {
+            let est = Estimator::new(&summary);
+            queries.iter().map(|q| est.estimate(q)).sum::<f64>()
+        });
+        let batch1 = best_secs(|| {
+            let engine = EstimationEngine::new(&summary).with_threads(1);
+            engine.estimate_batch(&queries).iter().sum::<f64>()
+        });
+        let batch_auto = best_secs(|| {
+            let engine = EstimationEngine::new(&summary).with_threads(0);
+            engine.estimate_batch(&queries).iter().sum::<f64>()
         });
 
-        for kernel in KERNELS {
-            let serial = best_secs(|| {
-                let est = Estimator::new(&summary).with_kernel(kernel);
-                queries.iter().map(|q| est.estimate(q)).sum::<f64>()
-            });
-            let batch1 = best_secs(|| {
+        // Thread-scaling sweep: steady-state throughput of one
+        // persistent engine per worker count — a warm-up pass
+        // populates the epoch-published indices and the join cache,
+        // then the timed passes measure what a long-lived engine
+        // (the optimizer-resident case the batch path exists for)
+        // sustains. This intentionally differs from the cold
+        // fresh-engine headline rows: cold-start cost is one-time
+        // and reported there; the sweep isolates how the warm path
+        // scales with workers. Speedups are quoted against the
+        // sweep's own one-worker row so the curve is internally
+        // consistent. Reps are interleaved round-robin across the
+        // worker counts (rather than finishing one row before the
+        // next starts) so slow phases of a shared runner spread
+        // evenly over the curve instead of always taxing the last
+        // row.
+        let sweep_base = scaling.len();
+        // Estimate cache off: a persistent engine's repeat passes
+        // would otherwise be answered from the full-query cache and
+        // the sweep would measure cache lookups, not how the warm
+        // join path scales with workers. The traffic replay below
+        // prices the cache; this sweep prices the kernel.
+        let engines: Vec<_> = sweep
+            .iter()
+            .map(|&t| {
                 let engine = EstimationEngine::new(&summary)
-                    .with_threads(1)
-                    .with_kernel(kernel);
-                engine.estimate_batch(&queries).iter().sum::<f64>()
-            });
-            let batch_auto = best_secs(|| {
-                let engine = EstimationEngine::new(&summary)
-                    .with_threads(0)
-                    .with_kernel(kernel);
-                engine.estimate_batch(&queries).iter().sum::<f64>()
-            });
-
-            // Thread-scaling sweep: steady-state throughput of one
-            // persistent engine per worker count — a warm-up pass
-            // populates the epoch-published indices and the join cache,
-            // then the timed passes measure what a long-lived engine
-            // (the optimizer-resident case the batch path exists for)
-            // sustains. This intentionally differs from the cold
-            // fresh-engine headline rows: cold-start cost is one-time
-            // and reported there; the sweep isolates how the warm path
-            // scales with workers. Speedups are quoted against the
-            // sweep's own one-worker row so the curve is internally
-            // consistent. Reps are interleaved round-robin across the
-            // worker counts (rather than finishing one row before the
-            // next starts) so slow phases of a shared runner spread
-            // evenly over the curve instead of always taxing the last
-            // row.
-            let sweep_base = scaling.len();
-            // Estimate cache off: a persistent engine's repeat passes
-            // would otherwise be answered from the full-query cache and
-            // the sweep would measure cache lookups, not how the warm
-            // join path scales with workers. The traffic replay below
-            // prices the cache; this sweep prices the kernel.
-            let engines: Vec<_> = sweep
-                .iter()
-                .map(|&t| {
-                    let engine = EstimationEngine::new(&summary)
-                        .with_threads(t)
-                        .with_kernel(kernel)
-                        .with_estimate_cache_capacity(0);
-                    std::hint::black_box(engine.estimate_batch(&queries));
-                    engine
-                })
-                .collect();
-            let mut secs = vec![f64::INFINITY; sweep.len()];
-            for _ in 0..REPS {
-                for (slot, engine) in secs.iter_mut().zip(&engines) {
-                    let t = Instant::now();
-                    std::hint::black_box(engine.estimate_batch(&queries));
-                    *slot = slot.min(t.elapsed().as_secs_f64());
-                }
+                    .with_threads(t)
+                    .with_estimate_cache_capacity(0);
+                std::hint::black_box(engine.estimate_batch(&queries));
+                engine
+            })
+            .collect();
+        let mut secs = vec![f64::INFINITY; sweep.len()];
+        for _ in 0..REPS {
+            for (slot, engine) in secs.iter_mut().zip(&engines) {
+                let t = Instant::now();
+                std::hint::black_box(engine.estimate_batch(&queries));
+                *slot = slot.min(t.elapsed().as_secs_f64());
             }
-            for (&t, &s) in sweep.iter().zip(&secs) {
-                scaling.push(ScalingRow {
-                    dataset: ds.name(),
-                    kernel: kernel.name(),
-                    threads: t,
-                    effective_threads: xpe_par::resolve_threads(t),
-                    qps: n / s,
-                    speedup_vs_1: 1.0,
-                });
-            }
-            let one_worker_qps = scaling[sweep_base..]
-                .iter()
-                .find(|r| r.effective_threads == 1)
-                .map_or(scaling[sweep_base].qps, |r| r.qps);
-            for r in &mut scaling[sweep_base..] {
-                r.speedup_vs_1 = r.qps / one_worker_qps;
-            }
-
-            // Kernel counters from an untimed cold batch on a fresh
-            // engine: the join-cache hit rate and the cost of cold
-            // adjacency construction a single workload pass pays. One
-            // worker — with more, threads racing on cold keys build
-            // duplicates and the cumulative build time double-counts the
-            // contended wall clock. Best of `REPS` fresh engines, like
-            // every timed loop.
-            let mut stats: Option<xpe_core::KernelStats> = None;
-            for _ in 0..REPS {
-                let e = EstimationEngine::new(&summary)
-                    .with_threads(1)
-                    .with_kernel(kernel);
-                e.estimate_batch(&queries);
-                let k = e.kernel_stats();
-                stats = match stats {
-                    Some(prev) if prev.adjacency_build_ms <= k.adjacency_build_ms => Some(prev),
-                    _ => Some(k),
-                };
-            }
-            let stats = stats.expect("REPS >= 1");
-
-            // Per-phase breakdown from an instrumented serial pass over
-            // the workload (warm caches — the phases, not the adjacency
-            // builds, are what this prices). Best total of `REPS` passes.
-            let mut phases = None;
-            for _ in 0..REPS {
-                let est = Estimator::new(&summary).with_kernel(kernel);
-                est.set_join_timing(true);
-                for q in &queries {
-                    std::hint::black_box(est.estimate(q));
-                }
-                let p = est.join_phase_stats();
-                let total = |s: &xpe_core::JoinPhaseStats| {
-                    s.plan_ns + s.screen_ns + s.fixpoint_ns + s.finalize_ns
-                };
-                phases = match phases {
-                    Some(prev) if total(&prev) <= total(&p) => Some(prev),
-                    _ => Some(p),
-                };
-            }
-            let phases = phases.expect("REPS >= 1");
-
-            println!(
-                "  {} [{}]: join cache {}/{} hits ({:.1}%), {} adjacencies \
-                 ({} pairs) built in {:.2} ms; phases plan {:.2} ms, \
-                 screen {:.2} ms, fixpoint {:.2} ms, finalize {:.2} ms",
-                ds.name(),
-                kernel.name(),
-                stats.join_cache_hits,
-                stats.join_cache_hits + stats.join_cache_misses,
-                stats.join_cache_hit_rate * 100.0,
-                stats.adjacency_builds,
-                stats.adjacency_pairs,
-                stats.adjacency_build_ms,
-                phases.plan_ns as f64 / 1e6,
-                phases.screen_ns as f64 / 1e6,
-                phases.fixpoint_ns as f64 / 1e6,
-                phases.finalize_ns as f64 / 1e6,
-            );
-
-            rows.push(Row {
+        }
+        for (&t, &s) in sweep.iter().zip(&secs) {
+            scaling.push(ScalingRow {
                 dataset: ds.name(),
-                kernel: kernel.name(),
-                queries: queries.len(),
-                serial_qps: n / serial,
-                batch1_qps: n / batch1,
-                batch_auto_qps: n / batch_auto,
-                effective_threads: xpe_par::resolve_threads(0),
-                build_serial_ms: build_serial * 1e3,
-                build_parallel_ms: build_parallel * 1e3,
-                join_cache_hit_rate: stats.join_cache_hit_rate,
-                adjacency_build_ms: stats.adjacency_build_ms,
-                adjacency_builds: stats.adjacency_builds,
-                adjacency_pairs: stats.adjacency_pairs,
-                plan_ms: phases.plan_ns as f64 / 1e6,
-                screen_ms: phases.screen_ns as f64 / 1e6,
-                fixpoint_ms: phases.fixpoint_ns as f64 / 1e6,
-                finalize_ms: phases.finalize_ns as f64 / 1e6,
+                threads: t,
+                effective_threads: xpe_par::resolve_threads(t),
+                qps: n / s,
+                speedup_vs_1: 1.0,
             });
         }
+        let one_worker_qps = scaling[sweep_base..]
+            .iter()
+            .find(|r| r.effective_threads == 1)
+            .map_or(scaling[sweep_base].qps, |r| r.qps);
+        for r in &mut scaling[sweep_base..] {
+            r.speedup_vs_1 = r.qps / one_worker_qps;
+        }
 
-        // Production-traffic replay (default kernel, one driving
-        // thread): the trace is the §7 workload under Zipf-skewed
+        // Kernel counters from an untimed cold batch on a fresh
+        // engine: the join-cache hit rate and the cost of cold
+        // adjacency construction a single workload pass pays. One
+        // worker — with more, threads racing on cold keys build
+        // duplicates and the cumulative build time double-counts the
+        // contended wall clock. Best of `REPS` fresh engines, like
+        // every timed loop.
+        let mut stats: Option<xpe_core::KernelStats> = None;
+        for _ in 0..REPS {
+            let e = EstimationEngine::new(&summary).with_threads(1);
+            e.estimate_batch(&queries);
+            let k = e.kernel_stats();
+            stats = match stats {
+                Some(prev) if prev.adjacency_build_ms <= k.adjacency_build_ms => Some(prev),
+                _ => Some(k),
+            };
+        }
+        let stats = stats.expect("REPS >= 1");
+
+        // Per-phase breakdown from an instrumented serial pass over
+        // the workload (warm caches — the phases, not the adjacency
+        // builds, are what this prices). Best total of `REPS` passes.
+        let mut phases = None;
+        for _ in 0..REPS {
+            let est = Estimator::new(&summary);
+            est.set_join_timing(true);
+            for q in &queries {
+                std::hint::black_box(est.estimate(q));
+            }
+            let p = est.join_phase_stats();
+            let total = |s: &xpe_core::JoinPhaseStats| {
+                s.plan_ns + s.screen_ns + s.fixpoint_ns + s.finalize_ns
+            };
+            phases = match phases {
+                Some(prev) if total(&prev) <= total(&p) => Some(prev),
+                _ => Some(p),
+            };
+        }
+        let phases = phases.expect("REPS >= 1");
+
+        println!(
+            "  {}: join cache {}/{} hits ({:.1}%), {} adjacencies \
+             ({} pairs) built in {:.2} ms; phases plan {:.2} ms, \
+             screen {:.2} ms, fixpoint {:.2} ms, finalize {:.2} ms",
+            ds.name(),
+            stats.join_cache_hits,
+            stats.join_cache_hits + stats.join_cache_misses,
+            stats.join_cache_hit_rate * 100.0,
+            stats.adjacency_builds,
+            stats.adjacency_pairs,
+            stats.adjacency_build_ms,
+            phases.plan_ns as f64 / 1e6,
+            phases.screen_ns as f64 / 1e6,
+            phases.fixpoint_ns as f64 / 1e6,
+            phases.finalize_ns as f64 / 1e6,
+        );
+
+        rows.push(Row {
+            dataset: ds.name(),
+            queries: queries.len(),
+            serial_qps: n / serial,
+            batch1_qps: n / batch1,
+            batch_auto_qps: n / batch_auto,
+            effective_threads: xpe_par::resolve_threads(0),
+            build_serial_ms: build_serial * 1e3,
+            join_cache_hit_rate: stats.join_cache_hit_rate,
+            adjacency_build_ms: stats.adjacency_build_ms,
+            adjacency_builds: stats.adjacency_builds,
+            adjacency_pairs: stats.adjacency_pairs,
+            plan_ms: phases.plan_ns as f64 / 1e6,
+            screen_ms: phases.screen_ns as f64 / 1e6,
+            fixpoint_ms: phases.fixpoint_ns as f64 / 1e6,
+            finalize_ms: phases.finalize_ns as f64 / 1e6,
+        });
+
+        // Production-traffic replay (one driving thread): the trace is the §7 workload under Zipf-skewed
         // template popularity. Reps are interleaved round-robin across
         // the mixes; warm mixes keep one engine alive across reps while
         // cold mixes restart it every rep.
@@ -466,29 +430,25 @@ fn main() {
     }
 
     print_table(
-        "Batched estimation + parallel construction",
+        "Batched estimation",
         &[
             "Dataset",
-            "Kernel",
             "Queries",
             "Serial q/s",
             "Batch(1) q/s",
             "Batch(auto) q/s",
-            "Build(1) ms",
-            "Build(auto) ms",
+            "Build ms",
         ],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r.dataset.to_owned(),
-                    r.kernel.to_owned(),
                     r.queries.to_string(),
                     format!("{:.0}", r.serial_qps),
                     format!("{:.0}", r.batch1_qps),
                     format!("{:.0}", r.batch_auto_qps),
                     format!("{:.2}", r.build_serial_ms),
-                    format!("{:.2}", r.build_parallel_ms),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -527,20 +487,12 @@ fn main() {
 
     print_table(
         "Thread scaling (batch estimation)",
-        &[
-            "Dataset",
-            "Kernel",
-            "Threads",
-            "Effective",
-            "q/s",
-            "Speedup vs 1",
-        ],
+        &["Dataset", "Threads", "Effective", "q/s", "Speedup vs 1"],
         &scaling
             .iter()
             .map(|r| {
                 vec![
                     r.dataset.to_owned(),
-                    r.kernel.to_owned(),
                     if r.threads == 0 {
                         "auto".to_owned()
                     } else {
@@ -558,28 +510,23 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"scale\": {}, \"attempts\": {}, \"seed\": {}, \"reps\": {REPS}, \"cores\": {cores}, \
-         \"parallel_threshold\": {},",
-        ctx.scale,
-        ctx.attempts,
-        ctx.seed,
-        SummaryConfig::default().parallel_threshold
+        "  \"scale\": {}, \"attempts\": {}, \"seed\": {}, \"reps\": {REPS}, \"cores\": {cores},",
+        ctx.scale, ctx.attempts, ctx.seed,
     );
     json.push_str("  \"datasets\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dataset\": \"{}\", \"kernel\": \"{}\", \"queries\": {}, \
+            "    {{\"dataset\": \"{}\", \"kernel\": \"bitmap\", \"queries\": {}, \
              \"serial_qps\": {:.1}, \"batch_jobs1_qps\": {:.1}, \
              \"batch_auto_qps\": {:.1}, \"speedup_auto_vs_serial\": {:.2}, \
              \"effective_threads\": {}, \
-             \"build_serial_ms\": {:.3}, \"build_parallel_ms\": {:.3}, \
+             \"build_serial_ms\": {:.3}, \
              \"join_cache_hit_rate\": {:.4}, \"adjacency_build_ms\": {:.3}, \
              \"adjacency_builds\": {}, \"adjacency_pairs\": {}, \
              \"plan_ms\": {:.3}, \"screen_ms\": {:.3}, \"fixpoint_ms\": {:.3}, \
              \"finalize_ms\": {:.3}}}",
             json_escape_free(r.dataset),
-            json_escape_free(r.kernel),
             r.queries,
             r.serial_qps,
             r.batch1_qps,
@@ -587,7 +534,6 @@ fn main() {
             r.batch_auto_qps / r.serial_qps,
             r.effective_threads,
             r.build_serial_ms,
-            r.build_parallel_ms,
             r.join_cache_hit_rate,
             r.adjacency_build_ms,
             r.adjacency_builds,
@@ -624,10 +570,9 @@ fn main() {
     for (i, r) in scaling.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dataset\": \"{}\", \"kernel\": \"{}\", \"threads\": {}, \
+            "    {{\"dataset\": \"{}\", \"kernel\": \"bitmap\", \"threads\": {}, \
              \"effective_threads\": {}, \"qps\": {:.1}, \"speedup_vs_1\": {:.3}}}",
             json_escape_free(r.dataset),
-            json_escape_free(r.kernel),
             r.threads,
             r.effective_threads,
             r.qps,

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use xpe_bench::{print_table, ExpContext};
 use xpe_datagen::{Dataset, DatasetSpec};
-use xpe_synopsis::{Summary, SummaryConfig, DEFAULT_PARALLEL_THRESHOLD};
+use xpe_synopsis::{Summary, SummaryConfig};
 use xpe_xml::{parse_document, to_string, StreamEvent, StreamParser};
 
 /// Repetitions per timing; the best run is reported to damp noise.
@@ -116,9 +116,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let config = SummaryConfig::default();
     println!(
-        "Ingest snapshot: scale = {}, seed = {}, cores = {cores}, \
-         parallel_threshold = {} elements",
-        ctx.scale, ctx.seed, config.parallel_threshold
+        "Ingest snapshot: scale = {}, seed = {}, cores = {cores}",
+        ctx.scale, ctx.seed
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -248,20 +247,18 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"scale\": {}, \"seed\": {}, \"reps\": {REPS}, \"cores\": {cores}, \
-         \"parallel_threshold\": {},",
-        ctx.scale, ctx.seed, config.parallel_threshold
+        "  \"scale\": {}, \"seed\": {}, \"reps\": {REPS}, \"cores\": {cores},",
+        ctx.scale, ctx.seed
     );
     json.push_str("  \"datasets\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let threads_used = config.effective_threads(r.elements as usize);
         let _ = write!(
             json,
             "    {{\"dataset\": \"{}\", \"xml_bytes\": {}, \"elements\": {}, \
              \"events\": {}, \"tokenize_mbps\": {:.1}, \"events_per_sec\": {:.0}, \
              \"dom_build_ms\": {:.3}, \"stream_build_ms\": {:.3}, \
              \"dom_peak_bytes\": {}, \"stream_peak_bytes\": {}, \
-             \"peak_ratio\": {:.3}, \"histogram_threads\": {}, \
+             \"peak_ratio\": {:.3}, \
              \"identical\": true}}",
             r.dataset,
             r.xml_bytes,
@@ -274,7 +271,6 @@ fn main() {
             r.dom_peak_bytes,
             r.stream_peak_bytes,
             r.stream_peak_bytes as f64 / r.dom_peak_bytes.max(1) as f64,
-            threads_used,
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -286,9 +282,3 @@ fn main() {
         Err(e) => eprintln!("\ncould not write {out}: {e}"),
     }
 }
-
-const _: () = {
-    // The default threshold is part of the recorded experiment setup;
-    // keep the JSON meaningful if it ever changes silently.
-    assert!(DEFAULT_PARALLEL_THRESHOLD > 0);
-};

@@ -132,7 +132,6 @@ pub fn summary_at(bundle: &DatasetBundle, p_variance: f64, o_variance: f64) -> S
         SummaryConfig {
             p_variance,
             o_variance,
-            ..SummaryConfig::default()
         },
     )
 }

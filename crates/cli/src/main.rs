@@ -3,7 +3,7 @@
 //! ```text
 //! xpe stats <file.xml>                         structural statistics
 //! xpe build <file.xml> -o <summary.xps>        build + save a summary
-//!     [--p-variance V] [--o-variance V] [--jobs N] [--stream]
+//!     [--p-variance V] [--o-variance V] [--stream]
 //! xpe estimate <summary.xps> <query>...        estimate selectivities
 //!     [--jobs N] [--join-cache N] [--estimate-cache N]
 //!     [--deadline-ms N] [--max-query-nodes N]
@@ -14,7 +14,7 @@
 //!     [--requests N] [--zipf S] [--templates N] [--mix A,B,C]
 //!                                              print a skewed query trace
 //! xpe serve <summary.xps> [--addr H:P] [--workers N] [--queue N]
-//!     [--deadline-ms N] [--max-query-nodes N] [--kernel K]
+//!     [--deadline-ms N] [--max-query-nodes N]
 //!     [--join-cache N] [--estimate-cache N]
 //!     [--read-timeout-ms N] [--write-timeout-ms N]
 //!     [--max-line-bytes N]                     estimation daemon
@@ -59,24 +59,23 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   xpe stats <file.xml>
   xpe build <file.xml> -o <summary.xps> [--p-variance V] [--o-variance V]
-      [--jobs N] [--stream]
+      [--stream]
   xpe estimate <summary.xps> [--jobs N] [--join-cache N] [--estimate-cache N]
-      [--kernel naive|indexed|bitmap]
       [--deadline-ms N] [--max-query-nodes N] <query>...
   xpe exact <file.xml> <query>...
   xpe generate <ssplays|dblp|xmark> -o <out.xml> [--scale S] [--seed N]
   xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N] [--requests N]
       [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER]
   xpe serve <summary.xps> [--addr HOST:PORT] [--workers N] [--queue N]
-      [--deadline-ms N] [--max-query-nodes N] [--kernel naive|indexed|bitmap]
+      [--deadline-ms N] [--max-query-nodes N]
       [--join-cache N] [--estimate-cache N]
       [--read-timeout-ms N] [--write-timeout-ms N]
       [--max-line-bytes N]
   xpe diff [--seed N] [--cases N] [--json FILE]
   xpe faults [--seed N] [--cases N] [--json FILE]
 
---jobs N parallelizes summary construction (build) or batches queries
-across N workers (estimate); 0 = one worker per core, default 1.
+--jobs N batches queries across N workers (estimate); 0 = one worker per
+core, default 1.
 --stream builds the summary from the raw bytes in two streaming passes
 instead of materializing the document tree; the output is byte-identical
 and peak memory is bounded by depth x path count, not node count.
@@ -93,9 +92,6 @@ workload classes mixed by --mix weights (default 0.5,0.3,0.2 for
 simple,branch,order), --templates popularity ranks per class, seeded
 and byte-reproducible. Pipe it through `xpe serve` to replay skewed
 production traffic.
---kernel selects the path-join kernel (estimate): 'bitmap' (default,
-word-parallel pid bitmaps), 'indexed' (adjacency-row lists), or 'naive'
-(the paper's Figure-3 reference). All three print identical estimates.
 --deadline-ms N gives each estimate a wall-clock budget; a query that
 exceeds it prints its tag-frequency upper bound flagged 'degraded'.
 --max-query-nodes N rejects queries with more steps before estimating.
@@ -114,7 +110,8 @@ hex); it exits nonzero when any invariant is violated.
 faults injects every fault class (corruption, panics, exhausted
 budgets, oversized queries, plus the serve wire protocol: truncated
 requests, oversized lines, invalid UTF-8, garbage-then-valid
-pipelining, mid-request disconnects; --cases trials per class) and
+pipelining, mid-request disconnects, deeply nested queries; --cases
+trials per class) and
 exits nonzero if any escapes the typed-error-or-degraded contract.";
 
 fn load_doc(path: &str) -> Result<Document, String> {
@@ -212,8 +209,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let config = SummaryConfig {
         p_variance: parse_flag(&flags, "p-variance", 0.0)?,
         o_variance: parse_flag(&flags, "o-variance", 0.0)?,
-        threads: parse_flag(&flags, "jobs", 1usize)?,
-        ..SummaryConfig::default()
     };
     let summary = if flag(&flags, "stream").is_some() {
         // Streaming ingest: two tokenizer passes, no DOM; byte-identical
@@ -266,17 +261,11 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| "bad value for --max-query-nodes")?),
         None => None,
     };
-    let kernel = match flag(&flags, "kernel") {
-        Some(v) => xpe::estimator::JoinKernel::parse(v)
-            .ok_or_else(|| format!("bad value for --kernel (naive|indexed|bitmap): {v}"))?,
-        None => xpe::estimator::JoinKernel::default(),
-    };
     let summary = Syn::load_from_file(path).map_err(|e| format!("loading {path}: {e}"))?;
     let engine = EstimationEngine::new(&summary)
         .with_threads(jobs)
         .with_join_cache_capacity(join_cache)
         .with_estimate_cache_capacity(estimate_cache)
-        .with_kernel(kernel)
         .with_budget(xpe::estimator::Budget {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
             max_join_edges: None,
@@ -356,11 +345,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| "bad value for --max-query-nodes")?),
         None => None,
     };
-    let kernel = match flag(&flags, "kernel") {
-        Some(v) => xpe::estimator::JoinKernel::parse(v)
-            .ok_or_else(|| format!("bad value for --kernel (naive|indexed|bitmap): {v}"))?,
-        None => xpe::estimator::JoinKernel::default(),
-    };
     // 0 disables a socket timeout entirely; the defaults mirror
     // ServerConfig::default (30 s read, 10 s write).
     let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
@@ -379,7 +363,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
             max_join_edges: None,
         },
-        kernel,
         join_cache_capacity: parse_flag(
             &flags,
             "join-cache",

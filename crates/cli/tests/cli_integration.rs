@@ -79,55 +79,6 @@ fn full_pipeline() {
 }
 
 #[test]
-fn kernel_flag_selects_without_changing_estimates() {
-    let dir = tmpdir("kernel");
-    let xml = dir.join("d.xml");
-    let xps = dir.join("d.xps");
-    let o = xpe(&[
-        "generate",
-        "ssplays",
-        "--scale",
-        "0.01",
-        "--seed",
-        "9",
-        "-o",
-        xml.to_str().unwrap(),
-    ]);
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-    let o = xpe(&["build", xml.to_str().unwrap(), "-o", xps.to_str().unwrap()]);
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-
-    let queries = ["//ACT/SCENE", "//PLAY//SPEECH", "//SCENE[/TITLE]/SPEECH"];
-    let mut outputs = Vec::new();
-    for kernel in ["naive", "indexed", "bitmap"] {
-        let mut args = vec!["estimate", xps.to_str().unwrap(), "--kernel", kernel];
-        args.extend(queries);
-        let o = xpe(&args);
-        assert!(
-            o.status.success(),
-            "kernel {kernel}: {}",
-            String::from_utf8_lossy(&o.stderr)
-        );
-        outputs.push(stdout(&o));
-    }
-    assert_eq!(outputs[0], outputs[1], "naive vs indexed");
-    assert_eq!(outputs[0], outputs[2], "naive vs bitmap");
-
-    // An unknown kernel name is a clean usage error.
-    let o = xpe(&[
-        "estimate",
-        xps.to_str().unwrap(),
-        "--kernel",
-        "warp",
-        "//ACT",
-    ]);
-    assert!(!o.status.success());
-    assert!(String::from_utf8_lossy(&o.stderr).contains("--kernel"));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn helpful_errors() {
     let o = xpe(&[]);
     assert!(o.status.success(), "bare invocation prints usage");
@@ -190,6 +141,36 @@ fn estimate_fails_cleanly_on_bad_queries() {
 
     let o = xpe(&["exact", xml.to_str().unwrap(), "not-a-query["]);
     assert_clean_failure(&o, "not-a-query[");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Queries nested far past the XML depth cap — 8,000 nested predicates,
+/// a 20,000-step chain, and a 60,000-step chain — end the run with one
+/// typed error line, not a stack-overflow abort.
+#[test]
+fn estimate_rejects_hostile_query_depth_with_one_line() {
+    let dir = tmpdir("deepq");
+    let xml = dir.join("d.xml");
+    let xps = dir.join("d.xps");
+    xpe(&[
+        "generate",
+        "ssplays",
+        "--scale",
+        "0.01",
+        "-o",
+        xml.to_str().unwrap(),
+    ]);
+    xpe(&["build", xml.to_str().unwrap(), "-o", xps.to_str().unwrap()]);
+
+    let nested = format!("//a{}{}", "[a".repeat(7_999), "]".repeat(7_999));
+    for query in [nested, "/a".repeat(20_000), "/a".repeat(60_000)] {
+        let o = xpe(&["estimate", xps.to_str().unwrap(), &query]);
+        assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+        assert_clean_failure(&o, "nests more than 256 steps");
+        assert_eq!(stderr(&o).lines().count(), 1, "one diagnostic line");
+        assert!(stdout(&o).is_empty());
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
 //! The batched estimation engine — the throughput layer over
 //! [`Estimator`].
 //!
-//! A single [`Estimator`] already memoizes relation masks and recycles
-//! join allocations; the engine adds workload-level machinery on top:
-//! a shared mask cache, a shared containment-adjacency index, and a
-//! workload-level [`JoinCache`] that every worker warms for the others,
+//! A single [`Estimator`] already memoizes containment adjacencies and
+//! recycles join allocations; the engine adds workload-level machinery on
+//! top: a shared containment-adjacency index and a workload-level
+//! [`JoinCache`] that every worker warms for the others,
 //! plus [`estimate_batch`](EstimationEngine::estimate_batch), which fans a
 //! query slice across scoped worker threads. Each worker owns one
 //! estimator (scratch arenas never cross threads) while all of them read
@@ -81,8 +81,8 @@ pub struct KernelStats {
     /// Worker panics caught and isolated by `try_estimate_batch` (a
     /// subset of `outcomes_degraded`).
     pub worker_panics: u64,
-    /// Lock (mutex) acquisitions across the engine's shared caches:
-    /// relation masks, the adjacency index, and the join cache's shards.
+    /// Lock (mutex) acquisitions across the engine's shared caches: the
+    /// adjacency index, the join cache's shards, and the estimate cache.
     /// The warm-path contract is that this counter does **not** move
     /// between two [`kernel_stats`](EstimationEngine::kernel_stats) calls
     /// with only warm estimates in between — snapshot probes, private
@@ -117,6 +117,8 @@ impl OutcomeCounters {
 /// Batch-capable estimation engine over a prebuilt [`Summary`].
 pub struct EstimationEngine<'s> {
     summary: &'s Summary,
+    /// Returned by [`mask_cache`](Self::mask_cache) for existing callers;
+    /// no kernel reads it.
     masks: Arc<RelationMaskCache>,
     adjacency: Arc<JoinIndexCache>,
     join_cache: Option<Arc<JoinCache>>,
@@ -208,7 +210,8 @@ impl<'s> EstimationEngine<'s> {
     /// Selects the join kernel every estimator of this engine runs — the
     /// resident one and each batch worker (default:
     /// [`JoinKernel::Bitmap`]). Estimates are bit-identical across
-    /// kernels; only throughput changes.
+    /// kernels; [`JoinKernel::Naive`] is the reference oracle the tests
+    /// and the `perfbench` answer check compare against.
     pub fn with_kernel(mut self, kernel: JoinKernel) -> Self {
         self.kernel = kernel;
         self.local = self.local.with_kernel(kernel);
@@ -254,7 +257,8 @@ impl<'s> EstimationEngine<'s> {
         self.summary
     }
 
-    /// The shared relation-mask memo table (grows as queries run).
+    /// A relation-mask cache kept for existing callers. No kernel reads
+    /// it, so it stays empty.
     pub fn mask_cache(&self) -> &Arc<RelationMaskCache> {
         &self.masks
     }
@@ -315,10 +319,7 @@ impl<'s> EstimationEngine<'s> {
             outcomes_degraded: self.outcomes.degraded.load(Ordering::Relaxed),
             outcomes_rejected: self.outcomes.rejected.load(Ordering::Relaxed),
             worker_panics: self.outcomes.panics.load(Ordering::Relaxed),
-            lock_acquisitions: self.masks.lock_count()
-                + self.adjacency.lock_count()
-                + join_locks
-                + est_locks,
+            lock_acquisitions: self.adjacency.lock_count() + join_locks + est_locks,
         }
     }
 
@@ -365,7 +366,6 @@ impl<'s> EstimationEngine<'s> {
         xpe_par::par_map_init_flushed(
             self.threads,
             queries.len(),
-            0,
             || {
                 Estimator::with_caches(
                     summary,
@@ -420,7 +420,6 @@ impl<'s> EstimationEngine<'s> {
         let results = xpe_par::par_map_init_chunked_isolated(
             self.threads,
             queries.len(),
-            0,
             || {
                 Estimator::with_caches(
                     summary,
@@ -519,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_yields_bitwise_identical_estimates() {
+    fn bitmap_kernel_matches_the_naive_oracle_bitwise() {
         let s = summary();
         let queries: Vec<Query> = QUERIES
             .iter()
@@ -533,46 +532,21 @@ mod tests {
             .iter()
             .map(|v| v.to_bits())
             .collect();
-        for kernel in [JoinKernel::Indexed, JoinKernel::Bitmap] {
-            for threads in [1, 2] {
-                let engine = EstimationEngine::new(&s)
-                    .with_threads(threads)
-                    .with_kernel(kernel);
-                assert_eq!(engine.kernel(), kernel);
-                let got: Vec<u64> = engine
-                    .estimate_batch(&queries)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(got, reference, "kernel={kernel:?} threads={threads}");
-            }
+        for threads in [1, 2] {
+            let engine = EstimationEngine::new(&s).with_threads(threads);
+            assert_eq!(engine.kernel(), JoinKernel::Bitmap);
+            let got: Vec<u64> = engine
+                .estimate_batch(&queries)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, reference, "threads={threads}");
         }
         // Rebuilding the join cache preserves the kernel selection.
         let rebuilt = EstimationEngine::new(&s)
-            .with_kernel(JoinKernel::Indexed)
+            .with_kernel(JoinKernel::Naive)
             .with_join_cache_capacity(8);
-        assert_eq!(rebuilt.kernel(), JoinKernel::Indexed);
-    }
-
-    #[test]
-    fn adjacency_served_edges_never_touch_the_mask_cache() {
-        // Masks are resolved lazily: an edge served by a containment
-        // adjacency folds the mask test into its pair relation, so
-        // materializing the mask too would be a wasted cache probe. With
-        // the adjacency index live (it always is inside an engine), the
-        // shared mask cache must therefore stay cold across a whole batch.
-        let s = summary();
-        let engine = EstimationEngine::new(&s)
-            .with_threads(2)
-            .with_kernel(JoinKernel::Indexed);
-        assert!(engine.mask_cache().is_empty());
-        let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
-        engine.estimate_batch(&queries);
-        assert!(
-            engine.mask_cache().is_empty(),
-            "no mask materialized for adjacency-served edges"
-        );
-        assert!(!engine.adjacency_cache().is_empty());
+        assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
     }
 
     #[test]
@@ -634,38 +608,31 @@ mod tests {
     #[test]
     fn warm_estimates_take_zero_locks() {
         let s = summary();
-        for kernel in [JoinKernel::Indexed, JoinKernel::Bitmap] {
-            let engine = EstimationEngine::new(&s).with_kernel(kernel);
-            let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
-            // Cold pass warms every layer through the resident estimator.
-            for q in &queries {
-                engine.estimate(q);
-            }
-            // This flushes the cold pass's pending publications (counted
-            // into `before`) and reads the lock tally lock-free.
-            let before = engine.kernel_stats();
-            for q in &queries {
-                engine.estimate(q);
-            }
-            let after = engine.kernel_stats();
-            assert_eq!(
-                after.lock_acquisitions,
-                before.lock_acquisitions,
-                "{}: warm estimates must not take any shared-cache lock",
-                kernel.name()
-            );
-            assert!(
-                after.estimate_cache_hits > before.estimate_cache_hits,
-                "{}: the warm pass was served by the full-query cache",
-                kernel.name()
-            );
-            assert_eq!(
-                after.estimate_cache_misses,
-                before.estimate_cache_misses,
-                "{}: nothing in the warm pass missed",
-                kernel.name()
-            );
+        let engine = EstimationEngine::new(&s);
+        let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
+        // Cold pass warms every layer through the resident estimator.
+        for q in &queries {
+            engine.estimate(q);
         }
+        // This flushes the cold pass's pending publications (counted into
+        // `before`) and reads the lock tally lock-free.
+        let before = engine.kernel_stats();
+        for q in &queries {
+            engine.estimate(q);
+        }
+        let after = engine.kernel_stats();
+        assert_eq!(
+            after.lock_acquisitions, before.lock_acquisitions,
+            "warm estimates must not take any shared-cache lock"
+        );
+        assert!(
+            after.estimate_cache_hits > before.estimate_cache_hits,
+            "the warm pass was served by the full-query cache"
+        );
+        assert_eq!(
+            after.estimate_cache_misses, before.estimate_cache_misses,
+            "nothing in the warm pass missed"
+        );
     }
 
     /// The zero-lock warm-path contract holds one layer down as well:
@@ -674,34 +641,27 @@ mod tests {
     #[test]
     fn warm_estimates_without_the_estimate_cache_still_take_zero_locks() {
         let s = summary();
-        for kernel in [JoinKernel::Indexed, JoinKernel::Bitmap] {
-            let engine = EstimationEngine::new(&s)
-                .with_kernel(kernel)
-                .with_estimate_cache_capacity(0);
-            assert!(engine.estimate_cache().is_none());
-            let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
-            for q in &queries {
-                engine.estimate(q);
-            }
-            let before = engine.kernel_stats();
-            for q in &queries {
-                engine.estimate(q);
-            }
-            let after = engine.kernel_stats();
-            assert_eq!(
-                after.lock_acquisitions,
-                before.lock_acquisitions,
-                "{}: warm estimates must not take any shared-cache lock",
-                kernel.name()
-            );
-            assert!(
-                after.join_cache_hits > before.join_cache_hits,
-                "{}: the warm pass was served by the join cache",
-                kernel.name()
-            );
-            assert_eq!(after.estimate_cache_hits, 0);
-            assert_eq!(after.estimate_cache_misses, 0);
+        let engine = EstimationEngine::new(&s).with_estimate_cache_capacity(0);
+        assert!(engine.estimate_cache().is_none());
+        let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
+        for q in &queries {
+            engine.estimate(q);
         }
+        let before = engine.kernel_stats();
+        for q in &queries {
+            engine.estimate(q);
+        }
+        let after = engine.kernel_stats();
+        assert_eq!(
+            after.lock_acquisitions, before.lock_acquisitions,
+            "warm estimates must not take any shared-cache lock"
+        );
+        assert!(
+            after.join_cache_hits > before.join_cache_hits,
+            "the warm pass was served by the join cache"
+        );
+        assert_eq!(after.estimate_cache_hits, 0);
+        assert_eq!(after.estimate_cache_misses, 0);
     }
 
     #[test]
@@ -940,7 +900,7 @@ mod tests {
     fn rebuilding_estimate_cache_carries_outcome_counters_and_policy() {
         let s = summary();
         let engine = EstimationEngine::new(&s)
-            .with_kernel(JoinKernel::Indexed)
+            .with_kernel(JoinKernel::Naive)
             .with_limits(crate::QueryLimits {
                 max_nodes: Some(8),
                 ..crate::QueryLimits::unlimited()
@@ -949,7 +909,7 @@ mod tests {
         engine.try_estimate(&q);
         let rebuilt = engine.with_estimate_cache_capacity(64);
         assert_eq!(rebuilt.kernel_stats().outcomes_ok, 1);
-        assert_eq!(rebuilt.kernel(), JoinKernel::Indexed);
+        assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
         assert_eq!(rebuilt.limits().max_nodes, Some(8));
         assert_eq!(rebuilt.estimate_cache().unwrap().capacity(), 64);
         // The join cache survives the rebuild at its previous capacity.

@@ -32,8 +32,7 @@ use crate::editor::{self, subtree_of};
 use crate::estcache::{estimate_key, EstimateCache, EstimateCacheReader};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
-    path_join, path_join_bitmap_planned, path_join_planned, JoinKernel, JoinMemo, JoinPhaseStats,
-    JoinResult, JoinScratch,
+    path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
 };
 use crate::joincache::{skeleton_key, JoinCache, WorkerJoinCache};
 use crate::planner::QueryPlan;
@@ -44,19 +43,17 @@ use crate::serve::{
 
 /// Selectivity estimator over a prebuilt [`Summary`].
 ///
-/// Every estimator memoizes the relation masks and containment
-/// adjacencies its joins compute (keyed by `(tag_u, tag_v, axis)` — pure
-/// functions of the summary's encoding table) and recycles the joins'
-/// per-node list allocations. On top of the shared caches each estimator
-/// keeps a private lock-free [`JoinMemo`] — flat `Vec`-indexed adjacency
-/// and seed-bitmap tables filled on first miss — so a warm join never
-/// takes a lock or hashes a key. Estimators built by
-/// [`EstimationEngine`](crate::EstimationEngine) share one mask cache, one
-/// adjacency index, and one workload-level [`JoinCache`], so a batch warms
-/// all three for every worker.
+/// Every estimator memoizes the containment adjacencies its joins compute
+/// (keyed by `(tag_u, tag_v, axis)` — pure functions of the summary's
+/// encoding table) and recycles the joins' per-node allocations. On top
+/// of the shared caches each estimator keeps a private lock-free
+/// [`JoinMemo`] — flat `Vec`-indexed adjacency and seed-bitmap tables
+/// filled on first miss — so a warm join never takes a lock or hashes a
+/// key. Estimators built by [`EstimationEngine`](crate::EstimationEngine)
+/// share one adjacency index and one workload-level [`JoinCache`], so a
+/// batch warms both for every worker.
 pub struct Estimator<'s> {
     summary: &'s Summary,
-    masks: Arc<RelationMaskCache>,
     adjacency: Arc<JoinIndexCache>,
     /// Worker-private front for the shared workload-level [`JoinCache`]:
     /// lookups and publishes stay in this estimator's unsynchronized map
@@ -73,9 +70,9 @@ pub struct Estimator<'s> {
     /// valid for this estimator's `(summary, adjacency)` pairing, which
     /// both live as long as the estimator by construction.
     memo: RefCell<JoinMemo>,
-    /// Which join kernel [`run_join`](Self::run_join) dispatches to. All
-    /// kernels are bit-identical; this only selects speed (and, for
-    /// `Naive`, opts out of budget cooperation).
+    /// Which join kernel [`run_join`](Self::run_join) dispatches to. Both
+    /// are bit-identical; `Naive` is the reference oracle and opts out of
+    /// caches and budget cooperation.
     kernel: JoinKernel,
     /// Live budget of the in-flight [`try_estimate`](Self::try_estimate)
     /// call, threaded into every join it runs; `None` outside one.
@@ -115,29 +112,30 @@ struct Chain {
 impl<'s> Estimator<'s> {
     /// Creates an estimator reading from `summary`.
     pub fn new(summary: &'s Summary) -> Self {
-        Self::with_mask_cache(summary, Arc::new(RelationMaskCache::new()))
+        Self::with_caches(
+            summary,
+            Arc::default(),
+            Arc::new(JoinIndexCache::new()),
+            None,
+        )
     }
 
-    /// Creates an estimator sharing an externally owned mask cache — how
-    /// the batch engine gives every worker the same warm memo table.
-    pub fn with_mask_cache(summary: &'s Summary, masks: Arc<RelationMaskCache>) -> Self {
-        Self::with_caches(summary, masks, Arc::new(JoinIndexCache::new()), None)
-    }
-
-    /// Creates an estimator sharing all three kernel caches: relation
-    /// masks, containment adjacency, and (optionally) the workload-level
-    /// join cache. None of them change any estimate — joins are pure
-    /// functions of `(summary, query skeleton)` — only how fast the
-    /// estimate is produced.
+    /// Creates an estimator sharing the kernel caches: containment
+    /// adjacency and (optionally) the workload-level join cache. Neither
+    /// changes any estimate — joins are pure functions of `(summary,
+    /// query skeleton)` — only how fast the estimate is produced.
+    ///
+    /// `_masks` is not read: the bitmap kernel's adjacencies fold the
+    /// relation-mask test in, and the reference kernel computes its masks
+    /// fresh. The parameter stays for existing callers.
     pub fn with_caches(
         summary: &'s Summary,
-        masks: Arc<RelationMaskCache>,
+        _masks: Arc<RelationMaskCache>,
         adjacency: Arc<JoinIndexCache>,
         join_cache: Option<Arc<JoinCache>>,
     ) -> Self {
         Estimator {
             summary,
-            masks,
             adjacency,
             join_cache: join_cache.map(|c| RefCell::new(WorkerJoinCache::new(c))),
             est_cache: None,
@@ -164,8 +162,8 @@ impl<'s> Estimator<'s> {
         self
     }
 
-    /// Selects the join kernel (default: [`JoinKernel::Bitmap`]). Every
-    /// kernel produces bit-identical estimates; the naive kernel also
+    /// Selects the join kernel (default: [`JoinKernel::Bitmap`]). Both
+    /// kernels produce bit-identical estimates; the naive kernel also
     /// ignores caches and join budgets, by design.
     pub fn with_kernel(mut self, kernel: JoinKernel) -> Self {
         self.kernel = kernel;
@@ -192,11 +190,6 @@ impl<'s> Estimator<'s> {
     /// Resets the per-phase join breakdown.
     pub fn reset_join_phase_stats(&self) {
         self.scratch.borrow_mut().reset_phase_stats();
-    }
-
-    /// The shared relation-mask memo table.
-    pub fn mask_cache(&self) -> &Arc<RelationMaskCache> {
-        &self.masks
     }
 
     /// The shared containment-adjacency index.
@@ -285,17 +278,7 @@ impl<'s> Estimator<'s> {
         let budget = self.budget.borrow();
         match self.kernel {
             JoinKernel::Naive => path_join(self.summary, query),
-            JoinKernel::Indexed => path_join_planned(
-                self.summary,
-                query,
-                plan,
-                Some(&self.masks),
-                Some(&self.adjacency),
-                Some(&mut self.memo.borrow_mut()),
-                Some(&mut self.scratch.borrow_mut()),
-                budget.as_ref(),
-            ),
-            JoinKernel::Bitmap => path_join_bitmap_planned(
+            JoinKernel::Bitmap => path_join_bitmap(
                 self.summary,
                 query,
                 plan,
@@ -799,20 +782,17 @@ mod tests {
     #[test]
     fn conversion_unknown_tag_returns_join_scratch_to_the_pool() {
         let s = summary();
-        for kernel in [JoinKernel::Indexed, JoinKernel::Bitmap] {
-            let est = Estimator::new(&s).with_kernel(kernel);
-            // Document chain (C before B), both heads known, owner tag
-            // absent from the document: the conversion join runs, then
-            // bails on the unknown owner tag.
-            let q = parse_query("//Zebra[/C/foll::$B]").unwrap();
-            assert_eq!(est.estimate(&q), 0.0);
-            assert_eq!(
-                est.scratch.borrow().pooled(),
-                q.len(),
-                "{}: every join list recycled",
-                kernel.name()
-            );
-        }
+        let est = Estimator::new(&s);
+        // Document chain (C before B), both heads known, owner tag absent
+        // from the document: the conversion join runs, then bails on the
+        // unknown owner tag.
+        let q = parse_query("//Zebra[/C/foll::$B]").unwrap();
+        assert_eq!(est.estimate(&q), 0.0);
+        assert_eq!(
+            est.scratch.borrow().pooled(),
+            q.len(),
+            "every join list recycled"
+        );
     }
 
     /// Warm private memos and plans change nothing observable: a reused
@@ -827,7 +807,7 @@ mod tests {
             "/Root/A/C/F",
             "//A[/C/folls::$B]",
         ];
-        for kernel in JoinKernel::ALL {
+        for kernel in [JoinKernel::Naive, JoinKernel::Bitmap] {
             let warm = Estimator::new(&s).with_kernel(kernel);
             for q in queries {
                 let query = parse_query(q).unwrap();
@@ -836,8 +816,8 @@ mod tests {
                 // Twice through the same estimator: cold memo, then warm.
                 let b = warm.estimate(&query);
                 let c = warm.estimate(&query);
-                assert_eq!(a.to_bits(), b.to_bits(), "{q} {}", kernel.name());
-                assert_eq!(b.to_bits(), c.to_bits(), "{q} {}", kernel.name());
+                assert_eq!(a.to_bits(), b.to_bits(), "{q} {kernel:?}");
+                assert_eq!(b.to_bits(), c.to_bits(), "{q} {kernel:?}");
             }
         }
     }

@@ -6,34 +6,28 @@
 //! fixpoint. The surviving frequencies are the `f_Q(n)` values the
 //! estimation formulas consume.
 //!
-//! Three kernels produce that fixpoint (selected by [`JoinKernel`]):
+//! Two kernels produce that fixpoint (selected by [`JoinKernel`]):
 //!
 //! * [`path_join`] — the reference kernel: per-edge relation masks and an
 //!   iterate-all-edges-until-stable loop, exactly the paper's Figure 3.
-//!   No caches, no indexes; the proptests pin every optimization below
-//!   against it bit for bit.
-//! * [`path_join_cached`] — the indexed kernel: edges resolve to
-//!   precomputed [`ContainmentAdjacency`] rows (containment +
-//!   relation-mask test folded into one sorted pid list per endpoint), the
-//!   root-pinning check reads the summary's precomputed depth-0 pid sets,
-//!   and a **worklist fixpoint** re-examines only edges whose endpoint
-//!   lists shrank in the previous step instead of sweeping every edge per
-//!   pass.
-//! * [`path_join_bitmap`] — the bit-parallel kernel the estimator runs by
-//!   default: each node's surviving set is a pid-index *bitmap*, each
-//!   edge step is a word-parallel semi-join over the adjacency's bitmap
-//!   rows screened by its candidate bitmap, and the final `(pid, f)`
-//!   lists are rebuilt from the bitmaps in histogram order. Same worklist
-//!   schedule as the indexed kernel, so serve budgets are charged the
-//!   same edge counts.
+//!   No caches, no indexes; the proptests pin the fast kernel against it
+//!   bit for bit.
+//! * [`path_join_bitmap`] — the bit-parallel kernel the estimator runs:
+//!   each node's surviving set is a pid-index *bitmap*, each edge step is
+//!   a word-parallel semi-join over the precomputed
+//!   [`ContainmentAdjacency`] bitmap rows screened by its candidate
+//!   bitmap, a **worklist fixpoint** re-examines only edges whose
+//!   endpoint sets shrank, and the final `(pid, f)` lists are rebuilt from
+//!   the bitmaps in histogram order.
 //!
 //! The fixpoint both kernels compute is the *greatest* set of surviving
 //! pids closed under every edge constraint. Each pruning step is monotone
 //! (it only removes pids, and removing pids can only enable more
 //! removals), so the fixpoint is unique regardless of the order edges are
 //! examined in — which is what makes the worklist schedule, the adjacency
-//! rows, and the naive scan interchangeable bit for bit: `retain` keeps
-//! histogram order, so identical surviving sets sum to identical `f64`s.
+//! rows, and the naive scan interchangeable bit for bit: both kernels
+//! keep histogram order, so identical surviving sets sum to identical
+//! `f64`s.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -41,7 +35,7 @@ use std::time::Instant;
 
 use xpe_pathid::{
     axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache,
-    JoinIndexSnapshot, PathIdBits, Pid, RelationMaskCache, RelationMaskSnapshot,
+    JoinIndexSnapshot, Pid,
 };
 use xpe_synopsis::Summary;
 use xpe_xml::TagId;
@@ -50,51 +44,23 @@ use xpe_xpath::{Axis, Query, QueryNodeId};
 use crate::planner::QueryPlan;
 use crate::serve::BudgetState;
 
-/// Which fixpoint kernel an [`Estimator`](crate::Estimator) runs. All
-/// three compute the same greatest fixpoint bit for bit (pinned by the
-/// diff-harness proptests); they differ only in speed and in how they
-/// cooperate with serve budgets.
+/// Which fixpoint kernel an [`Estimator`](crate::Estimator) runs. Both
+/// compute the same greatest fixpoint bit for bit (pinned by the
+/// diff-harness proptests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum JoinKernel {
     /// The reference Figure-3 kernel: fresh masks, nested-loop
     /// containment, sweep-all-edges fixpoint. No caches and no budget
-    /// cooperation — kept for oracle comparisons and debugging.
+    /// cooperation — kept as the oracle the bitmap kernel is checked
+    /// against.
     Naive,
-    /// Adjacency-row semi-join over `(pid, frequency)` lists with a
-    /// worklist schedule ([`path_join_cached`]).
-    Indexed,
-    /// Word-parallel semi-join over pid-index bitmaps with the same
-    /// worklist schedule ([`path_join_bitmap`]) — charges budgets the
-    /// exact same edge counts as `Indexed`.
+    /// Word-parallel semi-join over pid-index bitmaps with a worklist
+    /// schedule ([`path_join_bitmap`]).
     #[default]
     Bitmap,
 }
 
-impl JoinKernel {
-    /// Every kernel, in `naive < indexed < bitmap` order.
-    pub const ALL: [JoinKernel; 3] = [JoinKernel::Naive, JoinKernel::Indexed, JoinKernel::Bitmap];
-
-    /// Parses a CLI-style kernel name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "naive" => Some(JoinKernel::Naive),
-            "indexed" => Some(JoinKernel::Indexed),
-            "bitmap" => Some(JoinKernel::Bitmap),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style kernel name.
-    pub fn name(self) -> &'static str {
-        match self {
-            JoinKernel::Naive => "naive",
-            JoinKernel::Indexed => "indexed",
-            JoinKernel::Bitmap => "bitmap",
-        }
-    }
-}
-
-/// Cumulative per-phase wall-clock breakdown of the join kernels, in
+/// Cumulative per-phase wall-clock breakdown of the bitmap kernel, in
 /// nanoseconds. Collected only when a [`JoinScratch`] has timing enabled
 /// (an `Instant::now` pair per phase is measurable on µs-scale joins, so
 /// it is off by default); the bench harness turns it on to report where
@@ -104,20 +70,19 @@ impl JoinKernel {
 pub struct JoinPhaseStats {
     /// Building the prepared [`QueryPlan`] — tag-name resolution and edge
     /// flattening. Lapped by the estimator (plans are built outside the
-    /// kernels, and skipped entirely on a plan-cache hit).
+    /// kernel, and skipped entirely on a plan-cache hit).
     pub plan_ns: u64,
-    /// Seeding candidate lists/bitmaps, root pinning, and edge
-    /// resolution (mask/adjacency lookups).
+    /// Seeding candidate bitmaps, root pinning, and edge resolution
+    /// (adjacency lookups).
     pub screen_ns: u64,
     /// The worklist fixpoint itself.
     pub fixpoint_ns: u64,
-    /// Rebuilding `(pid, frequency)` lists from final bitmaps (bitmap
-    /// kernel only; the list kernels' lists are already final).
+    /// Rebuilding `(pid, frequency)` lists from the final bitmaps.
     pub finalize_ns: u64,
 }
 
 /// Starts-on-demand phase stopwatch: `None` when timing is disabled, so
-/// the kernels pay nothing in the common case.
+/// the kernel pays nothing in the common case.
 struct PhaseTimer(Option<Instant>);
 
 impl PhaseTimer {
@@ -142,30 +107,27 @@ pub struct JoinResult {
     pub lists: Vec<Vec<(Pid, f64)>>,
 }
 
-/// Reusable allocations for the non-naive join kernels.
+/// Reusable allocations for the bitmap kernel.
 ///
-/// A join allocates one `(pid, frequency)` vector per query node plus a
-/// handful of fixpoint bookkeeping structures; across a workload that is
-/// thousands of short-lived allocations doing identical work. The scratch
-/// keeps everything alive between joins: callers pass it to the kernels
-/// and hand finished [`JoinResult`]s back via [`recycle`](Self::recycle),
-/// after which the capacity is reused. Besides the list/bitmap pools it
-/// carries the indexed kernel's pid stamp array (an epoch-versioned
-/// membership mark, so the semi-join never clears between edges) and the
+/// A join allocates one `(pid, frequency)` vector per query node, one
+/// bitmap per query node, and a handful of fixpoint bookkeeping
+/// structures; across a workload that is thousands of short-lived
+/// allocations doing identical work. The scratch keeps everything alive
+/// between joins: callers pass it to the kernel and hand finished
+/// [`JoinResult`]s back via [`recycle`](Self::recycle), after which the
+/// capacity is reused. Besides the list and bitmap pools it carries the
 /// hoisted worklist state — incident lists, queued flags, the worklist
 /// deque, per-node bitmap containers and population counts, and the
-/// resolved-edge vectors — so a warm join performs **zero allocations**.
+/// resolved-edge vector — so a warm join performs **zero allocations**.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     pool: Vec<Vec<(Pid, f64)>>,
     /// Pooled outer `lists` vectors, so rebuilding a [`JoinResult`] does
     /// not allocate its spine either.
     outer_pool: Vec<Vec<Vec<(Pid, f64)>>>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Pooled pid-index bitmaps for the bitmap kernel's per-node sets.
+    /// Pooled pid-index bitmaps for the per-node sets.
     bit_pool: Vec<Vec<u64>>,
-    /// The bitmap kernel's union accumulator, reused across edges.
+    /// The semi-join's union accumulator, reused across edges.
     acc: Vec<u64>,
     /// Hoisted worklist state: per-node incident edge indices.
     incident: Vec<Vec<usize>>,
@@ -173,16 +135,14 @@ pub struct JoinScratch {
     queued: Vec<bool>,
     /// Hoisted worklist state: the edge worklist itself.
     worklist: VecDeque<usize>,
-    /// Hoisted bitmap-kernel state: per-node population counts.
+    /// Hoisted state: per-node population counts.
     counts: Vec<usize>,
-    /// Hoisted bitmap-kernel state: the per-node bitmap container (the
-    /// bitmaps inside recycle through `bit_pool`).
+    /// Hoisted state: the per-node bitmap container (the bitmaps inside
+    /// recycle through `bit_pool`).
     node_bits: Vec<Vec<u64>>,
-    /// Hoisted bitmap-kernel state: the resolved edge vector.
-    bit_edges: Vec<BitEdge>,
-    /// Hoisted indexed-kernel state: the resolved edge vector.
-    resolved: Vec<ResolvedEdge>,
-    /// When set, the kernels accumulate a per-phase wall-clock breakdown
+    /// Hoisted state: the resolved edge vector.
+    edges: Vec<BitEdge>,
+    /// When set, the kernel accumulates a per-phase wall-clock breakdown
     /// into `phases` (see [`JoinPhaseStats`]).
     timing: bool,
     phases: JoinPhaseStats,
@@ -205,7 +165,7 @@ impl JoinScratch {
     }
 
     /// Adds plan-construction time to the phase breakdown (the estimator
-    /// laps this — plans are built outside the kernels).
+    /// laps this — plans are built outside the kernel).
     pub(crate) fn add_plan_ns(&mut self, ns: u64) {
         self.phases.plan_ns += ns;
     }
@@ -238,10 +198,6 @@ impl JoinScratch {
         b
     }
 
-    fn recycle_bits(&mut self, b: Vec<u64>) {
-        self.bit_pool.push(b);
-    }
-
     /// Returns a finished join's vectors — inner lists and the outer
     /// spine — to the pools.
     pub fn recycle(&mut self, join: JoinResult) {
@@ -257,38 +213,23 @@ impl JoinScratch {
     pub fn pooled(&self) -> usize {
         self.pool.len()
     }
-
-    /// A fresh stamp epoch over `n` pid slots; slots stamped in earlier
-    /// epochs read as unmarked without clearing the array.
-    fn next_epoch(&mut self, n: usize) -> u32 {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.epoch
-    }
 }
 
 /// Per-estimator lock-free memo tables over the shared [`JoinIndexCache`].
 ///
 /// A `JoinMemo` is a plain `Vec`-indexed mirror owned by one estimator:
-/// adjacency rows are keyed by `(dense tag index, axis)`, seed bitmaps by
-/// `(dense tag index, rooted)`, and relation masks by the adjacency
-/// layout, each slot filled on first miss. A flat-table miss first probes
-/// the shared cache's epoch-published snapshot — held here and
-/// revalidated with a single atomic epoch load, refreshed (one mutex
-/// acquisition) only when another worker has published since — so a warm
-/// shared cache is absorbed into the flat tables without ever taking a
-/// lock. Only a key absent from the snapshot falls through to the shared
-/// cache's cold build-and-publish path.
+/// adjacency rows are keyed by `(dense tag index, axis)` and seed bitmaps
+/// by `(dense tag index, rooted)`, each slot filled on first miss. A
+/// flat-table miss first probes the shared cache's epoch-published
+/// snapshot — held here and revalidated with a single atomic epoch load,
+/// refreshed (one mutex acquisition) only when another worker has
+/// published since — so a warm shared cache is absorbed into the flat
+/// tables without ever taking a lock. Only a key absent from the snapshot
+/// falls through to the shared cache's cold build-and-publish path.
 ///
 /// A memo is only meaningful against a single `(summary, JoinIndexCache)`
 /// pair — the estimator owns one of each for its whole lifetime, which
-/// guarantees the pairing by construction. Callers driving the kernels
+/// guarantees the pairing by construction. Callers driving the kernel
 /// directly must do the same or pass `None`.
 #[derive(Debug, Default)]
 pub struct JoinMemo {
@@ -300,23 +241,14 @@ pub struct JoinMemo {
     adj_rows: Vec<Option<AdjacencyRow>>,
     /// `(tag, rooted)`-indexed seed bitmaps — `tag.index() * 2 + rooted`.
     seeds: Vec<Option<Arc<Vec<u64>>>>,
-    /// `(tag_u, axis)`-indexed rows of `(tag_v)`-indexed relation-mask
-    /// slots, laid out like `adj_rows`.
-    mask_rows: Vec<Option<MaskRow>>,
     /// Held snapshot of the shared adjacency/seed cache and the epoch it
     /// was (at least) current at.
     index_snapshot: Option<Arc<JoinIndexSnapshot>>,
     index_epoch: u64,
-    /// Held snapshot of the shared relation-mask cache.
-    mask_snapshot: Option<Arc<RelationMaskSnapshot>>,
-    mask_epoch: u64,
 }
 
 /// One lazily-allocated memo row: `tag_v`-indexed adjacency slots.
 type AdjacencyRow = Box<[Option<Arc<ContainmentAdjacency>>]>;
-
-/// One lazily-allocated memo row: `tag_v`-indexed relation-mask slots.
-type MaskRow = Box<[Option<Arc<PathIdBits>>]>;
 
 impl JoinMemo {
     /// Creates an empty memo; tables size themselves on first use.
@@ -331,8 +263,6 @@ impl JoinMemo {
             self.adj_rows.resize_with(ntags * 2, || None);
             self.seeds.clear();
             self.seeds.resize_with(ntags * 2, || None);
-            self.mask_rows.clear();
-            self.mask_rows.resize_with(ntags * 2, || None);
         }
     }
 
@@ -404,44 +334,6 @@ impl JoinMemo {
         self.seeds[slot] = Some(Arc::clone(&s));
         s
     }
-
-    /// The relation mask of `(tag_u, tag_v, child)`, served from the
-    /// flat table; a flat miss probes the mask cache's lock-free
-    /// snapshot before falling through to its publish path. Only
-    /// adjacency-less edges ever ask for a mask, so on the engine's
-    /// kernels this table stays empty.
-    fn mask(
-        &mut self,
-        summary: &Summary,
-        cache: &RelationMaskCache,
-        tag_u: TagId,
-        tag_v: TagId,
-        child: bool,
-    ) -> Arc<PathIdBits> {
-        self.ensure(summary.tags.len());
-        let slot = tag_u.index() * 2 + usize::from(child);
-        if let Some(row) = &self.mask_rows[slot] {
-            if let Some(m) = &row[tag_v.index()] {
-                return Arc::clone(m);
-            }
-        }
-        let epoch = cache.epoch();
-        if self.mask_snapshot.is_none() || self.mask_epoch != epoch {
-            self.mask_snapshot = Some(cache.snapshot());
-            self.mask_epoch = epoch;
-        }
-        let m = self
-            .mask_snapshot
-            .as_deref()
-            .expect("just refreshed")
-            .get(tag_u, tag_v, child)
-            .cloned()
-            .unwrap_or_else(|| cache.get(&summary.encoding, tag_u, tag_v, child));
-        let ntags = self.ntags;
-        let row = self.mask_rows[slot].get_or_insert_with(|| vec![None; ntags].into_boxed_slice());
-        row[tag_v.index()] = Some(Arc::clone(&m));
-        m
-    }
 }
 
 /// Builds the `(tag, rooted)` seed bitmap: every pid of `tag`'s
@@ -468,10 +360,10 @@ impl JoinResult {
     }
 }
 
-/// Runs the reference path join of `query` against `summary`: fresh
-/// relation masks per edge, nested-loop containment tests, all edges
+/// Runs the reference path join of `query` against `summary`: a fresh
+/// relation mask per edge, nested-loop containment tests, all edges
 /// re-swept until a pass changes nothing. Kept unoptimized on purpose —
-/// it is the oracle the indexed kernel is property-tested against.
+/// it is the oracle the bitmap kernel is property-tested against.
 pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
     let mut lists = seed_lists(summary, query);
 
@@ -494,20 +386,30 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
         }
     }
 
+    // One relation mask per structural edge. An edge with an endpoint tag
+    // absent from the summary kills both endpoint lists outright (nothing
+    // in a shrinking fixpoint can resurrect them), so it drops out here.
     let plan = QueryPlan::build(summary, query);
     let mut edges = Vec::new();
-    resolve_edges(summary, &plan, &mut lists, None, None, None, &mut edges);
+    for e in plan.edges() {
+        match e.tags {
+            Some((tag_u, tag_v)) => {
+                let mask = relation_mask(&summary.encoding, tag_u, tag_v, e.child);
+                edges.push((e.u, e.v, mask));
+            }
+            None => {
+                lists[e.u.index()].clear();
+                lists[e.v.index()].clear();
+            }
+        }
+    }
 
     // Nested-loop containment tests per edge, iterated to a fixpoint. The
     // loop terminates because every pass can only shrink the lists.
     loop {
         let mut changed = false;
-        for edge in &edges {
-            let (u_list, v_list) = two_lists(&mut lists, edge.u.index(), edge.v.index());
-            let mask = edge
-                .mask
-                .as_deref()
-                .expect("maskless edges need an adjacency");
+        for (u, v, mask) in &edges {
+            let (u_list, v_list) = two_lists(&mut lists, u.index(), v.index());
             let compatible = |pu: Pid, pv: Pid| axis_compatible_masked(&summary.pids, pu, pv, mask);
             let before_u = u_list.len();
             u_list.retain(|&(pu, _)| v_list.iter().any(|&(pv, _)| compatible(pu, pv)));
@@ -522,269 +424,36 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
     JoinResult { lists }
 }
 
-/// The indexed join kernel — [`path_join`] with memoized relation masks,
-/// precomputed containment adjacency, pooled list allocations, the
-/// summary's depth-0 root-pid sets, and a worklist fixpoint. Passing
-/// `None` everywhere still runs the worklist schedule but resolves edges
-/// through fresh masks, like the reference kernel. None of the caches
-/// change the result, only the work done to produce it.
-pub fn path_join_cached(
-    summary: &Summary,
-    query: &Query,
-    masks: Option<&RelationMaskCache>,
-    adjacency: Option<&JoinIndexCache>,
-    scratch: Option<&mut JoinScratch>,
-) -> JoinResult {
-    path_join_budgeted(summary, query, masks, adjacency, scratch, None)
-}
-
-/// [`path_join_cached`] under a cooperative [`BudgetState`]: every
-/// worklist edge examination charges the budget, and on exhaustion the
-/// fixpoint stops where it stands. The interrupted result is a *superset*
-/// of the true fixpoint (pruning only ever removes pids), so its
-/// frequencies are over-estimates — callers treat any budget-exhausted
-/// join as degraded and fall back to the `f(tag)` bound rather than
-/// trusting the partial lists, and never publish it to a shared cache.
-/// With `budget` `None` (or an unexhaustible budget) this is exactly
-/// [`path_join_cached`].
-pub fn path_join_budgeted(
-    summary: &Summary,
-    query: &Query,
-    masks: Option<&RelationMaskCache>,
-    adjacency: Option<&JoinIndexCache>,
-    scratch: Option<&mut JoinScratch>,
-    budget: Option<&BudgetState>,
-) -> JoinResult {
-    let plan = QueryPlan::build(summary, query);
-    path_join_planned(
-        summary, query, &plan, masks, adjacency, None, scratch, budget,
-    )
-}
-
-/// [`path_join_budgeted`] against a caller-prepared [`QueryPlan`] with an
-/// optional per-estimator [`JoinMemo`] — the shape the estimator drives:
-/// plan built (or plan-cache-served) once per skeleton, memo warm after
-/// the first join per `(tag, axis)` key, scratch recycled, so the screen
-/// phase does no string hashing, no locking, and no allocation. The plan
-/// and memo must have been built against this exact `summary` (and the
-/// memo against this `adjacency`).
-#[allow(clippy::too_many_arguments)]
-pub fn path_join_planned(
-    summary: &Summary,
-    query: &Query,
-    plan: &QueryPlan,
-    masks: Option<&RelationMaskCache>,
-    adjacency: Option<&JoinIndexCache>,
-    memo: Option<&mut JoinMemo>,
-    scratch: Option<&mut JoinScratch>,
-    budget: Option<&BudgetState>,
-) -> JoinResult {
-    let mut local = JoinScratch::new();
-    let scratch = match scratch {
-        Some(s) => s,
-        None => &mut local,
-    };
-    let mut timer = PhaseTimer::start(scratch.timing);
-    let (mut screen_ns, mut fixpoint_ns) = (0u64, 0u64);
-
-    // Seed each node's candidate list from its tag's p-histogram — one
-    // interner-free histogram fetch per node via the plan's resolved tags.
-    let mut lists = scratch.take_outer();
-    for q in query.node_ids() {
-        let mut list = scratch.take();
-        if let Some(tag) = plan.tag(q) {
-            list.extend_from_slice(summary.phist.histogram(tag).entries_slice());
-        }
-        lists.push(list);
-    }
-
-    // Root pinning via the summary's precomputed depth-0 pid sets — the
-    // same filter the reference kernel re-derives per pid per query.
-    if let Some(root_node) = plan.rooted() {
-        match plan.tag(root_node) {
-            Some(tag) => lists[root_node.index()]
-                .retain(|&(pid, _)| summary.root_pids.pid_starts_with(tag, pid)),
-            None => lists[root_node.index()].clear(),
-        }
-    }
-
-    let mut edges = std::mem::take(&mut scratch.resolved);
-    resolve_edges(
-        summary, plan, &mut lists, masks, adjacency, memo, &mut edges,
-    );
-
-    // Worklist fixpoint: an edge is re-examined only when one of its
-    // endpoint lists shrank since it was last processed. Seeded with every
-    // edge; termination is bounded by total list length, since an edge is
-    // only re-enqueued after a strict shrink.
-    let mut incident = std::mem::take(&mut scratch.incident);
-    let mut queued = std::mem::take(&mut scratch.queued);
-    let mut worklist = std::mem::take(&mut scratch.worklist);
-    prime_worklist(
-        &mut incident,
-        &mut queued,
-        &mut worklist,
-        query.len(),
-        edges.len(),
-        |ei| (edges[ei].u.index(), edges[ei].v.index()),
-    );
-    let stamps = scratch;
-    timer.lap(&mut screen_ns);
-    while let Some(ei) = worklist.pop_front() {
-        if let Some(b) = budget {
-            if !b.charge_edge() {
-                break;
-            }
-        }
-        queued[ei] = false;
-        let edge = &edges[ei];
-        let (u_list, v_list) = two_lists(&mut lists, edge.u.index(), edge.v.index());
-        let before_u = u_list.len();
-        let before_v = v_list.len();
-        match &edge.adj {
-            Some(adj) => {
-                // Semi-join over adjacency rows: mark one side's surviving
-                // pids, keep the other side's pids whose row hits a mark.
-                let epoch = stamps.next_epoch(summary.pids.len());
-                for &(pv, _) in v_list.iter() {
-                    stamps.stamp[pv.index()] = epoch;
-                }
-                u_list.retain(|&(pu, _)| {
-                    adj.forward(pu)
-                        .iter()
-                        .any(|pv| stamps.stamp[pv.index()] == epoch)
-                });
-                let epoch = stamps.next_epoch(summary.pids.len());
-                for &(pu, _) in u_list.iter() {
-                    stamps.stamp[pu.index()] = epoch;
-                }
-                v_list.retain(|&(pv, _)| {
-                    adj.reverse(pv)
-                        .iter()
-                        .any(|pu| stamps.stamp[pu.index()] == epoch)
-                });
-            }
-            None => {
-                let mask = edge
-                    .mask
-                    .as_deref()
-                    .expect("maskless edges need an adjacency");
-                let compatible =
-                    |pu: Pid, pv: Pid| axis_compatible_masked(&summary.pids, pu, pv, mask);
-                u_list.retain(|&(pu, _)| v_list.iter().any(|&(pv, _)| compatible(pu, pv)));
-                v_list.retain(|&(pv, _)| u_list.iter().any(|&(pu, _)| compatible(pu, pv)));
-            }
-        }
-        // Re-enqueue neighbors of shrunk endpoints — including this edge:
-        // pruning v against the already-pruned u can strand pids in u.
-        for (node, before, list_len) in [
-            (edge.u, before_u, lists[edge.u.index()].len()),
-            (edge.v, before_v, lists[edge.v.index()].len()),
-        ] {
-            if list_len == before {
-                continue;
-            }
-            for &other in &incident[node.index()] {
-                if !queued[other] {
-                    queued[other] = true;
-                    worklist.push_back(other);
-                }
-            }
-        }
-    }
-    timer.lap(&mut fixpoint_ns);
-    stamps.phases.screen_ns += screen_ns;
-    stamps.phases.fixpoint_ns += fixpoint_ns;
-    // Hand the hoisted structures back; the edge vector is cleared so
-    // stale `Arc`s never outlive this call's summary.
-    edges.clear();
-    stamps.resolved = edges;
-    stamps.incident = incident;
-    stamps.queued = queued;
-    stamps.worklist = worklist;
-    JoinResult { lists }
-}
-
-/// The bit-parallel join kernel: the same worklist fixpoint as
-/// [`path_join_cached`], but each query node's surviving set is a
+/// The bit-parallel join kernel: each query node's surviving set is a
 /// pid-index bitmap and each edge examination is a word-parallel
 /// semi-join over the adjacency's precomputed bitmap rows and candidate
 /// bitmaps. Final `(pid, frequency)` lists are rebuilt by filtering the
 /// p-histogram entries through the final bitmaps — histogram order is
-/// exactly the order the list kernels' `retain` preserves, so the lists
-/// (and every downstream `f64` sum) are bit-identical to both other
-/// kernels.
+/// exactly the order the reference kernel's `retain` preserves, so the
+/// lists (and every downstream `f64` sum) are bit-identical to
+/// [`path_join`].
+///
+/// `plan` must have been built from this `summary`, and `memo` (when
+/// given) must only ever be used with this `(summary, index)` pair; the
+/// estimator guarantees both by construction. With a plan cached, the
+/// memo filled and the scratch recycled, the screen phase is pure word
+/// moves: one bitmap copy per node and one `Vec` push per edge.
+///
+/// Under a cooperative [`BudgetState`] every worklist edge examination
+/// charges the budget, and on exhaustion the fixpoint stops where it
+/// stands. The interrupted result is a *superset* of the true fixpoint
+/// (pruning only ever removes pids), so its frequencies are
+/// over-estimates — callers treat any budget-exhausted join as degraded
+/// and fall back to the `f(tag)` bound rather than trusting the partial
+/// lists, and never publish it to a shared cache.
 pub fn path_join_bitmap(
     summary: &Summary,
     query: &Query,
-    adjacency: &JoinIndexCache,
-    scratch: Option<&mut JoinScratch>,
-) -> JoinResult {
-    path_join_bitmap_budgeted(summary, query, adjacency, scratch, None)
-}
-
-/// [`path_join_bitmap`] under a cooperative [`BudgetState`]. The worklist
-/// schedule — seeding, shrink detection, re-enqueue order — mirrors
-/// [`path_join_budgeted`] step for step, so a given `(summary, query)`
-/// charges **exactly the same edge count** as the indexed kernel, and
-/// budget exhaustion truncates at the same point.
-pub fn path_join_bitmap_budgeted(
-    summary: &Summary,
-    query: &Query,
-    adjacency: &JoinIndexCache,
-    scratch: Option<&mut JoinScratch>,
-    budget: Option<&BudgetState>,
-) -> JoinResult {
-    let plan = QueryPlan::build(summary, query);
-    path_join_bitmap_planned_inner(
-        summary, query, &plan, adjacency, None, scratch, budget, true,
-    )
-}
-
-/// [`path_join_bitmap_budgeted`] against a caller-prepared [`QueryPlan`]
-/// with an optional per-estimator [`JoinMemo`] — see
-/// [`path_join_planned`] for the pairing contract. On the warm path —
-/// plan cached, memo filled, scratch recycled — the screen phase is pure
-/// word moves: one bitmap copy per node and one `Vec` push per edge.
-#[allow(clippy::too_many_arguments)]
-pub fn path_join_bitmap_planned(
-    summary: &Summary,
-    query: &Query,
     plan: &QueryPlan,
-    adjacency: &JoinIndexCache,
-    memo: Option<&mut JoinMemo>,
-    scratch: Option<&mut JoinScratch>,
-    budget: Option<&BudgetState>,
-) -> JoinResult {
-    path_join_bitmap_planned_inner(summary, query, plan, adjacency, memo, scratch, budget, true)
-}
-
-/// Bench-only ablation: the bitmap fixpoint without consulting the
-/// precomputed candidate bitmaps (every per-pid row test runs, including
-/// on pids the candidate screen would have cleared in one word op).
-/// Identical results, strictly more work — exists so the Criterion bench
-/// can price the candidate-bitmap optimization in isolation.
-#[doc(hidden)]
-pub fn path_join_bitmap_unscreened(
-    summary: &Summary,
-    query: &Query,
-    adjacency: &JoinIndexCache,
-    scratch: Option<&mut JoinScratch>,
-) -> JoinResult {
-    let plan = QueryPlan::build(summary, query);
-    path_join_bitmap_planned_inner(summary, query, &plan, adjacency, None, scratch, None, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn path_join_bitmap_planned_inner(
-    summary: &Summary,
-    query: &Query,
-    plan: &QueryPlan,
-    adjacency: &JoinIndexCache,
+    index: &JoinIndexCache,
     mut memo: Option<&mut JoinMemo>,
     scratch: Option<&mut JoinScratch>,
     budget: Option<&BudgetState>,
-    use_cand: bool,
 ) -> JoinResult {
     let mut local = JoinScratch::new();
     let scratch = match scratch {
@@ -808,8 +477,8 @@ fn path_join_bitmap_planned_inner(
         let rooted = plan.rooted() == Some(q);
         if let Some(tag) = plan.tag(q) {
             let seed = match memo.as_deref_mut() {
-                Some(m) => m.seed(summary, adjacency, tag, rooted, set_words),
-                None => adjacency.seed_bitmap(tag, rooted, || {
+                Some(m) => m.seed(summary, index, tag, rooted, set_words),
+                None => index.seed_bitmap(tag, rooted, || {
                     build_seed_bitmap(summary, tag, rooted, set_words)
                 }),
             };
@@ -819,9 +488,10 @@ fn path_join_bitmap_planned_inner(
         node_bits.push(bm);
     }
 
-    // Resolve each structural edge to its containment adjacency; unknown
-    // tags kill both endpoints outright, exactly like `resolve_edges`.
-    let mut edges = std::mem::take(&mut scratch.bit_edges);
+    // Resolve each structural edge to its containment adjacency; an
+    // unknown tag kills both endpoints outright, exactly like the
+    // reference kernel.
+    let mut edges = std::mem::take(&mut scratch.edges);
     edges.clear();
     for e in plan.edges() {
         let Some((tag_u, tag_v)) = e.tags else {
@@ -832,8 +502,8 @@ fn path_join_bitmap_planned_inner(
             continue;
         };
         let adj = match memo.as_deref_mut() {
-            Some(m) => m.adjacency(summary, adjacency, tag_u, tag_v, e.child),
-            None => summary.adjacency(adjacency, tag_u, tag_v, e.child),
+            Some(m) => m.adjacency(summary, index, tag_u, tag_v, e.child),
+            None => summary.adjacency(index, tag_u, tag_v, e.child),
         };
         edges.push(BitEdge {
             u: e.u,
@@ -842,22 +512,27 @@ fn path_join_bitmap_planned_inner(
         });
     }
 
-    // The same worklist fixpoint as the indexed kernel: seeded with every
-    // edge, an edge re-enqueued only when an endpoint shrank, one budget
-    // charge per pop. Since every per-edge step computes the identical
-    // surviving sets, the shrink events — and with them the pop sequence
-    // and charged edge counts — coincide step for step.
+    // Worklist fixpoint: seeded with every edge in FIFO order, an edge
+    // re-enqueued only when an endpoint set strictly shrank, one budget
+    // charge per pop. Termination is bounded by the total seed
+    // population, since every re-enqueue follows a strict shrink.
     let mut incident = std::mem::take(&mut scratch.incident);
     let mut queued = std::mem::take(&mut scratch.queued);
     let mut worklist = std::mem::take(&mut scratch.worklist);
-    prime_worklist(
-        &mut incident,
-        &mut queued,
-        &mut worklist,
-        query.len(),
-        edges.len(),
-        |ei| (edges[ei].u.index(), edges[ei].v.index()),
-    );
+    if incident.len() < query.len() {
+        incident.resize_with(query.len(), Vec::new);
+    }
+    for l in incident[..query.len()].iter_mut() {
+        l.clear();
+    }
+    for (ei, e) in edges.iter().enumerate() {
+        incident[e.u.index()].push(ei);
+        incident[e.v.index()].push(ei);
+    }
+    queued.clear();
+    queued.resize(edges.len(), true);
+    worklist.clear();
+    worklist.extend(0..edges.len());
     let mut acc = std::mem::take(&mut scratch.acc);
     acc.clear();
     acc.resize(set_words, 0);
@@ -873,9 +548,8 @@ fn path_join_bitmap_planned_inner(
         let (ub, vb) = two_lists(&mut node_bits, edge.u.index(), edge.v.index());
         let before_u = counts[edge.u.index()];
         let before_v = counts[edge.v.index()];
-        counts[edge.u.index()] = semi_join_bits(
-            ub, before_u, vb, before_v, &edge.adj, true, use_cand, &mut acc,
-        );
+        counts[edge.u.index()] =
+            semi_join_bits(ub, before_u, vb, before_v, &edge.adj, true, &mut acc);
         counts[edge.v.index()] = semi_join_bits(
             vb,
             before_v,
@@ -883,9 +557,10 @@ fn path_join_bitmap_planned_inner(
             counts[edge.u.index()],
             &edge.adj,
             false,
-            use_cand,
             &mut acc,
         );
+        // Re-enqueue neighbors of shrunk endpoints — including this edge:
+        // pruning v against the already-pruned u can strand pids in u.
         for (node, before) in [(edge.u, before_u), (edge.v, before_v)] {
             if counts[node.index()] == before {
                 continue;
@@ -901,7 +576,7 @@ fn path_join_bitmap_planned_inner(
     timer.lap(&mut fixpoint_ns);
 
     // Rebuild the (pid, frequency) lists by filtering each node's
-    // histogram entries through its final bitmap. The list kernels'
+    // histogram entries through its final bitmap. The reference kernel's
     // `retain` calls preserve histogram order, so this produces the same
     // entries in the same order — downstream f64 sums are bit-identical.
     let mut lists = scratch.take_outer();
@@ -929,13 +604,11 @@ fn path_join_bitmap_planned_inner(
     // stale `Arc`s never outlive this call's summary, and the drained
     // node bitmaps recycle through the bitmap pool.
     scratch.acc = acc;
-    for bm in node_bits.drain(..) {
-        scratch.recycle_bits(bm);
-    }
+    scratch.bit_pool.append(&mut node_bits);
     scratch.node_bits = node_bits;
     scratch.counts = counts;
     edges.clear();
-    scratch.bit_edges = edges;
+    scratch.edges = edges;
     scratch.incident = incident;
     scratch.queued = queued;
     scratch.worklist = worklist;
@@ -946,41 +619,12 @@ fn path_join_bitmap_planned_inner(
 }
 
 /// One structural query edge resolved to its containment adjacency (the
-/// bitmap kernel needs no mask — the adjacency folds the mask test in).
+/// adjacency folds the relation-mask test into its pair relation).
 #[derive(Debug)]
 struct BitEdge {
     u: QueryNodeId,
     v: QueryNodeId,
     adj: Arc<ContainmentAdjacency>,
-}
-
-/// Rebuilds the hoisted worklist state for a join over `n_edges` edges
-/// incident to `n_nodes` query nodes: per-node incident edge lists, all
-/// edges queued, FIFO order `0..n_edges` — the exact seeding both
-/// fixpoints have always used, so budget charge sequences are unchanged.
-fn prime_worklist(
-    incident: &mut Vec<Vec<usize>>,
-    queued: &mut Vec<bool>,
-    worklist: &mut VecDeque<usize>,
-    n_nodes: usize,
-    n_edges: usize,
-    endpoints: impl Fn(usize) -> (usize, usize),
-) {
-    if incident.len() < n_nodes {
-        incident.resize_with(n_nodes, Vec::new);
-    }
-    for l in incident[..n_nodes].iter_mut() {
-        l.clear();
-    }
-    for ei in 0..n_edges {
-        let (u, v) = endpoints(ei);
-        incident[u].push(ei);
-        incident[v].push(ei);
-    }
-    queued.clear();
-    queued.resize(n_edges, true);
-    worklist.clear();
-    worklist.extend(0..n_edges);
 }
 
 /// One direction of the bitmap semi-join: keep in `dst` only pids whose
@@ -990,7 +634,6 @@ fn prime_worklist(
 /// rows into `acc` and intersect — and the smaller side picks which, so
 /// the work tracks `min(|dst|, |src|)` row touches. Returns `dst`'s new
 /// population count.
-#[allow(clippy::too_many_arguments)]
 fn semi_join_bits(
     dst: &mut [u64],
     dst_count: usize,
@@ -998,16 +641,13 @@ fn semi_join_bits(
     src_count: usize,
     adj: &ContainmentAdjacency,
     forward: bool,
-    use_cand: bool,
     acc: &mut [u64],
 ) -> usize {
     // Candidate screen: pids outside the relation have empty rows and
     // cannot survive; one word-parallel AND clears them all before any
     // per-pid work. (The per-row `None` checks below make this redundant
     // for correctness — it only saves the per-bit walks.)
-    if use_cand {
-        words::and_assign(dst, adj.candidates());
-    }
+    words::and_assign(dst, adj.candidates());
     if dst_count <= src_count {
         for (wi, word) in dst.iter_mut().enumerate() {
             let mut w = *word;
@@ -1046,7 +686,7 @@ fn semi_join_bits(
 }
 
 /// Seeds each query node's candidate list from its tag's p-histogram
-/// (the reference kernel's string-keyed shape; the fast kernels seed
+/// (the reference kernel's string-keyed shape; the bitmap kernel seeds
 /// through the plan's resolved tags instead).
 fn seed_lists(summary: &Summary, query: &Query) -> Vec<Vec<(Pid, f64)>> {
     query
@@ -1059,61 +699,6 @@ fn seed_lists(summary: &Summary, query: &Query) -> Vec<Vec<(Pid, f64)>> {
             list
         })
         .collect()
-}
-
-/// One structural query edge with its resolved pruning machinery. The
-/// mask is only materialized when no adjacency serves the edge — the
-/// adjacency already folded the mask test into its pair relation, so
-/// resolving both would be a pure waste of a mask-cache probe.
-#[derive(Debug)]
-struct ResolvedEdge {
-    u: QueryNodeId,
-    v: QueryNodeId,
-    mask: Option<Arc<PathIdBits>>,
-    adj: Option<Arc<ContainmentAdjacency>>,
-}
-
-/// Resolves each plan edge's pruning machinery into `out` once — one
-/// resolution serves every pid-pair test of the edge across every
-/// fixpoint step. Dead edges (an endpoint tag absent from the summary)
-/// kill both endpoint lists outright (nothing in a shrinking fixpoint can
-/// resurrect them), so such edges drop out here.
-fn resolve_edges(
-    summary: &Summary,
-    plan: &QueryPlan,
-    lists: &mut [Vec<(Pid, f64)>],
-    masks: Option<&RelationMaskCache>,
-    adjacency: Option<&JoinIndexCache>,
-    mut memo: Option<&mut JoinMemo>,
-    out: &mut Vec<ResolvedEdge>,
-) {
-    out.clear();
-    for e in plan.edges() {
-        let Some((tag_u, tag_v)) = e.tags else {
-            lists[e.u.index()].clear();
-            lists[e.v.index()].clear();
-            continue;
-        };
-        let adj = adjacency.map(|cache| match memo.as_deref_mut() {
-            Some(m) => m.adjacency(summary, cache, tag_u, tag_v, e.child),
-            None => summary.adjacency(cache, tag_u, tag_v, e.child),
-        });
-        let mask = if adj.is_some() {
-            None
-        } else {
-            Some(match (masks, memo.as_deref_mut()) {
-                (Some(cache), Some(m)) => m.mask(summary, cache, tag_u, tag_v, e.child),
-                (Some(cache), None) => cache.get(&summary.encoding, tag_u, tag_v, e.child),
-                (None, _) => Arc::new(relation_mask(&summary.encoding, tag_u, tag_v, e.child)),
-            })
-        };
-        out.push(ResolvedEdge {
-            u: e.u,
-            v: e.v,
-            mask,
-            adj,
-        });
-    }
 }
 
 fn two_lists<T>(v: &mut [Vec<T>], a: usize, b: usize) -> (&mut Vec<T>, &mut Vec<T>) {
@@ -1130,6 +715,7 @@ fn two_lists<T>(v: &mut [Vec<T>], a: usize, b: usize) -> (&mut Vec<T>, &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::Budget;
     use xpe_synopsis::SummaryConfig;
     use xpe_xpath::parse_query;
 
@@ -1149,6 +735,14 @@ mod tests {
         let mut v: Vec<String> = j.pids(node).map(|p| s.pids.bits(p).to_string()).collect();
         v.sort();
         v
+    }
+
+    /// Lists with frequencies as raw bits, for bit-for-bit comparison.
+    fn bits(j: &JoinResult) -> Vec<Vec<(Pid, u64)>> {
+        j.lists
+            .iter()
+            .map(|l| l.iter().map(|&(p, f)| (p, f.to_bits())).collect())
+            .collect()
     }
 
     #[test]
@@ -1236,52 +830,9 @@ mod tests {
         );
     }
 
-    /// Every cache/index combination of the fast kernel agrees with the
-    /// reference kernel bit for bit, list for list, on every test query.
-    #[test]
-    fn indexed_kernel_matches_reference_on_all_shapes() {
-        let s = summary();
-        let queries = [
-            "//A[/C/F]/B/D",
-            "//A//C",
-            "//C[/$E]/F",
-            "//A/Zebra",
-            "//D/A",
-            "/Root/E",
-            "/Root//E",
-            "//A[/C]/B",
-            "/Root/A/C/F",
-            "//Root[/A]//E",
-        ];
-        let masks = RelationMaskCache::new();
-        let index = JoinIndexCache::new();
-        let mut scratch = JoinScratch::new();
-        for q in queries {
-            let query = parse_query(q).unwrap();
-            let reference = path_join(&s, &query);
-            for (m, a, use_scratch) in [
-                (None, None, false),
-                (Some(&masks), None, false),
-                (Some(&masks), Some(&index), false),
-                (Some(&masks), Some(&index), true),
-                (None, Some(&index), true),
-            ] {
-                let fast = path_join_cached(&s, &query, m, a, use_scratch.then_some(&mut scratch));
-                assert_eq!(reference.lists.len(), fast.lists.len(), "{q}");
-                for (rl, fl) in reference.lists.iter().zip(&fast.lists) {
-                    let rb: Vec<(Pid, u64)> = rl.iter().map(|&(p, f)| (p, f.to_bits())).collect();
-                    let fb: Vec<(Pid, u64)> = fl.iter().map(|&(p, f)| (p, f.to_bits())).collect();
-                    assert_eq!(rb, fb, "{q} masks={} adj={}", m.is_some(), a.is_some());
-                }
-                if use_scratch {
-                    scratch.recycle(fast);
-                }
-            }
-        }
-    }
-
-    /// The bitmap kernel — screened, unscreened, with and without scratch
-    /// — agrees with the reference kernel bit for bit on every test query.
+    /// The bitmap kernel — bare, with a recycled scratch, and with a
+    /// scratch plus a warm memo — agrees with the reference kernel bit
+    /// for bit on every test query.
     #[test]
     fn bitmap_kernel_matches_reference_on_all_shapes() {
         let s = summary();
@@ -1298,26 +849,31 @@ mod tests {
             "//Root[/A]//E",
         ];
         let index = JoinIndexCache::new();
+        let mut memo = JoinMemo::new();
         let mut scratch = JoinScratch::new();
         scratch.set_timing(true);
         for q in queries {
             let query = parse_query(q).unwrap();
-            let reference = path_join(&s, &query);
-            for variant in 0..3 {
-                let fast = match variant {
-                    0 => path_join_bitmap(&s, &query, &index, None),
-                    1 => path_join_bitmap(&s, &query, &index, Some(&mut scratch)),
-                    _ => path_join_bitmap_unscreened(&s, &query, &index, Some(&mut scratch)),
-                };
-                assert_eq!(reference.lists.len(), fast.lists.len(), "{q}");
-                for (rl, fl) in reference.lists.iter().zip(&fast.lists) {
-                    let rb: Vec<(Pid, u64)> = rl.iter().map(|&(p, f)| (p, f.to_bits())).collect();
-                    let fb: Vec<(Pid, u64)> = fl.iter().map(|&(p, f)| (p, f.to_bits())).collect();
-                    assert_eq!(rb, fb, "{q} variant={variant}");
-                }
-                if variant > 0 {
-                    scratch.recycle(fast);
-                }
+            let plan = QueryPlan::build(&s, &query);
+            let reference = bits(&path_join(&s, &query));
+            let bare = path_join_bitmap(&s, &query, &plan, &index, None, None, None);
+            assert_eq!(bits(&bare), reference, "{q} bare");
+            let pooled =
+                path_join_bitmap(&s, &query, &plan, &index, None, Some(&mut scratch), None);
+            assert_eq!(bits(&pooled), reference, "{q} scratch");
+            scratch.recycle(pooled);
+            for pass in ["cold memo", "warm memo"] {
+                let memoized = path_join_bitmap(
+                    &s,
+                    &query,
+                    &plan,
+                    &index,
+                    Some(&mut memo),
+                    Some(&mut scratch),
+                    None,
+                );
+                assert_eq!(bits(&memoized), reference, "{q} {pass}");
+                scratch.recycle(memoized);
             }
         }
         // Timing was enabled: the phase breakdown accumulated something.
@@ -1330,64 +886,35 @@ mod tests {
         assert_eq!(scratch.phase_stats(), JoinPhaseStats::default());
     }
 
-    /// Bitmap and indexed kernels charge a budget the exact same edge
-    /// counts — truncated or not — so serve-layer degradation decisions
-    /// are kernel-independent.
+    /// The budget contract of the bitmap kernel: with `P` the edge charge
+    /// of an unlimited run, a cap `b` charges `min(P, b + 1)` edges (the
+    /// charge that crosses the cap counts), exhausts iff `P > b`, and an
+    /// unexhausted run returns the reference kernel's lists bit for bit.
     #[test]
-    fn bitmap_budget_charges_identical_edge_counts() {
-        use crate::serve::Budget;
+    fn bitmap_budget_charges_min_of_full_run_and_cap_plus_one() {
         let s = summary();
-        let masks = RelationMaskCache::new();
         let index = JoinIndexCache::new();
         for q in ["//A[/C/F]/B/D", "//A//C", "/Root//E", "//Root[/A]//E"] {
             let query = parse_query(q).unwrap();
-            for max_edges in [0u64, 1, 2, 3, 5, 1_000] {
-                let budget = Budget {
+            let plan = QueryPlan::build(&s, &query);
+            let reference = bits(&path_join(&s, &query));
+            let unlimited = BudgetState::start(&Budget::unlimited());
+            path_join_bitmap(&s, &query, &plan, &index, None, None, Some(&unlimited));
+            let full = unlimited.edges_charged();
+            assert!(full > 0, "{q}: every query here has a join edge");
+            assert!(unlimited.exhausted().is_none());
+            for cap in [0u64, 1, 2, 3, 5, 1_000] {
+                let state = BudgetState::start(&Budget {
                     deadline: None,
-                    max_join_edges: Some(max_edges),
-                };
-                let bi = BudgetState::start(&budget);
-                let indexed =
-                    path_join_budgeted(&s, &query, Some(&masks), Some(&index), None, Some(&bi));
-                let bb = BudgetState::start(&budget);
-                let bitmap = path_join_bitmap_budgeted(&s, &query, &index, None, Some(&bb));
-                assert_eq!(
-                    bi.edges_charged(),
-                    bb.edges_charged(),
-                    "{q} max_edges={max_edges}"
-                );
-                assert_eq!(
-                    bi.exhausted().is_some(),
-                    bb.exhausted().is_some(),
-                    "{q} max_edges={max_edges}"
-                );
-                // Under no (or un-hit) truncation the results also match.
-                if bi.exhausted().is_none() {
-                    for (il, bl) in indexed.lists.iter().zip(&bitmap.lists) {
-                        assert_eq!(il, bl, "{q} max_edges={max_edges}");
-                    }
+                    max_join_edges: Some(cap),
+                });
+                let got = path_join_bitmap(&s, &query, &plan, &index, None, None, Some(&state));
+                assert_eq!(state.edges_charged(), full.min(cap + 1), "{q} cap={cap}");
+                assert_eq!(state.exhausted().is_some(), full > cap, "{q} cap={cap}");
+                if state.exhausted().is_none() {
+                    assert_eq!(bits(&got), reference, "{q} cap={cap}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn kernel_selector_parses_and_names() {
-        for k in JoinKernel::ALL {
-            assert_eq!(JoinKernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(JoinKernel::parse("warp"), None);
-        assert_eq!(JoinKernel::default(), JoinKernel::Bitmap);
-    }
-
-    #[test]
-    fn stamp_epochs_survive_wraparound() {
-        let mut s = JoinScratch::new();
-        s.epoch = u32::MAX - 1;
-        let e1 = s.next_epoch(4);
-        s.stamp[0] = e1;
-        let e2 = s.next_epoch(4); // wraps: stamp cleared, epoch restarts at 1
-        assert_eq!(e2, 1);
-        assert_ne!(s.stamp[0], e2, "stale marks never alias a fresh epoch");
     }
 }

@@ -60,9 +60,7 @@ pub use estcache::{
 pub use estimator::Estimator;
 pub use invariant::{finalize_estimate, safe_div};
 pub use join::{
-    path_join, path_join_bitmap, path_join_bitmap_budgeted, path_join_bitmap_planned,
-    path_join_bitmap_unscreened, path_join_budgeted, path_join_cached, path_join_planned,
-    JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
+    path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
 };
 pub use joincache::{skeleton_key, CacheHit, JoinCache, SkeletonKey, WorkerJoinCache};
 pub use metrics::{mean_relative_error, relative_error, ErrorStats};

@@ -57,14 +57,14 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use xpe_par::{resolve_threads, BoundedQueue, PushError};
-use xpe_pathid::{JoinIndexCache, RelationMaskCache};
+use xpe_pathid::JoinIndexCache;
 use xpe_synopsis::Summary;
 use xpe_xpath::{parse_query, Query};
 
 use crate::serve::OutcomeTally;
 use crate::{
     finalize_estimate, Budget, DegradedReason, EstimateCache, EstimateOutcome, EstimateStatus,
-    Estimator, JoinCache, JoinKernel, QueryLimits, DEFAULT_ESTIMATE_CACHE_CAPACITY,
+    Estimator, JoinCache, QueryLimits, DEFAULT_ESTIMATE_CACHE_CAPACITY,
     DEFAULT_JOIN_CACHE_CAPACITY,
 };
 
@@ -597,8 +597,6 @@ pub struct ServerConfig {
     pub limits: QueryLimits,
     /// Resource budget applied to every request.
     pub budget: Budget,
-    /// Join kernel for every generation.
-    pub kernel: JoinKernel,
     /// Shared join-cache capacity per generation.
     pub join_cache_capacity: usize,
     /// Full-query estimate-cache capacity per generation (0 disables the
@@ -624,7 +622,6 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(10)),
             limits: QueryLimits::unlimited(),
             budget: Budget::unlimited(),
-            kernel: JoinKernel::default(),
             join_cache_capacity: DEFAULT_JOIN_CACHE_CAPACITY,
             estimate_cache_capacity: DEFAULT_ESTIMATE_CACHE_CAPACITY,
             poison_tag: None,
@@ -641,7 +638,6 @@ impl Default for ServerConfig {
 struct Generation {
     epoch: u64,
     summary: Arc<Summary>,
-    masks: Arc<RelationMaskCache>,
     adjacency: Arc<JoinIndexCache>,
     join_cache: Arc<JoinCache>,
     /// Full-query estimate cache of this generation. Owned by the
@@ -649,25 +645,21 @@ struct Generation {
     /// the new generation start from a cold cache built over the new
     /// summary, while in-flight jobs keep hitting the old one.
     estimate_cache: Arc<EstimateCache>,
-    kernel: JoinKernel,
 }
 
 impl Generation {
     fn new(
         summary: Arc<Summary>,
         epoch: u64,
-        kernel: JoinKernel,
         join_cache_capacity: usize,
         estimate_cache_capacity: usize,
     ) -> Self {
         Generation {
             epoch,
             summary,
-            masks: Arc::new(RelationMaskCache::new()),
             adjacency: Arc::new(JoinIndexCache::new()),
             join_cache: Arc::new(JoinCache::with_capacity(join_cache_capacity)),
             estimate_cache: Arc::new(EstimateCache::with_capacity(estimate_cache_capacity)),
-            kernel,
         }
     }
 
@@ -676,12 +668,11 @@ impl Generation {
     fn estimator(&self) -> Estimator<'_> {
         Estimator::with_caches(
             &self.summary,
-            Arc::clone(&self.masks),
+            Arc::default(),
             Arc::clone(&self.adjacency),
             Some(Arc::clone(&self.join_cache)),
         )
         .with_estimate_cache(Some(Arc::clone(&self.estimate_cache)))
-        .with_kernel(self.kernel)
     }
 }
 
@@ -1085,7 +1076,6 @@ fn handle_reload(state: &SharedState, path_override: Option<String>) -> String {
     let generation = Generation::new(
         Arc::new(summary),
         epoch,
-        state.config.kernel,
         state.config.join_cache_capacity,
         state.config.estimate_cache_capacity,
     );
@@ -1222,7 +1212,6 @@ impl Server {
         let generation = Generation::new(
             summary,
             1,
-            config.kernel,
             config.join_cache_capacity,
             config.estimate_cache_capacity,
         );

@@ -22,8 +22,9 @@
 //! | `invalid-utf8-frame` | serve frame bytes that are not UTF-8 | typed `protocol:invalid-utf8`, connection may continue |
 //! | `garbage-then-valid` | junk line pipelined before a valid request | typed recoverable error, then the valid request parses |
 //! | `mid-request-disconnect` | transport resets mid-request | typed I/O error, no panic |
+//! | `deep-nesting` | serve request whose query nests past the XML depth cap, under the line cap | typed `TooDeep` query error, no stack overflow |
 //!
-//! The last five classes drive the `xpe serve` wire protocol
+//! The last six classes drive the `xpe serve` wire protocol
 //! ([`FrameReader`](xpe_core::server::FrameReader) +
 //! [`parse_request`](xpe_core::server::parse_request)) in-process, with no
 //! sockets: the same code the daemon runs per connection is fed hostile
@@ -44,7 +45,8 @@ use xpe_core::server::{parse_request, FrameError, FrameReader, ProtocolError, Re
 use xpe_core::{Budget, DegradedReason, EstimateStatus, EstimationEngine, Estimator, QueryLimits};
 use xpe_datagen::{random_document, RandomDocConfig};
 use xpe_synopsis::{Summary, SummaryConfig};
-use xpe_xpath::Query;
+use xpe_xml::MAX_DEPTH;
+use xpe_xpath::{parse_query, Query, QueryParseErrorKind};
 
 use crate::{json_escape, random_query, tag_paths};
 
@@ -79,11 +81,15 @@ pub enum FaultClass {
     GarbageThenValid,
     /// The transport errors out (connection reset) mid-request.
     MidRequestDisconnect,
+    /// A serve request carries a query whose steps nest deeper than
+    /// [`xpe_xml::MAX_DEPTH`] — nested predicates or a plain step chain,
+    /// still under the request line cap.
+    DeepNesting,
 }
 
 impl FaultClass {
     /// Every fault class, in report order.
-    pub const ALL: [FaultClass; 13] = [
+    pub const ALL: [FaultClass; 14] = [
         FaultClass::BitFlip,
         FaultClass::Truncation,
         FaultClass::VersionFlip,
@@ -97,6 +103,7 @@ impl FaultClass {
         FaultClass::InvalidUtf8Frame,
         FaultClass::GarbageThenValid,
         FaultClass::MidRequestDisconnect,
+        FaultClass::DeepNesting,
     ];
 
     /// Stable machine-readable name (used in the JSON report).
@@ -115,6 +122,7 @@ impl FaultClass {
             FaultClass::InvalidUtf8Frame => "invalid-utf8-frame",
             FaultClass::GarbageThenValid => "garbage-then-valid",
             FaultClass::MidRequestDisconnect => "mid-request-disconnect",
+            FaultClass::DeepNesting => "deep-nesting",
         }
     }
 
@@ -180,7 +188,7 @@ pub struct FaultReport {
     /// Trials per class the run executed.
     pub cases_per_class: u64,
     /// Counters, indexed as [`FaultClass::ALL`].
-    pub tallies: [FaultTally; 13],
+    pub tallies: [FaultTally; 14],
     /// Broken-contract trials (the run passes iff this is empty).
     pub failures: Vec<FaultFailure>,
 }
@@ -295,7 +303,7 @@ pub fn run_faults(plan: &FaultPlan) -> FaultReport {
     let mut report = FaultReport {
         seed: plan.seed,
         cases_per_class: plan.cases_per_class,
-        tallies: [FaultTally::default(); 13],
+        tallies: [FaultTally::default(); 14],
         failures: Vec::new(),
     };
     let prev_hook = plan.quiet.then(std::panic::take_hook);
@@ -361,7 +369,8 @@ fn run_one(report: &mut FaultReport, class: FaultClass, case: u64, rng: &mut Std
         | FaultClass::OversizedLine
         | FaultClass::InvalidUtf8Frame
         | FaultClass::GarbageThenValid
-        | FaultClass::MidRequestDisconnect => run_protocol(report, class, case, rng),
+        | FaultClass::MidRequestDisconnect
+        | FaultClass::DeepNesting => run_protocol(report, class, case, rng),
     }
 }
 
@@ -773,6 +782,33 @@ fn protocol_trial(class: FaultClass, rng: &mut StdRng) -> Result<(), String> {
                 Ok(frame) => Err(format!("disconnect yielded frame {frame:?}")),
             }
         }
+        FaultClass::DeepNesting => {
+            // Every step of a query path is a strictly deeper element, so
+            // a path past the XML nesting cap can match nothing; the
+            // parser must refuse it with a typed error after at most
+            // MAX_DEPTH levels of recursion, not recurse once per step.
+            let query = if rng.gen_bool(0.5) {
+                let n = rng.gen_range(MAX_DEPTH..8_000);
+                format!("//a{}{}", "[a".repeat(n), "]".repeat(n))
+            } else {
+                "/a".repeat(rng.gen_range(MAX_DEPTH + 1..=20_000))
+            };
+            let line = wire_request_line(&query);
+            let mut frames = FrameReader::new(Cursor::new(line.into_bytes()), CAP);
+            let frame = match frames.read_frame() {
+                Ok(Some(frame)) => frame,
+                other => return Err(format!("framing rejected the request: {other:?}")),
+            };
+            let text = match parse_request(&frame) {
+                Ok(Request::Estimate { query }) => query,
+                other => return Err(format!("request parsed as {other:?}")),
+            };
+            match parse_query(&text) {
+                Err(e) if e.kind == QueryParseErrorKind::TooDeep => Ok(()),
+                Err(e) => Err(format!("expected a too-deep error, got {e}")),
+                Ok(q) => Err(format!("a {}-node query parsed", q.len())),
+            }
+        }
         _ => unreachable!("protocol classes only"),
     }
 }
@@ -824,6 +860,7 @@ mod tests {
             FaultClass::InvalidUtf8Frame,
             FaultClass::GarbageThenValid,
             FaultClass::MidRequestDisconnect,
+            FaultClass::DeepNesting,
         ] {
             assert_eq!(
                 report.tally(class).typed_errors,
@@ -869,7 +906,7 @@ mod tests {
         let mut report = FaultReport {
             seed: 0,
             cases_per_class: 0,
-            tallies: [FaultTally::default(); 13],
+            tallies: [FaultTally::default(); 14],
             failures: Vec::new(),
         };
         fail(

@@ -332,7 +332,6 @@ where
                 SummaryConfig {
                     p_variance: 2.0,
                     o_variance: 4.0,
-                    ..SummaryConfig::default()
                 },
             ),
         ];

@@ -7,12 +7,12 @@
 //! index's forward/reverse row bitmaps, pre-screens each semi-join with
 //! the per-(tag,axis) candidate bitmap, and rebuilds the surviving lists
 //! from the p-histogram at the end. Because the path join converges to a
-//! greatest fixpoint, every correct kernel must agree **bit-for-bit** —
-//! same pids, same order, same `f64` frequency bits. These tests assert
+//! greatest fixpoint, both kernels must agree **bit-for-bit** — same
+//! pids, same order, same `f64` frequency bits. These tests assert
 //! exactly that over random documents and random twig queries (both
-//! axes, order constraints, and tags absent from the document), for the
-//! screened kernel, the unscreened ablation, and the budgeted entry
-//! point with an effectively unlimited budget.
+//! axes, order constraints, and tags absent from the document), cold,
+//! with pooled scratch and warm memos, and under a budget it can never
+//! exhaust.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,13 +21,15 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use xpe_core::{
-    path_join, path_join_bitmap, path_join_bitmap_budgeted, path_join_bitmap_unscreened,
-    path_join_cached, Budget, BudgetState, EstimationEngine, Estimator, JoinCache, JoinKernel,
-    JoinScratch,
+    path_join, path_join_bitmap, Budget, BudgetState, EstimationEngine, Estimator, JoinCache,
+    JoinKernel, JoinMemo, JoinScratch, QueryPlan,
 };
 use xpe_datagen::{random_document, RandomDocConfig};
 use xpe_diff::{random_query, tag_paths};
-use xpe_pathid::{JoinIndexCache, Pid, RelationMaskCache};
+use xpe_pathid::{JoinIndexCache, Pid};
+
+/// The oracle and the kernel it pins.
+const KERNELS: [JoinKernel; 2] = [JoinKernel::Naive, JoinKernel::Bitmap];
 use xpe_synopsis::{Summary, SummaryConfig};
 
 /// One random `(document, queries)` scenario derived from a master seed —
@@ -111,12 +113,12 @@ fn wide_scenario() -> (Summary, Vec<xpe_xpath::Query>) {
 /// Asserts that every warm execution path — reused per-estimator flat
 /// memos, cached prepared plans, and the engine's shared join cache at
 /// 1/2/4 worker threads — reproduces the bit pattern of a completely
-/// cold estimator, for every kernel. The cold reference rebuilds the
+/// cold estimator, for both kernels. The cold reference rebuilds the
 /// `Estimator` per query so no memo, plan, or cache entry survives
 /// between queries; the warm runs then replay the same batch twice so
 /// the second pass hits every cache the first pass filled.
 fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
-    for kernel in JoinKernel::ALL {
+    for kernel in KERNELS {
         let cold: Vec<u64> = queries
             .iter()
             .map(|q| {
@@ -168,67 +170,72 @@ fn warm_plans_are_bit_identical_on_wide_interner() {
     check_warm_paths(&summary, &queries);
 }
 
-/// Every kernel stays bit-identical to the naive oracle on an interner
-/// wider than the 64-bit support signature — deterministic coverage the
-/// random scenarios (tag_count ≤ 3, max_depth ≤ 5) can never reach.
+/// The bitmap kernel stays bit-identical to the naive oracle on an
+/// interner wider than the 64-bit support signature — deterministic
+/// coverage the random scenarios (tag_count ≤ 3, max_depth ≤ 5) can
+/// never reach.
 #[test]
 fn wide_interner_kernels_match_naive() {
     let (summary, queries) = wide_scenario();
     let index = JoinIndexCache::new();
+    let mut memo = JoinMemo::new();
     let mut scratch = JoinScratch::new();
     for query in &queries {
         let reference = as_bits(&path_join(&summary, query).lists);
-        let bitmap = path_join_bitmap(&summary, query, &index, Some(&mut scratch));
-        assert_eq!(as_bits(&bitmap.lists), reference, "bitmap {query}");
-        scratch.recycle(bitmap);
-        let bare = path_join_bitmap_unscreened(&summary, query, &index, None);
-        assert_eq!(as_bits(&bare.lists), reference, "unscreened {query}");
-        let indexed = path_join_cached(&summary, query, None, Some(&index), Some(&mut scratch));
-        assert_eq!(as_bits(&indexed.lists), reference, "indexed {query}");
-        scratch.recycle(indexed);
+        let plan = QueryPlan::build(&summary, query);
+        let bare = path_join_bitmap(&summary, query, &plan, &index, None, None, None);
+        assert_eq!(as_bits(&bare.lists), reference, "bare {query}");
+        let memoized = path_join_bitmap(
+            &summary,
+            query,
+            &plan,
+            &index,
+            Some(&mut memo),
+            Some(&mut scratch),
+            None,
+        );
+        assert_eq!(as_bits(&memoized.lists), reference, "memoized {query}");
+        scratch.recycle(memoized);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The bitmap kernel (candidate screens on) returns exactly the
-    /// reference kernel's lists on every random document and query, with
-    /// and without pooled scratch.
+    /// The bitmap kernel returns exactly the reference kernel's lists on
+    /// every random document and query: cold, with pooled scratch, and
+    /// with a per-estimator memo warmed by the earlier queries.
     #[test]
     fn bitmap_join_is_bit_identical_to_naive(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
         let index = JoinIndexCache::new();
+        let mut memo = JoinMemo::new();
         let mut scratch = JoinScratch::new();
         for query in &queries {
             let reference = as_bits(&path_join(&summary, query).lists);
-            let cold = path_join_bitmap(&summary, query, &index, None);
+            let plan = QueryPlan::build(&summary, query);
+            let cold = path_join_bitmap(&summary, query, &plan, &index, None, None, None);
             prop_assert_eq!(&as_bits(&cold.lists), &reference, "cold, seed {}", seed);
-            let pooled = path_join_bitmap(&summary, query, &index, Some(&mut scratch));
+            let pooled =
+                path_join_bitmap(&summary, query, &plan, &index, None, Some(&mut scratch), None);
             prop_assert_eq!(&as_bits(&pooled.lists), &reference, "pooled, seed {}", seed);
             scratch.recycle(pooled);
+            let memoized = path_join_bitmap(
+                &summary,
+                query,
+                &plan,
+                &index,
+                Some(&mut memo),
+                Some(&mut scratch),
+                None,
+            );
+            prop_assert_eq!(&as_bits(&memoized.lists), &reference, "memoized, seed {}", seed);
+            scratch.recycle(memoized);
         }
     }
 
-    /// Ablation parity: skipping the per-(tag,axis) candidate-bitmap
-    /// pre-screen does strictly more row tests but must never change the
-    /// fixpoint.
-    #[test]
-    fn unscreened_bitmap_join_matches_naive(seed in 0u64..1_000_000) {
-        let (summary, queries) = scenario(seed);
-        let index = JoinIndexCache::new();
-        let mut scratch = JoinScratch::new();
-        for query in &queries {
-            let reference = as_bits(&path_join(&summary, query).lists);
-            let bare = path_join_bitmap_unscreened(&summary, query, &index, Some(&mut scratch));
-            prop_assert_eq!(&as_bits(&bare.lists), &reference, "seed {}", seed);
-            scratch.recycle(bare);
-        }
-    }
-
-    /// The budgeted entry point under a budget it can never exhaust is
-    /// the same kernel: identical lists, no exhaustion, and a nonzero
-    /// edge charge whenever the query has edges to sweep.
+    /// Under a budget it can never exhaust the kernel returns identical
+    /// lists, with no exhaustion.
     #[test]
     fn bitmap_join_with_ample_budget_matches_naive(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
@@ -236,14 +243,17 @@ proptest! {
         let mut scratch = JoinScratch::new();
         for query in &queries {
             let reference = as_bits(&path_join(&summary, query).lists);
+            let plan = QueryPlan::build(&summary, query);
             let budget = BudgetState::start(&Budget {
                 deadline: None,
                 max_join_edges: Some(1_000_000),
             });
-            let got = path_join_bitmap_budgeted(
+            let got = path_join_bitmap(
                 &summary,
                 query,
+                &plan,
                 &index,
+                None,
                 Some(&mut scratch),
                 Some(&budget),
             );
@@ -261,7 +271,7 @@ proptest! {
 /// cache-free estimator bit for bit — and a fresh estimator served
 /// purely from the merged shared cache does too.
 fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
-    for kernel in JoinKernel::ALL {
+    for kernel in KERNELS {
         let bare: Vec<u64> = queries
             .iter()
             .map(|q| {
@@ -273,12 +283,11 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
             .collect();
         for workers in [1usize, 2, 4] {
             let shared = Arc::new(JoinCache::with_capacity(64));
-            let masks = Arc::new(RelationMaskCache::new());
             let adjacency = Arc::new(JoinIndexCache::new());
             let make = || {
                 Estimator::with_caches(
                     summary,
-                    Arc::clone(&masks),
+                    Arc::default(),
                     Arc::clone(&adjacency),
                     Some(Arc::clone(&shared)),
                 )
@@ -324,7 +333,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Warm prepared plans, flat per-estimator memos, and the shared
-    /// join cache never perturb a single estimate bit, for any kernel
+    /// join cache never perturb a single estimate bit, for both kernels
     /// and 1/2/4 worker threads, on random documents and twig queries.
     #[test]
     fn warm_plans_and_memos_are_bit_identical(seed in 0u64..1_000_000) {
@@ -334,7 +343,7 @@ proptest! {
 
     /// Worker-private join caches with lazy merge are pure speed: any
     /// interleaving of queries and merges across 1/2/4 workers, for
-    /// every kernel, is bit-identical to the cache-free estimator.
+    /// both kernels, is bit-identical to the cache-free estimator.
     #[test]
     fn lazily_merged_worker_caches_are_bit_identical(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);

@@ -14,7 +14,6 @@ fn assert_streams_identical(xml: &str, p_variance: f64, o_variance: f64) {
     let config = SummaryConfig {
         p_variance,
         o_variance,
-        ..SummaryConfig::default()
     };
     let doc = parse_document(xml).expect("generated document must parse");
     let dom = Summary::build(&doc, config).to_bytes();

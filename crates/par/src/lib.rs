@@ -2,20 +2,12 @@
 //!
 //! The build environment has no registry access, so instead of `rayon`
 //! this tiny crate provides the one primitive the workspace needs: an
-//! order-preserving indexed parallel map with an atomic work queue,
-//! built on `std::thread::scope`. Results are returned in index order
-//! regardless of completion order, so a parallel map over a pure function
-//! is **bit-identical** to the serial loop it replaces — the property the
-//! summary-construction and batch-estimation equivalence tests pin down.
-//!
-//! Worker threads pull index *ranges* from a shared atomic counter (work
-//! stealing at chunk granularity), which amortizes the counter traffic
-//! over many items while still keeping cores busy under skewed per-item
-//! cost — p-histogram rows vary by orders of magnitude between tags. The
-//! chunk size adapts to the input: small enough for stealing to balance
-//! skew, large enough that cheap items (sub-microsecond estimates) are
-//! not dominated by `fetch_add` contention. A panicking item panics the
-//! calling thread after the scope joins, like rayon.
+//! order-preserving indexed parallel map with per-worker state and an
+//! atomic work queue, built on `std::thread::scope`. Results are returned
+//! in index order regardless of completion order, so a parallel map over
+//! a pure function is **bit-identical** to the serial loop it replaces —
+//! the property the batch-estimation equivalence tests pin down. The
+//! serving layer's bounded job queue lives here too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,106 +68,37 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Maps `f` over `0..n`, returning results in index order.
+/// Maps `f` over `0..n` with per-worker state, returning results in index
+/// order, with a per-chunk `flush` hook.
+///
+/// Each worker (or the calling thread, when serial) builds one `S` via
+/// `init` and threads it through every item it processes — how the batch
+/// estimator gives each worker a single reusable estimator instead of one
+/// per item. `S` never crosses threads, so it needs no `Send`/`Sync`
+/// bounds. After a worker finishes each claimed chunk (and once more
+/// before it exits), `flush` runs against its state. This is the
+/// lazy-merge seam for per-worker caches — workers batch their writes
+/// privately and `flush` publishes them to shared structures at chunk
+/// boundaries, so the shared lock is taken once per chunk instead of once
+/// per item. On the serial path the whole range is one chunk: `flush`
+/// runs once, after the last item.
 ///
 /// Runs serially when `threads <= 1` (after [`resolve_threads`]) or when
 /// there are fewer than two items; otherwise fans out over
-/// `min(threads, n)` scoped workers. `f` must be pure for the parallel
-/// and serial paths to agree (every caller in this workspace satisfies
-/// that; the equivalence tests enforce it end to end).
-pub fn par_map_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_init(threads, n, || (), |(), i| f(i))
-}
-
-/// [`par_map_indexed`] with per-worker state: each worker (or the calling
-/// thread, when serial) builds one `S` via `init` and threads it through
-/// every item it processes. This is how the batch estimator gives each
-/// worker a single reusable scratch arena instead of one per item. `S`
-/// never crosses threads, so it needs no `Send`/`Sync` bounds.
-pub fn par_map_init<S, R, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    par_map_init_chunked(threads, n, 0, init, f)
-}
-
-/// [`par_map_init`] with an explicit dispatch chunk size: workers claim
-/// `chunk` consecutive indices per `fetch_add` instead of one. `0` picks
-/// automatically — roughly 16 steals per worker, clamped to `1..=64` —
-/// which is the right grain for workloads of cheap uniform items; pass an
-/// explicit size for workloads with known extreme skew. Results are in
-/// index order for any chunking, so every setting is bit-identical to the
-/// serial loop.
-pub fn par_map_init_chunked<S, R, I, F>(
-    threads: usize,
-    n: usize,
-    chunk: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let workers = resolve_threads(threads).min(n);
-    if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
-
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        local.push((i, f(&mut state, i)));
-                    }
-                }
-                lock_ignore_poison(&done).extend(local);
-            });
-        }
-    });
-
-    let mut tagged = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_init_chunked`] with a per-chunk `flush` hook: after a worker
-/// finishes each claimed chunk (and once more before it exits), `flush`
-/// runs against its state. This is the lazy-merge seam for per-worker
-/// caches — workers batch their writes privately and `flush` publishes
-/// them to shared structures at chunk boundaries, so the shared lock is
-/// taken once per chunk instead of once per item. On the serial path the
-/// whole range is one chunk: `flush` runs once, after the last item.
-///
-/// `flush` must not affect `f`'s *results* (publishing memoized values
-/// earlier or later may change speed, never outputs) for the parallel and
-/// serial paths to stay bit-identical.
+/// `min(threads, n)` scoped workers. Workers claim index *ranges* from a
+/// shared atomic counter — roughly 16 claims per worker, clamped to
+/// `1..=64` indices each, small enough for stealing to balance skewed
+/// items and large enough that sub-microsecond items are not dominated
+/// by `fetch_add` contention — keep their `(index, result)` records
+/// locally, and hand them over once when they run dry; the caller sorts
+/// them back into index order. `f` must be pure, and `flush` must
+/// not affect `f`'s *results* (publishing memoized values earlier or
+/// later may change speed, never outputs), for the parallel and serial
+/// paths to stay bit-identical. A panicking item panics the calling
+/// thread after the scope joins.
 pub fn par_map_init_flushed<S, R, I, F, X>(
     threads: usize,
     n: usize,
-    chunk: usize,
     init: I,
     f: F,
     flush: X,
@@ -193,10 +116,7 @@ where
         flush(&mut state);
         return out;
     }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
+    let chunk = (n / (workers * 16)).clamp(1, 64);
 
     let next = AtomicUsize::new(0);
     let done = Mutex::new(Vec::with_capacity(n));
@@ -227,11 +147,11 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`par_map_init_chunked`] with **panic isolation**: each item's `f`
-/// call runs under [`catch_unwind`], so a panicking item yields
-/// `Err(ItemPanic)` in its slot while every other item still completes
-/// and returns in order. This is the serving-layer primitive: one
-/// poisoned query must cost one answer, not the whole batch.
+/// [`par_map_init_flushed`] with **panic isolation** and no flush hook:
+/// each item's `f` call runs under [`catch_unwind`], so a panicking item
+/// yields `Err(ItemPanic)` in its slot while every other item still
+/// completes and returns in order. This is the serving-layer primitive:
+/// one poisoned query must cost one answer, not the whole batch.
 ///
 /// Two containment rules keep the isolation sound:
 ///
@@ -245,12 +165,11 @@ where
 ///
 /// `init` itself is *not* isolated: it builds caches/scratch from trusted
 /// state, and a panic there is a programming error that should propagate.
-/// On the non-panicking path, results are bit-identical to
-/// [`par_map_init_chunked`] for any thread count and chunk size.
+/// On the non-panicking path, results are bit-identical to the serial
+/// loop for any thread count.
 pub fn par_map_init_chunked_isolated<S, R, I, F>(
     threads: usize,
     n: usize,
-    chunk: usize,
     init: I,
     f: F,
 ) -> Vec<Result<R, ItemPanic>>
@@ -272,53 +191,7 @@ where
             }
         }
     };
-
-    let workers = resolve_threads(threads).min(n);
-    if workers <= 1 {
-        let mut state = None;
-        return (0..n).map(|i| step(&mut state, i)).collect();
-    }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
-
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state: Option<S> = None;
-                let mut local: Vec<(usize, Result<R, ItemPanic>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        local.push((i, step(&mut state, i)));
-                    }
-                }
-                lock_ignore_poison(&done).extend(local);
-            });
-        }
-    });
-
-    let mut tagged = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Maps `f` over a slice, preserving order; the parallel analogue of
-/// `items.iter().map(f).collect()`.
-pub fn par_map_slice<'a, T, R, F>(threads: usize, items: &'a [T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    par_map_indexed(threads, items.len(), |i| f(&items[i]))
+    par_map_init_flushed(threads, n, || None, step, |_| {})
 }
 
 /// Why [`BoundedQueue::try_push`] refused an item; the item comes back so
@@ -449,26 +322,21 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
 
+    /// [`par_map_init_flushed`] with no state and no flush.
+    fn par_map(threads: usize, n: usize, f: impl Fn(usize) -> u64 + Sync) -> Vec<u64> {
+        par_map_init_flushed(threads, n, || (), |(), i| f(i), |()| {})
+    }
+
     #[test]
     fn matches_serial_map() {
-        let serial: Vec<u64> = (0..103).map(|i| (i as u64).wrapping_mul(31)).collect();
-        for threads in [0, 1, 2, 3, 8, 64] {
-            let par = par_map_indexed(threads, 103, |i| (i as u64).wrapping_mul(31));
-            assert_eq!(par, serial, "threads={threads}");
+        // 5000 items make the claimed chunks wider than one index.
+        for n in [0, 1, 2, 103, 5000] {
+            let serial: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(31)).collect();
+            for threads in [0, 1, 2, 3, 8, 64] {
+                let par = par_map(threads, n, |i| (i as u64).wrapping_mul(31));
+                assert_eq!(par, serial, "n={n} threads={threads}");
+            }
         }
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        assert_eq!(par_map_indexed(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(4, 1, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn slice_variant_preserves_order() {
-        let words = ["a", "bb", "ccc", "dddd"];
-        let lens = par_map_slice(3, &words, |w| w.len());
-        assert_eq!(lens, vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -481,7 +349,7 @@ mod tests {
     #[test]
     fn skewed_workloads_complete() {
         // Items with wildly different costs still all arrive, in order.
-        let out = par_map_indexed(4, 40, |i| {
+        let out = par_map(4, 40, |i| {
             if i % 7 == 0 {
                 (0..(i * 1000)).map(|x| x as u64).sum::<u64>()
             } else {
@@ -493,106 +361,63 @@ mod tests {
     }
 
     #[test]
-    fn per_worker_state_is_reused_within_a_worker() {
-        // Each worker counts how many items it processed; the counts must
-        // sum to n, proving state persists across items instead of being
-        // rebuilt per item.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let total = AtomicUsize::new(0);
-        struct Counter<'a>(usize, &'a AtomicUsize);
-        impl Drop for Counter<'_> {
-            fn drop(&mut self) {
-                self.1.fetch_add(self.0, Ordering::Relaxed);
-            }
-        }
-        let out = par_map_init(
-            3,
-            50,
-            || Counter(0, &total),
-            |c, i| {
-                c.0 += 1;
-                i * 2
-            },
-        );
-        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(total.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn chunked_dispatch_matches_serial_for_any_chunk() {
-        let serial: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(131)).collect();
-        for chunk in [0, 1, 2, 7, 64, 200] {
-            for threads in [2, 3, 8] {
-                let par = par_map_init_chunked(
-                    threads,
-                    97,
-                    chunk,
-                    || (),
-                    |(), i| (i as u64).wrapping_mul(131),
-                );
-                assert_eq!(par, serial, "chunk={chunk} threads={threads}");
+    fn dispatch_covers_every_index_exactly_once() {
+        for n in [53, 2000] {
+            let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            par_map(4, n, |i| counts[i].fetch_add(1, Ordering::Relaxed) as u64);
+            for (i, c) in counts.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "n={n} index {i}");
             }
         }
     }
 
     #[test]
-    fn chunked_dispatch_covers_every_index_exactly_once() {
-        use std::sync::atomic::AtomicUsize;
-        let counts: Vec<AtomicUsize> = (0..53).map(|_| AtomicUsize::new(0)).collect();
-        par_map_init_chunked(
-            4,
-            53,
-            5,
-            || (),
-            |(), i| counts[i].fetch_add(1, Ordering::Relaxed),
-        );
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn flushed_dispatch_matches_serial_and_flushes_every_item() {
-        use std::sync::atomic::AtomicUsize;
+    fn per_worker_state_is_reused_and_every_item_is_flushed() {
+        // State buffers items since the last flush; flush drains into the
+        // shared tally. Everything processed must be flushed by the time
+        // the call returns, and fewer inits than items proves state
+        // persists across items instead of being rebuilt per item.
         let serial: Vec<u64> = (0..91).map(|i| (i as u64).wrapping_mul(17)).collect();
         for threads in [1, 2, 4] {
-            for chunk in [0, 1, 5] {
-                // State buffers items since the last flush; flush drains
-                // into the shared tally. Everything processed must be
-                // flushed by the time the call returns.
-                let flushed = AtomicUsize::new(0);
-                let par = par_map_init_flushed(
-                    threads,
-                    91,
-                    chunk,
-                    || 0usize,
-                    |buffered, i| {
-                        *buffered += 1;
-                        (i as u64).wrapping_mul(17)
-                    },
-                    |buffered| {
-                        flushed.fetch_add(*buffered, Ordering::Relaxed);
-                        *buffered = 0;
-                    },
-                );
-                assert_eq!(par, serial, "threads={threads} chunk={chunk}");
-                assert_eq!(
-                    flushed.load(Ordering::Relaxed),
-                    91,
-                    "threads={threads} chunk={chunk}: every item flushed"
-                );
-            }
+            let flushed = AtomicUsize::new(0);
+            let inits = AtomicUsize::new(0);
+            let par = par_map_init_flushed(
+                threads,
+                91,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |buffered, i| {
+                    *buffered += 1;
+                    (i as u64).wrapping_mul(17)
+                },
+                |buffered| {
+                    flushed.fetch_add(*buffered, Ordering::Relaxed);
+                    *buffered = 0;
+                },
+            );
+            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(
+                flushed.load(Ordering::Relaxed),
+                91,
+                "threads={threads}: every item flushed"
+            );
+            assert!(
+                inits.load(Ordering::Relaxed) <= threads,
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn worker_panic_propagates() {
         let res = std::panic::catch_unwind(|| {
-            par_map_indexed(4, 16, |i| {
+            par_map(4, 16, |i| {
                 if i == 11 {
                     panic!("boom");
                 }
-                i
+                i as u64
             })
         });
         assert!(res.is_err());
@@ -615,7 +440,6 @@ mod tests {
             let out = par_map_init_chunked_isolated(
                 threads,
                 103,
-                0,
                 || (),
                 |(), i| (i as u64).wrapping_mul(31),
             );
@@ -631,7 +455,6 @@ mod tests {
                 let out = par_map_init_chunked_isolated(
                     threads,
                     40,
-                    3,
                     || (),
                     |(), i| {
                         if i == 17 {
@@ -659,7 +482,6 @@ mod tests {
             let out = par_map_init_chunked_isolated::<(), usize, _, _>(
                 4,
                 25,
-                0,
                 || (),
                 |(), _| panic!("all poisoned"),
             );
@@ -679,7 +501,6 @@ mod tests {
             let out = par_map_init_chunked_isolated(
                 1,
                 10,
-                1,
                 || 0usize,
                 |seen, i| {
                     *seen += 1000; // corrupt first…
@@ -706,7 +527,6 @@ mod tests {
     fn non_string_panic_payloads_are_described() {
         hushed(|| {
             let out = par_map_init_chunked_isolated::<(), (), _, _>(
-                1,
                 1,
                 1,
                 || (),

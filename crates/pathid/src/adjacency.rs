@@ -1,4 +1,4 @@
-//! Precomputed containment adjacency — the indexed join kernel's lookup
+//! Precomputed containment adjacency — the bitmap join kernel's lookup
 //! structure.
 //!
 //! The path join's inner loop asks, per query edge, "which surviving
@@ -11,11 +11,11 @@
 //!
 //! A [`ContainmentAdjacency`] materializes that relation once per
 //! `(tag_u, tag_v, child_axis)` key: for every interned pid it stores the
-//! sorted list of compatible partner pids, in both directions (CSR
-//! layout). The join's pruning step then becomes a semi-join — "does this
-//! pid's adjacency row intersect the surviving set on the other side?" —
-//! which touches only actually-compatible pairs instead of scanning all
-//! candidate pairs with 344-bit containment tests.
+//! bitmap of compatible partner pids, in both directions. The join's
+//! pruning step then becomes a word-parallel semi-join — "does this pid's
+//! adjacency row intersect the surviving set on the other side?" —
+//! instead of scanning all candidate pairs with 344-bit containment
+//! tests.
 //!
 //! [`JoinIndexCache`] memoizes adjacencies per summary exactly like
 //! [`RelationMaskCache`](crate::RelationMaskCache) memoizes masks, and
@@ -63,13 +63,10 @@ pub struct PidContainmentRelation {
 }
 
 impl PidContainmentRelation {
-    /// Builds the relation over every row of `slab`.
-    ///
-    /// The scan is the same screened quadratic loop as
-    /// [`ContainmentAdjacency::build_with_slab`] — ascending-popcount
-    /// prefix bound, word-support signature refutation, support-truncated
-    /// subset walks — run once over the nonempty pids instead of once per
-    /// key over each key's mask survivors.
+    /// Builds the relation over every row of `slab`: a screened quadratic
+    /// loop — ascending-popcount prefix bound, word-support signature
+    /// refutation, support-truncated subset walks — run once over the
+    /// nonempty pids, so no per-key build ever tests containment.
     pub fn build(slab: &PidBitmapSlab) -> Self {
         let n = slab.rows();
         let set_words = n.div_ceil(64);
@@ -169,7 +166,7 @@ impl PidContainmentRelation {
 
 /// The compatible-pair relation of one `(tag_u, tag_v, child_axis)` key,
 /// stored as forward (`pid_u → pid_v`) and reverse (`pid_v → pid_u`)
-/// compressed adjacency rows over the interner's dense pid indices.
+/// bitmap rows over the interner's dense pid indices.
 ///
 /// `(pu, pv)` is in the relation iff
 /// [`axis_compatible_masked`](crate::axis_compatible_masked) holds for the
@@ -177,12 +174,6 @@ impl PidContainmentRelation {
 /// how fast the question is answered.
 #[derive(Debug)]
 pub struct ContainmentAdjacency {
-    /// Forward CSR offsets: row of `pid_u` is `fwd[fwd_off[u]..fwd_off[u+1]]`.
-    fwd_off: Vec<u32>,
-    fwd: Vec<Pid>,
-    /// Reverse CSR offsets: row of `pid_v` is `rev[rev_off[v]..rev_off[v+1]]`.
-    rev_off: Vec<u32>,
-    rev: Vec<Pid>,
     /// Candidate bitmap over dense pid indices (LSB-first index layout):
     /// bit `i` set iff pid `i` survives the relation-mask screen.
     /// Containment-or-equality is reflexive, so every screened-in pid
@@ -194,11 +185,14 @@ pub struct ContainmentAdjacency {
     /// Dense pid index → row in `fwd_bits`/`rev_bits`; `u32::MAX` when
     /// the pid was screened out (its row is empty).
     row_of: Vec<u32>,
-    /// Bitmap mirror of the forward CSR rows: `set_words` words per
-    /// candidate, bit `v` set iff `(u, v)` is in the relation.
+    /// Forward rows: `set_words` words per candidate, bit `v` of the row
+    /// of `u` set iff `(u, v)` is in the relation.
     fwd_bits: Vec<u64>,
-    /// Bitmap mirror of the reverse CSR rows.
+    /// Reverse rows: bit `u` of the row of `v` set iff `(u, v)` is in
+    /// the relation.
     rev_bits: Vec<u64>,
+    /// Number of `(u, v)` pairs in the relation.
+    pairs: usize,
 }
 
 impl ContainmentAdjacency {
@@ -240,8 +234,9 @@ impl ContainmentAdjacency {
         let n = pids.len();
         let set_words = n.div_ceil(64);
 
-        // Same screen as the scan path: only pids intersecting the mask
-        // can appear on either side (see `build_with_slab`).
+        // A compatible pair needs `pv ∩ mask ≠ ∅`, and `pu ⊇ pv` then
+        // forces `pu ∩ mask ≠ ∅` as well — so only pids intersecting the
+        // mask can appear on *either* side.
         let ok: Vec<usize> = (0..n)
             .filter(|&i| words::intersects(slab.row_words(i), mask_words))
             .collect();
@@ -257,203 +252,29 @@ impl ContainmentAdjacency {
         // cand`: the AND removes descendants that fail the mask. The
         // reverse AND is a no-op by the screen argument (every superset
         // of a survivor intersects the mask too) but keeps the two fills
-        // uniform. `words::ones` yields ascending dense indices, which is
-        // exactly the CSR row order contract.
+        // uniform.
         let mut fwd_bits = vec![0u64; m * set_words];
         let mut rev_bits = vec![0u64; m * set_words];
-        let mut fwd_off = vec![0u32; n + 1];
-        let mut rev_off = vec![0u32; n + 1];
-        let mut fwd: Vec<Pid> = Vec::new();
-        let mut rev: Vec<Pid> = Vec::new();
+        let mut pairs = 0;
         for (r, &i) in ok.iter().enumerate() {
             let frow = &mut fwd_bits[r * set_words..(r + 1) * set_words];
             frow.copy_from_slice(relation.forward_row(i));
             words::and_assign(frow, &cand);
-            fwd.extend(words::ones(frow).map(Pid::from_index));
-            fwd_off[i + 1] = fwd.len() as u32;
+            pairs += words::count_ones(frow) as usize;
 
             let rrow = &mut rev_bits[r * set_words..(r + 1) * set_words];
             rrow.copy_from_slice(relation.reverse_row(i));
             words::and_assign(rrow, &cand);
-            rev.extend(words::ones(rrow).map(Pid::from_index));
-            rev_off[i + 1] = rev.len() as u32;
-        }
-        // Rows of screened-out pids are empty: carry the running offsets
-        // forward so every row slice stays well-defined.
-        for i in 0..n {
-            fwd_off[i + 1] = fwd_off[i + 1].max(fwd_off[i]);
-            rev_off[i + 1] = rev_off[i + 1].max(rev_off[i]);
         }
 
         ContainmentAdjacency {
-            fwd_off,
-            fwd,
-            rev_off,
-            rev,
             cand,
             set_words,
             row_of,
             fwd_bits,
             rev_bits,
+            pairs,
         }
-    }
-
-    /// [`build`](Self::build) against a prebuilt [`PidBitmapSlab`] of the
-    /// same interner, so a cache amortizes the arena layout across every
-    /// `(tag_u, tag_v, axis)` key of a summary.
-    pub fn build_with_slab(
-        encoding: &EncodingTable,
-        pids: &PidInterner,
-        slab: &PidBitmapSlab,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Self {
-        debug_assert_eq!(slab.rows(), pids.len(), "slab/interner mismatch");
-        let mask = relation_mask(encoding, tag_u, tag_v, child_axis);
-        let mask_words = mask.words();
-        let n = pids.len();
-        let set_words = n.div_ceil(64);
-
-        // A compatible pair needs `pv ∩ mask ≠ ∅`, and `pu ⊇ pv` then
-        // forces `pu ∩ mask ≠ ∅` as well — so only pids intersecting the
-        // mask can appear on *either* side. Screening both sides up front
-        // shrinks the quadratic fill loop from all interned pids to the
-        // (usually few) mask-relevant ones.
-        let ok: Vec<usize> = (0..n)
-            .filter(|&i| words::intersects(slab.row_words(i), mask_words))
-            .collect();
-        let mut cand = vec![0u64; set_words];
-        let mut row_of = vec![u32::MAX; n];
-        for (r, &i) in ok.iter().enumerate() {
-            words::set_bit(&mut cand, i);
-            row_of[i] = r as u32;
-        }
-
-        // One popcount and one word-support signature per candidate:
-        // `pc(v) > pc(u)` or `sig(v) ⊄ sig(u)` each refute `pu ⊇ pv` in
-        // a couple of scalar ops, so the multi-word subset walk only runs
-        // on pairs that usually pass it.
-        let pc: Vec<u32> = ok
-            .iter()
-            .map(|&i| words::count_ones(slab.row_words(i)))
-            .collect();
-        let sig: Vec<u64> = ok
-            .iter()
-            .map(|&i| words::support_signature(slab.row_words(i)))
-            .collect();
-
-        // Candidates in ascending-popcount order, with their popcounts,
-        // signatures, and dense pid indices permuted alongside so the
-        // inner scan walks contiguous memory. `pu ⊇ pv` forces
-        // `pc(v) ≤ pc(u)`, so each u examines only the sorted prefix —
-        // on average half the quadratic pair loop, and the popcount
-        // screen degenerates into the loop bound.
-        let m = ok.len();
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by_key(|&r| pc[r as usize]);
-        let spc: Vec<u32> = order.iter().map(|&r| pc[r as usize]).collect();
-        let ssig: Vec<u64> = order.iter().map(|&r| sig[r as usize]).collect();
-        let sidx: Vec<u32> = order.iter().map(|&r| ok[r as usize] as u32).collect();
-
-        // As in `PidContainmentRelation::build`: the signature aliases
-        // word `j` to bit `j % 64`, so support truncation is only sound
-        // for rows up to 64 words — wider rows walk their full width.
-        let full = slab.words_per_row();
-        let sig_exact = full <= 64;
-
-        let mut fwd_off = vec![0u32; n + 1];
-        let mut fwd = Vec::new();
-        let mut rev_len = vec![0u32; n];
-        let mut fwd_bits = vec![0u64; m * set_words];
-        let mut rev_bits = vec![0u64; m * set_words];
-        let mut hits: Vec<u32> = Vec::new();
-        for (ru, &u) in ok.iter().enumerate() {
-            let wu = slab.row_words(u);
-            let (pc_u, sig_u) = (pc[ru], sig[ru]);
-            hits.clear();
-            for k in 0..m {
-                if spc[k] > pc_u {
-                    break;
-                }
-                if ssig[k] & !sig_u != 0 {
-                    continue;
-                }
-                // Words past v's highest nonzero word are zero and subset
-                // anything, so the multi-word walk stops at v's support —
-                // typically 1–2 words of the 8-word padded row.
-                let lv = if sig_exact {
-                    64 - ssig[k].leading_zeros() as usize
-                } else {
-                    full
-                };
-                let v = sidx[k] as usize;
-                if words::is_subset(&slab.row_words(v)[..lv], &wu[..lv]) {
-                    hits.push(sidx[k]);
-                }
-            }
-            // The prefix visits v in popcount order; rows must stay
-            // ascending in dense pid index (the public contract, and what
-            // the bitmap mirrors decode to).
-            hits.sort_unstable();
-            for &v32 in &hits {
-                let v = v32 as usize;
-                fwd.push(Pid::from_index(v));
-                rev_len[v] += 1;
-                let rv = row_of[v] as usize;
-                words::set_bit(&mut fwd_bits[ru * set_words..(ru + 1) * set_words], v);
-                words::set_bit(&mut rev_bits[rv * set_words..(rv + 1) * set_words], u);
-            }
-            fwd_off[u + 1] = fwd.len() as u32;
-        }
-        // Rows of screened-out pids are empty: carry the running offset
-        // forward so every row slice stays well-defined.
-        for u in 0..n {
-            fwd_off[u + 1] = fwd_off[u + 1].max(fwd_off[u]);
-        }
-
-        // Transpose the forward rows into reverse rows; both stay sorted
-        // by dense pid index because `u` ascends in the fill loop.
-        let mut rev_off = Vec::with_capacity(n + 1);
-        rev_off.push(0u32);
-        for v in 0..n {
-            rev_off.push(rev_off[v] + rev_len[v]);
-        }
-        let mut cursor: Vec<u32> = rev_off[..n].to_vec();
-        let mut rev = vec![Pid::from_index(0); fwd.len()];
-        for u in 0..n {
-            for &pv in &fwd[fwd_off[u] as usize..fwd_off[u + 1] as usize] {
-                let slot = cursor[pv.index()];
-                rev[slot as usize] = Pid::from_index(u);
-                cursor[pv.index()] += 1;
-            }
-        }
-
-        ContainmentAdjacency {
-            fwd_off,
-            fwd,
-            rev_off,
-            rev,
-            cand,
-            set_words,
-            row_of,
-            fwd_bits,
-            rev_bits,
-        }
-    }
-
-    /// Pids compatible as the descendant side of `pid_u`, ascending.
-    #[inline]
-    pub fn forward(&self, pid_u: Pid) -> &[Pid] {
-        let u = pid_u.index();
-        &self.fwd[self.fwd_off[u] as usize..self.fwd_off[u + 1] as usize]
-    }
-
-    /// Pids compatible as the ancestor side of `pid_v`, ascending.
-    #[inline]
-    pub fn reverse(&self, pid_v: Pid) -> &[Pid] {
-        let v = pid_v.index();
-        &self.rev[self.rev_off[v] as usize..self.rev_off[v + 1] as usize]
     }
 
     /// Candidate bitmap over dense pid indices (LSB-first index layout,
@@ -492,12 +313,12 @@ impl ContainmentAdjacency {
 
     /// Number of compatible pairs in the relation.
     pub fn pair_count(&self) -> usize {
-        self.fwd.len()
+        self.pairs
     }
 
     /// Number of pids the index covers (the interner size at build time).
     pub fn pid_count(&self) -> usize {
-        self.fwd_off.len() - 1
+        self.row_of.len()
     }
 }
 
@@ -897,6 +718,22 @@ mod tests {
     use crate::label::Labeling;
     use crate::rel::axis_compatible_masked;
 
+    /// Whether `(pu, pv)` is in the adjacency, read from both row sides
+    /// (which must agree).
+    fn related(adj: &ContainmentAdjacency, pu: Pid, pv: Pid) -> bool {
+        let fwd = adj
+            .forward_bits(pu)
+            .is_some_and(|r| words::test_bit(r, pv.index()));
+        let rev = adj
+            .reverse_bits(pv)
+            .is_some_and(|r| words::test_bit(r, pu.index()));
+        assert_eq!(
+            fwd, rev,
+            "forward and reverse rows disagree on {pu:?}->{pv:?}"
+        );
+        fwd
+    }
+
     #[test]
     fn adjacency_rows_match_masked_test() {
         let doc = xpe_xml::fixtures::paper_figure1();
@@ -910,18 +747,12 @@ mod tests {
                     let mask = relation_mask(&lab.encoding, tu, tv, child);
                     let mut pairs = 0;
                     for (pu, _) in lab.interner.iter() {
-                        let row = adj.forward(pu);
                         for (pv, _) in lab.interner.iter() {
                             let expected = axis_compatible_masked(&lab.interner, pu, pv, &mask);
                             assert_eq!(
-                                row.contains(&pv),
+                                related(&adj, pu, pv),
                                 expected,
-                                "fwd {tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
-                            );
-                            assert_eq!(
-                                adj.reverse(pv).contains(&pu),
-                                expected,
-                                "rev {tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
+                                "{tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
                             );
                             pairs += usize::from(expected);
                         }
@@ -934,20 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_rows_are_sorted() {
-        let doc = xpe_xml::fixtures::paper_figure1();
-        let lab = Labeling::compute(&doc);
-        let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
-        let adj =
-            ContainmentAdjacency::build(&lab.encoding, &lab.interner, tags[0], tags[1], false);
-        for (p, _) in lab.interner.iter() {
-            assert!(adj.forward(p).windows(2).all(|w| w[0] < w[1]));
-            assert!(adj.reverse(p).windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn bitmap_rows_mirror_csr_rows() {
+    fn candidates_are_exactly_the_nonempty_rows() {
         let doc = xpe_xml::fixtures::paper_figure1();
         let lab = Labeling::compute(&doc);
         let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
@@ -958,71 +776,14 @@ mod tests {
                         ContainmentAdjacency::build(&lab.encoding, &lab.interner, tu, tv, child);
                     assert_eq!(adj.set_words(), lab.interner.len().div_ceil(64));
                     for (p, _) in lab.interner.iter() {
-                        // The candidate bitmap is exactly the nonempty
-                        // rows (reflexivity), on both sides.
+                        // Reflexivity makes the candidates exactly the
+                        // pids with nonempty rows, on both sides.
                         let is_cand = words::test_bit(adj.candidates(), p.index());
-                        assert_eq!(is_cand, !adj.forward(p).is_empty());
-                        assert_eq!(is_cand, !adj.reverse(p).is_empty());
-                        match adj.forward_bits(p) {
-                            Some(bits) => {
-                                assert!(is_cand);
-                                let from_bits: Vec<Pid> =
-                                    words::ones(bits).map(Pid::from_index).collect();
-                                assert_eq!(from_bits, adj.forward(p).to_vec());
-                            }
-                            None => assert!(!is_cand),
-                        }
-                        match adj.reverse_bits(p) {
-                            Some(bits) => {
-                                let from_bits: Vec<Pid> =
-                                    words::ones(bits).map(Pid::from_index).collect();
-                                assert_eq!(from_bits, adj.reverse(p).to_vec());
-                            }
-                            None => assert!(!is_cand),
+                        for row in [adj.forward_bits(p), adj.reverse_bits(p)] {
+                            assert_eq!(row.is_some(), is_cand);
+                            assert!(row.map_or(true, |r| !words::is_empty(r)));
                         }
                     }
-                }
-            }
-        }
-    }
-
-    /// The relation-masking fill and the quadratic scan fill must produce
-    /// identical structures on every key of a real document.
-    #[test]
-    fn relation_fill_matches_quadratic_scan() {
-        let doc = xpe_xml::fixtures::paper_figure1();
-        let lab = Labeling::compute(&doc);
-        let slab = PidBitmapSlab::from_interner(&lab.interner);
-        let relation = PidContainmentRelation::build(&slab);
-        let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
-        for &tu in &tags {
-            for &tv in &tags {
-                for child in [true, false] {
-                    let fast = ContainmentAdjacency::build_with_layout(
-                        &lab.encoding,
-                        &lab.interner,
-                        &slab,
-                        &relation,
-                        tu,
-                        tv,
-                        child,
-                    );
-                    let slow = ContainmentAdjacency::build_with_slab(
-                        &lab.encoding,
-                        &lab.interner,
-                        &slab,
-                        tu,
-                        tv,
-                        child,
-                    );
-                    assert_eq!(fast.pair_count(), slow.pair_count());
-                    for (p, _) in lab.interner.iter() {
-                        assert_eq!(fast.forward(p), slow.forward(p), "{tu:?}/{tv:?}/{child}");
-                        assert_eq!(fast.reverse(p), slow.reverse(p), "{tu:?}/{tv:?}/{child}");
-                        assert_eq!(fast.forward_bits(p), slow.forward_bits(p));
-                        assert_eq!(fast.reverse_bits(p), slow.reverse_bits(p));
-                    }
-                    assert_eq!(fast.candidates(), slow.candidates());
                 }
             }
         }
@@ -1069,7 +830,7 @@ mod tests {
             for (pu, _) in pids.iter() {
                 for (pv, _) in pids.iter() {
                     assert_eq!(
-                        adj.forward(pu).contains(&pv),
+                        related(&adj, pu, pv),
                         axis_compatible_masked(&pids, pu, pv, &mask),
                         "{pu:?}->{pv:?} child={child}"
                     );
@@ -1139,10 +900,9 @@ mod tests {
         assert_eq!(rel.pair_count(), 2, "only the two reflexive pairs");
     }
 
-    /// Both adjacency fills stay exact past 64 words of interner width —
-    /// the same regression as `wide_interner_relation_is_exact`, but
-    /// through `build_with_slab`'s own truncated walk and the masked
-    /// `build_with_layout` fill.
+    /// The masked adjacency fill stays exact past 64 words of interner
+    /// width — the same regression as `wide_interner_relation_is_exact`,
+    /// checked through the per-key rows.
     #[test]
     fn wide_interner_adjacency_matches_masked_test() {
         use crate::bits::PathIdBits;
@@ -1183,27 +943,23 @@ mod tests {
         let slab = PidBitmapSlab::from_interner(&pids);
         let relation = PidContainmentRelation::build(&slab);
         for child in [true, false] {
-            let fast = ContainmentAdjacency::build_with_layout(
+            let adj = ContainmentAdjacency::build_with_layout(
                 &encoding, &pids, &slab, &relation, r, a, child,
             );
-            let slow = ContainmentAdjacency::build_with_slab(&encoding, &pids, &slab, r, a, child);
             let mask = relation_mask(&encoding, r, a, child);
+            let mut pairs = 0;
             for (pu, _) in pids.iter() {
                 for (pv, _) in pids.iter() {
                     let expected = axis_compatible_masked(&pids, pu, pv, &mask);
                     assert_eq!(
-                        fast.forward(pu).contains(&pv),
+                        related(&adj, pu, pv),
                         expected,
-                        "fast {pu:?}->{pv:?} child={child}"
+                        "{pu:?}->{pv:?} child={child}"
                     );
-                    assert_eq!(
-                        slow.forward(pu).contains(&pv),
-                        expected,
-                        "slow {pu:?}->{pv:?} child={child}"
-                    );
+                    pairs += usize::from(expected);
                 }
             }
-            assert_eq!(fast.pair_count(), slow.pair_count());
+            assert_eq!(adj.pair_count(), pairs);
         }
     }
 

@@ -88,10 +88,11 @@ impl RelationMaskSnapshot {
 /// Epoch-published memo table over [`relation_mask`].
 ///
 /// A mask depends only on `(tag_u, tag_v, child_axis)` and the encoding
-/// table, which is immutable once a summary is built — so across a query
-/// workload the same few masks are recomputed constantly (every fixpoint
-/// pass of every join of every query). Concurrent estimators over one
-/// summary share a single cache, so a batch warms it for every worker.
+/// table, which is immutable once a summary is built, so one cache can
+/// serve every query over a summary. No join kernel in this workspace
+/// reads it: [`ContainmentAdjacency`](crate::ContainmentAdjacency) rows
+/// fold the mask test in, and the reference join computes its masks
+/// fresh.
 ///
 /// Like [`JoinIndexCache`](crate::JoinIndexCache), reads go through an
 /// immutable [`RelationMaskSnapshot`]: take it once, revalidate with one

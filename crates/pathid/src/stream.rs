@@ -44,7 +44,6 @@ pub struct PathScan {
     path: Vec<TagId>,
     /// Per open element: has an element child been seen?
     has_child: Vec<bool>,
-    elements: u64,
 }
 
 impl PathScan {
@@ -61,7 +60,6 @@ impl PathScan {
         }
         self.path.push(tag);
         self.has_child.push(false);
-        self.elements += 1;
     }
 
     /// Feeds an element close event.
@@ -78,15 +76,10 @@ impl PathScan {
         self.path.pop();
     }
 
-    /// Number of elements opened so far.
-    pub fn elements(&self) -> u64 {
-        self.elements
-    }
-
-    /// The collected vocabulary: `(tags, encoding table, element count)`.
-    pub fn finish(self) -> (TagInterner, EncodingTable, u64) {
+    /// The collected vocabulary: `(tags, encoding table)`.
+    pub fn finish(self) -> (TagInterner, EncodingTable) {
         debug_assert!(self.path.is_empty(), "unbalanced event stream");
-        (self.tags, self.encoding, self.elements)
+        (self.tags, self.encoding)
     }
 }
 
@@ -350,7 +343,7 @@ mod tests {
             StreamEvent::Close => scan.close(),
             StreamEvent::Text(_) => {}
         });
-        let (tags, encoding, _) = scan.finish();
+        let (tags, encoding) = scan.finish();
         let mut labeler = StreamLabeler::new(&tags, &encoding);
         let mut rec = Recorder::default();
         drive(input, |ev| match ev {

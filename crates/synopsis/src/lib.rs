@@ -51,5 +51,5 @@ pub use order::{OrderCell, PathOrderTable};
 pub use persist::LoadError;
 pub use phistogram::{PBucket, PHistogram, PHistogramSet};
 pub use rootpids::RootPidIndex;
-pub use summary::{BuildTimings, Summary, SummaryConfig, SummarySizes, DEFAULT_PARALLEL_THRESHOLD};
+pub use summary::{BuildTimings, Summary, SummaryConfig, SummarySizes};
 pub use view::{SectionSpan, SectionSpans, SummaryView};

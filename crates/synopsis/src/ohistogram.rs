@@ -142,21 +142,7 @@ impl OHistogramSet {
         tags: &TagInterner,
         variance: f64,
     ) -> Self {
-        Self::build_impl(order, phist, tags, variance, true, 1)
-    }
-
-    /// Like [`build`](Self::build) but fans the independent per-tag grids
-    /// across `threads` workers (`0` = one per core, `1` = serial).
-    /// Results merge in tag order, so the output is bit-identical to the
-    /// serial build.
-    pub fn build_with_threads(
-        order: &PathOrderTable,
-        phist: &PHistogramSet,
-        tags: &TagInterner,
-        variance: f64,
-        threads: usize,
-    ) -> Self {
-        Self::build_impl(order, phist, tags, variance, true, threads)
+        Self::build_impl(order, phist, tags, variance, true)
     }
 
     /// Ablation variant: one bucket per non-empty cell — no box growth.
@@ -168,7 +154,7 @@ impl OHistogramSet {
         phist: &PHistogramSet,
         tags: &TagInterner,
     ) -> Self {
-        Self::build_impl(order, phist, tags, 0.0, false, 1)
+        Self::build_impl(order, phist, tags, 0.0, false)
     }
 
     fn build_impl(
@@ -177,7 +163,6 @@ impl OHistogramSet {
         tags: &TagInterner,
         variance: f64,
         grow: bool,
-        threads: usize,
     ) -> Self {
         let tag_count = tags.len();
         let mut by_name: Vec<TagId> = tags.iter().map(|(t, _)| t).collect();
@@ -187,38 +172,39 @@ impl OHistogramSet {
             rank_of[t.index()] = rank as u32;
         }
 
-        let rank_of_ref = &rank_of;
-        let per_tag = xpe_par::par_map_indexed(threads, tag_count, |x| {
-            let x_tag = TagId::from_index(x);
-            let col_of: HashMap<Pid, u32> = phist
-                .histogram(x_tag)
-                .entries()
-                .enumerate()
-                .map(|(i, (p, _))| (p, i as u32))
-                .collect();
-            let cols = col_of.len();
-            let rows = 2 * tag_count;
-            let mut grid = vec![0.0f64; rows * cols];
-            for (pid, y_tag, cell) in order.cells_of(x_tag) {
-                let Some(&col) = col_of.get(&pid) else {
-                    continue;
+        let per_tag = (0..tag_count)
+            .map(|x| {
+                let x_tag = TagId::from_index(x);
+                let col_of: HashMap<Pid, u32> = phist
+                    .histogram(x_tag)
+                    .entries()
+                    .enumerate()
+                    .map(|(i, (p, _))| (p, i as u32))
+                    .collect();
+                let cols = col_of.len();
+                let rows = 2 * tag_count;
+                let mut grid = vec![0.0f64; rows * cols];
+                for (pid, y_tag, cell) in order.cells_of(x_tag) {
+                    let Some(&col) = col_of.get(&pid) else {
+                        continue;
+                    };
+                    let before_row = rank_of[y_tag.index()] as usize;
+                    let after_row = tag_count + before_row;
+                    if cell.before > 0 {
+                        grid[before_row * cols + col as usize] = cell.before as f64;
+                    }
+                    if cell.after > 0 {
+                        grid[after_row * cols + col as usize] = cell.after as f64;
+                    }
+                }
+                let buckets = if grow {
+                    build_buckets(&grid, rows, cols, variance)
+                } else {
+                    single_cell_buckets(&grid, rows, cols)
                 };
-                let before_row = rank_of_ref[y_tag.index()] as usize;
-                let after_row = tag_count + before_row;
-                if cell.before > 0 {
-                    grid[before_row * cols + col as usize] = cell.before as f64;
-                }
-                if cell.after > 0 {
-                    grid[after_row * cols + col as usize] = cell.after as f64;
-                }
-            }
-            let buckets = if grow {
-                build_buckets(&grid, rows, cols, variance)
-            } else {
-                single_cell_buckets(&grid, rows, cols)
-            };
-            OHistogram { buckets, col_of }
-        });
+                OHistogram { buckets, col_of }
+            })
+            .collect();
 
         OHistogramSet {
             per_tag,

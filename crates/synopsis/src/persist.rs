@@ -176,12 +176,9 @@ impl Summary {
         // count; cross-checking it here blocks a corrupt width from
         // sizing multi-gigabyte bit sequences during decode.
         let pids = PidInterner::decode_checked(r, encoding.len() as u32)?;
-        // `threads` is an execution knob, deliberately not persisted: a
-        // loaded summary builds nothing, so it takes the default.
         let config = SummaryConfig {
             p_variance: r.f64()?,
             o_variance: r.f64()?,
-            ..SummaryConfig::default()
         };
         let phist = PHistogramSet::decode(r)?;
         let ohist = OHistogramSet::decode(r)?;
@@ -257,7 +254,6 @@ mod tests {
             SummaryConfig {
                 p_variance: 1.0,
                 o_variance: 2.0,
-                ..SummaryConfig::default()
             },
         )
     }

@@ -192,18 +192,9 @@ pub struct PHistogramSet {
 impl PHistogramSet {
     /// Builds one histogram per tag from the exact table.
     pub fn build(table: &PathIdFrequencyTable, variance: f64) -> Self {
-        Self::build_with_threads(table, variance, 1)
-    }
-
-    /// Like [`build`](Self::build) but fans the independent per-tag rows
-    /// across `threads` workers (`0` = one per core, `1` = serial). Each
-    /// row is built by the same pure function in both modes, and results
-    /// are merged in tag order, so the output is bit-identical to the
-    /// serial build.
-    pub fn build_with_threads(table: &PathIdFrequencyTable, variance: f64, threads: usize) -> Self {
-        let per_tag = xpe_par::par_map_indexed(threads, table.tag_count(), |t| {
-            PHistogram::build(table.row(TagId::from_index(t)), variance)
-        });
+        let per_tag = (0..table.tag_count())
+            .map(|t| PHistogram::build(table.row(TagId::from_index(t)), variance))
+            .collect();
         PHistogramSet { per_tag, variance }
     }
 

@@ -86,7 +86,7 @@ impl Summary {
                 StreamEvent::Text(_) => {}
             }
         }
-        let (tags, encoding, elements) = scan.finish();
+        let (tags, encoding) = scan.finish();
 
         // Pass B: label and retire every element at its close event.
         let mut labeler = StreamLabeler::new(&tags, &encoding);
@@ -133,13 +133,11 @@ impl Summary {
         let order = PathOrderTable::from_rows(order_rows);
         let collect_order = t2.elapsed();
 
-        let threads = config.effective_threads(elements as usize);
         let t1 = Instant::now();
-        let phist = PHistogramSet::build_with_threads(&freq, config.p_variance, threads);
+        let phist = PHistogramSet::build(&freq, config.p_variance);
         let build_p = t1.elapsed();
         let t3 = Instant::now();
-        let ohist =
-            OHistogramSet::build_with_threads(&order, &phist, &tags, config.o_variance, threads);
+        let ohist = OHistogramSet::build(&order, &phist, &tags, config.o_variance);
         let build_o = t3.elapsed();
 
         let pid_tree = PathIdTree::new(&labeling.interner);
@@ -187,7 +185,6 @@ mod tests {
                 SummaryConfig {
                     p_variance: pv,
                     o_variance: ov,
-                    ..SummaryConfig::default()
                 },
             );
         }
@@ -213,17 +210,5 @@ mod tests {
         let stream_err =
             Summary::build_streaming("<a><b></a>", SummaryConfig::default()).unwrap_err();
         assert_eq!(dom_err, stream_err);
-    }
-
-    #[test]
-    fn effective_threads_demotes_small_documents() {
-        let config = SummaryConfig::default().with_threads(8);
-        assert_eq!(config.effective_threads(10), 1);
-        assert_eq!(
-            config.effective_threads(crate::summary::DEFAULT_PARALLEL_THRESHOLD),
-            8
-        );
-        let forced = config.with_parallel_threshold(0);
-        assert_eq!(forced.effective_threads(10), 8);
     }
 }

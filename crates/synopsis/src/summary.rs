@@ -21,72 +21,12 @@ use crate::rootpids::RootPidIndex;
 
 /// Construction thresholds (paper: p-histogram variance 0–2 and o-histogram
 /// variance 0–4 "typically perform well").
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SummaryConfig {
     /// Intra-bucket deviation bound for p-histograms.
     pub p_variance: f64,
     /// Intra-bucket deviation bound for o-histograms.
     pub o_variance: f64,
-    /// Worker threads for histogram construction: `1` builds serially
-    /// (the default), `0` uses one worker per available core, any other
-    /// value is taken literally. Per-tag histograms are independent, so
-    /// the parallel build is bit-identical to the serial one.
-    pub threads: usize,
-    /// Documents below this many elements always build serially, whatever
-    /// `threads` says: at small scale thread spawn/join overhead exceeds
-    /// the per-tag histogram work (the bench harness measured parallel ≥
-    /// serial on every small dataset), and serial and parallel builds are
-    /// bit-identical anyway. Set to 0 to honor `threads` unconditionally.
-    pub parallel_threshold: usize,
-}
-
-/// Default for [`SummaryConfig::parallel_threshold`]: roughly where the
-/// per-tag histogram work starts to dwarf worker spawn/join overhead.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 50_000;
-
-impl SummaryConfig {
-    /// Returns the config with the construction thread count set.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns the config with the serial-fallback threshold set.
-    pub fn with_parallel_threshold(mut self, parallel_threshold: usize) -> Self {
-        self.parallel_threshold = parallel_threshold;
-        self
-    }
-
-    /// The thread count to actually build with for a document of
-    /// `elements` elements: `threads`, demoted to serial below the
-    /// threshold.
-    pub fn effective_threads(&self, elements: usize) -> usize {
-        if elements < self.parallel_threshold {
-            1
-        } else {
-            self.threads
-        }
-    }
-}
-
-impl Default for SummaryConfig {
-    fn default() -> Self {
-        SummaryConfig {
-            p_variance: 0.0,
-            o_variance: 0.0,
-            threads: 1,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-        }
-    }
-}
-
-/// `threads` and `parallel_threshold` are execution knobs, not semantic
-/// parameters: they never change the summary that gets built (and are not
-/// persisted), so configs differing only in them compare equal.
-impl PartialEq for SummaryConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.p_variance == other.p_variance && self.o_variance == other.o_variance
-    }
 }
 
 /// Wall-clock cost of each construction phase (Tables 4 and 5).
@@ -160,17 +100,13 @@ pub struct Summary {
 impl Summary {
     /// Builds the full summary for `doc`.
     pub fn build(doc: &Document, config: SummaryConfig) -> Self {
-        let threads = config.effective_threads(doc.len());
         let t0 = Instant::now();
         let labeling = Labeling::compute(doc);
         let freq = PathIdFrequencyTable::build(doc, &labeling);
         let collect_path = t0.elapsed();
 
-        // Phases stay sequential — only the per-tag work inside each
-        // histogram phase fans out — so each BuildTimings field remains
-        // that phase's wall-clock time under any thread count.
         let t1 = Instant::now();
-        let phist = PHistogramSet::build_with_threads(&freq, config.p_variance, threads);
+        let phist = PHistogramSet::build(&freq, config.p_variance);
         let build_p = t1.elapsed();
 
         let t2 = Instant::now();
@@ -178,13 +114,7 @@ impl Summary {
         let collect_order = t2.elapsed();
 
         let t3 = Instant::now();
-        let ohist = OHistogramSet::build_with_threads(
-            &order,
-            &phist,
-            doc.tags(),
-            config.o_variance,
-            threads,
-        );
+        let ohist = OHistogramSet::build(&order, &phist, doc.tags(), config.o_variance);
         let build_o = t3.elapsed();
 
         let pid_tree = PathIdTree::new(&labeling.interner);
@@ -235,13 +165,11 @@ impl Summary {
         order: &PathOrderTable,
         config: SummaryConfig,
     ) -> Self {
-        let threads = config.effective_threads(freq.total_elements() as usize);
         let t1 = Instant::now();
-        let phist = PHistogramSet::build_with_threads(freq, config.p_variance, threads);
+        let phist = PHistogramSet::build(freq, config.p_variance);
         let build_p = t1.elapsed();
         let t3 = Instant::now();
-        let ohist =
-            OHistogramSet::build_with_threads(order, &phist, tags, config.o_variance, threads);
+        let ohist = OHistogramSet::build(order, &phist, tags, config.o_variance);
         let build_o = t3.elapsed();
         Summary {
             tags: tags.clone(),
@@ -284,7 +212,7 @@ impl Summary {
 
     /// The containment adjacency of `(tag_u, tag_v, child_axis)` over this
     /// summary's encoding table and interned pids, built through (and
-    /// memoized in) `cache` — the per-summary hook the indexed join kernel
+    /// memoized in) `cache` — the per-summary hook the bitmap join kernel
     /// resolves edges against.
     pub fn adjacency(
         &self,
@@ -350,7 +278,6 @@ mod tests {
             SummaryConfig {
                 p_variance: 0.0,
                 o_variance: 0.0,
-                ..SummaryConfig::default()
             },
         );
         let coarse = Summary::build(
@@ -358,7 +285,6 @@ mod tests {
             SummaryConfig {
                 p_variance: 10.0,
                 o_variance: 10.0,
-                ..SummaryConfig::default()
             },
         );
         assert!(coarse.sizes().p_histograms <= exact.sizes().p_histograms);
@@ -372,7 +298,6 @@ mod tests {
         let cfg = SummaryConfig {
             p_variance: 1.0,
             o_variance: 2.0,
-            ..SummaryConfig::default()
         };
         let fresh = Summary::build(&doc, cfg);
         let rebuilt = Summary::rebuild_histograms(&doc, &labeling, cfg);

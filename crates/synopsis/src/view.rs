@@ -285,7 +285,6 @@ mod tests {
             SummaryConfig {
                 p_variance: 1.0,
                 o_variance: 2.0,
-                ..SummaryConfig::default()
             },
         )
     }

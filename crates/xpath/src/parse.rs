@@ -22,8 +22,14 @@
 //! the owning (parent) step, exactly as §5 of the paper frames them:
 //! `//A[/C/folls::B]` becomes node `A` with child edges to `C` and `B` and a
 //! sibling constraint *C before B*.
+//!
+//! No root-to-leaf path of a parsed query has more than
+//! [`MAX_DEPTH`] nodes (see [`QueryParseErrorKind::TooDeep`]), which bounds
+//! the parser's own recursion and every later walk of the query tree.
 
 use std::fmt;
+
+use xpe_xml::MAX_DEPTH;
 
 use crate::ast::{
     Axis, OrderConstraint, OrderKind, Query, QueryEdge, QueryError, QueryNode, QueryNodeId,
@@ -53,6 +59,11 @@ pub enum QueryParseErrorKind {
     Expected(char),
     /// Trailing characters after the query.
     TrailingInput,
+    /// A root-to-leaf query path has more than [`MAX_DEPTH`] nodes. Every
+    /// step on such a path is a strictly deeper element (order axes hang
+    /// their node below the owning step), so the query selects nothing in
+    /// any document the XML parser accepts.
+    TooDeep,
     /// A structural error found while assembling the query.
     Query(QueryError),
 }
@@ -71,6 +82,9 @@ impl fmt::Display for QueryParseError {
             }
             QueryParseErrorKind::Expected(c) => write!(f, "expected {c:?}"),
             QueryParseErrorKind::TrailingInput => write!(f, "unexpected trailing input"),
+            QueryParseErrorKind::TooDeep => {
+                write!(f, "a query path nests more than {MAX_DEPTH} steps")
+            }
             QueryParseErrorKind::Query(e) => write!(f, "{e}"),
         }
     }
@@ -99,6 +113,7 @@ pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
         bytes: input.as_bytes(),
         pos: 0,
         nodes: Vec::new(),
+        depths: Vec::new(),
         target: None,
     };
     let root_axis = p.leading_sep()?;
@@ -125,6 +140,8 @@ struct QueryParser<'a> {
     bytes: &'a [u8],
     pos: usize,
     nodes: Vec<QueryNode>,
+    /// Per node: its number of nodes on the path from the query root.
+    depths: Vec<usize>,
     target: Option<QueryNodeId>,
 }
 
@@ -238,14 +255,27 @@ impl<'a> QueryParser<'a> {
         Ok((axis, name))
     }
 
-    fn new_node(&mut self, tag: String) -> QueryNodeId {
+    /// Creates the node of one step, to hang below `parent` (`None` for
+    /// the query root). The depth check runs here, before any predicate
+    /// of the node is parsed, so the `steps → predicates → steps`
+    /// recursion never goes deeper than [`MAX_DEPTH`] levels.
+    fn new_node(
+        &mut self,
+        tag: String,
+        parent: Option<QueryNodeId>,
+    ) -> Result<QueryNodeId, QueryParseError> {
+        let depth = parent.map_or(1, |p| self.depths[p.index()] + 1);
+        if depth > MAX_DEPTH {
+            return Err(self.err(QueryParseErrorKind::TooDeep));
+        }
         let id = QueryNodeId(self.nodes.len() as u32);
         self.nodes.push(QueryNode {
             tag,
             edges: Vec::new(),
             constraints: Vec::new(),
         });
-        id
+        self.depths.push(depth);
+        Ok(id)
     }
 
     fn attach(&mut self, parent: QueryNodeId, axis: Axis, child: QueryNodeId) -> usize {
@@ -269,7 +299,7 @@ impl<'a> QueryParser<'a> {
         let (axis, name) = self.step_head(first_structural)?;
         match axis {
             StepAxis::Structural(a) => {
-                let id = self.new_node(name);
+                let id = self.new_node(name, ctx.map(|(parent, _)| parent))?;
                 owner = ctx.map(|(parent, _)| (parent, self.attach(parent, a, id)));
                 cur = id;
             }
@@ -285,7 +315,7 @@ impl<'a> QueryParser<'a> {
             let (axis, name) = self.step_head(sep_axis)?;
             match axis {
                 StepAxis::Structural(a) => {
-                    let id = self.new_node(name);
+                    let id = self.new_node(name, Some(cur))?;
                     owner = Some((cur, self.attach(cur, a, id)));
                     cur = id;
                 }
@@ -295,7 +325,7 @@ impl<'a> QueryParser<'a> {
                             QueryError::OrderAxisWithoutOwner,
                         ))
                     })?;
-                    let id = self.new_node(name);
+                    let id = self.new_node(name, Some(own))?;
                     let (edge_axis, kind) = match order_axis {
                         Axis::FollowingSibling | Axis::PrecedingSibling => {
                             (Axis::Child, OrderKind::Sibling)
@@ -506,6 +536,59 @@ mod tests {
         assert_eq!(root.edges.len(), 2);
         assert_eq!(root.constraints.len(), 1);
         assert_eq!(q.node(q.target()).tag, "B");
+    }
+
+    /// A chain of `n` child steps: `/a/a/…/a`.
+    fn chain(n: usize) -> String {
+        "/a".repeat(n)
+    }
+
+    /// `n` nodes on one path through nested predicates: `//a[a[…[a]…]]`.
+    fn nested(n: usize) -> String {
+        format!("//a{}{}", "[a".repeat(n - 1), "]".repeat(n - 1))
+    }
+
+    #[test]
+    fn query_depth_matches_the_xml_nesting_cap() {
+        for deep in [chain, nested] {
+            assert_eq!(parse_query(&deep(MAX_DEPTH)).unwrap().len(), MAX_DEPTH);
+            assert_eq!(
+                parse_query(&deep(MAX_DEPTH + 1)).unwrap_err().kind,
+                QueryParseErrorKind::TooDeep
+            );
+        }
+        // Order steps hang below their owner, so they count as one level.
+        let q = format!("{}/b/folls::c", chain(MAX_DEPTH - 2));
+        assert_eq!(parse_query(&q).unwrap().len(), MAX_DEPTH);
+        let q = format!("{}/b/foll::c/d", chain(MAX_DEPTH - 2));
+        assert_eq!(parse_query(&q).unwrap().len(), MAX_DEPTH + 1);
+        let q = format!("{}/b/foll::c/d/e", chain(MAX_DEPTH - 2));
+        assert_eq!(
+            parse_query(&q).unwrap_err().kind,
+            QueryParseErrorKind::TooDeep
+        );
+        // Width is not depth: many sibling predicates stay legal.
+        let wide = format!("//a{}", "[b]".repeat(4 * MAX_DEPTH));
+        assert_eq!(parse_query(&wide).unwrap().len(), 4 * MAX_DEPTH + 1);
+    }
+
+    /// Far past the cap, the parser still answers with a typed error on a
+    /// 1 MiB thread stack instead of recursing once per nesting level (an
+    /// unoptimized build needs several KiB per level, so 8,000 levels
+    /// would not fit).
+    #[test]
+    fn hostile_depth_is_rejected_on_a_small_stack() {
+        let handle = std::thread::Builder::new()
+            .stack_size(1024 * 1024)
+            .spawn(|| {
+                for q in [nested(8_000), chain(60_000)] {
+                    let e = parse_query(&q).unwrap_err();
+                    assert_eq!(e.kind, QueryParseErrorKind::TooDeep);
+                    assert!(!e.to_string().contains('\n'));
+                }
+            })
+            .unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

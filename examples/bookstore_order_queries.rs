@@ -43,7 +43,6 @@ fn main() {
             SummaryConfig {
                 p_variance: p_var,
                 o_variance: o_var,
-                ..SummaryConfig::default()
             },
         );
         let est = Estimator::new(&summary);

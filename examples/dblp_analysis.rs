@@ -50,7 +50,6 @@ fn main() {
             SummaryConfig {
                 p_variance: pv,
                 o_variance: ov,
-                ..SummaryConfig::default()
             },
         );
         let est = Estimator::new(&summary);

@@ -98,7 +98,6 @@ fn accuracy_degrades_gracefully_with_variance() {
             SummaryConfig {
                 p_variance: v,
                 o_variance: v,
-                ..SummaryConfig::default()
             },
         );
         assert!(

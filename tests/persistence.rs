@@ -34,7 +34,6 @@ fn saved_summary_estimates_identically() {
                 SummaryConfig {
                     p_variance: pv,
                     o_variance: ov,
-                    ..SummaryConfig::default()
                 },
             );
             let reloaded = Syn::from_bytes(&original.to_bytes()).expect("round trip");

@@ -129,7 +129,7 @@ proptest! {
         );
         let summary = Summary::build(
             &doc,
-            SummaryConfig { p_variance: 2.0, o_variance: 2.0, ..SummaryConfig::default() },
+            SummaryConfig { p_variance: 2.0, o_variance: 2.0, },
         );
         let est = Estimator::new(&summary);
         for case in workload

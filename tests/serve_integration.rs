@@ -373,3 +373,29 @@ fn failed_reload_keeps_the_old_generation_serving() {
     assert_eq!(tally.ok, 1);
     assert_eq!(tally.panics, 0);
 }
+
+/// A query nested past the XML depth cap — 8,000 nested predicates or a
+/// 20,000-step chain, both under the default 64 KiB line cap — earns a
+/// typed `bad-query` error instead of overflowing a connection thread's
+/// stack, and the same connection still answers `ping` afterwards.
+#[test]
+fn hostile_query_depth_gets_a_typed_error_and_the_daemon_stays_up() {
+    let (addr, server) = spawn(None, config());
+    let mut client = Client::connect(addr);
+    let nested = format!("//a{}{}", "[a".repeat(7_999), "]".repeat(7_999));
+    for query in [nested, "/a".repeat(20_000)] {
+        assert!(query.len() < ServerConfig::default().max_line_bytes);
+        let resp = client.estimate(&query);
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("protocol:bad-query")
+        );
+        let resp = client.roundtrip("{\"op\": \"ping\"}");
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    drop(client);
+    shutdown(addr);
+    let tally = server.join().unwrap();
+    assert_eq!(tally.panics, 0);
+}
