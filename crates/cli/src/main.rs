@@ -5,7 +5,7 @@
 //! xpe build <file.xml> -o <summary.xps>        build + save a summary
 //!     [--p-variance V] [--o-variance V] [--stream]
 //! xpe estimate <summary.xps> <query>...        estimate selectivities
-//!     [--jobs N] [--join-cache N] [--estimate-cache N]
+//!     [--jobs N] [--estimate-cache N]
 //!     [--deadline-ms N] [--max-query-nodes N]
 //! xpe exact <file.xml> <query>...              exact selectivities
 //! xpe generate <ssplays|dblp|xmark> -o <out.xml>
@@ -14,8 +14,7 @@
 //!     [--requests N] [--zipf S] [--templates N] [--mix A,B,C]
 //!                                              print a skewed query trace
 //! xpe serve <summary.xps> [--addr H:P] [--workers N] [--queue N]
-//!     [--deadline-ms N] [--max-query-nodes N]
-//!     [--join-cache N] [--estimate-cache N]
+//!     [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
 //!     [--read-timeout-ms N] [--write-timeout-ms N]
 //!     [--max-line-bytes N]                     estimation daemon
 //! xpe diff [--seed N] [--cases N] [--json FILE]
@@ -60,15 +59,14 @@ const USAGE: &str = "usage:
   xpe stats <file.xml>
   xpe build <file.xml> -o <summary.xps> [--p-variance V] [--o-variance V]
       [--stream]
-  xpe estimate <summary.xps> [--jobs N] [--join-cache N] [--estimate-cache N]
+  xpe estimate <summary.xps> [--jobs N] [--estimate-cache N]
       [--deadline-ms N] [--max-query-nodes N] <query>...
   xpe exact <file.xml> <query>...
   xpe generate <ssplays|dblp|xmark> -o <out.xml> [--scale S] [--seed N]
   xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N] [--requests N]
       [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER]
   xpe serve <summary.xps> [--addr HOST:PORT] [--workers N] [--queue N]
-      [--deadline-ms N] [--max-query-nodes N]
-      [--join-cache N] [--estimate-cache N]
+      [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
       [--read-timeout-ms N] [--write-timeout-ms N]
       [--max-line-bytes N]
   xpe diff [--seed N] [--cases N] [--json FILE]
@@ -79,12 +77,10 @@ core, default 1.
 --stream builds the summary from the raw bytes in two streaming passes
 instead of materializing the document tree; the output is byte-identical
 and peak memory is bounded by depth x path count, not node count.
---join-cache N caps the workload-level join cache at N memoized join
-results (estimate); 0 disables it. Caches never change estimates.
 --estimate-cache N caps the full-query estimate cache at N finished
 estimates (estimate, serve); 0 disables the skew-aware fast path. Only
 'ok' answers are ever cached, and a serve reload invalidates the cache
-atomically with the summary swap.
+atomically with the summary swap. Caches never change estimates.
 workload prints a production-shaped query trace on stdout, one
 canonical query per line in arrival order: Zipf-skewed template
 popularity (--zipf, default 1.1; 0 = uniform) over the paper's §7
@@ -243,11 +239,6 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
         return Err("estimate needs at least one query".into());
     }
     let jobs = parse_flag(&flags, "jobs", 1usize)?;
-    let join_cache = parse_flag(
-        &flags,
-        "join-cache",
-        xpe::estimator::DEFAULT_JOIN_CACHE_CAPACITY,
-    )?;
     let estimate_cache = parse_flag(
         &flags,
         "estimate-cache",
@@ -264,7 +255,6 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
     let summary = Syn::load_from_file(path).map_err(|e| format!("loading {path}: {e}"))?;
     let engine = EstimationEngine::new(&summary)
         .with_threads(jobs)
-        .with_join_cache_capacity(join_cache)
         .with_estimate_cache_capacity(estimate_cache)
         .with_budget(xpe::estimator::Budget {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
@@ -363,11 +353,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
             max_join_edges: None,
         },
-        join_cache_capacity: parse_flag(
-            &flags,
-            "join-cache",
-            xpe::estimator::DEFAULT_JOIN_CACHE_CAPACITY,
-        )?,
         estimate_cache_capacity: parse_flag(
             &flags,
             "estimate-cache",

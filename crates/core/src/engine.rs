@@ -27,12 +27,13 @@ use crate::join::JoinKernel;
 use crate::joincache::JoinCache;
 use crate::serve::{Budget, DegradedReason, EstimateOutcome, EstimateStatus, QueryLimits};
 
-/// Default number of join results the engine's workload cache retains.
-/// Sized to hold the full distinct-skeleton working set of the paper's
-/// template workloads with headroom — XMark's workload plus its derived
-/// spine queries reaches ~1.2k skeletons, and an LRU running just below
-/// its working set thrashes, re-running a full join fixpoint for every
-/// evicted reuse — while still bounding memory on adversarial ones.
+/// Number of join results every engine's and serving generation's
+/// workload cache retains. Sized to hold the full distinct-skeleton
+/// working set of the paper's template workloads with headroom — XMark's
+/// workload plus its derived spine queries reaches ~1.2k skeletons, and a
+/// cache running just below its working set thrashes, re-running a full
+/// join fixpoint for every evicted reuse — while still bounding memory on
+/// adversarial ones.
 pub const DEFAULT_JOIN_CACHE_CAPACITY: usize = 4096;
 
 /// Default number of finished estimates the engine's full-query cache
@@ -82,11 +83,11 @@ pub struct KernelStats {
     /// subset of `outcomes_degraded`).
     pub worker_panics: u64,
     /// Lock (mutex) acquisitions across the engine's shared caches: the
-    /// adjacency index, the join cache's shards, and the estimate cache.
+    /// adjacency index and the shards of the join and estimate caches.
     /// The warm-path contract is that this counter does **not** move
     /// between two [`kernel_stats`](EstimationEngine::kernel_stats) calls
-    /// with only warm estimates in between — snapshot probes, private
-    /// memos, and worker-local join caches serve everything lock-free.
+    /// with only warm estimates in between — the estimators' private
+    /// memos and cache fronts serve everything lock-free.
     pub lock_acquisitions: u64,
 }
 
@@ -121,7 +122,7 @@ pub struct EstimationEngine<'s> {
     /// no kernel reads it.
     masks: Arc<RelationMaskCache>,
     adjacency: Arc<JoinIndexCache>,
-    join_cache: Option<Arc<JoinCache>>,
+    join_cache: Arc<JoinCache>,
     est_cache: Option<Arc<EstimateCache>>,
     threads: usize,
     kernel: JoinKernel,
@@ -133,37 +134,26 @@ pub struct EstimationEngine<'s> {
 
 impl<'s> EstimationEngine<'s> {
     /// Creates an engine with one worker per available core and the
-    /// default join-cache capacity.
+    /// default estimate-cache capacity.
     pub fn new(summary: &'s Summary) -> Self {
-        Self::with_parts(
-            summary,
-            0,
-            DEFAULT_JOIN_CACHE_CAPACITY,
-            DEFAULT_ESTIMATE_CACHE_CAPACITY,
-        )
+        Self::with_parts(summary, 0, DEFAULT_ESTIMATE_CACHE_CAPACITY)
     }
 
-    fn with_parts(
-        summary: &'s Summary,
-        threads: usize,
-        join_cache_capacity: usize,
-        estimate_cache_capacity: usize,
-    ) -> Self {
-        let masks = Arc::new(RelationMaskCache::new());
+    fn with_parts(summary: &'s Summary, threads: usize, estimate_cache_capacity: usize) -> Self {
+        let masks = Arc::new(RelationMaskCache);
         let adjacency = Arc::new(JoinIndexCache::new());
-        let join_cache = (join_cache_capacity > 0)
-            .then(|| Arc::new(JoinCache::with_capacity(join_cache_capacity)));
+        let join_cache = Arc::new(JoinCache::with_capacity(DEFAULT_JOIN_CACHE_CAPACITY));
         let est_cache = (estimate_cache_capacity > 0)
             .then(|| Arc::new(EstimateCache::with_capacity(estimate_cache_capacity)));
         EstimationEngine {
             summary,
             masks: Arc::clone(&masks),
             adjacency: Arc::clone(&adjacency),
-            join_cache: join_cache.clone(),
+            join_cache: Arc::clone(&join_cache),
             est_cache: est_cache.clone(),
             threads,
             kernel: JoinKernel::default(),
-            local: Estimator::with_caches(summary, masks, adjacency, join_cache)
+            local: Estimator::with_caches(summary, masks, adjacency, Some(join_cache))
                 .with_estimate_cache(est_cache),
             limits: QueryLimits::unlimited(),
             budget: Budget::unlimited(),
@@ -179,24 +169,12 @@ impl<'s> EstimationEngine<'s> {
         self
     }
 
-    /// Sets how many join results the workload-level join cache retains;
-    /// `0` disables join caching entirely.
-    pub fn with_join_cache_capacity(self, capacity: usize) -> Self {
-        let est = self.est_cache.as_ref().map_or(0, |c| c.capacity());
-        self.rebuild_with_caches(capacity, est)
-    }
-
     /// Sets how many finished estimates the full-query estimate cache
     /// retains; `0` disables the skew-aware fast path entirely (every
     /// arrival runs the join machinery, as before this cache existed).
+    /// The engine is rebuilt with fresh caches.
     pub fn with_estimate_cache_capacity(self, capacity: usize) -> Self {
-        let join = self.join_cache.as_ref().map_or(0, |c| c.capacity());
-        self.rebuild_with_caches(join, capacity)
-    }
-
-    fn rebuild_with_caches(self, join_capacity: usize, estimate_capacity: usize) -> Self {
-        let mut rebuilt =
-            Self::with_parts(self.summary, self.threads, join_capacity, estimate_capacity);
+        let mut rebuilt = Self::with_parts(self.summary, self.threads, capacity);
         rebuilt.limits = self.limits;
         rebuilt.budget = self.budget;
         // The outcome tallies are lifetime counters of *this* engine, not
@@ -268,9 +246,10 @@ impl<'s> EstimationEngine<'s> {
         &self.adjacency
     }
 
-    /// The workload-level join cache, if enabled.
+    /// The workload-level join cache (always present; the `Option`
+    /// stays for existing callers).
     pub fn join_cache(&self) -> Option<&Arc<JoinCache>> {
-        self.join_cache.as_ref()
+        Some(&self.join_cache)
     }
 
     /// The full-query estimate cache, if enabled.
@@ -280,17 +259,14 @@ impl<'s> EstimationEngine<'s> {
 
     /// Kernel counters accumulated over this engine's lifetime.
     ///
-    /// Flushes the resident estimator's private join-cache tallies first
-    /// so single-query traffic through [`estimate`](Self::estimate) is
+    /// Flushes the resident estimator's private cache tallies first so
+    /// single-query traffic through [`estimate`](Self::estimate) is
     /// visible; batch workers flush at chunk boundaries and when they
     /// retire. Reads only atomics and never takes a shared lock itself,
     /// so `lock_acquisitions` deltas measure the estimates in between.
     pub fn kernel_stats(&self) -> KernelStats {
         self.local.flush_caches();
-        let (hits, misses, rate, join_locks) = match &self.join_cache {
-            Some(c) => (c.hits(), c.misses(), c.hit_rate(), c.lock_count()),
-            None => (0, 0, 0.0, 0),
-        };
+        let join = &self.join_cache;
         let (est_hits, est_misses, est_rate, est_inserts, est_invalidations, est_locks) =
             match &self.est_cache {
                 Some(c) => (
@@ -298,15 +274,15 @@ impl<'s> EstimationEngine<'s> {
                     c.misses(),
                     c.hit_rate(),
                     c.inserts(),
-                    c.invalidations(),
+                    c.evictions(),
                     c.lock_count(),
                 ),
                 None => (0, 0, 0.0, 0, 0, 0),
             };
         KernelStats {
-            join_cache_hits: hits,
-            join_cache_misses: misses,
-            join_cache_hit_rate: rate,
+            join_cache_hits: join.hits(),
+            join_cache_misses: join.misses(),
+            join_cache_hit_rate: join.hit_rate(),
             estimate_cache_hits: est_hits,
             estimate_cache_misses: est_misses,
             estimate_cache_hit_rate: est_rate,
@@ -319,21 +295,33 @@ impl<'s> EstimationEngine<'s> {
             outcomes_degraded: self.outcomes.degraded.load(Ordering::Relaxed),
             outcomes_rejected: self.outcomes.rejected.load(Ordering::Relaxed),
             worker_panics: self.outcomes.panics.load(Ordering::Relaxed),
-            lock_acquisitions: self.adjacency.lock_count() + join_locks + est_locks,
+            lock_acquisitions: self.adjacency.lock_count() + join.lock_count() + est_locks,
         }
     }
 
     /// A fresh estimator sharing this engine's caches — for callers that
     /// want to drive queries themselves (e.g. one per thread).
     pub fn estimator(&self) -> Estimator<'s> {
-        Estimator::with_caches(
-            self.summary,
-            Arc::clone(&self.masks),
-            Arc::clone(&self.adjacency),
-            self.join_cache.clone(),
-        )
-        .with_estimate_cache(self.est_cache.clone())
-        .with_kernel(self.kernel)
+        self.estimator_factory()()
+    }
+
+    /// A `Sync` maker of [`estimator`](Self::estimator)s for batch
+    /// workers: the engine itself is not `Sync`, because its resident
+    /// estimator is not.
+    fn estimator_factory(&self) -> impl Fn() -> Estimator<'s> + Sync + '_ {
+        let (summary, kernel) = (self.summary, self.kernel);
+        let (masks, adjacency) = (&self.masks, &self.adjacency);
+        let (join_cache, est_cache) = (&self.join_cache, &self.est_cache);
+        move || {
+            Estimator::with_caches(
+                summary,
+                Arc::clone(masks),
+                Arc::clone(adjacency),
+                Some(Arc::clone(join_cache)),
+            )
+            .with_estimate_cache(est_cache.clone())
+            .with_kernel(kernel)
+        }
     }
 
     /// Estimates one query on the engine's resident estimator.
@@ -350,32 +338,15 @@ impl<'s> EstimationEngine<'s> {
     /// `out[i]` is the estimate of `queries[i]`. Bit-identical to calling
     /// [`estimate`](Self::estimate) per query in order.
     ///
-    /// Each worker owns a private join-cache front and merges it into the
-    /// shared cache after every claimed chunk, so between merge points a
-    /// worker's warm path touches no shared cache line at all — the
-    /// per-query shard locking of a naively shared cache is the main
-    /// scaling bottleneck this avoids. Merging later never changes a
-    /// result (joins are pure), only when other workers can reuse it.
+    /// Each worker owns one estimator, whose private cache fronts serve
+    /// its warm lookups without touching a shared cache line, and folds
+    /// its hit/miss tallies into the shared counters after every claimed
+    /// chunk.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let summary = self.summary;
-        let masks = &self.masks;
-        let adjacency = &self.adjacency;
-        let join_cache = &self.join_cache;
-        let est_cache = &self.est_cache;
-        let kernel = self.kernel;
         xpe_par::par_map_init_flushed(
             self.threads,
             queries.len(),
-            || {
-                Estimator::with_caches(
-                    summary,
-                    Arc::clone(masks),
-                    Arc::clone(adjacency),
-                    join_cache.clone(),
-                )
-                .with_estimate_cache(est_cache.clone())
-                .with_kernel(kernel)
-            },
+            self.estimator_factory(),
             |est, i| est.estimate(&queries[i]),
             |est| est.flush_caches(),
         )
@@ -411,25 +382,10 @@ impl<'s> EstimationEngine<'s> {
     where
         F: Fn(&Estimator<'s>, &Query) -> EstimateOutcome + Sync,
     {
-        let summary = self.summary;
-        let masks = &self.masks;
-        let adjacency = &self.adjacency;
-        let join_cache = &self.join_cache;
-        let est_cache = &self.est_cache;
-        let kernel = self.kernel;
         let results = xpe_par::par_map_init_chunked_isolated(
             self.threads,
             queries.len(),
-            || {
-                Estimator::with_caches(
-                    summary,
-                    Arc::clone(masks),
-                    Arc::clone(adjacency),
-                    join_cache.clone(),
-                )
-                .with_estimate_cache(est_cache.clone())
-                .with_kernel(kernel)
-            },
+            self.estimator_factory(),
             |est, i| f(est, &queries[i]),
         );
         results
@@ -542,29 +498,11 @@ mod tests {
                 .collect();
             assert_eq!(got, reference, "threads={threads}");
         }
-        // Rebuilding the join cache preserves the kernel selection.
+        // Rebuilding the caches preserves the kernel selection.
         let rebuilt = EstimationEngine::new(&s)
             .with_kernel(JoinKernel::Naive)
-            .with_join_cache_capacity(8);
+            .with_estimate_cache_capacity(8);
         assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
-    }
-
-    #[test]
-    fn rebuilding_join_cache_carries_outcome_counters() {
-        let s = summary();
-        let engine = EstimationEngine::new(&s);
-        let q = parse_query("//A//C").unwrap();
-        engine.try_estimate(&q);
-        engine.try_estimate(&q);
-        assert_eq!(engine.kernel_stats().outcomes_ok, 2);
-        let rebuilt = engine.with_join_cache_capacity(8);
-        assert_eq!(
-            rebuilt.kernel_stats().outcomes_ok,
-            2,
-            "lifetime outcome tallies survive a cache capacity change"
-        );
-        rebuilt.try_estimate(&q);
-        assert_eq!(rebuilt.kernel_stats().outcomes_ok, 3);
     }
 
     #[test]
@@ -601,10 +539,10 @@ mod tests {
     }
 
     /// The headline concurrency contract: once every cache layer is warm,
-    /// an estimate acquires **zero** shared locks — join lookups are
-    /// served by the worker-private cache, adjacencies/seeds/masks by the
-    /// estimator's flat memo, and nothing needs a snapshot refresh
-    /// because nothing gets published.
+    /// an estimate acquires **zero** shared locks — estimate and join
+    /// lookups are served by the estimator's private cache fronts,
+    /// adjacencies and seeds by its flat memo, and nothing gets
+    /// published.
     #[test]
     fn warm_estimates_take_zero_locks() {
         let s = summary();
@@ -614,8 +552,8 @@ mod tests {
         for q in &queries {
             engine.estimate(q);
         }
-        // This flushes the cold pass's pending publications (counted into
-        // `before`) and reads the lock tally lock-free.
+        // This folds the cold pass's hit/miss tallies in and reads the
+        // lock tally lock-free.
         let before = engine.kernel_stats();
         for q in &queries {
             engine.estimate(q);
@@ -637,7 +575,7 @@ mod tests {
 
     /// The zero-lock warm-path contract holds one layer down as well:
     /// with the full-query cache disabled, warm traffic is served by the
-    /// join cache through the worker-private front without locking.
+    /// join cache through the estimator's private front without locking.
     #[test]
     fn warm_estimates_without_the_estimate_cache_still_take_zero_locks() {
         let s = summary();
@@ -664,23 +602,30 @@ mod tests {
         assert_eq!(after.estimate_cache_misses, 0);
     }
 
+    /// A cold engine over distinct queries inserts each one into the
+    /// estimate cache exactly once and never hits it — at any worker
+    /// count. The benchmark's `engine_unique` check and CI's workload
+    /// smoke both rely on this.
     #[test]
-    fn zero_capacity_disables_the_join_cache() {
+    fn fresh_engine_inserts_each_distinct_query_once_and_never_hits() {
         let s = summary();
-        let engine = EstimationEngine::new(&s).with_join_cache_capacity(0);
-        assert!(engine.join_cache().is_none());
         let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
-        let batch = engine.estimate_batch(&queries);
-        let stats = engine.kernel_stats();
-        assert_eq!(stats.join_cache_hits, 0);
-        assert_eq!(stats.join_cache_misses, 0);
-        // And the estimates match a default (cached) engine bitwise.
-        let cached = EstimationEngine::new(&s);
-        let with_cache = cached.estimate_batch(&queries);
-        assert_eq!(
-            batch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            with_cache.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
+        for threads in [1, 2] {
+            let engine = EstimationEngine::new(&s).with_threads(threads);
+            engine.estimate_batch(&queries);
+            let stats = engine.kernel_stats();
+            assert_eq!(
+                stats.estimate_cache_inserts,
+                queries.len() as u64,
+                "threads={threads}"
+            );
+            assert_eq!(stats.estimate_cache_hits, 0, "threads={threads}");
+            assert_eq!(
+                stats.estimate_cache_misses,
+                queries.len() as u64,
+                "threads={threads}"
+            );
+        }
     }
 
     /// A quiet panic hook for isolation tests: the default hook prints a
@@ -811,8 +756,8 @@ mod tests {
         let stats = engine.kernel_stats();
         assert_eq!(stats.outcomes_ok, 1);
         assert_eq!(stats.outcomes_rejected, 1);
-        // Rebuilding the cache keeps the policy.
-        let rebuilt = engine.with_join_cache_capacity(8);
+        // Rebuilding the caches keeps the policy.
+        let rebuilt = engine.with_estimate_cache_capacity(8);
         assert_eq!(rebuilt.limits().max_nodes, Some(2));
     }
 
@@ -907,12 +852,21 @@ mod tests {
             });
         let q = parse_query("//A//C").unwrap();
         engine.try_estimate(&q);
+        engine.try_estimate(&q);
         let rebuilt = engine.with_estimate_cache_capacity(64);
-        assert_eq!(rebuilt.kernel_stats().outcomes_ok, 1);
+        assert_eq!(
+            rebuilt.kernel_stats().outcomes_ok,
+            2,
+            "lifetime outcome tallies survive a cache capacity change"
+        );
+        rebuilt.try_estimate(&q);
+        assert_eq!(rebuilt.kernel_stats().outcomes_ok, 3);
         assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
         assert_eq!(rebuilt.limits().max_nodes, Some(8));
         assert_eq!(rebuilt.estimate_cache().unwrap().capacity(), 64);
-        // The join cache survives the rebuild at its previous capacity.
-        assert!(rebuilt.join_cache().is_some());
+        assert_eq!(
+            rebuilt.join_cache().unwrap().capacity(),
+            DEFAULT_JOIN_CACHE_CAPACITY
+        );
     }
 }

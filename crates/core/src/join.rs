@@ -34,8 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use xpe_pathid::{
-    axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache,
-    JoinIndexSnapshot, Pid,
+    axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache, Pid,
 };
 use xpe_synopsis::Summary;
 use xpe_xml::TagId;
@@ -219,13 +218,10 @@ impl JoinScratch {
 ///
 /// A `JoinMemo` is a plain `Vec`-indexed mirror owned by one estimator:
 /// adjacency rows are keyed by `(dense tag index, axis)` and seed bitmaps
-/// by `(dense tag index, rooted)`, each slot filled on first miss. A
-/// flat-table miss first probes the shared cache's epoch-published
-/// snapshot — held here and revalidated with a single atomic epoch load,
-/// refreshed (one mutex acquisition) only when another worker has
-/// published since — so a warm shared cache is absorbed into the flat
-/// tables without ever taking a lock. Only a key absent from the snapshot
-/// falls through to the shared cache's cold build-and-publish path.
+/// by `(dense tag index, rooted)`, each slot filled on first miss from
+/// the shared cache (one mutex acquisition, plus a build if no worker
+/// has published the key yet). Warm joins read only the flat tables and
+/// never take a lock.
 ///
 /// A memo is only meaningful against a single `(summary, JoinIndexCache)`
 /// pair — the estimator owns one of each for its whole lifetime, which
@@ -241,10 +237,6 @@ pub struct JoinMemo {
     adj_rows: Vec<Option<AdjacencyRow>>,
     /// `(tag, rooted)`-indexed seed bitmaps — `tag.index() * 2 + rooted`.
     seeds: Vec<Option<Arc<Vec<u64>>>>,
-    /// Held snapshot of the shared adjacency/seed cache and the epoch it
-    /// was (at least) current at.
-    index_snapshot: Option<Arc<JoinIndexSnapshot>>,
-    index_epoch: u64,
 }
 
 /// One lazily-allocated memo row: `tag_v`-indexed adjacency slots.
@@ -266,20 +258,8 @@ impl JoinMemo {
         }
     }
 
-    /// The held index snapshot, refreshed when the shared cache's epoch
-    /// has moved past the one this memo last observed.
-    fn index_snapshot(&mut self, cache: &JoinIndexCache) -> &JoinIndexSnapshot {
-        let epoch = cache.epoch();
-        if self.index_snapshot.is_none() || self.index_epoch != epoch {
-            self.index_snapshot = Some(cache.snapshot());
-            self.index_epoch = epoch;
-        }
-        self.index_snapshot.as_deref().expect("just refreshed")
-    }
-
     /// The adjacency of `(tag_u, tag_v, child)`, served from the flat
-    /// table; a flat miss probes the lock-free snapshot before falling
-    /// through to the shared cache's build-and-publish path.
+    /// table; a flat miss asks the shared cache.
     fn adjacency(
         &mut self,
         summary: &Summary,
@@ -295,11 +275,7 @@ impl JoinMemo {
                 return Arc::clone(a);
             }
         }
-        let a = self
-            .index_snapshot(cache)
-            .adjacency(tag_u, tag_v, child)
-            .cloned()
-            .unwrap_or_else(|| summary.adjacency(cache, tag_u, tag_v, child));
+        let a = summary.adjacency(cache, tag_u, tag_v, child);
         let ntags = self.ntags;
         let row = self.adj_rows[slot].get_or_insert_with(|| vec![None; ntags].into_boxed_slice());
         row[tag_v.index()] = Some(Arc::clone(&a));
@@ -307,8 +283,7 @@ impl JoinMemo {
     }
 
     /// The seed bitmap of `(tag, rooted)`, served from the flat table;
-    /// a flat miss probes the lock-free snapshot before falling through
-    /// to the shared cache's build-and-publish path.
+    /// a flat miss asks the shared cache.
     fn seed(
         &mut self,
         summary: &Summary,
@@ -322,15 +297,9 @@ impl JoinMemo {
         if let Some(s) = &self.seeds[slot] {
             return Arc::clone(s);
         }
-        let s = self
-            .index_snapshot(cache)
-            .seed(tag, rooted)
-            .cloned()
-            .unwrap_or_else(|| {
-                cache.seed_bitmap(tag, rooted, || {
-                    build_seed_bitmap(summary, tag, rooted, set_words)
-                })
-            });
+        let s = cache.seed_bitmap(tag, rooted, || {
+            build_seed_bitmap(summary, tag, rooted, set_words)
+        });
         self.seeds[slot] = Some(Arc::clone(&s));
         s
     }

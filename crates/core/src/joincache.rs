@@ -13,23 +13,18 @@
 //!
 //! [`SkeletonKey`] is the canonical byte encoding of that skeleton, with
 //! its 64-bit hash computed **once** at construction: shard selection and
-//! the in-shard map probe both reuse it (the shard maps run a
-//! pass-through hasher), so a lookup hashes the key bytes exactly one
-//! time instead of the two SipHash passes the derived `Hash` used to
-//! cost. [`JoinCache`] is a sharded LRU keyed by it, shared by every
-//! worker of an [`EstimationEngine`](crate::EstimationEngine) batch. Each
-//! entry carries the skeleton's prepared [`QueryPlan`] next to the
-//! (optional) memoized `Arc<JoinResult>`: budget-truncated joins are
-//! never published as results, but their plans are — a later healthy
-//! query on the same skeleton still skips the tag-resolution work.
+//! the in-shard map probe both reuse it. [`JoinCache`] is a
+//! [`SharedMemo`] keyed by it, shared by every worker of an
+//! [`EstimationEngine`](crate::EstimationEngine) batch and read through
+//! one [`WorkerJoinCache`] front per estimator (see [`crate::memo`]). It
+//! holds completed join results only: a budget-truncated join is not the
+//! fixpoint, so it publishes nothing.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::hash::Hasher;
+use std::sync::Arc;
 
 use crate::join::JoinResult;
-use crate::planner::QueryPlan;
+use crate::memo::{MemoFront, MemoKey, SharedMemo};
 use xpe_xpath::{Axis, Query};
 
 /// Canonical encoding of a query's structural skeleton: the root axis,
@@ -61,10 +56,10 @@ impl std::hash::Hash for SkeletonKey {
     }
 }
 
-impl SkeletonKey {
+impl MemoKey for SkeletonKey {
     /// The precomputed 64-bit hash of the key bytes.
     #[inline]
-    pub fn hash64(&self) -> u64 {
+    fn hash64(&self) -> u64 {
         self.hash
     }
 }
@@ -99,460 +94,19 @@ pub fn skeleton_key(query: &Query) -> SkeletonKey {
     }
 }
 
-/// Pass-through hasher for keys that carry a precomputed hash:
-/// [`SkeletonKey::hash`] writes its stored `u64` and this hasher returns
-/// it unchanged, so map probes pay zero re-hashing.
-#[derive(Default)]
-pub(crate) struct PrehashedHasher(u64);
+/// The shared skeleton-keyed cache of completed join results. Its
+/// hit/miss counters feed the benchmark report's `join_cache_hit_rate`.
+pub type JoinCache = SharedMemo<SkeletonKey, Arc<JoinResult>>;
 
-impl Hasher for PrehashedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("prehashed keys hash via write_u64 only")
-    }
-
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
-}
-
-/// One cache entry: recency tick, the skeleton's prepared plan, and the
-/// memoized join result (absent when only a budget-truncated join — whose
-/// lists are not the fixpoint — has run for this skeleton so far).
-struct Entry {
-    tick: u64,
-    plan: Arc<QueryPlan>,
-    result: Option<Arc<JoinResult>>,
-}
-
-/// What a [`JoinCache::lookup`] found for a skeleton: always the prepared
-/// plan, plus the memoized result when a completed join has been
-/// published.
-pub struct CacheHit {
-    /// The skeleton's prepared query plan.
-    pub plan: Arc<QueryPlan>,
-    /// The memoized join result, if a full (never budget-truncated) join
-    /// has been published for this skeleton.
-    pub result: Option<Arc<JoinResult>>,
-}
-
-/// One LRU shard: key → entry. Eviction scans for the minimum tick —
-/// shards stay small (capacity / 8), so a scan beats the bookkeeping of
-/// an intrusive list at these sizes.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<SkeletonKey, Entry, BuildHasherDefault<PrehashedHasher>>,
-    tick: u64,
-}
-
-impl Shard {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
-const SHARDS: usize = 8;
-
-/// A sharded LRU cache of prepared plans and join results keyed by query
-/// skeleton.
-///
-/// Thread-safe: shards are independently locked, so concurrent batch
-/// workers rarely contend. Hit/miss counters feed the benchmark report's
-/// `join_cache_hit_rate`; they count *join result* reuse only (a plan-only
-/// entry still misses — the join must run), and a disabled cache
-/// (capacity 0) counts neither, matching an engine built without one.
-pub struct JoinCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard capacity; 0 disables the cache (every lookup returns
-    /// nothing, nothing is stored, and no counter moves).
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    locks: AtomicU64,
-}
-
-impl std::fmt::Debug for JoinCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JoinCache")
-            .field("capacity", &self.capacity())
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
-}
-
-impl JoinCache {
-    /// A cache holding at most `capacity` skeletons (rounded up to a
-    /// multiple of the shard count; 0 disables caching entirely).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let shard_capacity = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(SHARDS)
-        };
-        JoinCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            locks: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard a key lives in, selected from the middle bits of its
-    /// precomputed hash. Not the low bits: the in-shard hashbrown map
-    /// derives its bucket index from those, and reusing them would make
-    /// every key in a shard collide into the same bucket neighborhood.
-    fn shard(&self, key: &SkeletonKey) -> &Mutex<Shard> {
-        &self.shards[((key.hash64() >> 32) as usize) % SHARDS]
-    }
-
-    /// Locks a key's shard, counting the acquisition.
-    fn lock_shard(&self, key: &SkeletonKey) -> std::sync::MutexGuard<'_, Shard> {
-        self.locks.fetch_add(1, Ordering::Relaxed);
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a skeleton, refreshing its recency. Returns the entry's
-    /// plan (and result, when one is published); counts a hit iff the
-    /// result is present, a miss otherwise — except on a disabled cache,
-    /// which counts nothing (there is no cache to hit or miss).
-    pub fn lookup(&self, key: &SkeletonKey) -> Option<CacheHit> {
-        if self.shard_capacity == 0 {
-            return None;
-        }
-        let found = self.peek(key);
-        match &found {
-            Some(hit) if hit.result.is_some() => self.hits.fetch_add(1, Ordering::Relaxed),
-            _ => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// [`lookup`](Self::lookup) without the hit/miss accounting: the
-    /// probe [`WorkerJoinCache`] issues on a local miss. The worker cache
-    /// tallies hits and misses itself and folds them in at merge time,
-    /// so counting here would double-book them. Recency is still
-    /// refreshed — a peek is a real use of the entry.
-    fn peek(&self, key: &SkeletonKey) -> Option<CacheHit> {
-        if self.shard_capacity == 0 {
-            return None;
-        }
-        let mut shard = self.lock_shard(key);
-        let tick = shard.touch();
-        shard.map.get_mut(key).map(|entry| {
-            entry.tick = tick;
-            CacheHit {
-                plan: Arc::clone(&entry.plan),
-                result: entry.result.clone(),
-            }
-        })
-    }
-
-    /// Folds a worker's locally-tallied hit/miss counts into the shared
-    /// totals (two atomic adds, no locks).
-    fn add_counts(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes a skeleton's plan and (optionally) its completed join
-    /// result, evicting the least-recently-used entry of the key's shard
-    /// when it is full. Publishing with `result: None` (a plan learned
-    /// from a budget-truncated join) never erases a result an earlier
-    /// publish stored.
-    pub fn publish(&self, key: SkeletonKey, plan: Arc<QueryPlan>, result: Option<Arc<JoinResult>>) {
-        if self.shard_capacity == 0 {
-            return;
-        }
-        let mut shard = self.lock_shard(&key);
-        let tick = shard.touch();
-        if let Some(entry) = shard.map.get_mut(&key) {
-            entry.tick = tick;
-            entry.plan = plan;
-            if let Some(r) = result {
-                entry.result = Some(r);
-            }
-            return;
-        }
-        if shard.map.len() >= self.shard_capacity {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
-            }
-        }
-        shard.map.insert(key, Entry { tick, plan, result });
-    }
-
-    /// Total entries across shards (plan-only entries included).
-    pub fn len(&self) -> usize {
-        self.locks
-            .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum entries the cache will hold (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * SHARDS
-    }
-
-    /// Lookups that found a memoized join result.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to run the join (no entry, or a plan-only entry).
-    /// A disabled cache counts nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of shard-mutex acquisitions so far (lookups, publishes,
-    /// worker-cache probes, and merges all count; `len` counts one per
-    /// shard). Warm per-worker lookups served from a
-    /// [`WorkerJoinCache`]'s private map must not move this.
-    pub fn lock_count(&self) -> u64 {
-        self.locks.load(Ordering::Relaxed)
-    }
-}
-
-/// One worker's private, lock-free front for a shared [`JoinCache`].
-///
-/// Batch workers used to take a shard mutex (plus two atomic RMWs for
-/// the hit/miss tally) on every single query — the dominant shared-line
-/// traffic once the adjacency path went lock-free. A `WorkerJoinCache`
-/// moves that to the edges of the batch: lookups probe a private
-/// unsynchronized map first and fall through to the shared cache only on
-/// a local miss (seeding the private map from whatever the shared side
-/// already holds); publishes go to the private map, with freshly
-/// completed results written through to their shared shard right away
-/// (see [`publish`](Self::publish)) and plan-only entries queued; and
-/// [`merge`](Self::merge) — called at chunk boundaries and on drop —
-/// batches the queued entries into the shared shards and folds the
-/// locally-tallied hit/miss counts in with two atomic adds. In steady
-/// state a worker computes nothing, publishes nothing, and touches no
-/// shared line at all between merge points.
-///
-/// Semantics are identical to direct shared access because join results
-/// are pure functions of `(summary, skeleton)`: publishing late never
-/// changes what any entry holds, only when other workers can reuse it.
-/// The never-erase-a-result rule holds locally and through the merge
-/// (plan-only pending entries pass `None`, which [`JoinCache::publish`]
-/// ignores when a result is already stored), and a disabled shared cache
-/// (capacity 0) disables the worker cache the same way: lookups return
-/// nothing and no counter moves.
-pub struct WorkerJoinCache {
-    shared: Arc<JoinCache>,
-    local: HashMap<SkeletonKey, LocalEntry, BuildHasherDefault<PrehashedHasher>>,
-    pending: Vec<(SkeletonKey, Arc<QueryPlan>, Option<Arc<JoinResult>>)>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A private map entry: the skeleton's plan and (optionally) its result.
-struct LocalEntry {
-    plan: Arc<QueryPlan>,
-    result: Option<Arc<JoinResult>>,
-}
-
-impl WorkerJoinCache {
-    /// Wraps a shared cache; the private map starts empty and seeds
-    /// itself from the shared side on local misses.
-    pub fn new(shared: Arc<JoinCache>) -> Self {
-        WorkerJoinCache {
-            shared,
-            local: HashMap::default(),
-            pending: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The shared cache this worker front merges into.
-    pub fn shared(&self) -> &Arc<JoinCache> {
-        &self.shared
-    }
-
-    /// Looks up a skeleton: private map first (no locks), then one
-    /// shared-shard probe on a local miss. Hit/miss accounting matches
-    /// [`JoinCache::lookup`] — a hit iff a result is present — but is
-    /// tallied locally and folded into the shared counters at merge.
-    pub fn lookup(&mut self, key: &SkeletonKey) -> Option<CacheHit> {
-        if self.shared.capacity() == 0 {
-            return None;
-        }
-        if let Some(entry) = self.local.get(key) {
-            let hit = CacheHit {
-                plan: Arc::clone(&entry.plan),
-                result: entry.result.clone(),
-            };
-            match &hit.result {
-                Some(_) => self.hits += 1,
-                None => self.misses += 1,
-            }
-            return Some(hit);
-        }
-        let found = self.shared.peek(key);
-        match &found {
-            Some(hit) => {
-                if hit.result.is_some() {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
-                self.local.insert(
-                    key.clone(),
-                    LocalEntry {
-                        plan: Arc::clone(&hit.plan),
-                        result: hit.result.clone(),
-                    },
-                );
-            }
-            None => self.misses += 1,
-        }
-        found
-    }
-
-    /// Publishes into the private map, and routes the entry to the shared
-    /// cache by kind:
-    ///
-    /// * a **completed result** writes through immediately (one shard
-    ///   lock) — another worker about to run the same join finds it on
-    ///   its very next probe instead of after this worker's chunk ends,
-    ///   which is what keeps a cold batch from computing every hot
-    ///   skeleton once *per worker*. Results are only ever computed on a
-    ///   miss, so a warm workload writes nothing through and stays
-    ///   lock-free;
-    /// * a **plan-only entry** (budget-truncated join) is queued for the
-    ///   next lazy merge — sharing it early saves tag resolution, not a
-    ///   fixpoint, which is not worth a lock in the middle of a chunk.
-    ///
-    /// A `result: None` never erases a locally-stored result, mirroring
-    /// the shared rule. When the private map outgrows the shared capacity
-    /// it is merged and cleared, so a long-lived estimator cannot hoard
-    /// unbounded entries.
-    pub fn publish(
-        &mut self,
-        key: SkeletonKey,
-        plan: Arc<QueryPlan>,
-        result: Option<Arc<JoinResult>>,
-    ) {
-        if self.shared.capacity() == 0 {
-            return;
-        }
-        match &result {
-            Some(r) => self
-                .shared
-                .publish(key.clone(), Arc::clone(&plan), Some(Arc::clone(r))),
-            None => self.pending.push((key.clone(), Arc::clone(&plan), None)),
-        }
-        match self.local.get_mut(&key) {
-            Some(entry) => {
-                entry.plan = plan;
-                if let Some(r) = result {
-                    entry.result = Some(r);
-                }
-            }
-            None => {
-                self.local.insert(key, LocalEntry { plan, result });
-            }
-        }
-        if self.local.len() > self.shared.capacity() {
-            self.merge();
-            self.local.clear();
-        }
-    }
-
-    /// Flushes pending publications into the shared shards and folds the
-    /// local hit/miss tallies into the shared counters. Cheap when there
-    /// is nothing to do: no pending entries means no locks are taken
-    /// (the tallies flush with plain atomic adds).
-    pub fn merge(&mut self) {
-        for (key, plan, result) in self.pending.drain(..) {
-            self.shared.publish(key, plan, result);
-        }
-        if self.hits > 0 || self.misses > 0 {
-            self.shared.add_counts(self.hits, self.misses);
-            self.hits = 0;
-            self.misses = 0;
-        }
-    }
-}
-
-impl Drop for WorkerJoinCache {
-    fn drop(&mut self) {
-        self.merge();
-    }
-}
-
-impl std::fmt::Debug for WorkerJoinCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerJoinCache")
-            .field("local_len", &self.local.len())
-            .field("pending", &self.pending.len())
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
+/// One estimator's private front for a shared [`JoinCache`].
+pub type WorkerJoinCache = MemoFront<SkeletonKey, Arc<JoinResult>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{Hash, Hasher};
-    use xpe_synopsis::{Summary, SummaryConfig};
+    use crate::memo::PrehashedHasher;
+    use std::hash::Hash;
     use xpe_xpath::parse_query;
-
-    fn result_with_marker(marker: f64) -> Arc<JoinResult> {
-        Arc::new(JoinResult {
-            lists: vec![vec![(xpe_pathid::Pid::from_index(0), marker)]],
-        })
-    }
-
-    fn summary() -> Summary {
-        Summary::build(
-            &xpe_xml::fixtures::paper_figure1(),
-            SummaryConfig::default(),
-        )
-    }
-
-    fn plan_for(summary: &Summary, q: &str) -> Arc<QueryPlan> {
-        Arc::new(QueryPlan::build(summary, &parse_query(q).unwrap()))
-    }
 
     #[test]
     fn order_constraints_and_target_do_not_change_the_key() {
@@ -580,126 +134,5 @@ mod tests {
         let mut h = PrehashedHasher::default();
         key.hash(&mut h);
         assert_eq!(h.finish(), key.hash64());
-    }
-
-    #[test]
-    fn hit_only_for_structurally_identical_skeletons() {
-        let s = summary();
-        let cache = JoinCache::with_capacity(64);
-        let plain = parse_query("//A[/C]/B").unwrap();
-        let ordered = parse_query("//A[/C/folls::$B]").unwrap();
-        let different = parse_query("//A[/D]/B").unwrap();
-
-        assert!(cache.lookup(&skeleton_key(&plain)).is_none());
-        cache.publish(
-            skeleton_key(&plain),
-            plan_for(&s, "//A[/C]/B"),
-            Some(result_with_marker(7.0)),
-        );
-        // Same structure, different order constraint: hit, and the plan
-        // rides along.
-        let hit = cache.lookup(&skeleton_key(&ordered)).expect("skeleton hit");
-        assert_eq!(hit.result.expect("published result").lists[0][0].1, 7.0);
-        assert_eq!(hit.plan.len(), 3);
-        // Different structure: miss.
-        assert!(cache.lookup(&skeleton_key(&different)).is_none());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn plan_only_entries_count_as_misses_and_keep_results_on_republish() {
-        let s = summary();
-        let cache = JoinCache::with_capacity(64);
-        let key = skeleton_key(&parse_query("//A//C").unwrap());
-        let plan = plan_for(&s, "//A//C");
-
-        // A truncated join publishes its plan without a result.
-        cache.publish(key.clone(), Arc::clone(&plan), None);
-        let hit = cache.lookup(&key).expect("plan-only entry");
-        assert!(hit.result.is_none());
-        assert_eq!(hit.plan.len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1), "plan-only = miss");
-
-        // A completed join fills the result in.
-        cache.publish(
-            key.clone(),
-            Arc::clone(&plan),
-            Some(result_with_marker(2.0)),
-        );
-        assert!(cache.lookup(&key).unwrap().result.is_some());
-        // A later plan-only publish (another truncated join racing) must
-        // not erase it.
-        cache.publish(key.clone(), plan, None);
-        assert!(cache.lookup(&key).unwrap().result.is_some());
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_entry() {
-        let s = summary();
-        // Single-entry shards make eviction order observable regardless of
-        // which shard each key hashes to.
-        let cache = JoinCache::with_capacity(SHARDS);
-        let a = skeleton_key(&parse_query("//A").unwrap());
-        let b = skeleton_key(&parse_query("//B").unwrap());
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(1.0)),
-        );
-        cache.publish(
-            b.clone(),
-            plan_for(&s, "//B"),
-            Some(result_with_marker(2.0)),
-        );
-        if std::ptr::eq(cache.shard(&a), cache.shard(&b)) {
-            // Same shard: `b` evicted `a`.
-            assert!(cache.lookup(&a).is_none());
-            assert!(cache.lookup(&b).is_some());
-        } else {
-            assert!(cache.lookup(&a).is_some());
-            assert!(cache.lookup(&b).is_some());
-        }
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching_and_counts_nothing() {
-        let s = summary();
-        let cache = JoinCache::with_capacity(0);
-        let key = skeleton_key(&parse_query("//A/B").unwrap());
-        cache.publish(
-            key.clone(),
-            plan_for(&s, "//A/B"),
-            Some(result_with_marker(1.0)),
-        );
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.capacity(), 0);
-        // A disabled cache skews no rate: neither hits nor misses move —
-        // the same accounting as an engine holding no cache at all.
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
-        assert_eq!(cache.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn republishing_an_existing_key_does_not_evict_others() {
-        let s = summary();
-        let cache = JoinCache::with_capacity(SHARDS);
-        let a = skeleton_key(&parse_query("//A").unwrap());
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(1.0)),
-        );
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(3.0)),
-        );
-        assert_eq!(cache.lookup(&a).unwrap().result.unwrap().lists[0][0].1, 3.0);
-        assert_eq!(cache.len(), 1);
     }
 }

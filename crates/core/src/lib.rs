@@ -43,6 +43,7 @@ mod estimator;
 mod invariant;
 mod join;
 mod joincache;
+mod memo;
 mod metrics;
 mod planner;
 mod serve;
@@ -54,15 +55,14 @@ pub use editor::{
 pub use engine::{
     EstimationEngine, KernelStats, DEFAULT_ESTIMATE_CACHE_CAPACITY, DEFAULT_JOIN_CACHE_CAPACITY,
 };
-pub use estcache::{
-    estimate_key, EstimateCache, EstimateCacheReader, EstimateKey, EstimateSnapshot,
-};
+pub use estcache::{estimate_key, EstimateCache, EstimateCacheReader, EstimateKey};
 pub use estimator::Estimator;
 pub use invariant::{finalize_estimate, safe_div};
 pub use join::{
     path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
 };
-pub use joincache::{skeleton_key, CacheHit, JoinCache, SkeletonKey, WorkerJoinCache};
+pub use joincache::{skeleton_key, JoinCache, SkeletonKey, WorkerJoinCache};
+pub use memo::{MemoFront, MemoKey, SharedMemo};
 pub use metrics::{mean_relative_error, relative_error, ErrorStats};
 pub use planner::{PathCardinalities, PlanEdge, PredicateRank, QueryPlan};
 pub use serve::{

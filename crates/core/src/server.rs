@@ -597,8 +597,6 @@ pub struct ServerConfig {
     pub limits: QueryLimits,
     /// Resource budget applied to every request.
     pub budget: Budget,
-    /// Shared join-cache capacity per generation.
-    pub join_cache_capacity: usize,
     /// Full-query estimate-cache capacity per generation (0 disables the
     /// skew-aware fast path). Each `reload` builds its generation a
     /// fresh cache, so a summary swap invalidates every published
@@ -622,7 +620,6 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(10)),
             limits: QueryLimits::unlimited(),
             budget: Budget::unlimited(),
-            join_cache_capacity: DEFAULT_JOIN_CACHE_CAPACITY,
             estimate_cache_capacity: DEFAULT_ESTIMATE_CACHE_CAPACITY,
             poison_tag: None,
         }
@@ -648,17 +645,12 @@ struct Generation {
 }
 
 impl Generation {
-    fn new(
-        summary: Arc<Summary>,
-        epoch: u64,
-        join_cache_capacity: usize,
-        estimate_cache_capacity: usize,
-    ) -> Self {
+    fn new(summary: Arc<Summary>, epoch: u64, estimate_cache_capacity: usize) -> Self {
         Generation {
             epoch,
             summary,
             adjacency: Arc::new(JoinIndexCache::new()),
-            join_cache: Arc::new(JoinCache::with_capacity(join_cache_capacity)),
+            join_cache: Arc::new(JoinCache::with_capacity(DEFAULT_JOIN_CACHE_CAPACITY)),
             estimate_cache: Arc::new(EstimateCache::with_capacity(estimate_cache_capacity)),
         }
     }
@@ -734,8 +726,7 @@ struct Job {
 /// worker.
 struct SharedState {
     /// The serving generation; the mutex guards publication only —
-    /// readers clone the `Arc` out and drop the lock immediately
-    /// (mirroring `JoinIndexCache`).
+    /// readers clone the `Arc` out and drop the lock immediately.
     generation: Mutex<Arc<Generation>>,
     /// Epoch of the published generation; workers revalidate with one
     /// atomic load per job.
@@ -856,7 +847,7 @@ fn stats_response(state: &SharedState, connection: &OutcomeTally) -> String {
         est.misses(),
         est.hit_rate(),
         est.inserts(),
-        est.invalidations(),
+        est.evictions(),
         est.len(),
         est.capacity(),
         join.hits(),
@@ -1076,7 +1067,6 @@ fn handle_reload(state: &SharedState, path_override: Option<String>) -> String {
     let generation = Generation::new(
         Arc::new(summary),
         epoch,
-        state.config.join_cache_capacity,
         state.config.estimate_cache_capacity,
     );
     let (paths, pids, tags) = (
@@ -1209,12 +1199,7 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let generation = Generation::new(
-            summary,
-            1,
-            config.join_cache_capacity,
-            config.estimate_cache_capacity,
-        );
+        let generation = Generation::new(summary, 1, config.estimate_cache_capacity);
         let state = Arc::new(SharedState {
             generation: Mutex::new(Arc::new(generation)),
             epoch: AtomicU64::new(1),

@@ -304,7 +304,7 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
                         got, want,
                         "kernel {kernel:?}, workers {workers}, pass {pass}, {query}"
                     );
-                    ests[(i + 1) % workers].flush_join_cache();
+                    ests[(i + 1) % workers].flush_caches();
                 }
             }
             // Drop-merge whatever is still pending, then serve a fresh

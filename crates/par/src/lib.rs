@@ -76,12 +76,11 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// estimator gives each worker a single reusable estimator instead of one
 /// per item. `S` never crosses threads, so it needs no `Send`/`Sync`
 /// bounds. After a worker finishes each claimed chunk (and once more
-/// before it exits), `flush` runs against its state. This is the
-/// lazy-merge seam for per-worker caches — workers batch their writes
-/// privately and `flush` publishes them to shared structures at chunk
-/// boundaries, so the shared lock is taken once per chunk instead of once
-/// per item. On the serial path the whole range is one chunk: `flush`
-/// runs once, after the last item.
+/// before it exits), `flush` runs against its state. The batch
+/// estimator uses it to fold each worker's private cache tallies into
+/// the shared counters once per chunk instead of once per item. On the
+/// serial path the whole range is one chunk: `flush` runs once, after
+/// the last item.
 ///
 /// Runs serially when `threads <= 1` (after [`resolve_threads`]) or when
 /// there are fewer than two items; otherwise fans out over

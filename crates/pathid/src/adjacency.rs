@@ -17,10 +17,9 @@
 //! instead of scanning all candidate pairs with 344-bit containment
 //! tests.
 //!
-//! [`JoinIndexCache`] memoizes adjacencies per summary exactly like
-//! [`RelationMaskCache`](crate::RelationMaskCache) memoizes masks, and
-//! additionally counts builds and build wall-time so the bench harness
-//! can report amortization (`adjacency_build_ms` in the perf snapshot).
+//! [`JoinIndexCache`] memoizes adjacencies per summary and counts builds
+//! and build wall-time so the bench harness can report amortization
+//! (`adjacency_build_ms` in the perf snapshot).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,88 +347,45 @@ impl std::hash::Hasher for PackedKeyHasher {
 /// A map keyed by pre-packed `u64`s through [`PackedKeyHasher`].
 type PackedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PackedKeyHasher>>;
 
-/// An immutable view of every adjacency and seed bitmap published so far.
-///
-/// The owning [`JoinIndexCache`] publishes a fresh snapshot (map clone +
-/// insert + `Arc` swap under its mutex) each time a cold build completes,
-/// and bumps its epoch. Readers hold one `Arc` per observed epoch and
-/// probe it with plain hash lookups — no lock, no atomic RMW — which is
-/// what lets warm joins on the per-estimator memos stay lock-free even
-/// when the cache is shared by every worker of a batch.
+/// Every adjacency and seed bitmap published so far.
 #[derive(Debug, Default)]
-pub struct JoinIndexSnapshot {
+struct IndexMaps {
     /// Adjacencies keyed by `(tag_u << 32) | tag_v`, one map per axis
     /// (index 1 = child) — splitting on the axis keeps the packed key
     /// injective for every representable tag index.
-    maps: [PackedMap<Arc<ContainmentAdjacency>>; 2],
+    adjacencies: [PackedMap<Arc<ContainmentAdjacency>>; 2],
     /// Seed bitmaps keyed by `(tag << 1) | rooted`.
     seeds: PackedMap<Arc<Vec<u64>>>,
 }
 
-impl JoinIndexSnapshot {
-    fn adjacency_key(tag_u: TagId, tag_v: TagId) -> u64 {
-        ((tag_u.index() as u64) << 32) | tag_v.index() as u64
-    }
-
-    fn seed_key(tag: TagId, rooted: bool) -> u64 {
-        ((tag.index() as u64) << 1) | u64::from(rooted)
-    }
-
-    /// The published adjacency for `(tag_u, tag_v, child_axis)`, if any.
-    #[inline]
-    pub fn adjacency(
-        &self,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Option<&Arc<ContainmentAdjacency>> {
-        self.maps[usize::from(child_axis)].get(&Self::adjacency_key(tag_u, tag_v))
-    }
-
-    /// The published seed bitmap for `(tag, rooted)`, if any.
-    #[inline]
-    pub fn seed(&self, tag: TagId, rooted: bool) -> Option<&Arc<Vec<u64>>> {
-        self.seeds.get(&Self::seed_key(tag, rooted))
-    }
-
-    /// Number of published adjacencies.
-    pub fn len(&self) -> usize {
-        self.maps.iter().map(HashMap::len).sum()
-    }
-
-    /// Whether no adjacency has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+fn adjacency_key(tag_u: TagId, tag_v: TagId) -> u64 {
+    ((tag_u.index() as u64) << 32) | tag_v.index() as u64
 }
 
-/// Epoch-published memo table over [`ContainmentAdjacency::build`], keyed
-/// like the relation-mask cache by `(tag_u, tag_v, child_axis)`.
+fn seed_key(tag: TagId, rooted: bool) -> u64 {
+    ((tag.index() as u64) << 1) | u64::from(rooted)
+}
+
+/// Memo table over [`ContainmentAdjacency::build`] keyed by `(tag_u,
+/// tag_v, child_axis)`, plus the join's seed bitmaps keyed by `(tag,
+/// rooted)`.
 ///
-/// Reads go through an immutable [`JoinIndexSnapshot`]: grab it once via
-/// [`snapshot`](Self::snapshot), revalidate with a single
-/// [`epoch`](Self::epoch) load, and probe lock-free until the epoch
-/// moves. The mutex guards publication only — a miss builds its
-/// adjacency *outside* the lock, then rechecks, clones the current maps,
-/// inserts, swaps the `Arc`, and bumps the epoch. A per-key in-flight
-/// guard keeps same-key cold misses from duplicating work: the first
-/// worker claims the key and builds, racers wait on a condvar and then
-/// read the published entry, and misses on *different* keys still build
-/// fully in parallel. The publish-side recheck stays as a belt-and-braces
-/// first-publication-wins backstop (a claim released by a panicking
-/// builder can let a second attempt run). Builds are pure functions of
-/// the key and the (immutable) summary structures, so every reader
-/// observes the same rows regardless of which epoch it joined at. Build
-/// count, build attempts, cumulative build time, pair totals, and mutex
+/// One mutex guards the maps, which are updated in place; estimators
+/// mirror what they read into their own flat tables, so warm joins never
+/// come back here. A miss builds *outside* that mutex. A per-key
+/// in-flight claim keeps same-key cold misses from duplicating work: the
+/// first worker claims the key and builds, racers wait on a condvar and
+/// then read the published entry, and misses on *different* keys still
+/// build fully in parallel. Publication never replaces an entry, so
+/// every caller of one key gets the same `Arc`. A build that panics
+/// releases its claim, and a waiter then builds the key itself.
+/// Builds are pure functions of the key and the (immutable) summary
+/// structures, so every reader observes the same rows. Build count,
+/// build attempts, cumulative build time, pair totals, and mutex
 /// acquisitions are tracked for the perf snapshot.
 #[derive(Debug, Default)]
 pub struct JoinIndexCache {
-    /// The current snapshot; the mutex guards publication, not reads —
-    /// readers clone the `Arc` out and drop the lock immediately.
-    published: Mutex<Arc<JoinIndexSnapshot>>,
-    /// Bumped (release) after every publication; readers revalidate
-    /// their held snapshot with one acquire load.
-    epoch: AtomicU64,
+    maps: Mutex<IndexMaps>,
     /// Arena layout of the summary's interner, built on first use and
     /// shared by every adjacency build (the cache is per-summary, like
     /// the adjacencies themselves).
@@ -444,8 +400,8 @@ pub struct JoinIndexCache {
     /// Keys (adjacency or seed) whose build is currently running. A cold
     /// miss claims its key here before building; racing workers on the
     /// *same* key wait on [`inflight_cv`](Self::inflight_cv) and then
-    /// re-probe the snapshot instead of duplicating the build. Different
-    /// keys still build fully in parallel.
+    /// re-probe instead of duplicating the build. Different keys still
+    /// build fully in parallel.
     inflight: Mutex<HashSet<(u8, u64)>>,
     /// Wakes same-key waiters when a claim is released (publish or
     /// panic — the claim is a drop guard).
@@ -485,24 +441,9 @@ impl JoinIndexCache {
         Self::default()
     }
 
-    /// The current publication epoch. A reader holding a snapshot taken
-    /// at this epoch sees every entry published so far; snapshots only
-    /// ever grow, so a stale one is still correct — merely incomplete.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The current snapshot (one mutex acquisition; probe the returned
-    /// `Arc` lock-free afterwards).
-    pub fn snapshot(&self) -> Arc<JoinIndexSnapshot> {
-        Arc::clone(&self.lock_published())
-    }
-
-    fn lock_published(&self) -> MutexGuard<'_, Arc<JoinIndexSnapshot>> {
+    fn lock_maps(&self) -> MutexGuard<'_, IndexMaps> {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        self.published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Tries to claim an in-flight key; `None` means another worker is
@@ -518,7 +459,7 @@ impl JoinIndexCache {
 
     /// Blocks until `key`'s current builder releases its claim (or a
     /// short timeout elapses, bounding any missed-wakeup window). The
-    /// caller re-probes the snapshot afterwards.
+    /// caller re-probes the maps afterwards.
     fn wait_inflight(&self, key: (u8, u64)) {
         let set = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         if set.contains(&key) {
@@ -526,6 +467,37 @@ impl JoinIndexCache {
                 .inflight_cv
                 .wait_timeout(set, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The entry `probe` finds, or — once this caller holds the in-flight
+    /// claim on `claim_key` and a re-probe still misses — the entry
+    /// `build_and_publish` stores. Same-key callers wait for the claim
+    /// holder instead of duplicating its build; other keys proceed in
+    /// parallel.
+    fn memoize<T>(
+        &self,
+        claim_key: (u8, u64),
+        probe: impl Fn() -> Option<Arc<T>>,
+        build_and_publish: impl FnOnce() -> Arc<T>,
+    ) -> Arc<T> {
+        loop {
+            if let Some(v) = probe() {
+                return v;
+            }
+            let Some(_claim) = self.try_claim(claim_key) else {
+                // Another worker is building this key right now: wait
+                // for its publication instead of duplicating the work,
+                // then re-probe.
+                self.wait_inflight(claim_key);
+                continue;
+            };
+            // Claimed. Re-probe once — the previous holder may have
+            // published between our probe and our claim.
+            if let Some(v) = probe() {
+                return v;
+            }
+            return build_and_publish();
         }
     }
 
@@ -540,63 +512,35 @@ impl JoinIndexCache {
         tag_v: TagId,
         child_axis: bool,
     ) -> Arc<ContainmentAdjacency> {
-        let claim_key = (
-            u8::from(child_axis),
-            JoinIndexSnapshot::adjacency_key(tag_u, tag_v),
-        );
-        loop {
-            if let Some(a) = self.snapshot().adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
-            }
-            let Some(_claim) = self.try_claim(claim_key) else {
-                // Another worker is building this key right now: wait
-                // for its publication instead of duplicating the work,
-                // then re-probe.
-                self.wait_inflight(claim_key);
-                continue;
-            };
-            // Claimed. Re-probe once — the previous holder may have
-            // published between our probe and our claim.
-            if let Some(a) = self.snapshot().adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
-            }
-            // Resolve the shared layout first: the OnceLocks serialize
-            // their own (expensive, once-per-summary) builds without
-            // stalling unrelated publications.
-            let slab = self.slab(pids);
-            let relation = self.relation(pids);
-            // Build outside the publish lock: the mutex guards
-            // publication only, so a long adjacency build never convoys
-            // other workers' snapshot refreshes. The claim guarantees at
-            // most one same-key build at a time; the publish-side
-            // recheck below stays as the first-publication-wins backstop
-            // for claims released by a panicking builder.
-            self.build_attempts.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            let built = Arc::new(ContainmentAdjacency::build_with_layout(
-                encoding, pids, &slab, &relation, tag_u, tag_v, child_axis,
-            ));
-            let build_nanos = t0.elapsed().as_nanos() as u64;
-            let mut published = self.lock_published();
-            if let Some(a) = published.adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
-            }
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            self.build_nanos.fetch_add(build_nanos, Ordering::Relaxed);
-            self.pairs
-                .fetch_add(built.pair_count() as u64, Ordering::Relaxed);
-            let mut next = JoinIndexSnapshot {
-                maps: published.maps.clone(),
-                seeds: published.seeds.clone(),
-            };
-            next.maps[usize::from(child_axis)].insert(
-                JoinIndexSnapshot::adjacency_key(tag_u, tag_v),
-                Arc::clone(&built),
-            );
-            *published = Arc::new(next);
-            self.epoch.fetch_add(1, Ordering::Release);
-            return built;
-        }
+        let (axis, key) = (usize::from(child_axis), adjacency_key(tag_u, tag_v));
+        self.memoize(
+            (axis as u8, key),
+            || self.lock_maps().adjacencies[axis].get(&key).cloned(),
+            || {
+                // Resolve the shared layout first: the OnceLocks
+                // serialize their own (expensive, once-per-summary)
+                // builds.
+                let slab = self.slab(pids);
+                let relation = self.relation(pids);
+                // Build outside the maps mutex, so a long adjacency
+                // build never convoys other workers' probes.
+                self.build_attempts.fetch_add(1, Ordering::Relaxed);
+                let t0 = Instant::now();
+                let built = Arc::new(ContainmentAdjacency::build_with_layout(
+                    encoding, pids, &slab, &relation, tag_u, tag_v, child_axis,
+                ));
+                let build_nanos = t0.elapsed().as_nanos() as u64;
+                let mut maps = self.lock_maps();
+                let stored = maps.adjacencies[axis].entry(key).or_insert_with(|| {
+                    self.builds.fetch_add(1, Ordering::Relaxed);
+                    self.build_nanos.fetch_add(build_nanos, Ordering::Relaxed);
+                    self.pairs
+                        .fetch_add(built.pair_count() as u64, Ordering::Relaxed);
+                    built
+                });
+                Arc::clone(stored)
+            },
+        )
     }
 
     /// The memoized arena layout of `pids`, building it on first use.
@@ -623,7 +567,7 @@ impl JoinIndexCache {
     }
 
     /// The memoized seed bitmap for `(tag, rooted)`, running `build` on
-    /// first use. The build runs outside the publish lock; the per-key
+    /// first use. The build runs outside the maps mutex; the per-key
     /// in-flight guard coalesces concurrent cold calls (a waiter whose
     /// builder panicked re-runs `build`, so the closure may run more
     /// than once across failures — never concurrently for one key).
@@ -633,42 +577,23 @@ impl JoinIndexCache {
         rooted: bool,
         build: impl Fn() -> Vec<u64>,
     ) -> Arc<Vec<u64>> {
-        // Namespaces 2/3 keep seed claims disjoint from adjacency claims
+        // Namespace 2 keeps seed claims disjoint from adjacency claims
         // (which use the axis bit, 0/1).
-        let claim_key = (2 + u8::from(rooted), tag.index() as u64);
-        loop {
-            if let Some(s) = self.snapshot().seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            let Some(_claim) = self.try_claim(claim_key) else {
-                self.wait_inflight(claim_key);
-                continue;
-            };
-            if let Some(s) = self.snapshot().seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            // Built outside the publish lock; the recheck below is the
-            // first-publication-wins backstop, as in [`get`](Self::get).
-            let built = Arc::new(build());
-            let mut published = self.lock_published();
-            if let Some(s) = published.seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            let mut next = JoinIndexSnapshot {
-                maps: published.maps.clone(),
-                seeds: published.seeds.clone(),
-            };
-            next.seeds
-                .insert(JoinIndexSnapshot::seed_key(tag, rooted), Arc::clone(&built));
-            *published = Arc::new(next);
-            self.epoch.fetch_add(1, Ordering::Release);
-            return built;
-        }
+        let key = seed_key(tag, rooted);
+        self.memoize(
+            (2, key),
+            || self.lock_maps().seeds.get(&key).cloned(),
+            || {
+                // Built outside the maps mutex, as in [`get`](Self::get).
+                let built = Arc::new(build());
+                Arc::clone(self.lock_maps().seeds.entry(key).or_insert(built))
+            },
+        )
     }
 
     /// Number of published adjacencies.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.lock_maps().adjacencies.iter().map(HashMap::len).sum()
     }
 
     /// Whether no adjacency has been built yet.
@@ -702,11 +627,10 @@ impl JoinIndexCache {
         self.pairs.load(Ordering::Relaxed)
     }
 
-    /// Number of publish-mutex acquisitions so far: snapshot refreshes,
-    /// cold builds, and introspection ([`len`](Self::len)) all count.
-    /// Warm joins served from per-estimator memos must not move this —
-    /// `kernel_stats()` surfaces the sum so tests can assert exactly
-    /// that.
+    /// Number of maps-mutex acquisitions so far: probes, cold builds, and
+    /// introspection ([`len`](Self::len)) all count. Warm joins served
+    /// from per-estimator memos must not move this — `kernel_stats()`
+    /// surfaces the sum so tests can assert exactly that.
     pub fn lock_count(&self) -> u64 {
         self.locks.load(Ordering::Relaxed)
     }

@@ -46,16 +46,12 @@ mod stream;
 mod tree;
 pub mod words;
 
-pub use adjacency::{
-    ContainmentAdjacency, JoinIndexCache, JoinIndexSnapshot, PidContainmentRelation,
-};
+pub use adjacency::{ContainmentAdjacency, JoinIndexCache, PidContainmentRelation};
 pub use bits::{Ones, PathIdBits};
 pub use encoding::{EncodingTable, PathEncoding};
 pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
-pub use rel::{
-    axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache, RelationMaskSnapshot,
-};
+pub use rel::{axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache};
 pub use slab::{PidBitmapSlab, PidBitsRef};
 pub use stream::{PathScan, StreamLabeler, StreamLabeling, StreamSink};
 pub use tree::PathIdTree;

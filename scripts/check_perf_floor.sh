@@ -23,7 +23,14 @@
 # XPE_PERF_MAX_SCREEN_SHARE; snapshots predating the plan lap (no
 # plan_ms field) are still accepted, with plan time read as zero.
 #
-# A third floor guards multi-core scaling via the snapshot's `scaling`
+# A third floor keeps the one-worker batch path level with the serial
+# loop: on the XMark and DBLP rows, `batch_jobs1_qps / serial_qps` must
+# reach MIN_BATCH_VS_SERIAL (0.6, a constant). Both run the same queries
+# on one thread, so the ratio is robust to runner speed; a batch path
+# several times slower than serial means per-query overhead crept back
+# into it (a copy-on-write estimate-cache insert once made it 0.14-0.5).
+#
+# A fourth floor guards multi-core scaling via the snapshot's `scaling`
 # array (steady-state batch throughput per worker count): on runners
 # with ≥2 cores, every bitmap dataset's 2-effective-worker row must
 # reach XPE_PERF_MIN_SPEEDUP (default 1.3) over its one-worker row,
@@ -51,10 +58,10 @@
 # cache, so falling to parity with a cold uniform sweep means the
 # skew-aware fast path stopped being one. The default is conservative
 # because the serve path is socket-bound on small CI runners (local
-# 2-core runs measure 1.3–1.5x); the cache's raw effect is gated at
-# >=2x engine-level in the estimation snapshot's own traffic rows,
-# where no socket hides it. Snapshots without `traffic` rows fail —
-# the array is part of the format.
+# 2-core runs measure 1.3–1.5x). The estimation snapshot's own traffic
+# rows record the cache's raw engine-level effect, where no socket hides
+# it, but this script does not gate them. Snapshots without `traffic`
+# rows fail — the array is part of the format.
 set -euo pipefail
 
 snapshot="${1:-results/BENCH_estimation.json}"
@@ -85,6 +92,7 @@ min_speedup = float(os.environ["MIN_SPEEDUP"])
 scaling_slack = float(os.environ["SCALING_SLACK"])
 serve_floor = float(os.environ["SERVE_FLOOR"])
 min_warm_skew = float(os.environ["MIN_WARM_SKEW"])
+MIN_BATCH_VS_SERIAL = 0.6
 with open(snapshot) as f:
     data = json.load(f)
 
@@ -168,6 +176,22 @@ for r in rows:
 
 if not any(r.get("dataset") == "XMark" for r in rows):
     sys.exit(f"perf floor: no XMark rows in {snapshot}")
+
+# Batch-vs-serial floor: one batch worker must keep pace with the
+# serial loop over the same queries.
+for r in rows:
+    if r.get("kernel") != "bitmap" or r.get("dataset") not in ("DBLP", "XMark"):
+        continue
+    ratio = float(r["batch_jobs1_qps"]) / float(r["serial_qps"])
+    tag = f"{r['dataset']}[bitmap]"
+    print(
+        f"perf floor: {tag} batch(1) / serial {ratio:.2f}x "
+        f"(floor {MIN_BATCH_VS_SERIAL:.2f}x)"
+    )
+    if ratio < MIN_BATCH_VS_SERIAL:
+        failures.append(
+            f"{tag} batch(1) {ratio:.2f}x of serial < floor {MIN_BATCH_VS_SERIAL:.2f}x"
+        )
 
 # Scaling floor: the `scaling` array must exist, and on multi-core
 # runners every bitmap dataset with both a 1- and a 2-effective-worker
