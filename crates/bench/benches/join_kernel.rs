@@ -61,7 +61,7 @@ fn join_all_bitmap(
     let mut sum = 0.0;
     for q in queries {
         let plan = QueryPlan::build(summary, q);
-        let j = path_join_bitmap(summary, q, &plan, index, None, Some(scratch), None);
+        let j = path_join_bitmap(summary, &plan, index, None, Some(scratch), None);
         sum += j.frequency(q.target());
         scratch.recycle(j);
     }

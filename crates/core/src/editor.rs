@@ -5,7 +5,10 @@
 //! trimmed query `Q̃' = q1[/ni1/folls::q3]`. This module rebuilds a
 //! [`Query`] from a kept subset of nodes, remapping ids and dropping order
 //! constraints (every derived query the formulas evaluate is order-free;
-//! order information enters only through o-histogram lookups).
+//! order information enters only through o-histogram lookups). The
+//! estimator's bitmap kernel joins such subsets without rebuilding them;
+//! its reference kernel, the optimizer helpers and the differential
+//! harness rebuild them here.
 
 use xpe_xpath::{Query, QueryEdge, QueryNode, QueryNodeId};
 
@@ -33,16 +36,20 @@ impl Rebuilt {
 /// Rebuilds `q` keeping exactly the nodes with `keep[id.index()]`, with
 /// `target` (which must be kept) as the new target. Order constraints are
 /// dropped. A kept node's parent must also be kept — the formulas only ever
-/// remove whole subtrees.
+/// remove whole subtrees. Kept nodes are numbered in id order.
 pub fn rebuild(q: &Query, keep: &[bool], target: QueryNodeId) -> Rebuilt {
     debug_assert!(keep[target.index()], "target must survive");
+    debug_assert!(
+        q.nodes()
+            .iter()
+            .zip(keep)
+            .all(|(node, &kept)| kept || node.edges.iter().all(|e| !keep[e.to.index()])),
+        "kept node's parent must be kept"
+    );
     let mut map: Vec<Option<QueryNodeId>> = vec![None; q.len()];
     let mut next = 0u32;
     for old in q.node_ids() {
         if keep[old.index()] {
-            if let Some((p, _)) = q.parent_of(old) {
-                debug_assert!(keep[p.index()], "kept node's parent must be kept");
-            }
             map[old.index()] = Some(QueryNodeId::from_index(next as usize));
             next += 1;
         }
@@ -98,44 +105,6 @@ pub fn subtree_of(q: &Query, head: QueryNodeId) -> Vec<bool> {
     in_sub
 }
 
-/// The spine query of target `n` (generalized `Q' = q1/q2`): keeps the path
-/// from the query root to `n` plus `n`'s own subtree; drops every other
-/// branch.
-pub fn spine_query(q: &Query, n: QueryNodeId) -> Rebuilt {
-    let mut keep = subtree_of(q, n);
-    for a in q.path_to(n) {
-        keep[a.index()] = true;
-    }
-    rebuild(q, &keep, n)
-}
-
-/// Removes the descendants of `head` (keeping `head` itself) — the paper's
-/// "deleting the branch part q2 except for its first node ni1".
-pub fn trim_below(q: &Query, head: QueryNodeId, target: QueryNodeId) -> Rebuilt {
-    let mut keep = vec![true; q.len()];
-    let sub = subtree_of(q, head);
-    for id in q.node_ids() {
-        if sub[id.index()] && id != head {
-            keep[id.index()] = false;
-        }
-    }
-    rebuild(q, &keep, target)
-}
-
-/// Removes the subtrees rooted at each of `heads` entirely.
-pub fn drop_subtrees(q: &Query, heads: &[QueryNodeId], target: QueryNodeId) -> Rebuilt {
-    let mut keep = vec![true; q.len()];
-    for &h in heads {
-        let sub = subtree_of(q, h);
-        for id in q.node_ids() {
-            if sub[id.index()] {
-                keep[id.index()] = false;
-            }
-        }
-    }
-    rebuild(q, &keep, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,58 +120,27 @@ mod tests {
     }
 
     #[test]
-    fn spine_query_drops_other_branches() {
-        // Q2 = //C[/E]/F with target E: the spine is C/E.
-        let q = parse_query("//C[/$E]/F").unwrap();
-        let r = spine_query(&q, q.target());
-        assert_eq!(r.query.len(), 2);
-        assert_eq!(r.query.node(r.query.root()).tag, "C");
-        assert_eq!(r.query.node(r.query.target()).tag, "E");
-        // E is the rendered default target, so Display omits the marker.
-        assert_eq!(r.query.to_string(), "//C/E");
-    }
-
-    #[test]
-    fn spine_keeps_targets_own_subtree() {
-        // //A[/B/X]/C/D with target B: the spine keeps A, B and B's child X.
-        let q = parse_query("//A[/$B/X]/C/D").unwrap();
-        let r = spine_query(&q, q.target());
-        assert_eq!(r.query.len(), 3);
-        let tags: Vec<&str> = r
-            .query
-            .node_ids()
-            .map(|n| r.query.node(n).tag.as_str())
-            .collect();
-        assert!(tags.contains(&"X"));
-        assert!(!tags.contains(&"C"));
-    }
-
-    #[test]
-    fn trim_below_keeps_head() {
-        // Trim C's subtree in //A[/C/F]/B: F disappears, C stays.
-        let q = parse_query("//A[/C/F]/B").unwrap();
-        let c = q.node_ids().find(|&n| q.node(n).tag == "C").unwrap();
-        let r = trim_below(&q, c, q.target());
-        assert_eq!(r.query.len(), 3);
-        let c_new = r.remap(c);
-        assert!(r.query.node(c_new).edges.is_empty());
-    }
-
-    #[test]
-    fn drop_subtrees_removes_whole_branch() {
+    fn rebuild_drops_a_whole_branch_and_renumbers_in_id_order() {
         let q = parse_query("//A[/C/F]/B/D").unwrap();
         let c = q.node_ids().find(|&n| q.node(n).tag == "C").unwrap();
-        let r = drop_subtrees(&q, &[c], q.target());
+        let mut keep = vec![true; q.len()];
+        for (i, dropped) in subtree_of(&q, c).into_iter().enumerate() {
+            keep[i] &= !dropped;
+        }
+        let r = rebuild(&q, &keep, q.target());
         assert_eq!(r.query.len(), 3); // A, B, D
         assert_eq!(r.query.to_string(), "//A/B/D");
         assert!(r.map[c.index()].is_none());
+        let kept: Vec<usize> = r.map.iter().flatten().map(|n| n.index()).collect();
+        assert_eq!(kept, [0, 1, 2]);
     }
 
     #[test]
     fn remap_panics_on_dropped_node() {
         let q = parse_query("//A[/C]/B").unwrap();
         let c = q.node_ids().find(|&n| q.node(n).tag == "C").unwrap();
-        let r = drop_subtrees(&q, &[c], q.target());
+        let keep: Vec<bool> = q.node_ids().map(|n| n != c).collect();
+        let r = rebuild(&q, &keep, q.target());
         let result = std::panic::catch_unwind(|| r.remap(c));
         assert!(result.is_err());
     }

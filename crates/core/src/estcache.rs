@@ -15,12 +15,14 @@
 //! The key is the query's canonical text ([`Query`]'s `Display`
 //! rendering — the same normalizer the workload generator uses for
 //! deduplication), with its 64-bit hash computed once at construction;
-//! shard selection and map probes reuse it. Canonicalization means
-//! surface variants of one query (`pres::` vs the `folls::` orientation,
-//! redundant `$` markers) collapse into one entry, while
-//! order-constraint variants that share a *skeleton* — and therefore
-//! share a join-cache entry — still get distinct estimate entries,
-//! because the canonical text renders their constraints and targets.
+//! shard selection and map probes reuse it. An estimator renders every
+//! query into one reused key buffer and clones it only to publish.
+//! Canonicalization means surface variants of one query (`pres::` vs the
+//! `folls::` orientation, redundant `$` markers) collapse into one entry,
+//! while order-constraint variants that share a *skeleton* — and
+//! therefore share a join-cache entry — still get distinct estimate
+//! entries, because the canonical text renders their constraints and
+//! targets.
 //!
 //! # Publication
 //!
@@ -50,7 +52,7 @@ use crate::memo::{MemoFront, MemoKey, SharedMemo};
 /// [`SkeletonKey`](crate::SkeletonKey), order constraints and the target
 /// node are **included** — two queries get equal keys iff their whole
 /// estimates are interchangeable.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EstimateKey {
     text: String,
     hash: u64,
@@ -75,12 +77,19 @@ impl EstimateKey {
     /// (the workload generator computes it for deduplication; reusing it
     /// skips a re-render).
     pub fn from_text(text: String) -> EstimateKey {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write(text.as_bytes());
         EstimateKey {
-            hash: h.finish(),
+            hash: hash_text(&text),
             text,
         }
+    }
+
+    /// Re-renders this key as `query`'s canonical text, reusing its
+    /// buffer.
+    pub(crate) fn set(&mut self, query: &Query) {
+        use std::fmt::Write;
+        self.text.clear();
+        write!(self.text, "{query}").expect("writing to a String cannot fail");
+        self.hash = hash_text(&self.text);
     }
 
     /// The canonical query text this key normalizes to.
@@ -97,10 +106,18 @@ impl MemoKey for EstimateKey {
     }
 }
 
+fn hash_text(text: &str) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(text.as_bytes());
+    h.finish()
+}
+
 /// Builds the [`EstimateKey`] of `query` by rendering its canonical
 /// text.
 pub fn estimate_key(query: &Query) -> EstimateKey {
-    EstimateKey::from_text(query.to_string())
+    let mut key = EstimateKey::default();
+    key.set(query);
+    key
 }
 
 /// The shared full-query estimate cache of an engine or serving
@@ -149,13 +166,28 @@ mod tests {
         assert_ne!(plain, ordered);
         assert_ne!(ordered, reversed);
         assert_ne!(plain, retargeted);
-        let skel = crate::joincache::skeleton_key(&parse_query("//A[/C]/B").unwrap());
+        let summary = xpe_synopsis::Summary::build(
+            &xpe_xml::fixtures::paper_figure1(),
+            xpe_synopsis::SummaryConfig::default(),
+        );
+        let skeleton = |q: &str| {
+            crate::skeleton_key(&crate::QueryPlan::build(&summary, &parse_query(q).unwrap()))
+        };
+        let skel = skeleton("//A[/C]/B");
         for q in ["//A[/C/folls::B]", "//A[/C/pres::B]", "//A[/$C]/B"] {
-            assert_eq!(
-                skel,
-                crate::joincache::skeleton_key(&parse_query(q).unwrap()),
-                "{q} was expected to share the skeleton"
-            );
+            assert_eq!(skel, skeleton(q), "{q} was expected to share the skeleton");
+        }
+    }
+
+    /// Refilling a key in place yields the key built from scratch.
+    #[test]
+    fn a_reused_key_buffer_matches_a_fresh_key() {
+        let mut reused = key("//A[/C/F]/B/D[/E]/G");
+        for q in ["//A", "//A[/C/folls::$B/D]", "/Root//E"] {
+            reused.set(&parse_query(q).unwrap());
+            assert_eq!(reused, key(q), "{q}");
+            assert_eq!(reused.hash64(), key(q).hash64(), "{q}");
+            assert_eq!(reused.text(), parse_query(q).unwrap().to_string());
         }
     }
 }

@@ -20,21 +20,22 @@
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
+use std::time::Instant;
 
 use xpe_pathid::{JoinIndexCache, RelationMaskCache};
 use xpe_synopsis::{Region, Summary};
+use xpe_xml::TagId;
 use xpe_xpath::{
-    constraint_chains, parse_query, Axis, OrderConstraint, OrderKind, Query, QueryNodeId,
-    QueryParseError,
+    parse_query, Axis, OrderConstraint, OrderKind, Query, QueryNodeId, QueryParseError,
 };
 
-use crate::editor::{self, subtree_of};
-use crate::estcache::{estimate_key, EstimateCache, EstimateCacheReader};
+use crate::editor;
+use crate::estcache::{EstimateCache, EstimateCacheReader, EstimateKey};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
     path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
 };
-use crate::joincache::{skeleton_key, JoinCache, WorkerJoinCache};
+use crate::joincache::{JoinCache, SkeletonKey, WorkerJoinCache};
 use crate::planner::QueryPlan;
 use crate::serve::{
     Budget, BudgetExhausted, BudgetState, DegradedReason, EstimateOutcome, EstimateStatus,
@@ -52,6 +53,12 @@ use crate::serve::{
 /// key. Estimators built by [`EstimationEngine`](crate::EstimationEngine)
 /// share one adjacency index and one workload-level [`JoinCache`], so a
 /// batch warms both for every worker.
+///
+/// An estimate resolves its query against the summary once — tag ids,
+/// parent links, subtree spans and order chains — and derives every
+/// sub-query the formulas join as a set of the resolved query's nodes.
+/// The buffers for all of that are the estimator's own and are reused,
+/// so a warm estimate allocates nothing.
 pub struct Estimator<'s> {
     summary: &'s Summary,
     adjacency: Arc<JoinIndexCache>,
@@ -67,13 +74,22 @@ pub struct Estimator<'s> {
     /// valid for this estimator's `(summary, adjacency)` pairing, which
     /// both live as long as the estimator by construction.
     memo: RefCell<JoinMemo>,
-    /// Which join kernel [`run_join`](Self::run_join) dispatches to. Both
-    /// are bit-identical; `Naive` is the reference oracle and opts out of
+    /// Which join kernel [`join`](Self::join) dispatches to. Both are
+    /// bit-identical; `Naive` is the reference oracle and opts out of
     /// caches and budget cooperation.
     kernel: JoinKernel,
     /// Live budget of the in-flight [`try_estimate`](Self::try_estimate)
     /// call, threaded into every join it runs; `None` outside one.
     budget: RefCell<Option<BudgetState>>,
+    /// Idle resolution buffers: one is in use per query being estimated,
+    /// which is more than one only while a §5 conversion recurses.
+    resolutions: RefCell<Vec<Resolution>>,
+    /// The plan of the sub-query being joined.
+    plan: RefCell<QueryPlan>,
+    /// The join-cache key of that plan.
+    skeleton: RefCell<SkeletonKey>,
+    /// The estimate-cache key of the query being estimated.
+    est_key: RefCell<EstimateKey>,
 }
 
 /// A join result that is either owned by this estimator or aliased out of
@@ -95,15 +111,210 @@ impl Deref for Joined {
     }
 }
 
-/// One order-constraint chain with its owner, resolved to head nodes.
-#[derive(Clone, Debug)]
+/// A query resolved against the estimator's summary: everything the
+/// formulas and the plans of its sub-queries read besides the query's
+/// own edges, in buffers the estimator reuses from query to query.
+#[derive(Debug, Default)]
+struct Resolution {
+    /// Per node: its tag's id, or `None` for a tag the summary lacks.
+    tags: Vec<Option<TagId>>,
+    /// Per node: its parent, `None` for the root.
+    parent: Vec<Option<QueryNodeId>>,
+    /// Per node: its pre-order number and the number just past its
+    /// subtree, so `x` lies in `a`'s subtree iff `x`'s number falls in
+    /// `a`'s span.
+    span: Vec<(u32, u32)>,
+    /// The order-constraint chains, owners in id order and each owner's
+    /// chains by first edge.
+    chains: Vec<Chain>,
+    /// Every chain's `(edge index at the owner, head)` links, before to
+    /// after; each [`Chain`] owns one range.
+    links: Vec<(usize, QueryNodeId)>,
+    /// Walk scratch: the depth-first stack.
+    stack: Vec<QueryNodeId>,
+    /// Walk scratch: the nodes in pre-order.
+    preorder: Vec<QueryNodeId>,
+}
+
+/// One order-constraint chain: its owner, its kind, and its range of
+/// [`Resolution::links`].
+#[derive(Clone, Copy, Debug)]
 struct Chain {
     owner: QueryNodeId,
     kind: OrderKind,
-    /// Edge indices at the owner, in before→after order.
-    edges: Vec<usize>,
-    /// The chain heads (branch first nodes), in before→after order.
-    heads: Vec<QueryNodeId>,
+    start: usize,
+    end: usize,
+}
+
+/// A node no pre-order walk reached.
+const UNREACHED: u32 = u32::MAX;
+
+impl Resolution {
+    /// Resolves `query` against `summary`, reusing the buffers.
+    fn fill(&mut self, summary: &Summary, query: &Query) {
+        let n = query.len();
+        self.tags.clear();
+        self.tags
+            .extend(query.nodes().iter().map(|node| summary.tags.get(&node.tag)));
+        self.parent.clear();
+        self.parent.resize(n, None);
+        self.span.clear();
+        self.span.resize(n, (UNREACHED, UNREACHED));
+
+        // Pre-order numbers from one depth-first walk, then each
+        // subtree's end from the children's, deepest first.
+        self.stack.clear();
+        self.preorder.clear();
+        self.stack.push(query.root());
+        while let Some(x) = self.stack.pop() {
+            if self.span[x.index()].0 != UNREACHED {
+                continue;
+            }
+            let pre = self.preorder.len() as u32;
+            self.span[x.index()] = (pre, pre + 1);
+            self.preorder.push(x);
+            for e in query.node(x).edges.iter().rev() {
+                if self.span[e.to.index()].0 == UNREACHED {
+                    self.parent[e.to.index()] = Some(x);
+                    self.stack.push(e.to);
+                }
+            }
+        }
+        for &x in self.preorder.iter().rev() {
+            if let Some(p) = self.parent[x.index()] {
+                let end = self.span[x.index()].1;
+                let parent = &mut self.span[p.index()].1;
+                *parent = (*parent).max(end);
+            }
+        }
+
+        self.chains.clear();
+        self.links.clear();
+        for owner in query.node_ids() {
+            for first in query.chain_starts(owner) {
+                let start = self.links.len();
+                let (_, kind) = query
+                    .chain_next(owner, first)
+                    .expect("a chain starts with a constraint");
+                let mut cur = Some(first);
+                while let Some(e) = cur {
+                    self.links.push((e, query.node(owner).edges[e].to));
+                    cur = query.chain_next(owner, e).map(|(next, _)| next);
+                }
+                self.chains.push(Chain {
+                    owner,
+                    kind,
+                    start,
+                    end: self.links.len(),
+                });
+            }
+        }
+    }
+}
+
+/// A query with its resolution: the frame every formula reads.
+#[derive(Clone, Copy)]
+struct Resolved<'a> {
+    query: &'a Query,
+    res: &'a Resolution,
+}
+
+impl<'a> Resolved<'a> {
+    /// Whether `x` lies in the subtree rooted at `a`, `a` included.
+    fn within(self, x: QueryNodeId, a: QueryNodeId) -> bool {
+        let (start, end) = self.res.span[a.index()];
+        let pre = self.res.span[x.index()].0;
+        start <= pre && pre < end
+    }
+
+    fn tag(self, n: QueryNodeId) -> Option<TagId> {
+        self.res.tags[n.index()]
+    }
+
+    /// The `(edge, head)` links of `chain`, before to after.
+    fn links(self, chain: &Chain) -> &'a [(usize, QueryNodeId)] {
+        &self.res.links[chain.start..chain.end]
+    }
+
+    /// The deepest proper ancestor of `n` with an edge into `sub` that
+    /// leaves the root-to-`n` path (the paper's `ni`, the trunk end).
+    fn lowest_branching_ancestor(self, sub: Sub, n: QueryNodeId) -> Option<QueryNodeId> {
+        let mut on_path = n;
+        while let Some(anc) = self.res.parent[on_path.index()] {
+            let branches = self
+                .query
+                .node(anc)
+                .edges
+                .iter()
+                .any(|e| e.to != on_path && sub.contains(self, e.to));
+            if branches {
+                return Some(anc);
+            }
+            on_path = anc;
+        }
+        None
+    }
+}
+
+/// An order-free sub-query the formulas join, as a set of the resolved
+/// query's nodes: every node but the proper descendants of `cut`, and,
+/// with `spine` set, only those on the path from the root to `spine` or
+/// in `spine`'s subtree. The kept nodes keep their edges among
+/// themselves, and are numbered in id order — as
+/// [`rebuild`](crate::rebuild) numbers the same sub-query — so a join
+/// result of the sub-query is read through [`local`](Self::local).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Sub {
+    cut: Option<QueryNodeId>,
+    spine: Option<QueryNodeId>,
+}
+
+impl Sub {
+    /// `Q`: the order-free query itself (paper §5), which keeps every
+    /// node id.
+    const ALL: Sub = Sub {
+        cut: None,
+        spine: None,
+    };
+
+    /// `Q'` of Eqs. 3–5: the order-free query with `head`'s branch
+    /// trimmed to its first node.
+    fn trimmed_below(head: QueryNodeId) -> Sub {
+        Sub {
+            cut: Some(head),
+            spine: None,
+        }
+    }
+
+    /// `Q'` of Eq. 2: the path from the root to `n` plus `n`'s subtree,
+    /// within this sub-query.
+    fn spine_to(self, n: QueryNodeId) -> Sub {
+        debug_assert!(self.spine.is_none(), "spines are taken once");
+        Sub {
+            spine: Some(n),
+            ..self
+        }
+    }
+
+    fn contains(self, r: Resolved<'_>, x: QueryNodeId) -> bool {
+        !self.cut.is_some_and(|c| c != x && r.within(x, c))
+            && self
+                .spine
+                .map_or(true, |s| r.within(x, s) || r.within(s, x))
+    }
+
+    /// Node `x`'s number in this sub-query: how many kept nodes precede
+    /// it in id order.
+    fn local(self, r: Resolved<'_>, x: QueryNodeId) -> QueryNodeId {
+        debug_assert!(self.contains(r, x), "only kept nodes are numbered");
+        let before = r
+            .query
+            .node_ids()
+            .take(x.index())
+            .filter(|&y| self.contains(r, y))
+            .count();
+        QueryNodeId::from_index(before)
+    }
 }
 
 impl<'s> Estimator<'s> {
@@ -140,6 +351,10 @@ impl<'s> Estimator<'s> {
             memo: RefCell::new(JoinMemo::new()),
             kernel: JoinKernel::default(),
             budget: RefCell::new(None),
+            resolutions: RefCell::default(),
+            plan: RefCell::default(),
+            skeleton: RefCell::default(),
+            est_key: RefCell::default(),
         }
     }
 
@@ -161,7 +376,9 @@ impl<'s> Estimator<'s> {
 
     /// Selects the join kernel (default: [`JoinKernel::Bitmap`]). Both
     /// kernels produce bit-identical estimates; the naive kernel also
-    /// ignores caches and join budgets, by design.
+    /// ignores the join cache and join budgets, by design, and joins
+    /// every derived sub-query as a [`rebuild`](crate::rebuild)
+    /// [`Query`].
     pub fn with_kernel(mut self, kernel: JoinKernel) -> Self {
         self.kernel = kernel;
         self
@@ -173,7 +390,7 @@ impl<'s> Estimator<'s> {
     }
 
     /// Enables or disables the per-phase join timing breakdown (off by
-    /// default; costs two `Instant::now` pairs per join when on).
+    /// default; costs a few `Instant::now` calls per join when on).
     pub fn set_join_timing(&self, on: bool) {
         self.scratch.borrow_mut().set_timing(on);
     }
@@ -194,20 +411,57 @@ impl<'s> Estimator<'s> {
         &self.adjacency
     }
 
-    /// Runs the path join through this estimator's caches: the
-    /// worker-private join-cache front first (keyed by the query's
-    /// structural skeleton; it probes the shared memo once on a local
-    /// miss), then the selected kernel, publishing the completed result
-    /// through the front.
-    fn join(&self, query: &Query) -> Joined {
+    /// Runs `f`, lapping its time into the plan phase when join timing is
+    /// on.
+    fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
+        if !self.scratch.borrow().timing_enabled() {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        self.scratch
+            .borrow_mut()
+            .add_plan_ns(t0.elapsed().as_nanos() as u64);
+        out
+    }
+
+    /// Resolves `query` into an idle resolution buffer, runs `f` on it,
+    /// and returns the buffer.
+    fn with_resolution<T>(&self, query: &Query, f: impl FnOnce(Resolved<'_>) -> T) -> T {
+        let mut res = self.resolutions.borrow_mut().pop().unwrap_or_default();
+        self.timed(|| res.fill(self.summary, query));
+        let out = f(Resolved { query, res: &res });
+        self.resolutions.borrow_mut().push(res);
+        out
+    }
+
+    /// Joins the sub-query `sub` of `r`; the result's lists are indexed
+    /// by [`Sub::local`] numbers.
+    ///
+    /// The bitmap kernel fills the sub-query's plan from the resolution
+    /// and goes through the worker-private join-cache front first, keyed
+    /// by the plan (the front probes the shared memo once on a local
+    /// miss), publishing a completed result through the front. The naive
+    /// kernel rebuilds the sub-query as a [`Query`] and runs the
+    /// reference join on it, with no cache.
+    fn join(&self, r: Resolved<'_>, sub: Sub) -> Joined {
+        if self.kernel == JoinKernel::Naive {
+            let keep: Vec<bool> = r.query.node_ids().map(|x| sub.contains(r, x)).collect();
+            let derived = editor::rebuild(r.query, &keep, r.query.root());
+            return Joined::Owned(path_join(self.summary, &derived.query));
+        }
+        let mut plan = self.plan.borrow_mut();
+        self.timed(|| plan.fill(r.query, &r.res.tags, |x| sub.contains(r, x)));
         let Some(cache) = &self.join_cache else {
-            return Joined::Owned(self.run_join(query));
+            return Joined::Owned(self.run_bitmap(&plan));
         };
-        let key = skeleton_key(query);
-        if let Some(result) = cache.borrow_mut().lookup(&key) {
+        let mut key = self.skeleton.borrow_mut();
+        key.set(&plan);
+        let hit = cache.borrow_mut().lookup(&key);
+        if let Some(result) = hit {
             return Joined::Shared(result);
         }
-        let result = self.run_join(query);
+        let result = self.run_bitmap(&plan);
         // A budget-truncated join is not the fixpoint — never publish it
         // to the cache, where an unbudgeted estimator (or a later
         // healthy query) would mistake it for the real result.
@@ -215,8 +469,20 @@ impl<'s> Estimator<'s> {
             return Joined::Owned(result);
         }
         let result = Arc::new(result);
-        cache.borrow_mut().publish(key, Arc::clone(&result));
+        cache.borrow_mut().publish(key.clone(), Arc::clone(&result));
         Joined::Shared(result)
+    }
+
+    fn run_bitmap(&self, plan: &QueryPlan) -> JoinResult {
+        let budget = self.budget.borrow();
+        path_join_bitmap(
+            self.summary,
+            plan,
+            &self.adjacency,
+            Some(&mut self.memo.borrow_mut()),
+            Some(&mut self.scratch.borrow_mut()),
+            budget.as_ref(),
+        )
     }
 
     /// Folds the hit/miss tallies of every shared-cache front this
@@ -230,37 +496,6 @@ impl<'s> Estimator<'s> {
         if let Some(front) = &self.est_cache {
             front.borrow_mut().flush();
         }
-    }
-
-    /// Builds the prepared plan for `query`, lapping the build into the
-    /// phase breakdown when join timing is on.
-    fn build_plan(&self, query: &Query) -> QueryPlan {
-        if !self.scratch.borrow().timing_enabled() {
-            return QueryPlan::build(self.summary, query);
-        }
-        let t0 = std::time::Instant::now();
-        let plan = QueryPlan::build(self.summary, query);
-        self.scratch
-            .borrow_mut()
-            .add_plan_ns(t0.elapsed().as_nanos() as u64);
-        plan
-    }
-
-    fn run_join(&self, query: &Query) -> JoinResult {
-        if self.kernel == JoinKernel::Naive {
-            return path_join(self.summary, query);
-        }
-        let plan = self.build_plan(query);
-        let budget = self.budget.borrow();
-        path_join_bitmap(
-            self.summary,
-            query,
-            &plan,
-            &self.adjacency,
-            Some(&mut self.memo.borrow_mut()),
-            Some(&mut self.scratch.borrow_mut()),
-            budget.as_ref(),
-        )
     }
 
     fn budget_exhausted(&self) -> bool {
@@ -288,15 +523,16 @@ impl<'s> Estimator<'s> {
         let Some(front) = &self.est_cache else {
             return self.estimate_uncached(query);
         };
-        let key = estimate_key(query);
-        if let Some(v) = front.borrow_mut().lookup(&key) {
+        // The key buffer stays borrowed until the publish: nothing below
+        // renders another key into it.
+        let mut key = self.est_key.borrow_mut();
+        key.set(query);
+        let hit = front.borrow_mut().lookup(&key);
+        if let Some(v) = hit {
             return v;
         }
-        // Compute outside the borrow: the formulas below never re-enter
-        // `estimate` (recursion goes through `estimate_depth`), but the
-        // discipline costs nothing and keeps the RefCell panic-safe.
         let v = self.estimate_uncached(query);
-        front.borrow_mut().publish(key, v);
+        front.borrow_mut().publish(key.clone(), v);
         v
     }
 
@@ -304,8 +540,7 @@ impl<'s> Estimator<'s> {
     /// always runs the join machinery.
     fn estimate_uncached(&self, query: &Query) -> f64 {
         let raw = self.estimate_depth(query, 0);
-        let cap = self.summary.tag_total(&query.node(query.target()).tag);
-        finalize_estimate(raw, cap)
+        finalize_estimate(raw, self.tag_cap(query))
     }
 
     /// Parses and estimates a query string.
@@ -354,12 +589,14 @@ impl<'s> Estimator<'s> {
         // the limits would reject. A hit costs no budget at all — the
         // stored value is a finished, untruncated `Ok` by construction
         // (degraded answers are never published).
-        let key = self.est_cache.as_ref().map(|front| {
-            let key = estimate_key(query);
-            (front, key)
-        });
-        if let Some((front, key)) = &key {
-            if let Some(v) = front.borrow_mut().lookup(key) {
+        let mut key = self
+            .est_cache
+            .as_ref()
+            .map(|front| (front, self.est_key.borrow_mut()));
+        if let Some((front, key)) = &mut key {
+            key.set(query);
+            let hit = front.borrow_mut().lookup(key);
+            if let Some(v) = hit {
                 return EstimateOutcome {
                     value: v,
                     status: EstimateStatus::Ok,
@@ -380,7 +617,7 @@ impl<'s> Estimator<'s> {
                 // it is bit-identical to `estimate` by the `Ok`
                 // contract, so cached and uncached paths agree exactly.
                 if let Some((front, key)) = key {
-                    front.borrow_mut().publish(key, value);
+                    front.borrow_mut().publish(key.clone(), value);
                 }
                 EstimateOutcome {
                     value,
@@ -408,14 +645,16 @@ impl<'s> Estimator<'s> {
         if depth > 8 {
             return 0.0;
         }
-        let chains = collect_chains(query);
-        if let Some(doc_chain) = chains.iter().find(|c| c.kind == OrderKind::Document) {
-            return self.estimate_via_conversion(query, doc_chain, depth);
-        }
-        if chains.is_empty() {
-            return self.estimate_plain(query, query.target());
-        }
-        self.estimate_sibling(query, &chains)
+        self.with_resolution(query, |r| {
+            let chains = &r.res.chains;
+            if let Some(doc_chain) = chains.iter().find(|c| c.kind == OrderKind::Document) {
+                return self.estimate_via_conversion(r, doc_chain, depth);
+            }
+            if chains.is_empty() {
+                return self.plain(r, Sub::ALL, query.target());
+            }
+            self.estimate_sibling(r)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -425,30 +664,35 @@ impl<'s> Estimator<'s> {
     /// Estimates node `n` of the (structurally interpreted) `query`,
     /// ignoring any order constraints.
     pub fn estimate_plain(&self, query: &Query, n: QueryNodeId) -> f64 {
-        let join = self.join(query);
-        let s = self.plain_with_join(query, &join, n);
+        self.with_resolution(query, |r| self.plain(r, Sub::ALL, n))
+    }
+
+    /// Estimates node `n` of the sub-query `sub` (§4).
+    fn plain(&self, r: Resolved<'_>, sub: Sub, n: QueryNodeId) -> f64 {
+        let join = self.join(r, sub);
+        let s = self.plain_with_join(r, sub, &join, n);
         self.recycle(join);
         s
     }
 
-    fn plain_with_join(&self, query: &Query, join: &JoinResult, n: QueryNodeId) -> f64 {
-        let f_n = join.frequency(n);
+    fn plain_with_join(&self, r: Resolved<'_>, sub: Sub, join: &JoinResult, n: QueryNodeId) -> f64 {
+        let f_n = join.frequency(sub.local(r, n));
         if f_n == 0.0 {
             return 0.0;
         }
         // The lowest proper ancestor of `n` with branches off the path —
         // the paper's `ni` (trunk end). No such node ⇒ `n` is in the trunk
         // and Theorem 4.1 applies.
-        let Some(b) = lowest_branching_ancestor(query, n) else {
+        let Some(b) = r.lowest_branching_ancestor(sub, n) else {
             return f_n;
         };
         // Eq. 2 with Q' the spine query.
-        let spine = editor::spine_query(query, n);
-        let join_spine = self.join(&spine.query);
-        let f_spine_n = join_spine.frequency(spine.remap(n));
-        let f_spine_b = join_spine.frequency(spine.remap(b));
+        let spine = sub.spine_to(n);
+        let join_spine = self.join(r, spine);
+        let f_spine_n = join_spine.frequency(spine.local(r, n));
+        let f_spine_b = join_spine.frequency(spine.local(r, b));
         self.recycle(join_spine);
-        let f_b = join.frequency(b);
+        let f_b = join.frequency(sub.local(r, b));
         safe_div(f_spine_n * f_b, f_spine_b)
     }
 
@@ -456,35 +700,34 @@ impl<'s> Estimator<'s> {
     // §5: preceding-sibling / following-sibling.
     // ------------------------------------------------------------------
 
-    fn estimate_sibling(&self, query: &Query, chains: &[Chain]) -> f64 {
-        let plain = editor::without_constraints(query);
-        let target = query.target();
+    fn estimate_sibling(&self, r: Resolved<'_>) -> f64 {
+        let target = r.query.target();
 
         // Case 1: the target is a chain head or below one (Eqs. 3 and 4).
-        for chain in chains {
-            for (pos, &head) in chain.heads.iter().enumerate() {
-                if !subtree_of(query, head)[target.index()] {
+        for chain in &r.res.chains {
+            for (pos, &(_, head)) in r.links(chain).iter().enumerate() {
+                if !r.within(target, head) {
                     continue;
                 }
-                let parts = self.head_parts(query, chain, pos);
+                let parts = self.head_parts(r, chain, pos);
                 if head == target {
                     // Eq. 3: S_Q̃(h) ≈ S_Q̃'(h) · S_Q(h) / S_Q'(h).
-                    let s_plain = self.estimate_plain(&plain.query, plain.remap(head));
+                    let s_plain = self.plain(r, Sub::ALL, head);
                     return safe_div(parts.s_tilde_prime * s_plain, parts.s_prime);
                 }
                 // Eq. 4: S_Q̃(n) ≈ S_Q(n) · S_Q̃'(h) / S_Q'(h).
-                let s_plain_n = self.estimate_plain(&plain.query, plain.remap(target));
+                let s_plain_n = self.plain(r, Sub::ALL, target);
                 return safe_div(s_plain_n * parts.s_tilde_prime, parts.s_prime);
             }
         }
 
         // Case 2 (Eq. 5): target in the trunk — minimum of the order-free
         // estimate and the order-restricted selectivity of every head.
-        let mut s = self.estimate_plain(&plain.query, plain.remap(target));
-        for chain in chains {
-            for pos in 0..chain.heads.len() {
-                let parts = self.head_parts(query, chain, pos);
-                let s_plain_h = self.estimate_plain(&plain.query, plain.remap(chain.heads[pos]));
+        let mut s = self.plain(r, Sub::ALL, target);
+        for chain in &r.res.chains {
+            for (pos, &(_, head)) in r.links(chain).iter().enumerate() {
+                let parts = self.head_parts(r, chain, pos);
+                let s_plain_h = self.plain(r, Sub::ALL, head);
                 let s_head = safe_div(parts.s_tilde_prime * s_plain_h, parts.s_prime);
                 s = s.min(s_head);
             }
@@ -496,14 +739,15 @@ impl<'s> Estimator<'s> {
     /// `S_Q̃'(h)` (order-restricted, from the o-histogram after the join on
     /// `Q'`) and `S_Q'(h)` (the order-free estimate on `Q'`), where `Q'`
     /// trims the *neighbor* branch to its head.
-    fn head_parts(&self, query: &Query, chain: &Chain, pos: usize) -> HeadParts {
-        let head = chain.heads[pos];
+    fn head_parts(&self, r: Resolved<'_>, chain: &Chain, pos: usize) -> HeadParts {
+        let links = r.links(chain);
+        let head = links[pos].1;
         // Neighbor: predecessor if any (head occurs After it), else the
         // successor (head occurs Before it). Chains longer than two use the
         // immediate predecessor — a documented generalization.
         let (nb, region) = if pos > 0 {
-            (chain.heads[pos - 1], Region::After)
-        } else if let Some(&next) = chain.heads.get(pos + 1) {
+            (links[pos - 1].1, Region::After)
+        } else if let Some(&(_, next)) = links.get(pos + 1) {
             (next, Region::Before)
         } else {
             // Unreachable by construction: a chain is assembled from
@@ -520,17 +764,12 @@ impl<'s> Estimator<'s> {
             };
         };
 
-        let plain = editor::without_constraints(query);
-        let q_prime = editor::trim_below(&plain.query, plain.remap(nb), plain.remap(head));
-        let head_in_prime = q_prime.remap(plain.remap(head));
-        let s_prime = self.estimate_plain(&q_prime.query, head_in_prime);
+        let q_prime = Sub::trimmed_below(nb);
+        let s_prime = self.plain(r, q_prime, head);
 
         // S_Q̃'(h): sum g(pid, nb_tag) over the head's surviving pids.
-        let join_prime = self.join(&q_prime.query);
-        let (Some(tag_h), Some(tag_nb)) = (
-            self.summary.tags.get(&query.node(head).tag),
-            self.summary.tags.get(&query.node(nb).tag),
-        ) else {
+        let join_prime = self.join(r, q_prime);
+        let (Some(tag_h), Some(tag_nb)) = (r.tag(head), r.tag(nb)) else {
             self.recycle(join_prime);
             return HeadParts {
                 s_tilde_prime: 0.0,
@@ -538,7 +777,7 @@ impl<'s> Estimator<'s> {
             };
         };
         let s_tilde_prime: f64 = join_prime
-            .pids(head_in_prime)
+            .pids(q_prime.local(r, head))
             .map(|pid| self.summary.order_count(tag_h, pid, tag_nb, region))
             .sum();
         self.recycle(join_prime);
@@ -552,25 +791,21 @@ impl<'s> Estimator<'s> {
     // §5: preceding / following conversion.
     // ------------------------------------------------------------------
 
-    fn estimate_via_conversion(&self, query: &Query, chain: &Chain, depth: usize) -> f64 {
-        if chain.heads.len() != 2 {
+    fn estimate_via_conversion(&self, r: Resolved<'_>, chain: &Chain, depth: usize) -> f64 {
+        let (query, links) = (r.query, r.links(chain));
+        if links.len() != 2 {
             // The paper defines the conversion for one before/after pair;
             // longer document chains fall back to the order-free upper
             // bound (documented in DESIGN.md).
-            let plain = editor::without_constraints(query);
-            return self.estimate_plain(&plain.query, plain.remap(query.target()));
+            return self.plain(r, Sub::ALL, query.target());
         }
         let owner = chain.owner;
-        let axes: Vec<Axis> = chain
-            .edges
-            .iter()
-            .map(|&e| query.node(owner).edges[e].axis)
-            .collect();
+        let axes = [links[0], links[1]].map(|(e, _)| query.node(owner).edges[e].axis);
 
         // Both heads are children of the owner: document order between
         // siblings *is* sibling order, so rewrite the kind in place.
         if axes[0] == Axis::Child && axes[1] == Axis::Child {
-            let converted = replace_chain_kind(query, owner, chain, OrderKind::Sibling);
+            let converted = replace_chain_kind(query, owner, links, OrderKind::Sibling);
             return self.estimate_depth(&converted, depth + 1);
         }
 
@@ -582,18 +817,15 @@ impl<'s> Estimator<'s> {
         };
         if axes[anchor_pos] != Axis::Child {
             // Exotic shape (both heads descendant-axis): order-free bound.
-            let plain = editor::without_constraints(query);
-            return self.estimate_plain(&plain.query, plain.remap(query.target()));
+            return self.plain(r, Sub::ALL, query.target());
         }
-        let mover = chain.heads[mover_pos];
+        let mover = links[mover_pos].1;
 
         // Decompose the mover's surviving pids into owner→child→…→mover
-        // label chains (paper Example 5.3).
-        let join = self.join(query);
-        let (Some(tag_owner), Some(tag_mover)) = (
-            self.summary.tags.get(&query.node(owner).tag),
-            self.summary.tags.get(&query.node(mover).tag),
-        ) else {
+        // label chains (paper Example 5.3). The order-free query keeps
+        // every node id.
+        let join = self.join(r, Sub::ALL);
+        let (Some(tag_owner), Some(tag_mover)) = (r.tag(owner), r.tag(mover)) else {
             // An unknown tag means no conversion can match — but the join
             // above still borrowed scratch vectors that must go back to
             // the pool, not be dropped with this early return.
@@ -628,7 +860,7 @@ impl<'s> Estimator<'s> {
         conversions
             .into_iter()
             .map(|labels| {
-                let converted = materialize_conversion(query, owner, chain, mover_pos, &labels);
+                let converted = materialize_conversion(query, owner, links, mover_pos, &labels);
                 self.estimate_depth(&converted, depth + 1)
             })
             .sum()
@@ -643,41 +875,18 @@ struct HeadParts {
     s_prime: f64,
 }
 
-fn collect_chains(query: &Query) -> Vec<Chain> {
-    let mut out = Vec::new();
-    for owner in query.node_ids() {
-        let node = query.node(owner);
-        for (kind, edges) in constraint_chains(node) {
-            let heads = edges.iter().map(|&e| node.edges[e].to).collect();
-            out.push(Chain {
-                owner,
-                kind,
-                edges,
-                heads,
-            });
-        }
-    }
-    out
-}
-
-/// The deepest proper ancestor of `n` that has edges leaving the
-/// root-to-`n` path (the paper's `ni`).
-fn lowest_branching_ancestor(query: &Query, n: QueryNodeId) -> Option<QueryNodeId> {
-    let path = query.path_to(n);
-    for w in path.windows(2).rev() {
-        let (anc, on_path) = (w[0], w[1]);
-        if query.node(anc).edges.iter().any(|e| e.to != on_path) {
-            return Some(anc);
-        }
-    }
-    None
-}
-
-/// Copy of `query` with one chain's constraints re-kinded.
-fn replace_chain_kind(query: &Query, owner: QueryNodeId, chain: &Chain, kind: OrderKind) -> Query {
+/// Copy of `query` with the constraints of one chain, given by its
+/// `(edge, head)` links at `owner`, re-kinded.
+fn replace_chain_kind(
+    query: &Query,
+    owner: QueryNodeId,
+    links: &[(usize, QueryNodeId)],
+    kind: OrderKind,
+) -> Query {
+    let in_chain = |e: usize| links.iter().any(|&(edge, _)| edge == e);
     let mut nodes: Vec<_> = query.nodes().to_vec();
     for c in &mut nodes[owner.index()].constraints {
-        if chain.edges.contains(&c.before) && chain.edges.contains(&c.after) {
+        if in_chain(c.before) && in_chain(c.after) {
             c.kind = kind;
         }
     }
@@ -692,17 +901,16 @@ fn replace_chain_kind(query: &Query, owner: QueryNodeId, chain: &Chain, kind: Or
 fn materialize_conversion(
     query: &Query,
     owner: QueryNodeId,
-    chain: &Chain,
+    links: &[(usize, QueryNodeId)],
     mover_pos: usize,
     labels: &[String],
 ) -> Query {
+    let (mover_edge, mover) = links[mover_pos];
     debug_assert_eq!(
         labels.last().map(String::as_str),
-        Some(query.node(chain.heads[mover_pos]).tag.as_str())
+        Some(query.node(mover).tag.as_str())
     );
     let mut nodes: Vec<_> = query.nodes().to_vec();
-    let mover = chain.heads[mover_pos];
-    let mover_edge = chain.edges[mover_pos];
 
     // Insert intermediates (all labels but the last, which is the mover).
     let mut attach_to = mover;
@@ -747,6 +955,91 @@ mod tests {
             &xpe_xml::fixtures::paper_figure1(),
             SummaryConfig::default(),
         )
+    }
+
+    /// The tags of `sub`'s nodes, in its own numbering.
+    fn kept(s: &Summary, q: &str, sub: impl Fn(&Query) -> Sub) -> Vec<String> {
+        let query = parse_query(q).unwrap();
+        let mut res = Resolution::default();
+        res.fill(s, &query);
+        let r = Resolved {
+            query: &query,
+            res: &res,
+        };
+        let sub = sub(&query);
+        // Numbered in id order, exactly as `rebuild` numbers the subset.
+        let keep: Vec<bool> = query.node_ids().map(|x| sub.contains(r, x)).collect();
+        let rebuilt = editor::rebuild(&query, &keep, query.root());
+        for x in query.node_ids().filter(|&x| keep[x.index()]) {
+            assert_eq!(rebuilt.remap(x), sub.local(r, x), "{q} {x:?}");
+        }
+        rebuilt
+            .query
+            .node_ids()
+            .map(|n| rebuilt.query.node(n).tag.clone())
+            .collect()
+    }
+
+    fn node(q: &Query, tag: &str) -> QueryNodeId {
+        q.node_ids().find(|&n| q.node(n).tag == tag).unwrap()
+    }
+
+    #[test]
+    fn spine_keeps_the_root_path_and_the_targets_subtree() {
+        let s = summary();
+        // Q2 = //C[/E]/F with target E: the spine is C/E.
+        let spine = |q: &Query| Sub::ALL.spine_to(q.target());
+        assert_eq!(kept(&s, "//C[/$E]/F", spine), ["C", "E"]);
+        // //A[/B/X]/C/D with target B: A, B and B's child X.
+        assert_eq!(kept(&s, "//A[/$B/X]/C/D", spine), ["A", "B", "X"]);
+        // Within a trimmed sub-query the spine stays inside it.
+        let trimmed_spine = |q: &Query| Sub::trimmed_below(node(q, "C")).spine_to(node(q, "A"));
+        assert_eq!(
+            kept(&s, "//R/A[/C/F]/B", trimmed_spine),
+            ["R", "A", "C", "B"]
+        );
+    }
+
+    #[test]
+    fn trimming_keeps_the_head_and_drops_its_descendants() {
+        let s = summary();
+        let trim = |q: &Query| Sub::trimmed_below(node(q, "C"));
+        assert_eq!(kept(&s, "//A[/C/F[/G]]/B", trim), ["A", "C", "B"]);
+        assert_eq!(kept(&s, "//A[/C/F]/B", |_| Sub::ALL), ["A", "C", "F", "B"]);
+    }
+
+    #[test]
+    fn resolution_reads_chains_in_constraint_order() {
+        let s = summary();
+        let q = parse_query("//A[/C/folls::B/folls::$D][/E/foll::F]/G").unwrap();
+        let mut res = Resolution::default();
+        res.fill(&s, &q);
+        let r = Resolved {
+            query: &q,
+            res: &res,
+        };
+        let chains: Vec<(OrderKind, Vec<&str>)> = res
+            .chains
+            .iter()
+            .map(|c| {
+                let heads = r.links(c).iter().map(|&(_, h)| q.node(h).tag.as_str());
+                (c.kind, heads.collect())
+            })
+            .collect();
+        let expected: Vec<(OrderKind, Vec<&str>)> = xpe_xpath::constraint_chains(q.node(q.root()))
+            .into_iter()
+            .map(|(kind, edges)| {
+                let heads = edges
+                    .iter()
+                    .map(|&e| q.node(q.node(q.root()).edges[e].to).tag.as_str());
+                (kind, heads.collect())
+            })
+            .collect();
+        assert_eq!(chains, expected);
+        assert_eq!(r.tag(node(&q, "A")), s.tags.get("A"));
+        assert_eq!(r.tag(node(&q, "G")), None, "G is not in Figure 1");
+        assert!(r.within(node(&q, "D"), q.root()));
+        assert!(!r.within(node(&q, "D"), node(&q, "C")));
     }
 
     /// The unknown-tag early return in `estimate_via_conversion` runs a

@@ -67,9 +67,10 @@ pub enum JoinKernel {
 /// memoized in [`JoinIndexCache`] and timed by its own counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinPhaseStats {
-    /// Building the prepared [`QueryPlan`] — tag-name resolution and edge
-    /// flattening. Lapped by the estimator (plans are built outside the
-    /// kernel, and skipped entirely on a plan-cache hit).
+    /// Resolving each query against the summary (tag names, parent
+    /// links, order chains) and filling the [`QueryPlan`] of every
+    /// sub-query it joins. Lapped by the estimator, which does this
+    /// outside the kernel.
     pub plan_ns: u64,
     /// Seeding candidate bitmaps, root pinning, and edge resolution
     /// (adjacency lookups).
@@ -402,11 +403,13 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 /// lists (and every downstream `f64` sum) are bit-identical to
 /// [`path_join`].
 ///
-/// `plan` must have been built from this `summary`, and `memo` (when
-/// given) must only ever be used with this `(summary, index)` pair; the
-/// estimator guarantees both by construction. With a plan cached, the
-/// memo filled and the scratch recycled, the screen phase is pure word
-/// moves: one bitmap copy per node and one `Vec` push per edge.
+/// The kernel reads nothing of the query but `plan`, and the result's
+/// lists are indexed by plan node. `plan` must have been built from this
+/// `summary`, and `memo` (when given) must only ever be used with this
+/// `(summary, index)` pair; the estimator guarantees both by
+/// construction. With the memo filled and the scratch recycled, the
+/// screen phase is pure word moves: one bitmap copy per node and one
+/// `Vec` push per edge.
 ///
 /// Under a cooperative [`BudgetState`] every worklist edge examination
 /// charges the budget, and on exhaustion the fixpoint stops where it
@@ -417,7 +420,6 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 /// lists, and never publish it to a shared cache.
 pub fn path_join_bitmap(
     summary: &Summary,
-    query: &Query,
     plan: &QueryPlan,
     index: &JoinIndexCache,
     mut memo: Option<&mut JoinMemo>,
@@ -441,10 +443,10 @@ pub fn path_join_bitmap(
     let mut counts = std::mem::take(&mut scratch.counts);
     debug_assert!(node_bits.is_empty(), "node bitmaps recycled before reuse");
     counts.clear();
-    for q in query.node_ids() {
+    for (i, &tag) in plan.tags().iter().enumerate() {
         let mut bm = scratch.take_bits(set_words);
-        let rooted = plan.rooted() == Some(q);
-        if let Some(tag) = plan.tag(q) {
+        let rooted = plan.rooted().is_some_and(|r| r.index() == i);
+        if let Some(tag) = tag {
             let seed = match memo.as_deref_mut() {
                 Some(m) => m.seed(summary, index, tag, rooted, set_words),
                 None => index.seed_bitmap(tag, rooted, || {
@@ -488,10 +490,10 @@ pub fn path_join_bitmap(
     let mut incident = std::mem::take(&mut scratch.incident);
     let mut queued = std::mem::take(&mut scratch.queued);
     let mut worklist = std::mem::take(&mut scratch.worklist);
-    if incident.len() < query.len() {
-        incident.resize_with(query.len(), Vec::new);
+    if incident.len() < plan.len() {
+        incident.resize_with(plan.len(), Vec::new);
     }
-    for l in incident[..query.len()].iter_mut() {
+    for l in incident[..plan.len()].iter_mut() {
         l.clear();
     }
     for (ei, e) in edges.iter().enumerate() {
@@ -549,11 +551,11 @@ pub fn path_join_bitmap(
     // `retain` calls preserve histogram order, so this produces the same
     // entries in the same order — downstream f64 sums are bit-identical.
     let mut lists = scratch.take_outer();
-    for q in query.node_ids() {
+    for (i, &tag) in plan.tags().iter().enumerate() {
         let mut list = scratch.take();
-        if counts[q.index()] > 0 {
-            if let Some(tag) = plan.tag(q) {
-                let bm = &node_bits[q.index()];
+        if counts[i] > 0 {
+            if let Some(tag) = tag {
+                let bm = &node_bits[i];
                 list.extend(
                     summary
                         .phist
@@ -825,22 +827,14 @@ mod tests {
             let query = parse_query(q).unwrap();
             let plan = QueryPlan::build(&s, &query);
             let reference = bits(&path_join(&s, &query));
-            let bare = path_join_bitmap(&s, &query, &plan, &index, None, None, None);
+            let bare = path_join_bitmap(&s, &plan, &index, None, None, None);
             assert_eq!(bits(&bare), reference, "{q} bare");
-            let pooled =
-                path_join_bitmap(&s, &query, &plan, &index, None, Some(&mut scratch), None);
+            let pooled = path_join_bitmap(&s, &plan, &index, None, Some(&mut scratch), None);
             assert_eq!(bits(&pooled), reference, "{q} scratch");
             scratch.recycle(pooled);
             for pass in ["cold memo", "warm memo"] {
-                let memoized = path_join_bitmap(
-                    &s,
-                    &query,
-                    &plan,
-                    &index,
-                    Some(&mut memo),
-                    Some(&mut scratch),
-                    None,
-                );
+                let memoized =
+                    path_join_bitmap(&s, &plan, &index, Some(&mut memo), Some(&mut scratch), None);
                 assert_eq!(bits(&memoized), reference, "{q} {pass}");
                 scratch.recycle(memoized);
             }
@@ -868,7 +862,7 @@ mod tests {
             let plan = QueryPlan::build(&s, &query);
             let reference = bits(&path_join(&s, &query));
             let unlimited = BudgetState::start(&Budget::unlimited());
-            path_join_bitmap(&s, &query, &plan, &index, None, None, Some(&unlimited));
+            path_join_bitmap(&s, &plan, &index, None, None, Some(&unlimited));
             let full = unlimited.edges_charged();
             assert!(full > 0, "{q}: every query here has a join edge");
             assert!(unlimited.exhausted().is_none());
@@ -877,7 +871,7 @@ mod tests {
                     deadline: None,
                     max_join_edges: Some(cap),
                 });
-                let got = path_join_bitmap(&s, &query, &plan, &index, None, None, Some(&state));
+                let got = path_join_bitmap(&s, &plan, &index, None, None, Some(&state));
                 assert_eq!(state.edges_charged(), full.min(cap + 1), "{q} cap={cap}");
                 assert_eq!(state.exhausted().is_some(), full > cap, "{q} cap={cap}");
                 if state.exhausted().is_none() {

@@ -11,32 +11,37 @@
 //! structure — so memoizing `skeleton → JoinResult` across a batch
 //! removes whole join fixpoints, not just per-edge work.
 //!
-//! [`SkeletonKey`] is the canonical byte encoding of that skeleton, with
-//! its 64-bit hash computed **once** at construction: shard selection and
-//! the in-shard map probe both reuse it. [`JoinCache`] is a
-//! [`SharedMemo`] keyed by it, shared by every worker of an
-//! [`EstimationEngine`](crate::EstimationEngine) batch and read through
-//! one [`WorkerJoinCache`] front per estimator (see [`crate::memo`]). It
-//! holds completed join results only: a budget-truncated join is not the
-//! fixpoint, so it publishes nothing.
+//! [`SkeletonKey`] encodes that skeleton as the [`QueryPlan`] the kernel
+//! would run, tag ids and all, with its 64-bit hash computed **once**:
+//! shard selection and the in-shard map probe both reuse it. The
+//! estimator refills one key buffer per join and clones it only to
+//! publish. [`JoinCache`] is a [`SharedMemo`] keyed by it, shared by
+//! every worker of an [`EstimationEngine`](crate::EstimationEngine)
+//! batch and read through one [`WorkerJoinCache`] front per estimator
+//! (see [`crate::memo`]). It holds completed join results only: a
+//! budget-truncated join is not the fixpoint, so it publishes nothing.
 
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::join::JoinResult;
 use crate::memo::{MemoFront, MemoKey, SharedMemo};
-use xpe_xpath::{Axis, Query};
+use crate::planner::QueryPlan;
 
-/// Canonical encoding of a query's structural skeleton: the root axis,
-/// then per node (in id order) its length-prefixed tag and its structural
-/// edges as `(axis, target-index)` pairs. Two queries get equal keys iff
-/// the join treats them identically — order constraints and the target
-/// node are deliberately excluded.
+/// Canonical encoding of a query's structural skeleton: its
+/// [`QueryPlan`] — root pinning, each node's tag id, and each structural
+/// edge as `(u, v, axis)`. The kernel reads nothing but the plan, so
+/// equal keys join identically; order constraints and the target node
+/// are not in the plan. Every tag the summary lacks encodes as one
+/// sentinel id: a plan holding one joins to empty lists at every node
+/// (the unknown node's edges empty its neighbours, and the fixpoint
+/// carries that through the connected tree), so plans of one shape that
+/// differ only in which tags are unknown join identically too.
 ///
 /// The key carries the hash of its bytes, computed once at construction;
 /// `Hash` forwards that value (the hash is a pure function of the bytes,
 /// so equal keys always agree) and equality compares the bytes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SkeletonKey {
     bytes: Vec<u8>,
     hash: u64,
@@ -64,34 +69,33 @@ impl MemoKey for SkeletonKey {
     }
 }
 
-/// Builds the [`SkeletonKey`] of `query`, hashing its bytes once.
-pub fn skeleton_key(query: &Query) -> SkeletonKey {
-    let mut buf = Vec::with_capacity(16 + 8 * query.len());
-    buf.push(match query.root_axis() {
-        Axis::Child => 0u8,
-        Axis::Descendant => 1,
-        _ => unreachable!("root axis is structural"),
-    });
-    for id in query.node_ids() {
-        let node = query.node(id);
-        buf.extend_from_slice(&(node.tag.len() as u32).to_le_bytes());
-        buf.extend_from_slice(node.tag.as_bytes());
-        buf.extend_from_slice(&(node.edges.len() as u32).to_le_bytes());
-        for e in &node.edges {
-            buf.push(match e.axis {
-                Axis::Child => 0u8,
-                Axis::Descendant => 1,
-                _ => unreachable!("structural edges only"),
-            });
-            buf.extend_from_slice(&(e.to.index() as u32).to_le_bytes());
+impl SkeletonKey {
+    /// Re-encodes this key as `plan`'s skeleton, reusing its buffer.
+    pub(crate) fn set(&mut self, plan: &QueryPlan) {
+        let buf = &mut self.bytes;
+        buf.clear();
+        buf.push(u8::from(plan.rooted().is_some()));
+        buf.extend_from_slice(&(plan.len() as u32).to_le_bytes());
+        for tag in plan.tags() {
+            let id = tag.map_or(u32::MAX, |t| t.index() as u32);
+            buf.extend_from_slice(&id.to_le_bytes());
         }
+        for e in plan.edges() {
+            buf.extend_from_slice(&(e.u.index() as u32).to_le_bytes());
+            buf.extend_from_slice(&(e.v.index() as u32).to_le_bytes());
+            buf.push(u8::from(e.child));
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        h.write(buf);
+        self.hash = h.finish();
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write(&buf);
-    SkeletonKey {
-        hash: h.finish(),
-        bytes: buf,
-    }
+}
+
+/// Builds the [`SkeletonKey`] of `plan`, hashing its bytes once.
+pub fn skeleton_key(plan: &QueryPlan) -> SkeletonKey {
+    let mut key = SkeletonKey::default();
+    key.set(plan);
+    key
 }
 
 /// The shared skeleton-keyed cache of completed join results. Its
@@ -106,31 +110,50 @@ mod tests {
     use super::*;
     use crate::memo::PrehashedHasher;
     use std::hash::Hash;
+    use xpe_synopsis::{Summary, SummaryConfig};
     use xpe_xpath::parse_query;
+
+    fn summary() -> Summary {
+        Summary::build(
+            &xpe_xml::fixtures::paper_figure1(),
+            SummaryConfig::default(),
+        )
+    }
+
+    fn key(s: &Summary, q: &str) -> SkeletonKey {
+        skeleton_key(&QueryPlan::build(s, &parse_query(q).unwrap()))
+    }
 
     #[test]
     fn order_constraints_and_target_do_not_change_the_key() {
-        let plain = parse_query("//A[/C]/B").unwrap();
-        let ordered = parse_query("//A[/C/folls::$B]").unwrap();
-        assert_eq!(skeleton_key(&plain), skeleton_key(&ordered));
-        assert_eq!(
-            skeleton_key(&plain).hash64(),
-            skeleton_key(&ordered).hash64()
-        );
+        let s = summary();
+        let plain = key(&s, "//A[/C]/B");
+        let ordered = key(&s, "//A[/C/folls::$B]");
+        assert_eq!(plain, ordered);
+        assert_eq!(plain.hash64(), ordered.hash64());
     }
 
     #[test]
     fn structure_changes_the_key() {
-        let base = parse_query("//A[/C]/B").unwrap();
+        let s = summary();
+        let base = key(&s, "//A[/C]/B");
         for other in ["//A[/D]/B", "//A[//C]/B", "/A[/C]/B", "//A/C/B"] {
-            let q = parse_query(other).unwrap();
-            assert_ne!(skeleton_key(&base), skeleton_key(&q), "{other}");
+            assert_ne!(base, key(&s, other), "{other}");
         }
+    }
+
+    /// Unknown tags share one id: the join empties every node of such a
+    /// query, so the key may ignore which tag it was.
+    #[test]
+    fn unknown_tags_share_one_key() {
+        let s = summary();
+        assert_eq!(key(&s, "//A[/Zebra]/B"), key(&s, "//A[/Yak]/B"));
+        assert_ne!(key(&s, "//A[/Zebra]/B"), key(&s, "//A[/C]/B"));
     }
 
     #[test]
     fn key_hashes_through_its_precomputed_value() {
-        let key = skeleton_key(&parse_query("//A[/C]/B").unwrap());
+        let key = key(&summary(), "//A[/C]/B");
         let mut h = PrehashedHasher::default();
         key.hash(&mut h);
         assert_eq!(h.finish(), key.hash64());

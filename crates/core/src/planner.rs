@@ -3,10 +3,9 @@
 //! The paper's motivation is query optimization, so the estimator exposes
 //! the two decisions a structural-join planner actually makes — which
 //! predicate to apply first, and per-step cardinalities along the main
-//! path. [`QueryPlan`] is the other side of that coin: the one-time
-//! resolution of a query's *own* bookkeeping (tag-name → `TagId`,
-//! structural edges, root pinning) so the join kernels never repeat a
-//! string hash that cannot change between calls.
+//! path. [`QueryPlan`] is the other side of that coin: a query's
+//! join-relevant structure (resolved tags, structural edges, root
+//! pinning) in the one form the bitmap kernel reads.
 
 use xpe_synopsis::Summary;
 use xpe_xml::TagId;
@@ -32,31 +31,34 @@ pub struct PlanEdge {
     pub tags: Option<(TagId, TagId)>,
 }
 
-/// A query's join-relevant structure resolved against one summary, once.
+/// A query's join-relevant structure resolved against one summary: all
+/// that [`path_join_bitmap`](crate::path_join_bitmap) reads of a query.
 ///
-/// The join kernels repeat three lookups every call that are pure
-/// functions of `(summary, query skeleton)`: each node's tag-name →
-/// [`TagId`] resolution (a string hash per node per join, and again per
-/// edge endpoint), the flattening of the query's structural edges, and
-/// the root-pinning decision. A `QueryPlan` performs them once; the
-/// estimator memoizes plans alongside [`JoinCache`](crate::JoinCache)
-/// entries by skeleton key, so a repeated skeleton never re-resolves.
+/// The plan's nodes are numbered `0..len()`. A plan of a whole query
+/// keeps its node ids; the estimator fills plans of the sub-queries it
+/// derives (the order-free query, spines, trimmed queries) from the
+/// query's one resolution, numbering the kept nodes in id order — the
+/// numbering [`rebuild`](crate::rebuild) gives the same sub-query, so
+/// both kernels' results index alike. Since the kernel reads nothing
+/// else, two equal plans join identically, which is what lets
+/// [`SkeletonKey`](crate::SkeletonKey) encode the plan as the join-cache
+/// key.
 ///
 /// Plans are only valid against the summary they were built from — the
-/// estimator guarantees that pairing by construction (it lives as long as
-/// its summary borrow and keys plans by skeleton in a per-summary cache).
-#[derive(Clone, Debug)]
+/// estimator guarantees that pairing by construction.
+#[derive(Clone, Debug, Default)]
 pub struct QueryPlan {
-    /// Per query node (by index): its tag resolved in the summary, or
-    /// `None` for a tag the document never contained.
+    /// Per plan node: its tag resolved in the summary, or `None` for a
+    /// tag the document never contained.
     tags: Vec<Option<TagId>>,
-    /// Every structural edge, flattened in `(node id, edge order)` order —
-    /// exactly the iteration order the kernels used when walking
-    /// `query.node(u).edges` per node.
+    /// Every structural edge between kept nodes, in `(node id, edge
+    /// order)` order.
     edges: Vec<PlanEdge>,
     /// The node pinned to the document root (`Some` iff the root axis is
     /// `Child`).
     rooted: Option<QueryNodeId>,
+    /// Fill scratch: each query node's plan number, `u32::MAX` if dropped.
+    local: Vec<u32>,
 }
 
 impl QueryPlan {
@@ -67,37 +69,69 @@ impl QueryPlan {
             .node_ids()
             .map(|q| summary.tags.get(&query.node(q).tag))
             .collect();
-        let mut edges = Vec::new();
-        for u in query.node_ids() {
-            for e in &query.node(u).edges {
+        let mut plan = QueryPlan::default();
+        plan.fill(query, &tags, |_| true);
+        plan
+    }
+
+    /// Refills this plan, reusing its buffers, with the sub-query of
+    /// `query` on the nodes `keep` accepts. `tags[i]` is node `i`'s
+    /// resolved tag. The kept set must hold the root and every kept
+    /// node's parent, as every sub-query the formulas derive does.
+    pub(crate) fn fill(
+        &mut self,
+        query: &Query,
+        tags: &[Option<TagId>],
+        keep: impl Fn(QueryNodeId) -> bool,
+    ) {
+        debug_assert!(keep(query.root()), "sub-queries keep the root");
+        self.tags.clear();
+        self.edges.clear();
+        self.local.clear();
+        for id in query.node_ids() {
+            if keep(id) {
+                self.local.push(self.tags.len() as u32);
+                self.tags.push(tags[id.index()]);
+            } else {
+                self.local.push(u32::MAX);
+            }
+        }
+        for id in query.node_ids() {
+            let u = self.local[id.index()];
+            if u == u32::MAX {
+                continue;
+            }
+            for e in &query.node(id).edges {
+                let v = self.local[e.to.index()];
+                if v == u32::MAX {
+                    continue;
+                }
                 let child = match e.axis {
                     Axis::Child => true,
                     Axis::Descendant => false,
                     _ => unreachable!("structural edges only"),
                 };
-                let pair = match (tags[u.index()], tags[e.to.index()]) {
+                let (u, v) = (u as usize, v as usize);
+                let pair = match (self.tags[u], self.tags[v]) {
                     (Some(tu), Some(tv)) => Some((tu, tv)),
                     _ => None,
                 };
-                edges.push(PlanEdge {
-                    u,
-                    v: e.to,
+                self.edges.push(PlanEdge {
+                    u: QueryNodeId::from_index(u),
+                    v: QueryNodeId::from_index(v),
                     child,
                     tags: pair,
                 });
             }
         }
-        QueryPlan {
-            tags,
-            edges,
-            rooted: (query.root_axis() == Axis::Child).then(|| query.root()),
-        }
+        self.rooted = (query.root_axis() == Axis::Child).then(|| QueryNodeId::from_index(0));
     }
 
-    /// The resolved tag of query node `n` (`None` for an absent tag).
+    /// Every plan node's resolved tag, by node number (`None` for a tag
+    /// the summary lacks).
     #[inline]
-    pub fn tag(&self, n: QueryNodeId) -> Option<TagId> {
-        self.tags[n.index()]
+    pub fn tags(&self) -> &[Option<TagId>] {
+        &self.tags
     }
 
     /// Every structural edge with resolved endpoint tags.
@@ -106,13 +140,13 @@ impl QueryPlan {
         &self.edges
     }
 
-    /// The query node pinned to the document root, if any.
+    /// The plan node pinned to the document root, if any.
     #[inline]
     pub fn rooted(&self) -> Option<QueryNodeId> {
         self.rooted
     }
 
-    /// Number of query nodes the plan covers.
+    /// Number of plan nodes.
     #[inline]
     pub fn len(&self) -> usize {
         self.tags.len()
@@ -274,8 +308,11 @@ mod tests {
         assert!(!plan.is_empty());
         assert_eq!(plan.rooted(), Some(q.root()));
         for n in q.node_ids() {
-            assert_eq!(plan.tag(n), s.tags.get(&q.node(n).tag));
-            assert!(plan.tag(n).is_some(), "all tags occur in the document");
+            assert_eq!(plan.tags()[n.index()], s.tags.get(&q.node(n).tag));
+            assert!(
+                plan.tags()[n.index()].is_some(),
+                "all tags occur in the document"
+            );
         }
         assert_eq!(plan.edges().len(), 2);
         assert!(plan.edges()[0].child);
@@ -283,7 +320,10 @@ mod tests {
         for e in plan.edges() {
             assert_eq!(
                 e.tags,
-                Some((plan.tag(e.u).unwrap(), plan.tag(e.v).unwrap()))
+                Some((
+                    plan.tags()[e.u.index()].unwrap(),
+                    plan.tags()[e.v.index()].unwrap()
+                ))
             );
         }
 
@@ -291,7 +331,7 @@ mod tests {
         let q = parse_query("//A/Zebra").unwrap();
         let plan = crate::QueryPlan::build(&s, &q);
         assert_eq!(plan.rooted(), None);
-        assert_eq!(plan.tag(q.target()), None);
+        assert_eq!(plan.tags()[q.target().index()], None);
         assert_eq!(plan.edges().len(), 1);
         assert_eq!(plan.edges()[0].tags, None);
     }

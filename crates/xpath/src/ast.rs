@@ -180,6 +180,19 @@ pub struct Query {
     nodes: Vec<QueryNode>,
     root_axis: Axis,
     target: QueryNodeId,
+    /// `links[i][e]`: where edge `e` of node `i` sits in the node's order
+    /// chains, found while validating. Empty for a query without order
+    /// constraints, and for each node without them.
+    links: Vec<Box<[ChainLink]>>,
+}
+
+/// Where one edge sits in its node's order chains.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChainLink {
+    /// The chain's next edge, with the kind of the constraint to it.
+    next: Option<(usize, OrderKind)>,
+    /// Whether a chain's previous edge leads here.
+    has_prev: bool,
 }
 
 impl Query {
@@ -196,13 +209,21 @@ impl Query {
             return Err(QueryError::Empty);
         }
         debug_assert!(matches!(root_axis, Axis::Child | Axis::Descendant));
-        for node in &nodes {
-            validate_constraints(node)?;
+        let mut links = Vec::new();
+        for (i, node) in nodes.iter().enumerate() {
+            let node_links = validate_constraints(node)?;
+            if !node_links.is_empty() {
+                if links.is_empty() {
+                    links.resize_with(nodes.len(), Box::default);
+                }
+                links[i] = node_links;
+            }
         }
         Ok(Query {
             nodes,
             root_axis,
             target,
+            links,
         })
     }
 
@@ -269,6 +290,34 @@ impl Query {
         self.nodes.iter().any(|n| !n.constraints.is_empty())
     }
 
+    fn links(&self, id: QueryNodeId) -> &[ChainLink] {
+        self.links.get(id.index()).map_or(&[], |l| l)
+    }
+
+    /// Whether edge `e` of node `id` belongs to one of its order chains.
+    pub fn is_chained(&self, id: QueryNodeId, e: usize) -> bool {
+        self.links(id)
+            .get(e)
+            .is_some_and(|l| l.next.is_some() || l.has_prev)
+    }
+
+    /// The edge after edge `e` of node `id` in its order chain, with the
+    /// chain's kind.
+    pub fn chain_next(&self, id: QueryNodeId, e: usize) -> Option<(usize, OrderKind)> {
+        self.links(id).get(e).and_then(|l| l.next)
+    }
+
+    /// The first edge of each order chain at node `id`, in ascending edge
+    /// order: the chains of [`constraint_chains`], walked with
+    /// [`chain_next`](Self::chain_next) and without allocating.
+    pub fn chain_starts(&self, id: QueryNodeId) -> impl Iterator<Item = usize> + '_ {
+        self.links(id)
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.next.is_some() && !l.has_prev)
+            .map(|(e, _)| e)
+    }
+
     /// Nodes on the path from the query root to `id`, inclusive.
     pub fn path_to(&self, id: QueryNodeId) -> Vec<QueryNodeId> {
         let mut path = vec![id];
@@ -283,11 +332,14 @@ impl Query {
 }
 
 /// Checks that a node's constraints form disjoint, kind-homogeneous chains
-/// over valid edges.
-fn validate_constraints(node: &QueryNode) -> Result<(), QueryError> {
+/// over valid edges, and returns each edge's chain link (nothing for a
+/// node without constraints).
+fn validate_constraints(node: &QueryNode) -> Result<Box<[ChainLink]>, QueryError> {
+    if node.constraints.is_empty() {
+        return Ok(Box::default());
+    }
     let n = node.edges.len();
-    let mut succ: Vec<Option<usize>> = vec![None; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
+    let mut links = vec![ChainLink::default(); n];
     for c in &node.constraints {
         if c.before >= n || c.after >= n {
             return Err(QueryError::BadEdgeIndex);
@@ -305,36 +357,29 @@ fn validate_constraints(node: &QueryNode) -> Result<(), QueryError> {
             }
             OrderKind::Document => {}
         }
-        if succ[c.before].is_some() || pred[c.after].is_some() {
+        if links[c.before].next.is_some() || links[c.after].has_prev {
             return Err(QueryError::NotAChain);
         }
-        succ[c.before] = Some(c.after);
-        pred[c.after] = Some(c.before);
+        links[c.before].next = Some((c.after, c.kind));
+        links[c.after].has_prev = true;
     }
     // Reject cycles: follow each chain from its head; every constrained edge
     // must be reached from a head (an edge with no predecessor).
     let mut reached = vec![false; n];
-    for (start, p) in pred.iter().enumerate() {
-        if p.is_some() {
+    for start in 0..n {
+        if links[start].has_prev {
             continue;
         }
-        let mut cur = Some(start);
+        reached[start] = true;
         let mut kind: Option<OrderKind> = None;
-        while let Some(e) = cur {
-            reached[e] = true;
-            let next = succ[e];
-            if let Some(nx) = next {
-                let c = node
-                    .constraints
-                    .iter()
-                    .find(|c| c.before == e && c.after == nx)
-                    .expect("constraint recorded in succ");
-                match kind {
-                    None => kind = Some(c.kind),
-                    Some(k) if k == c.kind => {}
-                    Some(_) => return Err(QueryError::NotAChain),
-                }
+        let mut cur = start;
+        while let Some((next, k)) = links[cur].next {
+            match kind {
+                None => kind = Some(k),
+                Some(prev) if prev == k => {}
+                Some(_) => return Err(QueryError::NotAChain),
             }
+            reached[next] = true;
             cur = next;
         }
     }
@@ -343,7 +388,7 @@ fn validate_constraints(node: &QueryNode) -> Result<(), QueryError> {
             return Err(QueryError::NotAChain); // cycle
         }
     }
-    Ok(())
+    Ok(links.into_boxed_slice())
 }
 
 /// The chains of order-constrained edges at one query node, in constraint
@@ -440,6 +485,53 @@ mod tests {
         assert!(q.has_order_constraints());
         let chains = constraint_chains(q.node(q.root()));
         assert_eq!(chains, vec![(OrderKind::Sibling, vec![0, 1])]);
+    }
+
+    /// The allocation-free chain walk lists the chains of
+    /// `constraint_chains`, in the same order.
+    #[test]
+    fn chain_walk_matches_constraint_chains() {
+        let c = |before, after, kind| OrderConstraint {
+            before,
+            after,
+            kind,
+        };
+        let mut nodes = vec![node(
+            "A",
+            (1..=6).map(|i| edge(Axis::Child, i)).collect(),
+            vec![
+                c(4, 1, OrderKind::Sibling),
+                c(5, 3, OrderKind::Document),
+                c(1, 2, OrderKind::Sibling),
+            ],
+        )];
+        nodes.extend((1..=6).map(|_| node("B", vec![], vec![])));
+        let q = Query::new(nodes, Axis::Descendant, QueryNodeId(1)).unwrap();
+        let root = q.root();
+        let walked: Vec<(OrderKind, Vec<usize>)> = q
+            .chain_starts(root)
+            .map(|start| {
+                let kind = q.chain_next(root, start).unwrap().1;
+                let mut chain = vec![start];
+                while let Some((next, _)) = q.chain_next(root, *chain.last().unwrap()) {
+                    chain.push(next);
+                }
+                (kind, chain)
+            })
+            .collect();
+        assert_eq!(walked, constraint_chains(q.node(root)));
+        assert_eq!(
+            walked,
+            vec![
+                (OrderKind::Sibling, vec![4, 1, 2]),
+                (OrderKind::Document, vec![5, 3])
+            ]
+        );
+        let chained: Vec<bool> = (0..6).map(|e| q.is_chained(root, e)).collect();
+        assert_eq!(chained, [false, true, true, true, true, true]);
+        let leaf = QueryNodeId(1);
+        assert!(!q.is_chained(leaf, 0));
+        assert_eq!(q.chain_starts(leaf).count(), 0);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 
 use std::fmt;
 
-use crate::ast::{constraint_chains, Axis, OrderKind, Query, QueryNodeId};
+use crate::ast::{Axis, OrderKind, Query, QueryNodeId};
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.root_axis() {
-            Axis::Child => write!(f, "/")?,
-            _ => write!(f, "//")?,
-        }
+        f.write_str(match self.root_axis() {
+            Axis::Child => "/",
+            _ => "//",
+        })?;
         // The parser defaults the target to the last node of the top-level
         // path; omit the `$` marker when it would be redundant.
         let mark_target = self.target() != default_target(self);
@@ -24,24 +24,22 @@ impl fmt::Display for Query {
     }
 }
 
+/// The last edge of node `id` outside every order chain: the one a
+/// rendered path may continue through.
+fn last_unchained(q: &Query, id: QueryNodeId) -> Option<usize> {
+    (0..q.node(id).edges.len())
+        .rev()
+        .find(|&i| !q.is_chained(id, i))
+}
+
 /// The node the parser would pick as target if no `$` marker is present:
 /// follow the rendered spine (last unchained edge) from the root.
 fn default_target(q: &Query) -> QueryNodeId {
     let mut cur = q.root();
-    loop {
-        let node = q.node(cur);
-        let chains = constraint_chains(node);
-        let mut chained = vec![false; node.edges.len()];
-        for (_, chain) in &chains {
-            for &e in chain {
-                chained[e] = true;
-            }
-        }
-        match (0..node.edges.len()).rev().find(|&i| !chained[i]) {
-            Some(i) => cur = node.edges[i].to,
-            None => return cur,
-        }
+    while let Some(i) = last_unchained(q, cur) {
+        cur = q.node(cur).edges[i].to;
     }
+    cur
 }
 
 /// Renders `id` and its subtree. When `allow_spine` is set, one edge may be
@@ -57,57 +55,49 @@ fn write_node(
 ) -> fmt::Result {
     let node = q.node(id);
     if mark_target && id == q.target() {
-        write!(f, "$")?;
+        f.write_str("$")?;
     }
-    write!(f, "{}", node.tag)?;
-
-    let chains = constraint_chains(node);
-    let chained: Vec<bool> = {
-        let mut v = vec![false; node.edges.len()];
-        for (_, chain) in &chains {
-            for &e in chain {
-                v[e] = true;
-            }
-        }
-        v
-    };
+    f.write_str(&node.tag)?;
 
     // Spine: the last unchained edge, when permitted.
     let spine = if allow_spine {
-        (0..node.edges.len()).rev().find(|&i| !chained[i])
+        last_unchained(q, id)
     } else {
         None
     };
 
     // Unchained, non-spine edges become plain predicates.
     for (i, edge) in node.edges.iter().enumerate() {
-        if chained[i] || Some(i) == spine {
+        if Some(i) == spine || q.is_chained(id, i) {
             continue;
         }
-        write!(f, "[{}", axis_str(edge.axis))?;
+        f.write_str("[")?;
+        f.write_str(axis_str(edge.axis))?;
         write_node(q, edge.to, true, mark_target, f)?;
-        write!(f, "]")?;
+        f.write_str("]")?;
     }
 
     // Each chain becomes one predicate: head, then folls::/foll:: hops.
-    for (kind, chain) in &chains {
-        let connector = match kind {
-            OrderKind::Sibling => "/folls::",
-            OrderKind::Document => "/foll::",
-        };
-        let head = node.edges[chain[0]];
-        write!(f, "[{}", axis_str(head.axis))?;
+    for start in q.chain_starts(id) {
+        let head = node.edges[start];
+        f.write_str("[")?;
+        f.write_str(axis_str(head.axis))?;
         write_node(q, head.to, false, mark_target, f)?;
-        for &e in &chain[1..] {
-            write!(f, "{connector}")?;
-            write_node(q, node.edges[e].to, false, mark_target, f)?;
+        let mut cur = start;
+        while let Some((next, kind)) = q.chain_next(id, cur) {
+            f.write_str(match kind {
+                OrderKind::Sibling => "/folls::",
+                OrderKind::Document => "/foll::",
+            })?;
+            write_node(q, node.edges[next].to, false, mark_target, f)?;
+            cur = next;
         }
-        write!(f, "]")?;
+        f.write_str("]")?;
     }
 
     if let Some(i) = spine {
         let edge = node.edges[i];
-        write!(f, "{}", axis_str(edge.axis))?;
+        f.write_str(axis_str(edge.axis))?;
         write_node(q, edge.to, true, mark_target, f)?;
     }
     Ok(())
