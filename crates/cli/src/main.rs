@@ -3,7 +3,7 @@
 //! ```text
 //! xpe stats <file.xml>                         structural statistics
 //! xpe build <file.xml> -o <summary.xps>        build + save a summary
-//!     [--p-variance V] [--o-variance V] [--stream]
+//!     [--p-variance V] [--o-variance V]
 //! xpe estimate <summary.xps> <query>...        estimate selectivities
 //!     [--jobs N] [--estimate-cache N]
 //!     [--deadline-ms N] [--max-query-nodes N]
@@ -58,7 +58,6 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   xpe stats <file.xml>
   xpe build <file.xml> -o <summary.xps> [--p-variance V] [--o-variance V]
-      [--stream]
   xpe estimate <summary.xps> [--jobs N] [--estimate-cache N]
       [--deadline-ms N] [--max-query-nodes N] <query>...
   xpe exact <file.xml> <query>...
@@ -74,9 +73,9 @@ const USAGE: &str = "usage:
 
 --jobs N batches queries across N workers (estimate); 0 = one worker per
 core, default 1.
---stream builds the summary from the raw bytes in two streaming passes
-instead of materializing the document tree; the output is byte-identical
-and peak memory is bounded by depth x path count, not node count.
+build reads the XML in one streaming pass without materializing the
+document tree; peak memory is bounded by depth x path count, not node
+count.
 --estimate-cache N caps the full-query estimate cache at N finished
 estimates (estimate, serve); 0 disables the skew-aware fast path. Only
 'ok' answers are ever cached, and a serve reload invalidates the cache
@@ -118,21 +117,13 @@ fn load_doc(path: &str) -> Result<Document, String> {
 /// Parsed command-line flags as `(name, value)` pairs.
 type Flags = Vec<(String, String)>;
 
-/// Flags that take no value; present means enabled.
-const BOOLEAN_FLAGS: &[&str] = &["stream"];
-
-/// Extracts `--flag value` pairs (and bare boolean flags), returning
-/// remaining positionals.
+/// Extracts `--flag value` pairs, returning remaining positionals.
 fn split_flags(args: &[String]) -> Result<(Flags, Vec<String>), String> {
     let mut flags = Vec::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if BOOLEAN_FLAGS.contains(&name) {
-                flags.push((name.to_owned(), "true".to_owned()));
-                continue;
-            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.push((name.to_owned(), value.clone()));
         } else if a == "-o" {
@@ -206,14 +197,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         p_variance: parse_flag(&flags, "p-variance", 0.0)?,
         o_variance: parse_flag(&flags, "o-variance", 0.0)?,
     };
-    let summary = if flag(&flags, "stream").is_some() {
-        // Streaming ingest: two tokenizer passes, no DOM; byte-identical
-        // output with memory bounded by depth × distinct-path count.
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        Syn::build_streaming(&text, config).map_err(|e| format!("parsing {path}: {e}"))?
-    } else {
-        Syn::build(&load_doc(path)?, config)
-    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let summary =
+        Syn::build_streaming(&text, config).map_err(|e| format!("parsing {path}: {e}"))?;
     let sizes = summary.sizes();
     summary
         .save_to_file(out)
@@ -629,17 +615,6 @@ mod tests {
     fn split_flags_rejects_dangling_flag() {
         assert!(split_flags(&args(&["--scale"])).is_err());
         assert!(split_flags(&args(&["-o"])).is_err());
-    }
-
-    #[test]
-    fn split_flags_boolean_stream_takes_no_value() {
-        let (flags, pos) = split_flags(&args(&["file.xml", "--stream", "-o", "out.xps"])).unwrap();
-        assert_eq!(pos, vec!["file.xml"]);
-        assert_eq!(flag(&flags, "stream"), Some("true"));
-        assert_eq!(flag(&flags, "out"), Some("out.xps"));
-        // Trailing --stream is fine too (no value to consume).
-        let (flags, _) = split_flags(&args(&["file.xml", "--stream"])).unwrap();
-        assert_eq!(flag(&flags, "stream"), Some("true"));
     }
 
     #[test]

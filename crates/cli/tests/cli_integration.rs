@@ -4,6 +4,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use xpe::synopsis::{Summary, SummaryConfig};
+use xpe::xml::parse_document;
+
 fn xpe(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xpe"))
         .args(args)
@@ -374,12 +377,12 @@ fn diff_subcommand_reports_and_writes_json() {
 }
 
 #[test]
-fn stream_build_is_byte_identical_to_dom_build() {
+fn build_is_byte_identical_to_in_process_dom_build() {
     let dir = tmpdir("stream");
     let xml = dir.join("d.xml");
 
-    // One generated corpus per dataset family; both build paths must
-    // persist the exact same bytes.
+    // One generated corpus per dataset family: the file the streaming
+    // `xpe build` writes must equal the DOM build's bytes.
     for (name, scale) in [("ssplays", "0.02"), ("dblp", "0.01"), ("xmark", "0.01")] {
         let o = xpe(&[
             "generate",
@@ -393,22 +396,18 @@ fn stream_build_is_byte_identical_to_dom_build() {
         ]);
         assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
 
-        let dom = dir.join(format!("{name}-dom.xps"));
-        let stream = dir.join(format!("{name}-stream.xps"));
-        let o = xpe(&["build", xml.to_str().unwrap(), "-o", dom.to_str().unwrap()]);
-        assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-        let o = xpe(&[
-            "build",
-            xml.to_str().unwrap(),
-            "-o",
-            stream.to_str().unwrap(),
-            "--stream",
-        ]);
+        let xps = dir.join(format!("{name}.xps"));
+        let o = xpe(&["build", xml.to_str().unwrap(), "-o", xps.to_str().unwrap()]);
         assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
 
-        let dom_bytes = std::fs::read(&dom).unwrap();
-        let stream_bytes = std::fs::read(&stream).unwrap();
-        assert_eq!(dom_bytes, stream_bytes, "{name}: streaming diverged");
+        let text = std::fs::read_to_string(&xml).unwrap();
+        let doc = parse_document(&text).unwrap();
+        let dom_bytes = Summary::build(&doc, SummaryConfig::default()).to_bytes();
+        let written = std::fs::read(&xps).unwrap();
+        assert_eq!(
+            written, dom_bytes,
+            "{name}: xpe build diverged from the DOM build"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -47,6 +47,14 @@ impl PathIdBits {
         b
     }
 
+    /// The id of width `nbits` whose leading storage words are `words`
+    /// (a trimmed row: the missing trailing words are zero).
+    pub(crate) fn from_words(nbits: u32, words: &[u64]) -> Self {
+        let mut b = Self::zero(nbits);
+        b.words[..words.len()].copy_from_slice(words);
+        b
+    }
+
     /// Width in bits.
     #[inline]
     pub fn nbits(&self) -> u32 {

@@ -1,17 +1,16 @@
 //! Assigning path ids to every element of a document (paper §2).
 //!
-//! Two passes:
-//!
-//! 1. Collect the distinct root-to-leaf label paths into the
-//!    [`EncodingTable`], in first-encounter document order.
-//! 2. Bottom-up, give each leaf the single-bit id of its path and each
-//!    internal node the OR of its children's ids; intern every id.
+//! The document's open/close events, carrying its own [`TagId`]s, drive
+//! the one-pass [`StreamLabeler`]: a leaf takes the single-bit id of its
+//! root-to-leaf path, an internal node the OR of its children's ids, and
+//! every id is interned — the same labeler `xpe build` runs on the
+//! tokenizer's events.
 
 use xpe_xml::{Document, NodeId, TagId};
 
-use crate::bits::PathIdBits;
 use crate::encoding::EncodingTable;
 use crate::interner::{Pid, PidInterner};
+use crate::stream::StreamLabeler;
 
 /// The complete path-id labeling of one document.
 #[derive(Clone, Debug)]
@@ -27,45 +26,28 @@ pub struct Labeling {
 impl Labeling {
     /// Labels `doc` (paper Figure 1).
     pub fn compute(doc: &Document) -> Self {
-        // Pass 1: encode distinct root-to-leaf paths in document order.
-        let mut encoding = EncodingTable::new();
-        let mut leaf_encoding: Vec<u32> = vec![0; doc.len()];
-        let mut stack: Vec<(NodeId, usize)> = vec![(doc.root(), 0)];
-        let mut path: Vec<TagId> = Vec::new();
-        while let Some((id, depth)) = stack.pop() {
-            path.truncate(depth);
-            path.push(doc.tag(id));
-            let children = doc.children(id);
-            if children.is_empty() {
-                leaf_encoding[id.index()] = encoding.intern(&path);
-            } else {
-                for &c in children.iter().rev() {
-                    stack.push((c, depth + 1));
-                }
+        let mut labeler = StreamLabeler::new();
+        let mut temp = vec![Pid::from_index(0); doc.len()];
+        // Node ids are pre-order, so the events are: close every open
+        // element that is not the next node's parent, then open the node.
+        let mut open: Vec<NodeId> = Vec::new();
+        for node in doc.node_ids() {
+            let parent = doc.parent(node);
+            while open.last().copied() != parent {
+                let done = open.pop().expect("a node's parent is open");
+                temp[done.index()] = labeler.close().pid;
             }
+            labeler.open(doc.tag(node));
+            open.push(node);
         }
-
-        // Pass 2: bottom-up OR. Node ids are pre-order, so a reverse scan
-        // sees every child before its parent.
-        let width = encoding.len() as u32;
-        let mut interner = PidInterner::new(width);
-        let mut bits: Vec<PathIdBits> = vec![PathIdBits::zero(width); doc.len()];
-        for i in (0..doc.len()).rev() {
-            let id = NodeId::from_index(i);
-            if doc.children(id).is_empty() {
-                bits[i] = PathIdBits::single(width, leaf_encoding[i]);
-            }
-            if let Some(p) = doc.parent(id) {
-                let (low, high) = split_two(&mut bits, p.index(), i);
-                low.or_assign(high);
-            }
+        while let Some(done) = open.pop() {
+            temp[done.index()] = labeler.close().pid;
         }
-        let node_pids: Vec<Pid> = bits.into_iter().map(|b| interner.intern(b)).collect();
-
+        let labeling = labeler.finish();
         Labeling {
-            encoding,
-            interner,
-            node_pids,
+            node_pids: temp.into_iter().map(|p| labeling.resolve(p)).collect(),
+            encoding: labeling.encoding,
+            interner: labeling.interner,
         }
     }
 
@@ -96,18 +78,6 @@ impl Labeling {
             tag_v,
             child_axis,
         )
-    }
-}
-
-/// Disjoint mutable borrows of two vector slots (`a < b` not required).
-fn split_two<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
     }
 }
 

@@ -53,5 +53,5 @@ pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
 pub use rel::{axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache};
 pub use slab::{PidBitmapSlab, PidBitsRef};
-pub use stream::{PathScan, StreamLabeler, StreamLabeling, StreamSink};
+pub use stream::{Closed, StreamLabeler, StreamLabeling};
 pub use tree::PathIdTree;

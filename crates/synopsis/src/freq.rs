@@ -4,10 +4,10 @@
 //! occurs with and its frequency. This is the exact statistic the
 //! p-histogram summarizes and the path join consumes.
 
-use std::collections::HashMap;
-
 use xpe_pathid::{Labeling, Pid};
 use xpe_xml::{Document, TagId};
+
+use crate::index_map::IndexMap;
 
 /// Exact per-tag `(path id, frequency)` lists.
 #[derive(Clone, Debug)]
@@ -16,41 +16,47 @@ pub struct PathIdFrequencyTable {
     rows: Vec<Vec<(Pid, u64)>>,
 }
 
+/// Counts `(tag, pid)` pairs as elements are retired, in any order,
+/// with each pair's minimal pre-order index: the key that puts a row in
+/// first-encounter order, whose ties the p-histogram's stable frequency
+/// sort exposes.
+#[derive(Default)]
+pub(crate) struct FreqCounts(IndexMap<(TagId, Pid), (u64, u64)>);
+
+impl FreqCounts {
+    /// Counts one element with `tag` and `pid`, the `pre`-th to open.
+    pub(crate) fn add(&mut self, tag: TagId, pid: Pid, pre: u64) {
+        let (count, first) = self.0.entry((tag, pid)).or_insert((0, pre));
+        *count += 1;
+        *first = (*first).min(pre);
+    }
+
+    /// The table over `tag_count` tags, every pid mapped through
+    /// `resolve`.
+    pub(crate) fn into_table(
+        self,
+        tag_count: usize,
+        resolve: impl Fn(Pid) -> Pid,
+    ) -> PathIdFrequencyTable {
+        let mut cells: Vec<_> = self.0.into_iter().collect();
+        // The minima are unique: an element has one tag and one pid.
+        cells.sort_unstable_by_key(|&(_, (_, first))| first);
+        let mut rows = vec![Vec::new(); tag_count];
+        for ((tag, pid), (count, _)) in cells {
+            rows[tag.index()].push((resolve(pid), count));
+        }
+        PathIdFrequencyTable { rows }
+    }
+}
+
 impl PathIdFrequencyTable {
     /// Aggregates the labeling of `doc` into per-tag rows.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
-        let mut maps: Vec<HashMap<Pid, u64>> = vec![HashMap::new(); doc.tags().len()];
-        let mut orders: Vec<Vec<Pid>> = vec![Vec::new(); doc.tags().len()];
+        let mut counts = FreqCounts::default();
         for n in doc.node_ids() {
-            let tag = doc.tag(n).index();
-            let pid = labeling.pid(n);
-            let entry = maps[tag].entry(pid).or_insert_with(|| {
-                orders[tag].push(pid);
-                0
-            });
-            *entry += 1;
+            counts.add(doc.tag(n), labeling.pid(n), n.index() as u64);
         }
-        let rows = orders
-            .into_iter()
-            .zip(maps)
-            .map(|(order, map)| {
-                order
-                    .into_iter()
-                    .map(|pid| (pid, map[&pid]))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        PathIdFrequencyTable { rows }
-    }
-
-    /// Assembles a table from already-aggregated rows, one per tag in
-    /// `TagId` index order; within a row, pids must be in the document's
-    /// first-encounter order (what [`build`](Self::build) produces and the
-    /// p-histogram's stable frequency sort ties break on). The streaming
-    /// ingest path collects rows from close events and reorders them by
-    /// minimal pre-order index before calling this.
-    pub fn from_rows(rows: Vec<Vec<(Pid, u64)>>) -> Self {
-        PathIdFrequencyTable { rows }
+        counts.into_table(doc.tags().len(), |pid| pid)
     }
 
     /// Total element count (every element carries exactly one tag and one

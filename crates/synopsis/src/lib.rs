@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod freq;
+mod index_map;
 mod ohistogram;
 mod order;
 mod persist;

@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use xpe_pathid::{Labeling, Pid};
 use xpe_xml::{Document, TagId};
 
+use crate::index_map::IndexMap;
+
 /// Before/after counts of one `(pid, sibling tag)` cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OrderCell {
@@ -28,61 +30,90 @@ pub struct PathOrderTable {
     rows: Vec<HashMap<(Pid, TagId), OrderCell>>,
 }
 
-impl PathOrderTable {
-    /// Collects sibling order information in one pass over all parents.
-    pub fn build(doc: &Document, labeling: &Labeling) -> Self {
-        let tag_count = doc.tags().len();
-        let mut rows: Vec<HashMap<(Pid, TagId), OrderCell>> = vec![HashMap::new(); tag_count];
-        // Scratch: first/last sibling position per tag, reset per parent.
-        let mut first = vec![usize::MAX; tag_count];
-        let mut last = vec![usize::MAX; tag_count];
-        let mut touched: Vec<usize> = Vec::new();
+/// The paper's sibling scan: fed each parent's children in document
+/// order, it accumulates every `(X, pid, Y)` cell.
+#[derive(Default)]
+pub(crate) struct SiblingScan {
+    cells: IndexMap<(TagId, Pid, TagId), OrderCell>,
+    /// Scratch: first/last sibling position per tag, reset per parent;
+    /// grown as tags appear.
+    first: Vec<usize>,
+    last: Vec<usize>,
+    touched: Vec<usize>,
+}
 
-        for parent in doc.node_ids() {
-            let children = doc.children(parent);
-            if children.len() < 2 {
-                continue;
+impl SiblingScan {
+    /// Counts the order facts of one parent's `(tag, pid)` children, in
+    /// document order: a child is before some `Y` sibling when the last
+    /// `Y` comes after it, and after some `Y` sibling when the first `Y`
+    /// comes before it.
+    pub(crate) fn scan(&mut self, children: &[(TagId, Pid)]) {
+        if children.len() < 2 {
+            return;
+        }
+        for (k, &(tag, _)) in children.iter().enumerate() {
+            let t = tag.index();
+            if t >= self.first.len() {
+                self.first.resize(t + 1, usize::MAX);
+                self.last.resize(t + 1, usize::MAX);
             }
-            for (k, &c) in children.iter().enumerate() {
-                let t = doc.tag(c).index();
-                if first[t] == usize::MAX {
-                    first[t] = k;
-                    touched.push(t);
+            if self.first[t] == usize::MAX {
+                self.first[t] = k;
+                self.touched.push(t);
+            }
+            self.last[t] = k;
+        }
+        for (k, &(x, pid)) in children.iter().enumerate() {
+            for &y in &self.touched {
+                let before = self.last[y] > k;
+                let after = self.first[y] < k;
+                if before || after {
+                    let cell = self
+                        .cells
+                        .entry((x, pid, TagId::from_index(y)))
+                        .or_default();
+                    cell.before += u64::from(before);
+                    cell.after += u64::from(after);
                 }
-                last[t] = k;
             }
-            for (k, &c) in children.iter().enumerate() {
-                let x = doc.tag(c).index();
-                let pid = labeling.pid(c);
-                for &y in &touched {
-                    let y_tag = TagId::from_index(y);
-                    // `c` occurs before some Y sibling?
-                    if last[y] > k {
-                        rows[x].entry((pid, y_tag)).or_default().before += 1;
-                    }
-                    // `c` occurs after some Y sibling?
-                    if first[y] < k {
-                        rows[x].entry((pid, y_tag)).or_default().after += 1;
-                    }
-                }
-            }
-            for &t in &touched {
-                first[t] = usize::MAX;
-                last[t] = usize::MAX;
-            }
-            touched.clear();
+        }
+        for &t in &self.touched {
+            self.first[t] = usize::MAX;
+            self.last[t] = usize::MAX;
+        }
+        self.touched.clear();
+    }
+
+    /// The table over `tag_count` tags, every pid mapped through
+    /// `resolve`.
+    pub(crate) fn into_table(
+        self,
+        tag_count: usize,
+        resolve: impl Fn(Pid) -> Pid,
+    ) -> PathOrderTable {
+        let mut rows: Vec<HashMap<(Pid, TagId), OrderCell>> = vec![HashMap::new(); tag_count];
+        for ((x, pid, y), cell) in self.cells {
+            rows[x.index()].insert((resolve(pid), y), cell);
         }
         PathOrderTable { rows }
     }
+}
 
-    /// Assembles a table from already-aggregated rows, one per tag in
-    /// `TagId` index order. Cell iteration order is irrelevant downstream
-    /// (the o-histogram lays cells out positionally by the p-histogram's
-    /// pid order), so only the contents must match what
-    /// [`build`](Self::build) computes — which is how the streaming ingest
-    /// path can aggregate cells at element close events.
-    pub fn from_rows(rows: Vec<HashMap<(Pid, TagId), OrderCell>>) -> Self {
-        PathOrderTable { rows }
+impl PathOrderTable {
+    /// Collects sibling order information in one pass over all parents.
+    pub fn build(doc: &Document, labeling: &Labeling) -> Self {
+        let mut scan = SiblingScan::default();
+        let mut children = Vec::new();
+        for parent in doc.node_ids() {
+            children.clear();
+            children.extend(
+                doc.children(parent)
+                    .iter()
+                    .map(|&c| (doc.tag(c), labeling.pid(c))),
+            );
+            scan.scan(&children);
+        }
+        scan.into_table(doc.tags().len(), |pid| pid)
     }
 
     /// The cell for `X` elements with `pid` relative to sibling tag `y`.

@@ -1,163 +1,100 @@
-//! Streaming summary construction: raw XML bytes → [`Summary`], without
-//! materializing the document tree.
+//! Summary construction in one streaming pass: raw XML bytes →
+//! [`Summary`], without materializing the document tree.
 //!
-//! [`Summary::build_streaming`] makes two passes over the input with
-//! [`StreamParser`]: pass A ([`xpe_pathid::PathScan`]) fixes the tag
-//! vocabulary and the encoding table (and thus the path-id width); pass B
-//! ([`xpe_pathid::StreamLabeler`]) labels elements with an open-element
-//! stack and retires each one into the accumulators below at its close
-//! event. Peak live state is O(depth × width) parser/labeler stack plus
-//! the output tables themselves — never O(node count) like the DOM path's
-//! arena, per-node pid vector and child lists.
-//!
-//! The result is **bit-identical** to `Summary::build(parse(input))`:
-//! every persisted component either comes out in the same order by
-//! construction (tags intern at open events; leaf paths intern at leaf
-//! close events, which occur in leaf pre-order) or is explicitly
-//! reordered to the DOM's first-encounter pre-order using the minimal
-//! pre-order index the labeler tracks per distinct pid (the interner
-//! numbering and the frequency-table row order, whose ties the
-//! p-histogram's stable sort exposes). The order table is keyed, not
-//! ordered, so equal contents suffice.
+//! The tokenizer ([`StreamParser`]) drives the one-pass [`StreamLabeler`]
+//! and a [`Collector`]. An element's path id and `(tag, pid)` count are
+//! final at its close event, and so are the sibling-order facts among its
+//! children, which have all closed by then. Live state is the open
+//! elements' trimmed rows, their closed children and the output tables —
+//! never the node count. The result is **bit-identical** to
+//! `Summary::build(parse(input))` (DESIGN.md, "Ingest architecture").
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use xpe_pathid::{PathIdTree, PathScan, Pid, StreamLabeler, StreamSink};
-use xpe_xml::{ParseError, StreamEvent, StreamParser, TagId};
+use xpe_pathid::{Pid, StreamLabeler};
+use xpe_xml::{ParseError, StreamEvent, StreamParser, TagId, TagInterner};
 
-use crate::freq::PathIdFrequencyTable;
-use crate::ohistogram::OHistogramSet;
-use crate::order::{OrderCell, PathOrderTable};
-use crate::phistogram::PHistogramSet;
-use crate::rootpids::RootPidIndex;
-use crate::summary::{BuildTimings, Summary, SummaryConfig};
+use crate::freq::FreqCounts;
+use crate::order::SiblingScan;
+use crate::summary::{Summary, SummaryConfig};
 
-/// Accumulates the two exact statistics tables from retirement events.
-/// Pids are the labeler's temporary ids until the final remap.
-struct StatsSink {
-    /// Per tag: pid → (frequency, minimal pre-order index).
-    freq: Vec<HashMap<Pid, (u64, u64)>>,
-    /// Per tag: the path-order cells.
-    order: Vec<HashMap<(Pid, TagId), OrderCell>>,
+/// Both exact statistics tables, collected from close events.
+#[derive(Default)]
+struct Collector {
+    freq: FreqCounts,
+    order: SiblingScan,
+    /// The closed children of every open element, in document order; the
+    /// innermost element's run is last.
+    children: Vec<(TagId, Pid)>,
+    /// Per open element: where its run in `children` starts.
+    starts: Vec<usize>,
 }
 
-impl StatsSink {
-    fn new(tag_count: usize) -> Self {
-        StatsSink {
-            freq: vec![HashMap::new(); tag_count],
-            order: vec![HashMap::new(); tag_count],
-        }
-    }
-}
-
-impl StreamSink for StatsSink {
-    fn element(&mut self, tag: TagId, pid: Pid, pre_index: u64) {
-        let entry = self.freq[tag.index()].entry(pid).or_insert((0, pre_index));
-        entry.0 += 1;
-        entry.1 = entry.1.min(pre_index);
+impl Collector {
+    fn open(&mut self) {
+        self.starts.push(self.children.len());
     }
 
-    fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId) {
-        self.order[x.index()].entry((pid, y)).or_default().after += 1;
-    }
-
-    fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
-        self.order[x.index()].entry((pid, y)).or_default().before += count;
+    /// Retires an element: counts it, scans its children's sibling order,
+    /// and files it as a closed child of its parent.
+    fn close(&mut self, tag: TagId, pid: Pid, pre: u64) {
+        self.freq.add(tag, pid, pre);
+        let start = self.starts.pop().expect("close without open");
+        self.order.scan(&self.children[start..]);
+        self.children.truncate(start);
+        self.children.push((tag, pid));
     }
 }
 
 impl Summary {
     /// Builds the full summary directly from XML text, bit-identically to
-    /// `Summary::build(&parse_document(input)?, config)` but with memory
-    /// bounded by document depth × distinct-path count instead of node
+    /// `Summary::build(&parse_document(input)?, config)` but in one pass
+    /// and with memory bounded by the open elements instead of the node
     /// count. Malformed input surfaces the same [`ParseError`] the DOM
     /// parser reports.
+    ///
+    /// Labeling, counting and the sibling scan share the pass, so
+    /// `collect_path` times all three; `collect_order` times only the
+    /// order table's final pid translation.
     pub fn build_streaming(input: &str, config: SummaryConfig) -> Result<Self, ParseError> {
         let t0 = Instant::now();
-
-        // Pass A: vocabulary. Fixes tag ids, path encodings, pid width.
-        let mut scan = PathScan::new();
+        let mut tags = TagInterner::new();
+        let mut labeler = StreamLabeler::new();
+        let mut collector = Collector::default();
         let mut parser = StreamParser::new(input.as_bytes());
         while let Some(event) = parser.next_event()? {
             match event {
-                StreamEvent::Open { name } => scan.open(&name),
-                StreamEvent::Close => scan.close(),
-                StreamEvent::Text(_) => {}
-            }
-        }
-        let (tags, encoding) = scan.finish();
-
-        // Pass B: label and retire every element at its close event.
-        let mut labeler = StreamLabeler::new(&tags, &encoding);
-        let mut sink = StatsSink::new(tags.len());
-        let mut parser = StreamParser::new(input.as_bytes());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::Open { name } => labeler.open(&name),
-                StreamEvent::Close => labeler.close(&mut sink),
+                StreamEvent::Open { name } => {
+                    labeler.open(tags.intern(&name));
+                    collector.open();
+                }
+                StreamEvent::Close => {
+                    let closed = labeler.close();
+                    collector.close(closed.tag, closed.pid, closed.pre);
+                }
                 StreamEvent::Text(_) => {}
             }
         }
         let labeling = labeler.finish();
+        let resolve = |temp| labeling.resolve(temp);
+        let freq = collector.freq.into_table(tags.len(), resolve);
         let collect_path = t0.elapsed();
 
-        // Remap temporary pids to the final pre-order numbering and
-        // restore the DOM tables' row orders.
         let t2 = Instant::now();
-        let freq_rows: Vec<Vec<(Pid, u64)>> = sink
-            .freq
-            .into_iter()
-            .map(|row| {
-                let mut entries: Vec<(Pid, u64, u64)> = row
-                    .into_iter()
-                    .map(|(temp, (count, min_pre))| (labeling.resolve(temp), count, min_pre))
-                    .collect();
-                // First-encounter order within the tag = ascending minimal
-                // pre-order index (unique per entry: an element has one
-                // tag and one pid).
-                entries.sort_by_key(|&(_, _, min_pre)| min_pre);
-                entries.into_iter().map(|(p, c, _)| (p, c)).collect()
-            })
-            .collect();
-        let freq = PathIdFrequencyTable::from_rows(freq_rows);
-        let order_rows: Vec<HashMap<(Pid, TagId), OrderCell>> = sink
-            .order
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|((temp, y), cell)| ((labeling.resolve(temp), y), cell))
-                    .collect()
-            })
-            .collect();
-        let order = PathOrderTable::from_rows(order_rows);
+        let order = collector.order.into_table(tags.len(), resolve);
         let collect_order = t2.elapsed();
 
-        let t1 = Instant::now();
-        let phist = PHistogramSet::build(&freq, config.p_variance);
-        let build_p = t1.elapsed();
-        let t3 = Instant::now();
-        let ohist = OHistogramSet::build(&order, &phist, &tags, config.o_variance);
-        let build_o = t3.elapsed();
-
-        let pid_tree = PathIdTree::new(&labeling.interner);
-        let root_pids = RootPidIndex::build(&encoding, &labeling.interner);
-        Ok(Summary {
+        let mut summary = Summary::from_parts(
             tags,
-            encoding,
-            pids: labeling.interner,
-            pid_tree,
-            phist,
-            ohist,
+            labeling.encoding,
+            labeling.interner,
+            &freq,
+            &order,
             config,
-            timings: BuildTimings {
-                collect_path,
-                build_p,
-                collect_order,
-                build_o,
-            },
-            root_pids,
-        })
+        );
+        summary.timings.collect_path = collect_path;
+        summary.timings.collect_order = collect_order;
+        Ok(summary)
     }
 }
 

@@ -104,54 +104,20 @@ impl Summary {
         let labeling = Labeling::compute(doc);
         let freq = PathIdFrequencyTable::build(doc, &labeling);
         let collect_path = t0.elapsed();
-
-        let t1 = Instant::now();
-        let phist = PHistogramSet::build(&freq, config.p_variance);
-        let build_p = t1.elapsed();
-
         let t2 = Instant::now();
         let order = PathOrderTable::build(doc, &labeling);
         let collect_order = t2.elapsed();
-
-        let t3 = Instant::now();
-        let ohist = OHistogramSet::build(&order, &phist, doc.tags(), config.o_variance);
-        let build_o = t3.elapsed();
-
-        let pid_tree = PathIdTree::new(&labeling.interner);
-        let root_pids = RootPidIndex::build(&labeling.encoding, &labeling.interner);
-
-        Summary {
-            tags: doc.tags().clone(),
-            encoding: labeling.encoding,
-            pids: labeling.interner,
-            pid_tree,
-            phist,
-            ohist,
+        let mut summary = Self::from_parts(
+            doc.tags().clone(),
+            labeling.encoding,
+            labeling.interner,
+            &freq,
+            &order,
             config,
-            timings: BuildTimings {
-                collect_path,
-                build_p,
-                collect_order,
-                build_o,
-            },
-            root_pids,
-        }
-    }
-
-    /// Rebuilds only the histograms at new thresholds, reusing the
-    /// labeling-derived statistics. The harness uses this to sweep variance
-    /// values without re-labeling multi-hundred-thousand-element documents.
-    pub fn rebuild_histograms(doc: &Document, labeling: &Labeling, config: SummaryConfig) -> Self {
-        let t0 = Instant::now();
-        let freq = PathIdFrequencyTable::build(doc, labeling);
-        let collect_path = t0.elapsed();
-        let t2 = Instant::now();
-        let order = PathOrderTable::build(doc, labeling);
-        let collect_order = t2.elapsed();
-        let mut s = Self::from_statistics(doc.tags(), labeling, &freq, &order, config);
-        s.timings.collect_path = collect_path;
-        s.timings.collect_order = collect_order;
-        s
+        );
+        summary.timings.collect_path = collect_path;
+        summary.timings.collect_order = collect_order;
+        summary
     }
 
     /// Builds a summary from already collected exact statistics — the
@@ -165,17 +131,38 @@ impl Summary {
         order: &PathOrderTable,
         config: SummaryConfig,
     ) -> Self {
+        Self::from_parts(
+            tags.clone(),
+            labeling.encoding.clone(),
+            labeling.interner.clone(),
+            freq,
+            order,
+            config,
+        )
+    }
+
+    /// Builds the histograms over the exact statistics and assembles the
+    /// summary; `collect_*` timings are zero.
+    pub(crate) fn from_parts(
+        tags: TagInterner,
+        encoding: EncodingTable,
+        pids: PidInterner,
+        freq: &PathIdFrequencyTable,
+        order: &PathOrderTable,
+        config: SummaryConfig,
+    ) -> Self {
         let t1 = Instant::now();
         let phist = PHistogramSet::build(freq, config.p_variance);
         let build_p = t1.elapsed();
         let t3 = Instant::now();
-        let ohist = OHistogramSet::build(order, &phist, tags, config.o_variance);
+        let ohist = OHistogramSet::build(order, &phist, &tags, config.o_variance);
         let build_o = t3.elapsed();
         Summary {
-            tags: tags.clone(),
-            encoding: labeling.encoding.clone(),
-            pids: labeling.interner.clone(),
-            pid_tree: PathIdTree::new(&labeling.interner),
+            pid_tree: PathIdTree::new(&pids),
+            root_pids: RootPidIndex::build(&encoding, &pids),
+            tags,
+            encoding,
+            pids,
             phist,
             ohist,
             config,
@@ -185,7 +172,6 @@ impl Summary {
                 collect_order: Duration::ZERO,
                 build_o,
             },
-            root_pids: RootPidIndex::build(&labeling.encoding, &labeling.interner),
         }
     }
 
@@ -292,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_matches_fresh_build() {
+    fn statistics_build_matches_fresh_build() {
         let doc = xpe_xml::fixtures::paper_figure1();
         let labeling = Labeling::compute(&doc);
         let cfg = SummaryConfig {
@@ -300,8 +286,9 @@ mod tests {
             o_variance: 2.0,
         };
         let fresh = Summary::build(&doc, cfg);
-        let rebuilt = Summary::rebuild_histograms(&doc, &labeling, cfg);
-        assert_eq!(fresh.sizes().p_histograms, rebuilt.sizes().p_histograms);
-        assert_eq!(fresh.sizes().o_histograms, rebuilt.sizes().o_histograms);
+        let freq = PathIdFrequencyTable::build(&doc, &labeling);
+        let order = PathOrderTable::build(&doc, &labeling);
+        let rebuilt = Summary::from_statistics(doc.tags(), &labeling, &freq, &order, cfg);
+        assert_eq!(fresh.to_bytes(), rebuilt.to_bytes());
     }
 }

@@ -73,8 +73,9 @@ enum State {
 pub struct StreamParser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Open tag names, innermost last (bounds nesting at [`MAX_DEPTH`]).
-    open: Vec<String>,
+    /// Byte ranges of the open tag names, innermost last (bounds nesting
+    /// at [`MAX_DEPTH`]).
+    open: Vec<(usize, usize)>,
     state: State,
     /// A `<a/>` produced its `Open`; its `Close` is owed next.
     pending_close: bool,
@@ -277,7 +278,7 @@ impl<'a> StreamParser<'a> {
         self.expect(b'<')?;
         let (start, end) = self.name_range()?;
         let name = String::from_utf8_lossy(&self.bytes[start..end]);
-        self.open.push(name.clone().into_owned());
+        self.open.push((start, end));
         self.attributes()?;
         self.skip_ws();
         if self.starts_with("/>") {
@@ -293,14 +294,15 @@ impl<'a> StreamParser<'a> {
     fn close_tag(&mut self) -> Result<StreamEvent<'a>, ParseError> {
         self.bump(2);
         let (start, end) = self.name_range()?;
-        let found = String::from_utf8_lossy(&self.bytes[start..end]);
         self.skip_ws();
         self.expect(b'>')?;
-        let open = self.open.last().map(String::as_str).unwrap_or_default();
-        if open != found {
+        let (open_start, open_end) = self.open.last().copied().unwrap_or_default();
+        let (open, found) = (&self.bytes[open_start..open_end], &self.bytes[start..end]);
+        // Names compare as (lossily decoded) text; equal bytes always do.
+        if open != found && String::from_utf8_lossy(open) != String::from_utf8_lossy(found) {
             return Err(self.err(ParseErrorKind::MismatchedTag {
-                open: open.to_owned(),
-                found: found.into_owned(),
+                open: String::from_utf8_lossy(open).into_owned(),
+                found: String::from_utf8_lossy(found).into_owned(),
             }));
         }
         Ok(self.emit_close())
