@@ -257,9 +257,13 @@ fn corrupt_corpus_fails_with_distinct_messages() {
         // decoder reports truncation when the promised elements are not
         // there — after a capped, not count-sized, preallocation.
         ("inflated.xps", "input truncated"),
+        // A handle behind a valid checksum that points past its table is
+        // refused at load, not dereferenced by the first estimate.
+        ("dangling.xps", "p-histogram pid 1000000 is out of range"),
     ] {
         let o = xpe(&["estimate", &corpus(file), "//book/chapter"]);
         assert_clean_failure(&o, needle);
+        assert!(stderr(&o).contains("loading"), "{file}: {}", stderr(&o));
         assert!(stdout(&o).is_empty(), "no estimates for {file}");
     }
 }

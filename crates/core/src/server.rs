@@ -958,11 +958,12 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Writes one response line; a timeout or error here means the peer
+/// Writes one response line, terminator included, in a single write so
+/// it leaves as one segment; a timeout or error here means the peer
 /// stopped draining and the connection is abandoned.
-fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+fn write_line(stream: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
     stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
     stream.flush()
 }
 
@@ -989,7 +990,7 @@ fn handle_estimate(
             let err = ProtocolError::BadQuery {
                 detail: e.to_string(),
             };
-            write_line(stream, &protocol_error_response(&err))?;
+            write_line(stream, protocol_error_response(&err))?;
             return Ok(Served::Continue);
         }
     };
@@ -1001,7 +1002,7 @@ fn handle_estimate(
         Ok(()) => match receiver.recv() {
             Ok(reply) => {
                 tally.record(&reply.outcome.status);
-                write_line(stream, &estimate_response(&reply))?;
+                write_line(stream, estimate_response(&reply))?;
                 Ok(Served::Continue)
             }
             Err(_) => {
@@ -1009,7 +1010,7 @@ fn handle_estimate(
                 // only possible once the queue closed mid-drain.
                 write_line(
                     stream,
-                    &error_response("shutting-down", "server is draining"),
+                    error_response("shutting-down", "server is draining"),
                 )?;
                 Ok(Served::Close)
             }
@@ -1019,14 +1020,14 @@ fn handle_estimate(
             state.counters.overloaded.fetch_add(1, Ordering::Relaxed);
             write_line(
                 stream,
-                &error_response("overloaded", "worker queue is full; retry later"),
+                error_response("overloaded", "worker queue is full; retry later"),
             )?;
             Ok(Served::Continue)
         }
         Err(PushError::Closed(_)) => {
             write_line(
                 stream,
-                &error_response("shutting-down", "server is draining"),
+                error_response("shutting-down", "server is draining"),
             )?;
             Ok(Served::Close)
         }
@@ -1096,7 +1097,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
         if state.shutting_down() {
             let _ = write_line(
                 &mut stream,
-                &error_response("shutting-down", "server is draining"),
+                error_response("shutting-down", "server is draining"),
             );
             return;
         }
@@ -1109,7 +1110,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
                 state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 let _ = write_line(
                     &mut stream,
-                    &error_response("timeout", "read timed out; closing connection"),
+                    error_response("timeout", "read timed out; closing connection"),
                 );
                 return;
             }
@@ -1120,7 +1121,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
                     .counters
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = write_line(&mut stream, &protocol_error_response(&err));
+                let _ = write_line(&mut stream, protocol_error_response(&err));
                 if err.is_recoverable() {
                     continue;
                 }
@@ -1138,7 +1139,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
                     .counters
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
-                let write = write_line(&mut stream, &protocol_error_response(&err));
+                let write = write_line(&mut stream, protocol_error_response(&err));
                 if write.is_err() || !err.is_recoverable() {
                     return;
                 }
@@ -1146,17 +1147,20 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
             }
         };
         let served = match request {
-            Request::Ping => write_line(&mut stream, "{\"status\":\"ok\",\"pong\":true}")
+            Request::Ping => write_line(&mut stream, "{\"status\":\"ok\",\"pong\":true}".into())
                 .map(|_| Served::Continue),
             Request::Stats => {
-                write_line(&mut stream, &stats_response(state, &tally)).map(|_| Served::Continue)
+                write_line(&mut stream, stats_response(state, &tally)).map(|_| Served::Continue)
             }
             Request::Estimate { query } => handle_estimate(state, &mut stream, &mut tally, &query),
             Request::Reload { path } => {
-                write_line(&mut stream, &handle_reload(state, path)).map(|_| Served::Continue)
+                write_line(&mut stream, handle_reload(state, path)).map(|_| Served::Continue)
             }
             Request::Shutdown => {
-                let _ = write_line(&mut stream, "{\"status\":\"ok\",\"shutting_down\":true}");
+                let _ = write_line(
+                    &mut stream,
+                    "{\"status\":\"ok\",\"shutting_down\":true}".into(),
+                );
                 state.begin_shutdown();
                 return;
             }

@@ -262,6 +262,24 @@ impl OHistogramSet {
         })
     }
 
+    /// Checks a decoded set against the tables it indexes: one histogram
+    /// per tag, every row rank below the tag count, every column pid below
+    /// `pid_count`.
+    pub(crate) fn check_handles(
+        &self,
+        tag_count: usize,
+        pid_count: usize,
+    ) -> Result<(), xpe_xml::wire::WireError> {
+        xpe_xml::wire::check_len("o-histogram set", self.tag_count, tag_count)?;
+        for &rank in &self.rank_of {
+            xpe_xml::wire::check_index("o-histogram row rank", rank as usize, tag_count)?;
+        }
+        for pid in self.per_tag.iter().flat_map(|h| h.col_of.keys()) {
+            xpe_xml::wire::check_index("o-histogram column pid", pid.index(), pid_count)?;
+        }
+        Ok(())
+    }
+
     /// The construction threshold.
     pub fn variance(&self) -> f64 {
         self.variance

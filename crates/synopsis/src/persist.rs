@@ -183,6 +183,13 @@ impl Summary {
         let phist = PHistogramSet::decode(r)?;
         let ohist = OHistogramSet::decode(r)?;
         r.expect_exhausted()?;
+        // Every handle must land inside the table it indexes before any
+        // derived index or estimate dereferences it.
+        for tag in encoding.iter().flat_map(|(_, path)| path) {
+            wire::check_index("encoding-table tag", tag.index(), tags.len())?;
+        }
+        phist.check_handles(tags.len(), pids.len())?;
+        ohist.check_handles(tags.len(), pids.len())?;
         let pid_tree = PathIdTree::new(&pids);
         // Derived indexes (like the p-histograms' entry lists) are rebuilt
         // from the decoded structures rather than persisted.
@@ -448,6 +455,114 @@ mod tests {
         assert!(matches!(
             Summary::from_bytes(&bad),
             Err(LoadError::Wire(WireError::Truncated))
+        ));
+    }
+
+    /// The payload sections of a v2 image.
+    fn sections(image: &[u8]) -> crate::SectionSpans {
+        crate::SummaryView::parse(image).unwrap().sections()
+    }
+
+    /// The `u32` at payload offset `at` of a v2 image.
+    fn payload_u32(image: &[u8], at: usize) -> u32 {
+        let at = V2_HEADER_LEN + at;
+        u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+    }
+
+    /// Overwrites the `u32` at payload offset `at` and re-signs the
+    /// image, so only the structural decoder can catch the edit.
+    fn patch_u32(image: &mut [u8], at: usize, value: u32) {
+        let at = V2_HEADER_LEN + at;
+        image[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let body_len = image.len() - V2_TRAILER_LEN;
+        let crc = wire::crc32(&image[..body_len]);
+        image[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn assert_out_of_range(image: &[u8], handle: &str, value: usize, table: usize) {
+        match Summary::from_bytes(image) {
+            Err(LoadError::Wire(WireError::OutOfRange { what, index, len })) => {
+                assert_eq!((what, index, len), (handle, value, table));
+            }
+            other => panic!("{handle} {value} was not rejected: {other:?}"),
+        }
+    }
+
+    /// Handles behind a valid checksum are checked against the tables
+    /// they index: a dangling one is a typed error at load time, not a
+    /// panic at the first estimate.
+    #[test]
+    fn dangling_p_histogram_pid_is_rejected() {
+        let s = summary();
+        let mut bad = s.to_bytes();
+        // variance, set length, first histogram's bucket count, its first
+        // bucket's average and pid count; then the first pid.
+        let first_pid = sections(&bad).phist.start + 28;
+        patch_u32(&mut bad, first_pid, 1_000_000);
+        assert_out_of_range(&bad, "p-histogram pid", 1_000_000, s.pids.len());
+    }
+
+    #[test]
+    fn dangling_o_histogram_handles_are_rejected() {
+        let s = summary();
+        let image = s.to_bytes();
+        let ohist = sections(&image).ohist.start;
+        // variance, then the tag count and one row rank per tag.
+        let tag_count = payload_u32(&image, ohist + 8) as usize;
+        let first_rank = ohist + 12;
+        let mut bad = image.clone();
+        patch_u32(&mut bad, first_rank, 1_000_000);
+        assert_out_of_range(&bad, "o-histogram row rank", 1_000_000, tag_count);
+
+        // The first histogram: its buckets (24 bytes each), its column
+        // count, then its first (pid, column) pair.
+        let first_hist = first_rank + 4 * tag_count;
+        let buckets = payload_u32(&image, first_hist) as usize;
+        let columns = first_hist + 4 + 24 * buckets;
+        assert!(payload_u32(&image, columns) > 0, "the root has a column");
+        let mut bad = image;
+        patch_u32(&mut bad, columns + 4, 1_000_000);
+        assert_out_of_range(&bad, "o-histogram column pid", 1_000_000, s.pids.len());
+    }
+
+    #[test]
+    fn dangling_encoding_table_tag_is_rejected() {
+        let s = summary();
+        let mut bad = s.to_bytes();
+        // Path count, first path's length, then its first tag.
+        let first_tag = sections(&bad).encoding.start + 8;
+        patch_u32(&mut bad, first_tag, 1_000_000);
+        assert_out_of_range(&bad, "encoding-table tag", 1_000_000, s.tags.len());
+    }
+
+    /// Each histogram set holds one histogram per tag: an image with an
+    /// extra tag is refused, p-histograms first.
+    #[test]
+    fn histogram_sets_must_cover_every_tag() {
+        let mut s = summary();
+        let tags = s.tags.len();
+        s.tags.intern("extra");
+        assert!(matches!(
+            Summary::from_bytes(&s.to_bytes()),
+            Err(LoadError::Wire(WireError::LengthMismatch {
+                what: "p-histogram set",
+                len,
+                expected,
+            })) if (len, expected) == (tags, tags + 1)
+        ));
+
+        let mut per_tag: Vec<_> = (0..tags)
+            .map(|t| s.phist.histogram(xpe_xml::TagId::from_index(t)).clone())
+            .collect();
+        per_tag.push(crate::PHistogram::from_buckets(Vec::new()));
+        s.phist = PHistogramSet::from_parts(per_tag, s.phist.variance());
+        assert!(matches!(
+            Summary::from_bytes(&s.to_bytes()),
+            Err(LoadError::Wire(WireError::LengthMismatch {
+                what: "o-histogram set",
+                len,
+                expected,
+            })) if (len, expected) == (tags, tags + 1)
         ));
     }
 

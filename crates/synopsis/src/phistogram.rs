@@ -237,6 +237,21 @@ impl PHistogramSet {
         Ok(PHistogramSet { per_tag, variance })
     }
 
+    /// Checks a decoded set against the tables it indexes: one histogram
+    /// per tag, every pid below `pid_count`.
+    pub(crate) fn check_handles(
+        &self,
+        tag_count: usize,
+        pid_count: usize,
+    ) -> Result<(), xpe_xml::wire::WireError> {
+        xpe_xml::wire::check_len("p-histogram set", self.per_tag.len(), tag_count)?;
+        let pids = self.per_tag.iter().flat_map(|h| &h.entry_list);
+        for &(pid, _) in pids {
+            xpe_xml::wire::check_index("p-histogram pid", pid.index(), pid_count)?;
+        }
+        Ok(())
+    }
+
     /// The histogram of `tag`.
     pub fn histogram(&self, tag: TagId) -> &PHistogram {
         &self.per_tag[tag.index()]

@@ -95,6 +95,49 @@ pub enum WireError {
         /// Number of bytes left after the payload.
         remaining: usize,
     },
+    /// A decoded handle points outside the table it indexes.
+    OutOfRange {
+        /// Which handle, e.g. `"p-histogram pid"`.
+        what: &'static str,
+        /// The decoded handle.
+        index: usize,
+        /// The size of the table it indexes.
+        len: usize,
+    },
+    /// A per-tag table holds a different number of entries than the
+    /// image has tags.
+    LengthMismatch {
+        /// Which table, e.g. `"p-histogram set"`.
+        what: &'static str,
+        /// Its decoded entry count.
+        len: usize,
+        /// The count it must have.
+        expected: usize,
+    },
+}
+
+/// `Ok` when `index` addresses a table of `len` entries; the typed
+/// [`WireError::OutOfRange`] otherwise.
+pub fn check_index(what: &'static str, index: usize, len: usize) -> Result<(), WireError> {
+    if index < len {
+        Ok(())
+    } else {
+        Err(WireError::OutOfRange { what, index, len })
+    }
+}
+
+/// `Ok` when a table holds the `expected` number of entries; the typed
+/// [`WireError::LengthMismatch`] otherwise.
+pub fn check_len(what: &'static str, len: usize, expected: usize) -> Result<(), WireError> {
+    if len == expected {
+        Ok(())
+    } else {
+        Err(WireError::LengthMismatch {
+            what,
+            len,
+            expected,
+        })
+    }
 }
 
 impl fmt::Display for WireError {
@@ -106,6 +149,17 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing byte(s) after a complete payload")
             }
+            WireError::OutOfRange { what, index, len } => {
+                write!(f, "{what} {index} is out of range for a table of {len}")
+            }
+            WireError::LengthMismatch {
+                what,
+                len,
+                expected,
+            } => write!(
+                f,
+                "{what} holds {len} entries where {expected} are expected"
+            ),
         }
     }
 }

@@ -71,17 +71,28 @@ fn main() {
     // reject the lie. The decoder's length-capped preallocation
     // (`wire::cap_alloc`) is what keeps this from requesting a
     // multi-gigabyte buffer before the truncation check fires.
-    let mut inflated = base;
-    let ohist_payload_off = xpe::synopsis::SummaryView::parse(&inflated)
+    let sections = xpe::synopsis::SummaryView::parse(&base)
         .expect("base image parses")
-        .sections()
-        .ohist
-        .start;
+        .sections();
+    // Rewrites the u32 at a file offset and recomputes the CRC-32 trailer.
+    let patch = |image: &mut Vec<u8>, off: usize, value: u32| {
+        image[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        let body_len = image.len() - 4;
+        let crc = xpe::xml::wire::crc32(&image[..body_len]);
+        image[body_len..].copy_from_slice(&crc.to_le_bytes());
+    };
+    let mut inflated = base.clone();
     // File offset: 16-byte v2 header + section offset + 8-byte variance.
-    let count_off = 16 + ohist_payload_off + 8;
-    inflated[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let body_len = inflated.len() - 4;
-    let crc = xpe::xml::wire::crc32(&inflated[..body_len]);
-    inflated[body_len..].copy_from_slice(&crc.to_le_bytes());
+    patch(&mut inflated, 16 + sections.ohist.start + 8, u32::MAX);
     write("inflated.xps", &inflated);
+
+    // A dangling handle with a *valid* checksum: the first p-histogram
+    // pid rewritten to 1,000,000, far past the image's pid table. The
+    // decoder must refuse it at load, before an estimate indexes with it.
+    // File offset: header + section offset + variance, set length, the
+    // first histogram's bucket count, its first bucket's average and pid
+    // count.
+    let mut dangling = base;
+    patch(&mut dangling, 16 + sections.phist.start + 28, 1_000_000);
+    write("dangling.xps", &dangling);
 }
