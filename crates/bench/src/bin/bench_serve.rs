@@ -10,7 +10,7 @@
 //!   [`Estimator`] call on the same query text;
 //! * **hostile clients** — cycling malformed frames, oversized lines,
 //!   mid-frame disconnects, half-closes, and poison-tag queries (the
-//!   worker's panic-isolation path), all while the healthy fleet runs;
+//!   server's panic-isolation path), all while the healthy fleet runs;
 //! * **one hot reload** issued mid-run, after half the healthy traffic
 //!   has completed — answers must stay bit-identical across the epoch
 //!   bump because the reloaded file is the same summary.
@@ -223,7 +223,6 @@ fn traffic_pass(
         Arc::clone(summary),
         None,
         ServerConfig {
-            workers: 0,
             estimate_cache_capacity: spec.estimate_cache,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
@@ -376,7 +375,6 @@ fn main() {
         Arc::clone(&summary),
         Some(xps.clone()),
         ServerConfig {
-            workers: 0, // one per core
             max_line_bytes: 4096,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
@@ -459,9 +457,9 @@ fn main() {
                             let _ = c.reader.read_line(&mut reply);
                         }
                         _ => {
-                            // Poison-tag query: the worker's panic path
-                            // answers `degraded:panicked` on this
-                            // connection only.
+                            // Poison-tag query: the panic path answers
+                            // `degraded:panicked` on this connection
+                            // only.
                             let mut c = WireClient::connect(addr);
                             let resp = c.estimate(&format!("//{POISON_TAG}"));
                             let status = resp.get("status").and_then(Json::as_str).unwrap_or("");

@@ -13,7 +13,7 @@
 //! xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N]
 //!     [--requests N] [--zipf S] [--templates N] [--mix A,B,C]
 //!                                              print a skewed query trace
-//! xpe serve <summary.xps> [--addr H:P] [--workers N] [--queue N]
+//! xpe serve <summary.xps> [--addr H:P] [--max-connections N]
 //!     [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
 //!     [--read-timeout-ms N] [--write-timeout-ms N]
 //!     [--max-line-bytes N]                     estimation daemon
@@ -64,7 +64,7 @@ const USAGE: &str = "usage:
   xpe generate <ssplays|dblp|xmark> -o <out.xml> [--scale S] [--seed N]
   xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N] [--requests N]
       [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER]
-  xpe serve <summary.xps> [--addr HOST:PORT] [--workers N] [--queue N]
+  xpe serve <summary.xps> [--addr HOST:PORT] [--max-connections N]
       [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
       [--read-timeout-ms N] [--write-timeout-ms N]
       [--max-line-bytes N]
@@ -94,13 +94,16 @@ exceeds it prints its tag-frequency upper bound flagged 'degraded'.
 serve runs a line-delimited-JSON estimation daemon on --addr (default
 127.0.0.1:7878; port 0 picks an ephemeral port, printed on stdout).
 Verbs: estimate, stats, reload, ping, shutdown — one JSON object per
-line. Every estimate reply carries a status (ok, degraded:*, or
-rejected:*) and the epoch of the summary generation that served it;
-reload validates a new .xps fully before atomically swapping it in.
---queue bounds pending estimates (an overfull server sheds typed
-'overloaded' errors instead of stalling); --read-timeout-ms /
---write-timeout-ms (0 = never) bound how long one connection can sit
-idle or refuse to drain responses; --max-line-bytes caps request size.
+line. Each connection has its own thread, which answers its requests
+one at a time, estimates included. Every estimate reply carries a
+status (ok, degraded:*, or rejected:*) and the epoch of the summary
+generation that served it; reload validates a new .xps fully before
+atomically swapping it in. --max-connections caps open connections
+(default 256): one past the cap gets a single typed 'overloaded' line
+and is closed, so an overfull server sheds instead of stalling.
+--read-timeout-ms / --write-timeout-ms (0 = never) bound how long one
+connection can sit idle or refuse to drain responses; --max-line-bytes
+caps request size.
 diff runs the estimator-vs-exact differential battery (seeds accept 0x
 hex); it exits nonzero when any invariant is violated.
 faults injects every fault class (corruption, panics, exhausted
@@ -327,8 +330,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
     let defaults = xpe::estimator::ServerConfig::default();
     let config = xpe::estimator::ServerConfig {
-        workers: parse_flag(&flags, "workers", 0usize)?,
-        queue_capacity: parse_flag(&flags, "queue", defaults.queue_capacity)?,
+        max_connections: parse_flag(&flags, "max-connections", defaults.max_connections)?,
         max_line_bytes: parse_flag(&flags, "max-line-bytes", defaults.max_line_bytes)?,
         read_timeout: timeout(parse_flag(&flags, "read-timeout-ms", 30_000u64)?),
         write_timeout: timeout(parse_flag(&flags, "write-timeout-ms", 10_000u64)?),

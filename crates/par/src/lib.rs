@@ -6,17 +6,15 @@
 //! atomic work queue, built on `std::thread::scope`. Results are returned
 //! in index order regardless of completion order, so a parallel map over
 //! a pure function is **bit-identical** to the serial loop it replaces —
-//! the property the batch-estimation equivalence tests pin down. The
-//! serving layer's bounded job queue lives here too.
+//! the property the batch-estimation equivalence tests pin down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A panic caught while mapping one item in
 /// [`par_map_init_chunked_isolated`]: the item's index slot carries this
@@ -36,8 +34,9 @@ impl std::fmt::Display for ItemPanic {
 
 impl std::error::Error for ItemPanic {}
 
-/// Renders a caught panic payload as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload as text (`&str`/`String` payloads are
+/// passed through; anything else becomes a placeholder).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -191,130 +190,6 @@ where
         }
     };
     par_map_init_flushed(threads, n, || None, step, |_| {})
-}
-
-/// Why [`BoundedQueue::try_push`] refused an item; the item comes back so
-/// the producer can report it (e.g. as a typed `overloaded` reply).
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue is at capacity. Shed the work — pushing never blocks.
-    Full(T),
-    /// The queue was closed; no further work is accepted.
-    Closed(T),
-}
-
-impl<T> PushError<T> {
-    /// Recovers the rejected item.
-    pub fn into_inner(self) -> T {
-        match self {
-            PushError::Full(item) | PushError::Closed(item) => item,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer multi-consumer queue for serving workers.
-///
-/// The contract is shed-don't-stall on the producer side and
-/// drain-then-stop on the consumer side:
-///
-/// * [`try_push`](Self::try_push) never blocks — a full queue returns
-///   [`PushError::Full`] immediately so the producer (a connection
-///   thread) can answer `overloaded` instead of wedging on a slow pool;
-/// * [`pop`](Self::pop) blocks while the queue is open and empty, and
-///   returns `None` only once the queue is **closed and drained** — so
-///   closing lets workers finish every admitted job before exiting
-///   (graceful drain), while jobs arriving after [`close`](Self::close)
-///   are refused with [`PushError::Closed`].
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue admitting at most `capacity` pending items
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item` without blocking; `Err` returns it when the queue
-    /// is full (shed) or closed (draining).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = lock_ignore_poison(&self.inner);
-        if inner.closed {
-            return Err(PushError::Closed(item));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, blocking while the queue is open and
-    /// empty. Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = lock_ignore_poison(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: later pushes fail with [`PushError::Closed`],
-    /// already-admitted items remain poppable, and blocked consumers wake
-    /// (returning `None` once the backlog drains). Idempotent.
-    pub fn close(&self) {
-        let mut inner = lock_ignore_poison(&self.inner);
-        inner.closed = true;
-        drop(inner);
-        self.not_empty.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has run.
-    pub fn is_closed(&self) -> bool {
-        lock_ignore_poison(&self.inner).closed
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        lock_ignore_poison(&self.inner).items.len()
-    }
-
-    /// Whether no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The admission bound this queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -536,73 +411,5 @@ mod tests {
                 "non-string panic payload"
             );
         });
-    }
-
-    #[test]
-    fn bounded_queue_sheds_when_full_and_refuses_after_close() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.capacity(), 2);
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Ok(()));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.len(), 2);
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.try_push(4), Err(PushError::Closed(4)));
-        // Admitted items drain in FIFO order, then the closed queue ends.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_zero_capacity_still_admits_one() {
-        let q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
-        assert_eq!(q.try_push(7), Ok(()));
-        assert_eq!(q.try_push(8), Err(PushError::Full(8)));
-    }
-
-    #[test]
-    fn bounded_queue_wakes_blocked_consumers() {
-        let q = std::sync::Arc::new(BoundedQueue::new(16));
-        let total = 200u64;
-        let consumed: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let q = std::sync::Arc::clone(&q);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some(v) = q.pop() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut pushed = 0;
-            while pushed < total {
-                if q.try_push(pushed).is_ok() {
-                    pushed += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            q.close();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        let mut sorted = consumed;
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..total).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn push_error_returns_the_item() {
-        assert_eq!(PushError::Full("job").into_inner(), "job");
-        assert_eq!(PushError::Closed(9).into_inner(), 9);
     }
 }

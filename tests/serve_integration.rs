@@ -31,8 +31,6 @@ fn summary() -> Summary {
 
 fn config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
-        queue_capacity: 64,
         read_timeout: Some(Duration::from_secs(5)),
         write_timeout: Some(Duration::from_secs(5)),
         ..ServerConfig::default()
