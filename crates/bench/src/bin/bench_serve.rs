@@ -23,8 +23,8 @@
 //! disabled. Reps are interleaved round-robin across the mixes (like
 //! `bench_estimation`'s scaling sweep) so a noisy phase of a shared
 //! runner taxes every row evenly. Each per-mix row reports q/s,
-//! p50/p95/p99/p99.9, shed (`overloaded`) counts, and the server's own
-//! estimate-/join-cache hit rates from the `stats` verb.
+//! p50/p95/p99/p99.9 and the server's own estimate-/join-cache hit
+//! rates from the `stats` verb.
 //!
 //! Reports queries/sec of the healthy fleet plus p50/p95/p99/p99.9
 //! latency, and writes `results/BENCH_serve.json` (hand-rolled JSON;
@@ -147,7 +147,6 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
 /// One timed replay of a trace against a fresh daemon.
 struct PassResult {
     latencies_ns: Vec<u64>,
-    shed: u64,
     wall_secs: f64,
     est_hit_rate: f64,
     join_hit_rate: f64,
@@ -157,7 +156,6 @@ struct PassResult {
 struct MixAgg {
     name: &'static str,
     latencies_ns: Vec<u64>,
-    shed: u64,
     wall_secs: f64,
     est_rate_sum: f64,
     join_rate_sum: f64,
@@ -169,7 +167,6 @@ impl MixAgg {
         MixAgg {
             name,
             latencies_ns: Vec::new(),
-            shed: 0,
             wall_secs: 0.0,
             est_rate_sum: 0.0,
             join_rate_sum: 0.0,
@@ -179,7 +176,6 @@ impl MixAgg {
 
     fn fold(&mut self, pass: PassResult) {
         self.latencies_ns.extend(pass.latencies_ns);
-        self.shed += pass.shed;
         self.wall_secs += pass.wall_secs;
         self.est_rate_sum += pass.est_hit_rate;
         self.join_rate_sum += pass.join_hit_rate;
@@ -193,7 +189,7 @@ impl MixAgg {
     }
 
     fn qps(&self) -> f64 {
-        (self.latencies_ns.len() + self.shed as usize) as f64 / self.wall_secs
+        self.latencies_ns.len() as f64 / self.wall_secs
     }
 
     fn est_rate(&self) -> f64 {
@@ -209,9 +205,9 @@ impl MixAgg {
 /// template, then replays the trace closed-loop from
 /// [`TRAFFIC_CLIENTS`] connections (client `c` takes request indices
 /// `c mod TRAFFIC_CLIENTS`, preserving arrival order per connection).
-/// Every `ok` answer is asserted bit-identical to the direct uncached
-/// estimator; `overloaded` answers count as shed. Cache hit rates come
-/// from the daemon's own `stats` verb before shutdown.
+/// Every answer must be `ok` and bit-identical to the direct uncached
+/// estimator. Cache hit rates come from the daemon's own `stats` verb
+/// before shutdown.
 fn traffic_pass(
     summary: &Arc<Summary>,
     trace: &TrafficTrace,
@@ -246,12 +242,10 @@ fn traffic_pass(
         }
     }
 
-    let shed = AtomicU64::new(0);
     let wall = Instant::now();
     let latencies_ns = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for c in 0..TRAFFIC_CLIENTS {
-            let shed = &shed;
             handles.push(scope.spawn(move || {
                 let mut client = WireClient::connect(addr);
                 let mut lat = Vec::new();
@@ -262,29 +256,20 @@ fn traffic_pass(
                     let text = trace.templates[request.template].case.text.as_str();
                     let t = Instant::now();
                     let resp = client.estimate(text);
-                    let ns = t.elapsed().as_nanos() as u64;
-                    match resp.get("status").and_then(Json::as_str) {
-                        Some("ok") => {
-                            let served = resp.get("estimate").and_then(Json::as_f64).unwrap();
-                            assert_eq!(
-                                served.to_bits(),
-                                expected_bits[text],
-                                "mix {}: {text} served {served}",
-                                spec.name
-                            );
-                            lat.push(ns);
-                        }
-                        Some("error") => {
-                            assert_eq!(
-                                resp.get("error").and_then(Json::as_str),
-                                Some("overloaded"),
-                                "mix {}: {text}",
-                                spec.name
-                            );
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        other => panic!("mix {}: {text} answered {other:?}", spec.name),
-                    }
+                    lat.push(t.elapsed().as_nanos() as u64);
+                    assert_eq!(
+                        resp.get("status").and_then(Json::as_str),
+                        Some("ok"),
+                        "mix {}: {text}",
+                        spec.name
+                    );
+                    let served = resp.get("estimate").and_then(Json::as_f64).unwrap();
+                    assert_eq!(
+                        served.to_bits(),
+                        expected_bits[text],
+                        "mix {}: {text} served {served}",
+                        spec.name
+                    );
                 }
                 lat
             }));
@@ -314,7 +299,6 @@ fn traffic_pass(
 
     PassResult {
         latencies_ns,
-        shed: shed.load(Ordering::Relaxed),
         wall_secs,
         est_hit_rate,
         join_hit_rate,
@@ -605,7 +589,6 @@ fn main() {
             "p95 ms",
             "p99 ms",
             "p99.9 ms",
-            "Shed",
             "Est-cache %",
             "Join %",
         ],
@@ -621,7 +604,6 @@ fn main() {
                     format!("{:.3}", percentile(&s, 0.95)),
                     format!("{:.3}", percentile(&s, 0.99)),
                     format!("{:.3}", percentile(&s, 0.999)),
-                    format!("{}", a.shed),
                     format!("{:.1}", a.est_rate() * 100.0),
                     format!("{:.1}", a.join_rate() * 100.0),
                 ]
@@ -673,7 +655,7 @@ fn main() {
             json,
             "    {{\"mix\": \"{}\", \"requests\": {}, \"reps\": {TRAFFIC_REPS}, \
              \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"p999_ms\": {:.4}, \"shed\": {}, \"estimate_cache_hit_rate\": {:.4}, \
+             \"p999_ms\": {:.4}, \"estimate_cache_hit_rate\": {:.4}, \
              \"join_cache_hit_rate\": {:.4}}}",
             a.name,
             s.len(),
@@ -682,7 +664,6 @@ fn main() {
             percentile(&s, 0.95),
             percentile(&s, 0.99),
             percentile(&s, 0.999),
-            a.shed,
             a.est_rate(),
             a.join_rate(),
         );

@@ -101,9 +101,12 @@ generation that served it; reload validates a new .xps fully before
 atomically swapping it in. --max-connections caps open connections
 (default 256): one past the cap gets a single typed 'overloaded' line
 and is closed, so an overfull server sheds instead of stalling.
---read-timeout-ms / --write-timeout-ms (0 = never) bound how long one
-connection can sit idle or refuse to drain responses; --max-line-bytes
-caps request size.
+Each connection holds its slot until it closes, so --read-timeout-ms
+(default 30000) is a deadline per request: a connection that sends no
+whole request frame within it is closed, and blank lines or a frame
+trickled in byte by byte do not extend it. --write-timeout-ms closes
+one that stops draining replies (0 = never, for either);
+--max-line-bytes caps request size.
 diff runs the estimator-vs-exact differential battery (seeds accept 0x
 hex); it exits nonzero when any invariant is violated.
 faults injects every fault class (corruption, panics, exhausted

@@ -374,6 +374,23 @@ impl<'s> Estimator<'s> {
         self
     }
 
+    /// Sizes this estimator's private cache fronts for `fronts`
+    /// estimators over the same shared caches: each front keeps at most
+    /// `1 / fronts` of its shared cache's capacity, so all of them
+    /// together hold no more entries than the shared caches do. Call it
+    /// after [`with_estimate_cache`](Self::with_estimate_cache). The
+    /// daemon, which runs one estimator per open connection, passes its
+    /// connection cap.
+    pub(crate) fn with_front_share(self, fronts: usize) -> Self {
+        if let Some(front) = &self.join_cache {
+            front.borrow_mut().share(fronts);
+        }
+        if let Some(front) = &self.est_cache {
+            front.borrow_mut().share(fronts);
+        }
+        self
+    }
+
     /// Selects the join kernel (default: [`JoinKernel::Bitmap`]). Both
     /// kernels produce bit-identical estimates; the naive kernel also
     /// ignores the join cache and join budgets, by design, and joins

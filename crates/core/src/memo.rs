@@ -21,7 +21,9 @@
 //!   a publish writes through to the shared memo and keeps the value
 //!   locally. Warm lookups therefore take zero locks and touch no shared
 //!   cache line; hit/miss tallies stay local and fold into the shared
-//!   counters at [`flush`](MemoFront::flush) and on drop.
+//!   counters at [`flush`](MemoFront::flush) and on drop. A front keeps
+//!   up to the shared capacity; one of many fronts over a memo can be
+//!   [`share`](MemoFront::share)d down to its part of it.
 //!
 //! # Memory ordering
 //!
@@ -235,24 +237,38 @@ impl<K, V> std::fmt::Debug for SharedMemo<K, V> {
 }
 
 /// One estimator's private front for a [`SharedMemo`] (see the module
-/// docs). The local map is cleared when it outgrows the shared capacity,
-/// so a long-lived estimator cannot hoard entries without bound.
+/// docs). The local map is cleared when it reaches its capacity, so a
+/// long-lived estimator cannot hoard entries without bound.
 pub struct MemoFront<K, V> {
     shared: Arc<SharedMemo<K, V>>,
     local: Map<K, V>,
+    /// Entries the local map takes before it is cleared: the shared
+    /// capacity, unless [`share`](Self::share) lowered it.
+    local_capacity: usize,
     hits: u64,
     misses: u64,
 }
 
 impl<K: MemoKey, V: Clone> MemoFront<K, V> {
-    /// A front with an empty local map over `shared`.
+    /// A front with an empty local map over `shared`, keeping up to the
+    /// shared capacity.
     pub fn new(shared: Arc<SharedMemo<K, V>>) -> Self {
         MemoFront {
+            local_capacity: shared.capacity(),
             shared,
             local: Map::default(),
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Caps the local map at `1 / fronts` of the shared capacity, so up
+    /// to `fronts` fronts over one memo together keep no more entries
+    /// than the memo itself. A share under one entry keeps nothing
+    /// locally: every lookup then probes the shared memo.
+    pub(crate) fn share(&mut self, fronts: usize) {
+        self.local_capacity = self.shared.capacity() / fronts.max(1);
+        self.local = Map::default();
     }
 
     /// The value for `key`: the local map first (no lock), then one
@@ -289,7 +305,10 @@ impl<K: MemoKey, V: Clone> MemoFront<K, V> {
     }
 
     fn keep(&mut self, key: K, value: V) {
-        if self.local.len() >= self.shared.capacity() {
+        if self.local_capacity == 0 {
+            return;
+        }
+        if self.local.len() >= self.local_capacity {
             self.local.clear();
         }
         self.local.insert(key, value);
@@ -457,6 +476,29 @@ mod tests {
         drop(writer);
         assert_eq!(shared.hits(), 2);
         assert!((shared.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_shared_front_keeps_its_part_and_still_serves_every_value() {
+        let shared = memo(64);
+        let mut front = MemoFront::new(Arc::clone(&shared));
+        front.share(4);
+        for i in 0..40 {
+            front.publish(key(i % 8, i), i);
+            assert!(front.local.len() <= 16, "a quarter of 64");
+        }
+        // What the local map let go is one shared probe away.
+        for i in 0..40 {
+            assert_eq!(front.lookup(&key(i % 8, i)), Some(i));
+        }
+        // A part under one entry keeps nothing: every lookup locks.
+        let mut thin = MemoFront::new(Arc::clone(&shared));
+        thin.share(65);
+        let locks = shared.lock_count();
+        assert_eq!(thin.lookup(&key(1, 9)), Some(9));
+        assert_eq!(thin.lookup(&key(1, 9)), Some(9));
+        assert!(thin.local.is_empty());
+        assert_eq!(shared.lock_count(), locks + 2);
     }
 
     #[test]

@@ -399,11 +399,13 @@ pub struct OutcomeTally {
     /// Frames that violated the wire protocol (bad JSON, unknown verb,
     /// oversized or truncated line, invalid UTF-8, bad query syntax).
     pub protocol_errors: u64,
-    /// Connections that hit a socket read/write timeout.
+    /// Connections closed on a timeout: no whole request frame within
+    /// the read timeout, or a reply the peer did not drain within the
+    /// write timeout.
     pub timeouts: u64,
-    /// Requests shed because the worker queue was full.
+    /// Connections shed because `max_connections` were already open.
     pub overloaded: u64,
-    /// Worker panics isolated to their own request (a subset of
+    /// Estimate panics isolated to their own request (a subset of
     /// `degraded`).
     pub panics: u64,
 }

@@ -30,14 +30,21 @@
 //!
 //! Every layer sheds hostile input instead of stalling on it:
 //!
-//! * **Framing** — a per-connection line cap bounds memory, read/write
-//!   timeouts bound how long a slow client can hold its *own* thread.
-//!   Oversized or truncated frames earn a typed error and a close;
-//!   in-line garbage earns a typed error and the connection keeps going
-//!   (garbage-then-valid pipelining works).
+//! * **Framing** — a per-connection line cap bounds memory. The read
+//!   timeout is a deadline per request: a connection that completes no
+//!   request frame within it is closed, and blank lines or a frame
+//!   trickled in byte by byte do not extend it. The write timeout closes
+//!   a peer that stops draining replies. Oversized or truncated frames
+//!   earn a typed error and a close; in-line garbage earns a typed error
+//!   and the connection keeps going (garbage-then-valid pipelining
+//!   works).
 //! * **Shedding** — the acceptor answers a connection past the cap with
 //!   one typed `overloaded` line and closes it, without ever blocking on
-//!   it (shed, don't stall).
+//!   it (shed, don't stall). An open connection holds its slot for as
+//!   long as it keeps sending requests, so `max_connections` busy peers
+//!   — or hostile ones sending a request per read timeout — can fill
+//!   the cap and have every later connection shed; admitted connections
+//!   are never slowed by it.
 //! * **Admission + budgets** — every request runs under the server's
 //!   [`QueryLimits`] and [`Budget`], surfacing [`EstimateStatus`] as a
 //!   compact `status` code in every response.
@@ -61,7 +68,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xpe_par::panic_message;
 use xpe_pathid::JoinIndexCache;
@@ -590,13 +597,17 @@ pub struct ServerConfig {
     /// Connections served at once (at least 1). The acceptor answers a
     /// connection past the cap with one typed `overloaded` line and
     /// closes it. Each connection runs one estimate at a time on its own
-    /// thread, so this also bounds in-flight estimates and the private
-    /// cache fronts of their estimators.
+    /// thread, so this also bounds in-flight estimates; each estimator's
+    /// private cache fronts keep `1 / max_connections` of the shared
+    /// caches, so all of them together hold no more than those do.
     pub max_connections: usize,
     /// Per-connection request-line byte cap.
     pub max_line_bytes: usize,
-    /// Socket read timeout; a connection idle past it is closed with a
-    /// `timeout` error (`None` waits forever).
+    /// Deadline for each request frame, from the first read that waits
+    /// for it: a connection that completes none in time is closed with a
+    /// `timeout` error. Blank lines and partial frames do not extend it,
+    /// so a connection cannot hold its slot without requests (`None`
+    /// waits forever).
     pub read_timeout: Option<Duration>,
     /// Socket write timeout; a peer that stops draining responses is
     /// disconnected (`None` waits forever).
@@ -665,8 +676,10 @@ impl Generation {
     }
 
     /// A fresh estimator borrowing this generation's summary and sharing
-    /// its caches — one per connection per generation.
-    fn estimator(&self) -> Estimator<'_> {
+    /// its caches — one per connection per generation. Its private cache
+    /// fronts keep `1 / max_connections` of each shared cache, so every
+    /// connection's fronts together hold no more than the shared caches.
+    fn estimator(&self, max_connections: usize) -> Estimator<'_> {
         Estimator::with_caches(
             &self.summary,
             Arc::default(),
@@ -674,6 +687,7 @@ impl Generation {
             Some(Arc::clone(&self.join_cache)),
         )
         .with_estimate_cache(Some(Arc::clone(&self.estimate_cache)))
+        .with_front_share(max_connections)
     }
 }
 
@@ -888,6 +902,40 @@ fn stats_response(state: &SharedState, connection: &OutcomeTally) -> String {
 // Connection handling
 // ---------------------------------------------------------------------------
 
+/// A connection's read half under one deadline per request: a request
+/// frame must arrive whole within the read timeout of the first read
+/// that waits for it. Blank lines and a frame trickled in byte by byte
+/// do not move the deadline, so a connection that sends no request
+/// gives up its slot within one read timeout.
+struct RequestClock {
+    stream: TcpStream,
+    timeout: Option<Duration>,
+    /// Start of the wait for the next request; `None` until its first
+    /// read. The connection resets it as each request frame arrives.
+    since: Option<Instant>,
+    /// Whether the socket's read timeout is below `timeout` now.
+    shortened: bool,
+}
+
+impl Read for RequestClock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(timeout) = self.timeout {
+            let now = Instant::now();
+            let left = timeout.saturating_sub(now - *self.since.get_or_insert(now));
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            // The first read of a wait runs on the full timeout, which
+            // costs a system call only if a shortened one is still set.
+            if left < timeout || self.shortened {
+                self.stream.set_read_timeout(Some(left))?;
+                self.shortened = left < timeout;
+            }
+        }
+        self.stream.read(buf)
+    }
+}
+
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -963,21 +1011,16 @@ fn handle_reload(state: &SharedState, path_override: Option<String>) -> String {
         }
     };
     let epoch = state.epoch() + 1;
-    let generation = Generation::new(
-        Arc::new(summary),
-        epoch,
-        state.config.estimate_cache_capacity,
-    );
-    let (paths, pids, tags) = (
-        generation.summary.encoding.len(),
-        generation.summary.pids.len(),
-        generation.summary.tags.len(),
-    );
-    state.publish(generation);
-    format!(
+    let reply = format!(
         "{{\"status\":\"ok\",\"reloaded\":true,\"epoch\":{epoch},\
-         \"paths\":{paths},\"pids\":{pids},\"tags\":{tags}}}"
-    )
+         \"paths\":{},\"pids\":{},\"tags\":{}}}",
+        summary.encoding.len(),
+        summary.pids.len(),
+        summary.tags.len(),
+    );
+    let capacity = state.config.estimate_cache_capacity;
+    state.publish(Generation::new(Arc::new(summary), epoch, capacity));
+    reply
 }
 
 /// Reads frames and answers every request but `estimate` until an
@@ -987,7 +1030,7 @@ fn handle_reload(state: &SharedState, path_override: Option<String>) -> String {
 fn next_estimate(
     state: &SharedState,
     stream: &mut TcpStream,
-    frames: &mut FrameReader<TcpStream>,
+    frames: &mut FrameReader<RequestClock>,
     tally: &mut OutcomeTally,
 ) -> Option<Query> {
     loop {
@@ -998,8 +1041,13 @@ fn next_estimate(
             );
             return None;
         }
-        let reply = match frames.read_frame() {
-            Ok(Some(frame)) if frame.is_empty() => continue, // keep-alive
+        let frame = frames.read_frame();
+        if matches!(&frame, Ok(Some(f)) if !f.is_empty()) {
+            frames.inner.since = None;
+        }
+        let reply = match frame {
+            // A blank line is no request: the deadline stays where it is.
+            Ok(Some(frame)) if frame.is_empty() => continue,
             Ok(Some(frame)) => match parse_request(&frame) {
                 Ok(Request::Estimate { query }) => match parse_query(&query) {
                     Ok(query) => return Some(query),
@@ -1062,14 +1110,20 @@ fn handle_connection(mut stream: TcpStream, state: &SharedState) {
     let Ok(reader) = stream.try_clone() else {
         return;
     };
-    let mut frames = FrameReader::new(reader, state.config.max_line_bytes);
+    let clock = RequestClock {
+        stream: reader,
+        timeout: state.config.read_timeout,
+        since: None,
+        shortened: false,
+    };
+    let mut frames = FrameReader::new(clock, state.config.max_line_bytes);
     let mut tally = OutcomeTally::default();
     // An estimate read under a stale generation is carried into the next
     // generation's scope instead of being answered from the old summary.
     let mut carried: Option<Query> = None;
     'generation: loop {
         let generation = state.generation();
-        let estimator = generation.estimator();
+        let estimator = generation.estimator(state.config.max_connections);
         loop {
             let Some(query) = carried
                 .take()
@@ -1259,10 +1313,15 @@ mod tests {
         (addr, state, handle)
     }
 
+    /// `resp[key]` as a string.
+    fn text<'a>(resp: &'a Json, key: &str) -> Option<&'a str> {
+        resp.get(key).and_then(Json::as_str)
+    }
+
     fn shutdown(addr: SocketAddr) {
         let mut c = Client::connect(addr);
         let resp = c.roundtrip("{\"op\":\"shutdown\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
     }
 
     // -- JSON reader ---------------------------------------------------
@@ -1277,7 +1336,7 @@ mod tests {
             Json::Str("a\nA".to_owned())
         );
         let obj = Json::parse("{\"a\": [1, {\"b\": false}], \"c\": \"x\"}").unwrap();
-        assert_eq!(obj.get("c").and_then(Json::as_str), Some("x"));
+        assert_eq!(text(&obj, "c"), Some("x"));
         match obj.get("a") {
             Some(Json::Arr(items)) => {
                 assert_eq!(items[0], Json::Num(1.0));
@@ -1449,11 +1508,30 @@ mod tests {
         }
     }
 
+    /// Writes `bytes` one at a time, cycling, every 50 ms until the
+    /// server answers; returns the answer.
+    fn trickle_until_answered(client: &mut Client, bytes: &[u8]) -> Json {
+        let wait = Duration::from_millis(50);
+        client.stream.set_read_timeout(Some(wait)).unwrap();
+        let start = std::time::Instant::now();
+        let mut line = String::new();
+        for byte in bytes.iter().cycle() {
+            assert!(start.elapsed() < Duration::from_secs(5), "never closed");
+            let _ = client.stream.write_all(&[*byte]);
+            match client.reader.read_line(&mut line) {
+                Ok(_) if !line.is_empty() => break,
+                Err(e) => assert!(is_timeout(&e), "{e}"),
+                Ok(_) => {}
+            }
+        }
+        Json::parse(line.trim_end()).expect("response is JSON")
+    }
+
     #[test]
     fn connections_past_the_cap_get_one_overloaded_line_then_eof() {
         let (addr, state, handle) = spawn_server(ServerConfig {
             max_connections: 1,
-            read_timeout: Some(Duration::from_secs(10)),
+            read_timeout: Some(Duration::from_secs(1)),
             ..test_config()
         });
         let mut first = Client::connect(addr);
@@ -1462,22 +1540,27 @@ mod tests {
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
         let mut second = Client::connect(addr);
         let resp = second.read_response();
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
-        assert_eq!(resp.get("error").and_then(Json::as_str), Some("overloaded"));
+        assert_eq!(text(&resp, "status"), Some("error"));
+        assert_eq!(text(&resp, "error"), Some("overloaded"));
         let mut line = String::new();
         assert_eq!(second.reader.read_line(&mut line).unwrap(), 0, "{line}");
         assert_eq!(state.counters.snapshot().overloaded, 1);
-        // The slot frees when the first connection closes.
-        drop(first);
+        // Blank lines are no request: sent every 50 ms, they still lose
+        // the first connection its slot at the 1 s request deadline.
+        let resp = trickle_until_answered(&mut first, b"\n");
+        assert_eq!(text(&resp, "error"), Some("timeout"));
+        // Once the first connection has closed, a new one is served.
         wait_for_idle(&state);
         let mut third = Client::connect(addr);
         let resp = third.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
-        drop(third);
+        assert_eq!(text(&resp, "status"), Some("ok"));
+        // Nor is a frame trickled in a byte at a time.
+        let resp = trickle_until_answered(&mut third, b"{\"op\":\"ping\"");
+        assert_eq!(text(&resp, "error"), Some("timeout"));
         wait_for_idle(&state);
         shutdown(addr);
         let tally = handle.join().unwrap();
-        assert_eq!((tally.overloaded, tally.ok), (1, 1));
+        assert_eq!((tally.overloaded, tally.ok, tally.timeouts), (1, 1, 2));
     }
 
     // -- end-to-end over a live socket ---------------------------------
@@ -1490,7 +1573,7 @@ mod tests {
         let mut client = Client::connect(addr);
         for q in ["//A//C", "//A[/C/F]/B/D", "//A[/C[/F]/folls::$B/D]"] {
             let resp = client.roundtrip(&format!("{{\"op\":\"estimate\",\"query\":\"{q}\"}}"));
-            assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"), "{q}");
+            assert_eq!(text(&resp, "status"), Some("ok"), "{q}");
             let served = resp.get("estimate").and_then(Json::as_f64).unwrap();
             let expected = direct.estimate(&parse_query(q).unwrap());
             assert_eq!(served.to_bits(), expected.to_bits(), "{q}");
@@ -1534,23 +1617,14 @@ mod tests {
         let (addr, _state, handle) = spawn_server(test_config());
         let mut client = Client::connect(addr);
         let resp = client.roundtrip("!!not json at all");
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("protocol:bad-json")
-        );
+        assert_eq!(text(&resp, "error"), Some("protocol:bad-json"));
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//\"}");
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("protocol:bad-query")
-        );
+        assert_eq!(text(&resp, "error"), Some("protocol:bad-query"));
         let resp = client.roundtrip("{\"op\":\"nope\"}");
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("protocol:unknown-op")
-        );
+        assert_eq!(text(&resp, "error"), Some("protocol:unknown-op"));
         // The same connection still serves real queries afterwards.
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
         drop(client);
         shutdown(addr);
         let tally = handle.join().unwrap();
@@ -1567,10 +1641,7 @@ mod tests {
         let mut client = Client::connect(addr);
         client.send_raw(&vec![b'z'; 4096]);
         let resp = client.read_response();
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("protocol:line-too-long")
-        );
+        assert_eq!(text(&resp, "error"), Some("protocol:line-too-long"));
         // The server closed the connection afterwards.
         let mut line = String::new();
         assert_eq!(client.reader.read_line(&mut line).unwrap(), 0);
@@ -1594,15 +1665,9 @@ mod tests {
         });
         let mut client = Client::connect(addr);
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A/C/F\"}");
-        assert_eq!(
-            resp.get("status").and_then(Json::as_str),
-            Some("rejected:nodes")
-        );
+        assert_eq!(text(&resp, "status"), Some("rejected:nodes"));
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(
-            resp.get("status").and_then(Json::as_str),
-            Some("degraded:deadline")
-        );
+        assert_eq!(text(&resp, "status"), Some("degraded:deadline"));
         // Degraded values stay inside [0, f(tag)].
         let v = resp.get("estimate").and_then(Json::as_f64).unwrap();
         assert!(v >= 0.0 && v.is_finite());
@@ -1623,22 +1688,19 @@ mod tests {
         let mut healthy = Client::connect(addr);
         let mut victim = Client::connect(addr);
         let resp = victim.roundtrip("{\"op\":\"estimate\",\"query\":\"//C/F\"}");
-        assert_eq!(
-            resp.get("status").and_then(Json::as_str),
-            Some("degraded:panicked")
-        );
-        let detail = resp.get("detail").and_then(Json::as_str).unwrap();
+        assert_eq!(text(&resp, "status"), Some("degraded:panicked"));
+        let detail = text(&resp, "detail").unwrap();
         assert!(detail.ends_with("panicked: poisoned query"), "{detail}");
         let expected = direct.estimate(&parse_query("//A//C").unwrap());
         for _ in 0..3 {
             let resp = healthy.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-            assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+            assert_eq!(text(&resp, "status"), Some("ok"));
             let v = resp.get("estimate").and_then(Json::as_f64).unwrap();
             assert_eq!(v.to_bits(), expected.to_bits());
         }
         // The victim's rebuilt estimator answers its next query exactly.
         let resp = victim.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
         let v = resp.get("estimate").and_then(Json::as_f64).unwrap();
         assert_eq!(v.to_bits(), expected.to_bits());
         drop(healthy);
@@ -1659,17 +1721,14 @@ mod tests {
         let mut client = Client::connect(addr);
         // Path-less reload fails (server started from memory)…
         let resp = client.roundtrip("{\"op\":\"reload\"}");
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("reload-failed")
-        );
+        assert_eq!(text(&resp, "error"), Some("reload-failed"));
         assert_eq!(state.epoch(), 1);
         // …an explicit valid path swaps the generation…
         let resp = client.roundtrip(&format!(
             "{{\"op\":\"reload\",\"path\":\"{}\"}}",
             json_escape(path.to_str().unwrap())
         ));
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
         assert_eq!(resp.get("epoch").and_then(Json::as_f64), Some(2.0));
         assert_eq!(state.epoch(), 2);
         // …and estimates now report the new epoch with identical values.
@@ -1686,13 +1745,10 @@ mod tests {
             "{{\"op\":\"reload\",\"path\":\"{}\"}}",
             json_escape(bad.to_str().unwrap())
         ));
-        assert_eq!(
-            resp.get("error").and_then(Json::as_str),
-            Some("reload-failed")
-        );
+        assert_eq!(text(&resp, "error"), Some("reload-failed"));
         assert_eq!(state.epoch(), 2);
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
         assert_eq!(resp.get("epoch").and_then(Json::as_f64), Some(2.0));
         drop(client);
         shutdown(addr);
@@ -1712,7 +1768,7 @@ mod tests {
                     let mut client = Client::connect(addr);
                     for _ in 0..4 {
                         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-                        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+                        assert_eq!(text(&resp, "status"), Some("ok"));
                     }
                 });
             }
@@ -1732,7 +1788,7 @@ mod tests {
         let (addr, state, handle) = spawn_server(test_config());
         let mut client = Client::connect(addr);
         let resp = client.roundtrip("{\"op\":\"estimate\",\"query\":\"//A//C\"}");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(text(&resp, "status"), Some("ok"));
         let resp = client.roundtrip("{\"op\":\"shutdown\"}");
         assert_eq!(
             resp.get("shutting_down").and_then(Json::as_bool),
