@@ -5,12 +5,13 @@
 //! numbers compare throughput shapes directly:
 //!
 //! * `serial_loop` — a plain `Estimator`, one query at a time (each run
-//!   still benefits from its own mask cache and scratch);
+//!   still benefits from its own adjacency memo and scratch);
 //! * `batch_jobs1` — the engine pinned to one worker: the batching
 //!   machinery without parallelism;
 //! * `batch_auto` — the engine with one worker per core;
 //! * `cold_cache` / `warm_cache` — engine construction inside vs outside
-//!   the timed region, isolating what mask memoization buys.
+//!   the timed region, isolating what the engine's caches buy once warm
+//!   (a warm batch is served from the full-query estimate cache).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -82,7 +83,8 @@ fn bench_batch_estimation(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("warm_cache", &label), |b| {
             let engine = EstimationEngine::new(&summary).with_threads(1);
-            engine.estimate_batch(&queries); // prime the mask cache
+            // Prime the estimate, join and adjacency caches.
+            engine.estimate_batch(&queries);
             b.iter(|| engine.estimate_batch(&queries).iter().sum::<f64>())
         });
     }

@@ -32,6 +32,15 @@
 //! `XPE_*` variables; CI's perf floor reads `qps` and the per-mix
 //! `traffic` rows via `scripts/check_perf_floor.sh`
 //! (`XPE_PERF_FLOOR_SERVE_QPS`, `XPE_PERF_MIN_WARM_SKEW_SPEEDUP`).
+//!
+//! For its whole run the bench replaces the panic hook with one that
+//! prints each panic's message and location on one line and never a
+//! backtrace, whatever `RUST_BACKTRACE` says. The hostile mix makes the
+//! in-process daemon panic on purpose; under the default hook with
+//! `RUST_BACKTRACE=1`, each of those panics captures and symbolizes a
+//! backtrace on a core the healthy clients share, and the headline row
+//! would measure that instead of the daemon. `xpe serve` itself keeps
+//! the default hook.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -305,7 +314,29 @@ fn traffic_pass(
     }
 }
 
+/// Installs the one-line, backtrace-free panic hook (see the module
+/// docs).
+fn install_one_line_panic_hook() {
+    std::panic::set_hook(Box::new(|info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let thread = std::thread::current();
+        let location = info
+            .location()
+            .map_or_else(|| "an unknown location".to_owned(), |l| l.to_string());
+        eprintln!(
+            "thread '{}' panicked at {location}: {message}",
+            thread.name().unwrap_or("<unnamed>")
+        );
+    }));
+}
+
 fn main() {
+    install_one_line_panic_hook();
     let ctx = ExpContext::from_env();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(

@@ -12,7 +12,7 @@
 //!     [--scale S] [--seed N]                   synthesize a corpus
 //! xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N]
 //!     [--requests N] [--zipf S] [--templates N] [--mix A,B,C]
-//!                                              print a skewed query trace
+//!     [--attempts N]                           print a skewed query trace
 //! xpe serve <summary.xps> [--addr H:P] [--max-connections N]
 //!     [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
 //!     [--read-timeout-ms N] [--write-timeout-ms N]
@@ -63,7 +63,7 @@ const USAGE: &str = "usage:
   xpe exact <file.xml> <query>...
   xpe generate <ssplays|dblp|xmark> -o <out.xml> [--scale S] [--seed N]
   xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N] [--requests N]
-      [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER]
+      [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER] [--attempts N]
   xpe serve <summary.xps> [--addr HOST:PORT] [--max-connections N]
       [--deadline-ms N] [--max-query-nodes N] [--estimate-cache N]
       [--read-timeout-ms N] [--write-timeout-ms N]
@@ -86,8 +86,9 @@ canonical query per line in arrival order: Zipf-skewed template
 popularity (--zipf, default 1.1; 0 = uniform) over the paper's §7
 workload classes mixed by --mix weights (default 0.5,0.3,0.2 for
 simple,branch,order), --templates popularity ranks per class, seeded
-and byte-reproducible. Pipe it through `xpe serve` to replay skewed
-production traffic.
+and byte-reproducible; --attempts N (default 1000) sets how many
+simple and branch template draws the underlying workload makes. Pipe
+it through `xpe serve` to replay skewed production traffic.
 --deadline-ms N gives each estimate a wall-clock budget; a query that
 exceeds it prints its tag-frequency upper bound flagged 'degraded'.
 --max-query-nodes N rejects queries with more steps before estimating.
@@ -124,21 +125,28 @@ fn load_doc(path: &str) -> Result<Document, String> {
 /// Parsed command-line flags as `(name, value)` pairs.
 type Flags = Vec<(String, String)>;
 
-/// Extracts `--flag value` pairs, returning remaining positionals.
-fn split_flags(args: &[String]) -> Result<(Flags, Vec<String>), String> {
+/// Extracts `--flag value` pairs (`-o` is `--out`), returning remaining
+/// positionals. `known` names every flag the subcommand reads; any other
+/// flag is an error naming it, so a misspelt flag never runs silently
+/// with its default.
+fn split_flags(args: &[String], known: &[&str]) -> Result<(Flags, Vec<String>), String> {
     let mut flags = Vec::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name.to_owned(), value.clone()));
-        } else if a == "-o" {
-            let value = it.next().ok_or("-o needs a value")?;
-            flags.push(("out".to_owned(), value.clone()));
-        } else {
-            positional.push(a.clone());
+        let name = match a.strip_prefix("--") {
+            Some(name) => name,
+            None if a == "-o" => "out",
+            None => {
+                positional.push(a.clone());
+                continue;
+            }
+        };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag {a}"));
         }
+        let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        flags.push((name.to_owned(), value.clone()));
     }
     Ok((flags, positional))
 }
@@ -155,10 +163,32 @@ fn parse_flag<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name) {
-        Some(v) => v.parse().map_err(|_| format!("bad value for --{name}")),
-        None => Ok(default),
-    }
+    Ok(parse_opt_flag(flags, name)?.unwrap_or(default))
+}
+
+fn parse_opt_flag<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag(flags, name)
+        .map(|v| v.parse().map_err(|_| format!("bad value for --{name}")))
+        .transpose()
+}
+
+/// The admission policy of `--max-query-nodes` and the budget of
+/// `--deadline-ms`, which `estimate` and `serve` share.
+fn limits_and_budget(
+    flags: &[(String, String)],
+) -> Result<(xpe::estimator::QueryLimits, xpe::estimator::Budget), String> {
+    let limits = xpe::estimator::QueryLimits {
+        max_nodes: parse_opt_flag(flags, "max-query-nodes")?,
+        ..xpe::estimator::QueryLimits::unlimited()
+    };
+    let budget = xpe::estimator::Budget {
+        deadline: parse_opt_flag(flags, "deadline-ms")?.map(std::time::Duration::from_millis),
+        max_join_edges: None,
+    };
+    Ok((limits, budget))
 }
 
 /// Seed values accept decimal or `0x`-prefixed hex (CI pins
@@ -177,7 +207,7 @@ fn parse_seed(flags: &[(String, String)], name: &str, default: u64) -> Result<u6
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args)?;
+    let (_, pos) = split_flags(args, &[])?;
     let [path] = pos.as_slice() else {
         return Err("stats takes one file".into());
     };
@@ -195,7 +225,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(args, &["out", "p-variance", "o-variance"])?;
     let [path] = pos.as_slice() else {
         return Err("build takes one input file".into());
     };
@@ -224,7 +254,10 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(
+        args,
+        &["jobs", "estimate-cache", "deadline-ms", "max-query-nodes"],
+    )?;
     let [path, queries @ ..] = pos.as_slice() else {
         return Err("estimate takes a summary file and at least one query".into());
     };
@@ -237,26 +270,13 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
         "estimate-cache",
         xpe::estimator::DEFAULT_ESTIMATE_CACHE_CAPACITY,
     )?;
-    let deadline_ms: Option<u64> = match flag(&flags, "deadline-ms") {
-        Some(v) => Some(v.parse().map_err(|_| "bad value for --deadline-ms")?),
-        None => None,
-    };
-    let max_nodes: Option<usize> = match flag(&flags, "max-query-nodes") {
-        Some(v) => Some(v.parse().map_err(|_| "bad value for --max-query-nodes")?),
-        None => None,
-    };
+    let (limits, budget) = limits_and_budget(&flags)?;
     let summary = Syn::load_from_file(path).map_err(|e| format!("loading {path}: {e}"))?;
     let engine = EstimationEngine::new(&summary)
         .with_threads(jobs)
         .with_estimate_cache_capacity(estimate_cache)
-        .with_budget(xpe::estimator::Budget {
-            deadline: deadline_ms.map(std::time::Duration::from_millis),
-            max_join_edges: None,
-        })
-        .with_limits(xpe::estimator::QueryLimits {
-            max_nodes,
-            ..xpe::estimator::QueryLimits::unlimited()
-        });
+        .with_budget(budget)
+        .with_limits(limits);
     // Parse everything up front: a malformed query aborts the whole
     // invocation with a diagnostic, before any estimate is printed, so
     // scripts never mistake partial output for a complete run.
@@ -264,36 +284,23 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|q| parse_query(q).map_err(|e| format!("query '{q}': {e}")))
         .collect::<Result<Vec<Query>, String>>()?;
-    if deadline_ms.is_none() && max_nodes.is_none() {
-        for (q, v) in queries.iter().zip(engine.estimate_batch(&batch)) {
-            println!("{v:.2}\t{q}");
-        }
-        print_cache_tally(&engine.kernel_stats());
-        return Ok(());
-    }
-    // Resilient path: each line still leads with the numeric estimate;
-    // non-Ok outcomes append a status column, and the tally lands on
-    // stderr so scripts scraping stdout see only estimates.
+    // Each line leads with the numeric estimate; non-Ok outcomes append
+    // a status column, and the tallies land on stderr so scripts
+    // scraping stdout see only estimates. With no limits and no deadline
+    // every outcome is `ok` and bit-identical to `estimate`.
     for (q, out) in queries.iter().zip(engine.try_estimate_batch(&batch)) {
         match &out.status {
             xpe::estimator::EstimateStatus::Ok => println!("{:.2}\t{q}", out.value),
             status => println!("{:.2}\t{q}\t[{status}]", out.value),
         }
     }
-    let stats = engine.kernel_stats();
     // Same tally type (and formatter) the serve daemon reports, so batch
     // runs and daemon logs read identically.
-    let tally = xpe::estimator::OutcomeTally {
-        ok: stats.outcomes_ok,
-        degraded: stats.outcomes_degraded,
-        rejected: stats.outcomes_rejected,
-        panics: stats.worker_panics,
-        ..xpe::estimator::OutcomeTally::default()
-    };
+    let tally = engine.outcomes();
     if tally.degraded > 0 || tally.rejected > 0 {
         eprintln!("outcomes: {tally}");
     }
-    print_cache_tally(&stats);
+    print_cache_tally(&engine.kernel_stats());
     Ok(())
 }
 
@@ -315,19 +322,24 @@ fn print_cache_tally(stats: &xpe::estimator::KernelStats) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(
+        args,
+        &[
+            "addr",
+            "max-connections",
+            "deadline-ms",
+            "max-query-nodes",
+            "estimate-cache",
+            "read-timeout-ms",
+            "write-timeout-ms",
+            "max-line-bytes",
+        ],
+    )?;
     let [path] = pos.as_slice() else {
         return Err("serve takes one summary file".into());
     };
     let addr = flag(&flags, "addr").unwrap_or("127.0.0.1:7878");
-    let deadline_ms: Option<u64> = match flag(&flags, "deadline-ms") {
-        Some(v) => Some(v.parse().map_err(|_| "bad value for --deadline-ms")?),
-        None => None,
-    };
-    let max_nodes: Option<usize> = match flag(&flags, "max-query-nodes") {
-        Some(v) => Some(v.parse().map_err(|_| "bad value for --max-query-nodes")?),
-        None => None,
-    };
+    let (limits, budget) = limits_and_budget(&flags)?;
     // 0 disables a socket timeout entirely; the defaults mirror
     // ServerConfig::default (30 s read, 10 s write).
     let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
@@ -337,14 +349,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         max_line_bytes: parse_flag(&flags, "max-line-bytes", defaults.max_line_bytes)?,
         read_timeout: timeout(parse_flag(&flags, "read-timeout-ms", 30_000u64)?),
         write_timeout: timeout(parse_flag(&flags, "write-timeout-ms", 10_000u64)?),
-        limits: xpe::estimator::QueryLimits {
-            max_nodes,
-            ..xpe::estimator::QueryLimits::unlimited()
-        },
-        budget: xpe::estimator::Budget {
-            deadline: deadline_ms.map(std::time::Duration::from_millis),
-            max_join_edges: None,
-        },
+        limits,
+        budget,
         estimate_cache_capacity: parse_flag(
             &flags,
             "estimate-cache",
@@ -371,7 +377,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_exact(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args)?;
+    let (_, pos) = split_flags(args, &[])?;
     let [path, queries @ ..] = pos.as_slice() else {
         return Err("exact takes an XML file and at least one query".into());
     };
@@ -392,7 +398,7 @@ fn cmd_exact(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(args, &["out", "scale", "seed"])?;
     let [name] = pos.as_slice() else {
         return Err("generate takes one dataset name".into());
     };
@@ -415,7 +421,18 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_workload(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(
+        args,
+        &[
+            "scale",
+            "seed",
+            "requests",
+            "zipf",
+            "templates",
+            "mix",
+            "attempts",
+        ],
+    )?;
     let [name] = pos.as_slice() else {
         return Err("workload takes one dataset name".into());
     };
@@ -495,7 +512,7 @@ fn cmd_workload(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(args, &["seed", "cases", "json"])?;
     if !pos.is_empty() {
         return Err(format!(
             "diff takes no positional arguments, got '{}'",
@@ -552,7 +569,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_faults(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args)?;
+    let (flags, pos) = split_flags(args, &["seed", "cases", "json"])?;
     if !pos.is_empty() {
         return Err(format!(
             "faults takes no positional arguments, got '{}'",
@@ -607,9 +624,10 @@ mod tests {
 
     #[test]
     fn split_flags_separates_pairs_and_positionals() {
-        let (flags, pos) = split_flags(&args(&[
-            "file.xml", "--scale", "0.5", "-o", "out.bin", "extra",
-        ]))
+        let (flags, pos) = split_flags(
+            &args(&["file.xml", "--scale", "0.5", "-o", "out.bin", "extra"]),
+            &["scale", "out"],
+        )
         .unwrap();
         assert_eq!(pos, vec!["file.xml", "extra"]);
         assert_eq!(flag(&flags, "scale"), Some("0.5"));
@@ -618,29 +636,33 @@ mod tests {
     }
 
     #[test]
-    fn split_flags_rejects_dangling_flag() {
-        assert!(split_flags(&args(&["--scale"])).is_err());
-        assert!(split_flags(&args(&["-o"])).is_err());
+    fn split_flags_rejects_dangling_and_unknown_flags() {
+        assert!(split_flags(&args(&["--scale"]), &["scale"]).is_err());
+        assert!(split_flags(&args(&["-o"]), &["out"]).is_err());
+        let err = split_flags(&args(&["-o", "out.bin"]), &["scale"]).unwrap_err();
+        assert_eq!(err, "unknown flag -o");
     }
 
     #[test]
     fn parse_flag_types_and_defaults() {
-        let (flags, _) = split_flags(&args(&["--seed", "7", "--scale", "0.25"])).unwrap();
+        let known = ["seed", "scale"];
+        let (flags, _) = split_flags(&args(&["--seed", "7", "--scale", "0.25"]), &known).unwrap();
         assert_eq!(parse_flag(&flags, "seed", 0u64).unwrap(), 7);
         assert_eq!(parse_flag(&flags, "scale", 1.0f64).unwrap(), 0.25);
         assert_eq!(parse_flag(&flags, "absent", 42u32).unwrap(), 42);
-        let (bad, _) = split_flags(&args(&["--seed", "notanumber"])).unwrap();
+        let (bad, _) = split_flags(&args(&["--seed", "notanumber"]), &known).unwrap();
         assert!(parse_flag(&bad, "seed", 0u64).is_err());
     }
 
     #[test]
     fn parse_seed_accepts_decimal_and_hex() {
-        let (flags, _) = split_flags(&args(&["--seed", "0xC0FFEE"])).unwrap();
+        let known = ["seed"];
+        let (flags, _) = split_flags(&args(&["--seed", "0xC0FFEE"]), &known).unwrap();
         assert_eq!(parse_seed(&flags, "seed", 0).unwrap(), 0xC0FFEE);
-        let (flags, _) = split_flags(&args(&["--seed", "12648430"])).unwrap();
+        let (flags, _) = split_flags(&args(&["--seed", "12648430"]), &known).unwrap();
         assert_eq!(parse_seed(&flags, "seed", 0).unwrap(), 12_648_430);
         assert_eq!(parse_seed(&[], "seed", 7).unwrap(), 7);
-        let (bad, _) = split_flags(&args(&["--seed", "0xZZ"])).unwrap();
+        let (bad, _) = split_flags(&args(&["--seed", "0xZZ"]), &known).unwrap();
         assert!(parse_seed(&bad, "seed", 0).is_err());
     }
 }

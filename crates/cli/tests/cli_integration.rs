@@ -416,3 +416,54 @@ fn build_is_byte_identical_to_in_process_dom_build() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `xpe` with `args`, killing it if it has not exited within 10 s
+/// (a daemon that started despite a bad flag would otherwise never end).
+fn xpe_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xpe"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill");
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("output")
+}
+
+/// A flag the subcommand does not read is an error naming it, so a
+/// misspelt or retired flag never runs silently with the default — and
+/// `serve` refuses it before binding its address.
+#[test]
+fn unknown_flags_fail_with_one_line_naming_them() {
+    let xps = corpus("valid.xps");
+    for (args, flag) in [
+        (
+            vec!["estimate", xps.as_str(), "--bogus-flag", "3", "//site"],
+            "--bogus-flag",
+        ),
+        (
+            vec![
+                "serve",
+                xps.as_str(),
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "0",
+            ],
+            "--workers",
+        ),
+    ] {
+        let o = xpe_bounded(&args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stderr(&o));
+        assert_clean_failure(&o, flag);
+        assert_eq!(stderr(&o).lines().count(), 1, "one diagnostic line");
+        assert!(stdout(&o).is_empty(), "{args:?} ran: {}", stdout(&o));
+    }
+}

@@ -13,7 +13,7 @@
 //! functions of `(summary, query)`; the caches only change how fast they
 //! are produced.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use xpe_pathid::{JoinIndexCache, RelationMaskCache};
@@ -22,10 +22,9 @@ use xpe_xpath::{Query, QueryParseError};
 
 use crate::estcache::EstimateCache;
 use crate::estimator::Estimator;
-use crate::invariant::finalize_estimate;
 use crate::join::JoinKernel;
 use crate::joincache::JoinCache;
-use crate::serve::{Budget, DegradedReason, EstimateOutcome, EstimateStatus, QueryLimits};
+use crate::serve::{isolated_estimate, Budget, EstimateOutcome, OutcomeTally, QueryLimits};
 
 /// Number of join results every engine's and serving generation's
 /// workload cache retains. Sized to hold the full distinct-skeleton
@@ -72,16 +71,6 @@ pub struct KernelStats {
     pub adjacency_build_ms: f64,
     /// Total `(pid_u, pid_v)` pairs materialized across all adjacencies.
     pub adjacency_pairs: u64,
-    /// Fallible estimates that completed normally.
-    pub outcomes_ok: u64,
-    /// Fallible estimates served degraded (budget exhaustion or an
-    /// isolated worker panic).
-    pub outcomes_degraded: u64,
-    /// Fallible estimates refused by admission control.
-    pub outcomes_rejected: u64,
-    /// Worker panics caught and isolated by `try_estimate_batch` (a
-    /// subset of `outcomes_degraded`).
-    pub worker_panics: u64,
     /// Lock (mutex) acquisitions across the engine's shared caches: the
     /// adjacency index and the shards of the join and estimate caches.
     /// The warm-path contract is that this counter does **not** move
@@ -89,30 +78,6 @@ pub struct KernelStats {
     /// with only warm estimates in between — the estimators' private
     /// memos and cache fronts serve everything lock-free.
     pub lock_acquisitions: u64,
-}
-
-/// Lifetime outcome tallies of an engine's fallible entry points.
-#[derive(Debug, Default)]
-struct OutcomeCounters {
-    ok: AtomicU64,
-    degraded: AtomicU64,
-    rejected: AtomicU64,
-    panics: AtomicU64,
-}
-
-impl OutcomeCounters {
-    fn tally(&self, outcome: &EstimateOutcome) {
-        match &outcome.status {
-            EstimateStatus::Ok => self.ok.fetch_add(1, Ordering::Relaxed),
-            EstimateStatus::Degraded { reason } => {
-                if matches!(reason, DegradedReason::Panicked { .. }) {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                self.degraded.fetch_add(1, Ordering::Relaxed)
-            }
-            EstimateStatus::Rejected { .. } => self.rejected.fetch_add(1, Ordering::Relaxed),
-        };
-    }
 }
 
 /// Batch-capable estimation engine over a prebuilt [`Summary`].
@@ -129,7 +94,9 @@ pub struct EstimationEngine<'s> {
     local: Estimator<'s>,
     limits: QueryLimits,
     budget: Budget,
-    outcomes: OutcomeCounters,
+    /// Outcomes of the fallible entry points. They tally on the calling
+    /// thread, and the engine is not `Sync`, so a `Cell` suffices.
+    outcomes: Cell<OutcomeTally>,
 }
 
 impl<'s> EstimationEngine<'s> {
@@ -157,7 +124,7 @@ impl<'s> EstimationEngine<'s> {
                 .with_estimate_cache(est_cache),
             limits: QueryLimits::unlimited(),
             budget: Budget::unlimited(),
-            outcomes: OutcomeCounters::default(),
+            outcomes: Cell::default(),
         }
     }
 
@@ -179,7 +146,7 @@ impl<'s> EstimationEngine<'s> {
         rebuilt.budget = self.budget;
         // The outcome tallies are lifetime counters of *this* engine, not
         // of one cache configuration — carry them into the rebuild or
-        // `kernel_stats()` silently under-reports after a capacity change.
+        // `outcomes()` silently under-reports after a capacity change.
         rebuilt.outcomes = self.outcomes;
         rebuilt = rebuilt.with_kernel(self.kernel);
         rebuilt
@@ -218,16 +185,6 @@ impl<'s> EstimationEngine<'s> {
     /// The configured admission policy.
     pub fn limits(&self) -> &QueryLimits {
         &self.limits
-    }
-
-    /// The configured per-query budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// The configured worker count (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The summary the engine estimates against.
@@ -291,12 +248,22 @@ impl<'s> EstimationEngine<'s> {
             adjacency_builds: self.adjacency.builds(),
             adjacency_build_ms: self.adjacency.build_ms(),
             adjacency_pairs: self.adjacency.pair_total(),
-            outcomes_ok: self.outcomes.ok.load(Ordering::Relaxed),
-            outcomes_degraded: self.outcomes.degraded.load(Ordering::Relaxed),
-            outcomes_rejected: self.outcomes.rejected.load(Ordering::Relaxed),
-            worker_panics: self.outcomes.panics.load(Ordering::Relaxed),
             lock_acquisitions: self.adjacency.lock_count() + join.lock_count() + est_locks,
         }
+    }
+
+    /// Outcomes of [`try_estimate`](Self::try_estimate) and the batch
+    /// entry points over this engine's lifetime, counted through
+    /// [`OutcomeTally::record`]; the transport counters stay zero.
+    pub fn outcomes(&self) -> OutcomeTally {
+        self.outcomes.get()
+    }
+
+    /// Counts one outcome into [`outcomes`](Self::outcomes).
+    fn tally(&self, outcome: &EstimateOutcome) {
+        let mut tally = self.outcomes.get();
+        tally.record(&outcome.status);
+        self.outcomes.set(tally);
     }
 
     /// A fresh estimator sharing this engine's caches — for callers that
@@ -353,10 +320,10 @@ impl<'s> EstimationEngine<'s> {
     }
 
     /// Fallible estimation of one query under the engine's admission
-    /// policy and budget, tallied into [`kernel_stats`](Self::kernel_stats).
+    /// policy and budget, tallied into [`outcomes`](Self::outcomes).
     pub fn try_estimate(&self, query: &Query) -> EstimateOutcome {
         let out = self.local.try_estimate(query, &self.limits, &self.budget);
-        self.outcomes.tally(&out);
+        self.tally(&out);
         out
     }
 
@@ -371,51 +338,42 @@ impl<'s> EstimationEngine<'s> {
     }
 
     /// The isolation seam under [`try_estimate_batch`](Self::try_estimate_batch):
-    /// fans `queries` across the configured workers, running `f` per query
-    /// on a per-worker [`Estimator`] inside a panic boundary. A caught
-    /// panic becomes a `Degraded(Panicked)` outcome whose value is the
-    /// query's `f(tag)` upper bound; the worker's estimator is discarded
-    /// and rebuilt, so later queries on that worker never see
-    /// mid-mutation state. The fault harness injects through `f` to prove
-    /// those properties hold.
+    /// fans `queries` across the configured workers and runs `f` per
+    /// query on each worker's estimator under the panic guard the daemon
+    /// also runs every estimate under. A caught panic
+    /// becomes a `Degraded(Panicked)` outcome whose value is the query's
+    /// `f(tag)` upper bound; the worker's estimator is dropped and
+    /// rebuilt, so later queries on that worker never see mid-mutation
+    /// state. Every outcome is tallied into [`outcomes`](Self::outcomes)
+    /// on the calling thread. The fault harness injects through `f` to
+    /// prove those properties hold.
     pub fn try_estimate_batch_with<F>(&self, queries: &[Query], f: F) -> Vec<EstimateOutcome>
     where
         F: Fn(&Estimator<'s>, &Query) -> EstimateOutcome + Sync,
     {
-        let results = xpe_par::par_map_init_chunked_isolated(
+        let make = self.estimator_factory();
+        let outcomes = xpe_par::par_map_init_flushed(
             self.threads,
             queries.len(),
-            self.estimator_factory(),
-            |est, i| f(est, &queries[i]),
+            || None,
+            |slot, i| isolated_estimate(slot, &make, &queries[i], &f),
+            |slot| {
+                if let Some(est) = slot {
+                    est.flush_caches();
+                }
+            },
         );
-        results
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| {
-                let out = match r {
-                    Ok(out) => out,
-                    Err(panic) => {
-                        let cap = self.local.tag_cap(q);
-                        EstimateOutcome {
-                            value: finalize_estimate(cap, cap),
-                            status: EstimateStatus::Degraded {
-                                reason: DegradedReason::Panicked {
-                                    message: panic.message,
-                                },
-                            },
-                        }
-                    }
-                };
-                self.outcomes.tally(&out);
-                out
-            })
-            .collect()
+        for out in &outcomes {
+            self.tally(out);
+        }
+        outcomes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::tests::hushed;
     use xpe_synopsis::SummaryConfig;
     use xpe_xpath::parse_query;
 
@@ -628,16 +586,6 @@ mod tests {
         }
     }
 
-    /// A quiet panic hook for isolation tests: the default hook prints a
-    /// backtrace banner per caught panic, which floods test output.
-    fn hushed<T>(f: impl FnOnce() -> T) -> T {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
-    }
-
     #[test]
     fn try_batch_matches_estimate_batch_when_unconstrained() {
         let s = summary();
@@ -656,11 +604,11 @@ mod tests {
                 assert_eq!(out.status, crate::EstimateStatus::Ok);
                 assert_eq!(out.value.to_bits(), v.to_bits());
             }
-            let stats = engine.kernel_stats();
-            assert_eq!(stats.outcomes_ok, queries.len() as u64);
-            assert_eq!(stats.outcomes_degraded, 0);
-            assert_eq!(stats.outcomes_rejected, 0);
-            assert_eq!(stats.worker_panics, 0);
+            let stats = engine.outcomes();
+            assert_eq!(stats.ok, queries.len() as u64);
+            assert_eq!(stats.degraded, 0);
+            assert_eq!(stats.rejected, 0);
+            assert_eq!(stats.panics, 0);
         }
     }
 
@@ -709,9 +657,9 @@ mod tests {
                         );
                     }
                 }
-                let stats = engine.kernel_stats();
-                assert_eq!(stats.worker_panics, 1, "threads={threads}");
-                assert_eq!(stats.outcomes_degraded, 1);
+                let stats = engine.outcomes();
+                assert_eq!(stats.panics, 1, "threads={threads}");
+                assert_eq!(stats.degraded, 1);
             }
         });
     }
@@ -733,7 +681,7 @@ mod tests {
                     reason: crate::DegradedReason::Panicked { .. }
                 }
             )));
-            assert_eq!(engine.kernel_stats().worker_panics, queries.len() as u64);
+            assert_eq!(engine.outcomes().panics, queries.len() as u64);
         });
     }
 
@@ -753,9 +701,9 @@ mod tests {
         let outcomes = engine.try_estimate_batch(&queries);
         assert_eq!(outcomes[0].status, crate::EstimateStatus::Ok);
         assert!(outcomes[1].status.is_rejected(), "{:?}", outcomes[1]);
-        let stats = engine.kernel_stats();
-        assert_eq!(stats.outcomes_ok, 1);
-        assert_eq!(stats.outcomes_rejected, 1);
+        let stats = engine.outcomes();
+        assert_eq!(stats.ok, 1);
+        assert_eq!(stats.rejected, 1);
         // Rebuilding the caches keeps the policy.
         let rebuilt = engine.with_estimate_cache_capacity(8);
         assert_eq!(rebuilt.limits().max_nodes, Some(2));
@@ -855,12 +803,12 @@ mod tests {
         engine.try_estimate(&q);
         let rebuilt = engine.with_estimate_cache_capacity(64);
         assert_eq!(
-            rebuilt.kernel_stats().outcomes_ok,
+            rebuilt.outcomes().ok,
             2,
             "lifetime outcome tallies survive a cache capacity change"
         );
         rebuilt.try_estimate(&q);
-        assert_eq!(rebuilt.kernel_stats().outcomes_ok, 3);
+        assert_eq!(rebuilt.outcomes().ok, 3);
         assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
         assert_eq!(rebuilt.limits().max_nodes, Some(8));
         assert_eq!(rebuilt.estimate_cache().unwrap().capacity(), 64);

@@ -18,6 +18,7 @@
 //! implementation reproduces the worked examples digit for digit.
 
 use std::cell::RefCell;
+use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
@@ -418,11 +419,6 @@ impl<'s> Estimator<'s> {
         self.scratch.borrow().phase_stats()
     }
 
-    /// Resets the per-phase join breakdown.
-    pub fn reset_join_phase_stats(&self) {
-        self.scratch.borrow_mut().reset_phase_stats();
-    }
-
     /// The shared containment-adjacency index.
     pub fn adjacency_cache(&self) -> &Arc<JoinIndexCache> {
         &self.adjacency
@@ -537,8 +533,23 @@ impl<'s> Estimator<'s> {
     /// always finite, non-negative, and at most the target tag's total
     /// frequency in the summary.
     pub fn estimate(&self, query: &Query) -> f64 {
+        let computed = self
+            .through_estimate_cache(query, || Ok::<_, Infallible>(self.estimate_uncached(query)));
+        computed.unwrap_or_else(|never| match never {})
+    }
+
+    /// The full-query cache wrap of every estimate: serves `query` from
+    /// the estimate-cache front on a hit; on a miss runs `compute` and
+    /// publishes the value it returns, while an `Err` (a budget-truncated
+    /// answer) is passed through unpublished. Without a front it only
+    /// runs `compute`.
+    fn through_estimate_cache<E>(
+        &self,
+        query: &Query,
+        compute: impl FnOnce() -> Result<f64, E>,
+    ) -> Result<f64, E> {
         let Some(front) = &self.est_cache else {
-            return self.estimate_uncached(query);
+            return compute();
         };
         // The key buffer stays borrowed until the publish: nothing below
         // renders another key into it.
@@ -546,11 +557,11 @@ impl<'s> Estimator<'s> {
         key.set(query);
         let hit = front.borrow_mut().lookup(&key);
         if let Some(v) = hit {
-            return v;
+            return Ok(v);
         }
-        let v = self.estimate_uncached(query);
+        let v = compute()?;
         front.borrow_mut().publish(key.clone(), v);
-        v
+        Ok(v)
     }
 
     /// [`estimate`](Self::estimate) without the full-query cache wrap —
@@ -604,55 +615,35 @@ impl<'s> Estimator<'s> {
         }
         // Admission ran above, so a cached hit cannot resurrect a query
         // the limits would reject. A hit costs no budget at all — the
-        // stored value is a finished, untruncated `Ok` by construction
-        // (degraded answers are never published).
-        let mut key = self
-            .est_cache
-            .as_ref()
-            .map(|front| (front, self.est_key.borrow_mut()));
-        if let Some((front, key)) = &mut key {
-            key.set(query);
-            let hit = front.borrow_mut().lookup(key);
-            if let Some(v) = hit {
-                return EstimateOutcome {
-                    value: v,
-                    status: EstimateStatus::Ok,
-                };
+        // stored value is a finished, untruncated `Ok` by construction:
+        // only an estimate the budget let finish is published, and it is
+        // bit-identical to `estimate` by the `Ok` contract.
+        let computed = self.through_estimate_cache(query, || {
+            *self.budget.borrow_mut() = Some(BudgetState::start(budget));
+            let raw = self.estimate_depth(query, 0);
+            let state = self
+                .budget
+                .borrow_mut()
+                .take()
+                .expect("budget installed above");
+            match state.exhausted() {
+                None => Ok(finalize_estimate(raw, cap)),
+                Some(exhausted) => Err(exhausted),
             }
-        }
-        *self.budget.borrow_mut() = Some(BudgetState::start(budget));
-        let raw = self.estimate_depth(query, 0);
-        let state = self
-            .budget
-            .borrow_mut()
-            .take()
-            .expect("budget installed above");
-        match state.exhausted() {
-            None => {
-                let value = finalize_estimate(raw, cap);
-                // Only a finished, untruncated estimate is published —
-                // it is bit-identical to `estimate` by the `Ok`
-                // contract, so cached and uncached paths agree exactly.
-                if let Some((front, key)) = key {
-                    front.borrow_mut().publish(key.clone(), value);
-                }
-                EstimateOutcome {
+        });
+        let reason = match computed {
+            Ok(value) => {
+                return EstimateOutcome {
                     value,
                     status: EstimateStatus::Ok,
                 }
             }
-            Some(BudgetExhausted::Deadline) => EstimateOutcome {
-                value: bound,
-                status: EstimateStatus::Degraded {
-                    reason: DegradedReason::Deadline,
-                },
-            },
-            Some(BudgetExhausted::JoinEdges) => EstimateOutcome {
-                value: bound,
-                status: EstimateStatus::Degraded {
-                    reason: DegradedReason::JoinBudget,
-                },
-            },
+            Err(BudgetExhausted::Deadline) => DegradedReason::Deadline,
+            Err(BudgetExhausted::JoinEdges) => DegradedReason::JoinBudget,
+        };
+        EstimateOutcome {
+            value: bound,
+            status: EstimateStatus::Degraded { reason },
         }
     }
 

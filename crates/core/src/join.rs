@@ -176,11 +176,6 @@ impl JoinScratch {
         self.phases
     }
 
-    /// Resets the per-phase breakdown to zero.
-    pub fn reset_phase_stats(&mut self) {
-        self.phases = JoinPhaseStats::default();
-    }
-
     fn take(&mut self) -> Vec<(Pid, f64)> {
         self.pool.pop().unwrap_or_default()
     }
@@ -845,8 +840,6 @@ mod tests {
             phases.screen_ns + phases.fixpoint_ns + phases.finalize_ns > 0,
             "{phases:?}"
         );
-        scratch.reset_phase_stats();
-        assert_eq!(scratch.phase_stats(), JoinPhaseStats::default());
     }
 
     /// The budget contract of the bitmap kernel: with `P` the edge charge

@@ -10,8 +10,10 @@
 //! 2. **Budget** ([`Budget`]/[`BudgetState`]) — a wall-clock deadline and
 //!    a fixpoint-edge cap polled cooperatively inside the worklist join
 //!    loop; exhaustion degrades the answer instead of hanging the worker.
-//! 3. **Isolation** (`xpe_par::par_map_init_chunked_isolated`) — a panic
-//!    in one batch item becomes a `Degraded` slot, not a dead batch.
+//! 3. **Isolation** (`isolated_estimate`) — each estimate of a batch
+//!    worker or a daemon connection runs under `catch_unwind`; a panic
+//!    becomes that one query's `Degraded(Panicked)` answer, and the
+//!    estimator it unwound through is rebuilt before the next estimate.
 //! 4. **Integrity** (`xpe_synopsis::persist`) — corrupt summaries are
 //!    rejected at load with a checksum error, so the rungs above only
 //!    ever run against a trusted synopsis.
@@ -24,10 +26,14 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use xpe_synopsis::Summary;
 use xpe_xpath::Query;
+
+use crate::estimator::Estimator;
+use crate::invariant::finalize_estimate;
 
 /// Admission-control policy checked before any estimation work runs.
 ///
@@ -378,11 +384,12 @@ pub struct EstimateOutcome {
 }
 
 /// One set of serving outcome counters — the single source of truth for
-/// counter *names* shared by the CLI batch tally (`xpe estimate
-/// --deadline-ms` stderr line), the daemon's `stats` verb, and the
-/// process-exit summary: all of them print through [`fmt::Display`] /
-/// [`write_json`](Self::write_json) so the field names can never drift
-/// apart.
+/// counter *names* and for the status-to-counter mapping
+/// ([`record`](Self::record)). The engine's
+/// [`outcomes`](crate::EstimationEngine::outcomes) (the `xpe estimate`
+/// stderr line), the daemon's `stats` verb and its process-exit summary
+/// all count through `record` and print through [`fmt::Display`] /
+/// [`write_json`](Self::write_json), so none of them can drift apart.
 ///
 /// `degraded` counts every degraded outcome; `panics` additionally
 /// counts the `degraded:panicked` subset. The transport-level counters
@@ -425,7 +432,8 @@ impl OutcomeTally {
         ]
     }
 
-    /// Records one estimate outcome status.
+    /// Records one estimate outcome status — the one place a status
+    /// picks its counters.
     pub fn record(&mut self, status: &EstimateStatus) {
         match status {
             EstimateStatus::Ok => self.ok += 1,
@@ -437,22 +445,6 @@ impl OutcomeTally {
             }
             EstimateStatus::Rejected { .. } => self.rejected += 1,
         }
-    }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &OutcomeTally) {
-        self.ok += other.ok;
-        self.degraded += other.degraded;
-        self.rejected += other.rejected;
-        self.protocol_errors += other.protocol_errors;
-        self.timeouts += other.timeouts;
-        self.overloaded += other.overloaded;
-        self.panics += other.panics;
-    }
-
-    /// Requests observed, over every counter except the `panics` subset.
-    pub fn total(&self) -> u64 {
-        self.ok + self.degraded + self.rejected + self.protocol_errors + self.overloaded
     }
 
     /// Appends the tally as a JSON object (`{"ok":N,...}`) to `out`.
@@ -490,8 +482,57 @@ impl fmt::Display for OutcomeTally {
     }
 }
 
+/// Renders a caught panic payload as text (`&str`/`String` payloads are
+/// passed through; anything else becomes a placeholder).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
+/// Runs one estimate under panic isolation — the one guard shared by
+/// [`EstimationEngine::try_estimate_batch_with`](crate::EstimationEngine::try_estimate_batch_with)
+/// (per query, on each batch worker) and the daemon (per request, on
+/// each connection thread).
+///
+/// `slot` holds the caller's estimator; an empty slot is filled with
+/// `make()` first. `estimate` then runs on it under [`catch_unwind`]. A
+/// panic costs only this answer: the slot is emptied, because the
+/// estimator may have been mid-mutation when it unwound (the next call
+/// builds a fresh one), and the answer is `Degraded(Panicked)` with the
+/// same `finalize_estimate(f(tag), f(tag))` bound every degraded answer
+/// reports. `make` itself is not guarded: it builds from trusted state,
+/// and a panic there is a bug that should propagate.
+pub(crate) fn isolated_estimate<'s>(
+    slot: &mut Option<Estimator<'s>>,
+    make: impl FnOnce() -> Estimator<'s>,
+    query: &Query,
+    estimate: impl FnOnce(&Estimator<'s>, &Query) -> EstimateOutcome,
+) -> EstimateOutcome {
+    let estimator = slot.get_or_insert_with(make);
+    match catch_unwind(AssertUnwindSafe(|| estimate(estimator, query))) {
+        Ok(outcome) => outcome,
+        Err(payload) => {
+            let cap = estimator.tag_cap(query);
+            *slot = None;
+            EstimateOutcome {
+                value: finalize_estimate(cap, cap),
+                status: EstimateStatus::Degraded {
+                    reason: DegradedReason::Panicked {
+                        message: panic_message(payload),
+                    },
+                },
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Estimator;
     use xpe_synopsis::{Summary, SummaryConfig};
@@ -794,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_tally_records_merges_and_renders() {
+    fn outcome_tally_records_and_renders() {
         let mut t = OutcomeTally::default();
         t.record(&EstimateStatus::Ok);
         t.record(&EstimateStatus::Ok);
@@ -807,27 +848,87 @@ mod tests {
             reason: AdmissionError::TooManyNodes { count: 9, limit: 4 },
         });
         assert_eq!((t.ok, t.degraded, t.rejected, t.panics), (2, 1, 1, 1));
-        let mut sum = OutcomeTally {
-            protocol_errors: 3,
-            ..OutcomeTally::default()
-        };
-        sum.merge(&t);
-        assert_eq!(sum.ok, 2);
-        assert_eq!(sum.protocol_errors, 3);
-        assert_eq!(sum.total(), 7);
         // The terse rendering hides zero transport counters, shows
         // nonzero ones.
         assert_eq!(t.to_string(), "2 ok, 1 degraded, 1 rejected, 1 panics");
+        t.protocol_errors = 3;
         assert_eq!(
-            sum.to_string(),
+            t.to_string(),
             "2 ok, 1 degraded, 1 rejected, 3 protocol errors, 1 panics"
         );
         let mut json = String::new();
-        sum.write_json(&mut json);
+        t.write_json(&mut json);
         assert_eq!(
             json,
             "{\"ok\":2,\"degraded\":1,\"rejected\":1,\"protocol_errors\":3,\
              \"timeouts\":0,\"overloaded\":0,\"panics\":1}"
         );
+    }
+
+    /// A quiet panic hook for isolation tests: the default hook prints a
+    /// backtrace banner per caught panic, which floods test output.
+    pub(crate) fn hushed<T>(f: impl FnOnce() -> T) -> T {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = f();
+        std::panic::set_hook(prev);
+        out
+    }
+
+    /// An estimator that unwound is never reused: the slot is emptied,
+    /// the answer is the `f(tag)` bound, and the next call builds a fresh
+    /// estimator whose answer is exact.
+    #[test]
+    fn a_panic_empties_the_slot_and_the_next_call_builds_afresh() {
+        let s = summary();
+        let query = parse_query("//A[/C/F]/B/D").unwrap();
+        let made = Cell::new(0);
+        let make = || {
+            made.set(made.get() + 1);
+            Estimator::new(&s)
+        };
+        let mut slot = None;
+        let out = hushed(|| isolated_estimate(&mut slot, make, &query, |_, _| panic!("mid-join")));
+        assert_eq!(
+            out.status,
+            EstimateStatus::Degraded {
+                reason: DegradedReason::Panicked {
+                    message: "mid-join".into()
+                }
+            }
+        );
+        assert_eq!(out.value, s.tag_total("D"));
+        assert!(slot.is_none(), "the unwound estimator was dropped");
+        let unlimited = (QueryLimits::unlimited(), Budget::unlimited());
+        let out = isolated_estimate(&mut slot, make, &query, |est, q| {
+            est.try_estimate(q, &unlimited.0, &unlimited.1)
+        });
+        assert_eq!(made.get(), 2, "the second call built a fresh estimator");
+        assert!(slot.is_some());
+        assert_eq!(out.status, EstimateStatus::Ok);
+        assert_eq!(
+            out.value.to_bits(),
+            Estimator::new(&s).estimate(&query).to_bits()
+        );
+    }
+
+    #[test]
+    fn non_string_panic_payloads_are_described() {
+        let s = summary();
+        let query = parse_query("//A//C").unwrap();
+        let out = hushed(|| {
+            isolated_estimate(
+                &mut None,
+                || Estimator::new(&s),
+                &query,
+                |_, _| std::panic::panic_any(42u32),
+            )
+        });
+        match out.status {
+            EstimateStatus::Degraded {
+                reason: DegradedReason::Panicked { message },
+            } => assert_eq!(message, "non-string panic payload"),
+            other => panic!("expected a panic outcome, got {other:?}"),
+        }
     }
 }

@@ -48,10 +48,13 @@
 //! * **Admission + budgets** — every request runs under the server's
 //!   [`QueryLimits`] and [`Budget`], surfacing [`EstimateStatus`] as a
 //!   compact `status` code in every response.
-//! * **Panic isolation** — each estimate runs under `catch_unwind` on its
-//!   connection thread. A panic is answered as `degraded:panicked` with
-//!   the tag-bound value on that connection, the thread rebuilds its
-//!   estimator, and other connections keep their bit-identical answers.
+//! * **Panic isolation** — each estimate runs on its connection thread
+//!   under the panic guard the batch engine's workers also use
+//!   ([`EstimationEngine::try_estimate_batch_with`](crate::EstimationEngine::try_estimate_batch_with)).
+//!   A panic is answered as `degraded:panicked` with the tag-bound value
+//!   on that connection, the estimator it unwound through is dropped and
+//!   the next estimate builds a fresh one, and other connections keep
+//!   their bit-identical answers.
 //! * **Hot reload** — `reload` fully validates the new `.xps` (checksum
 //!   included), then atomically publishes a fresh `Generation`
 //!   (summary + caches) under a bumped epoch. A connection compares
@@ -64,22 +67,19 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use xpe_par::panic_message;
 use xpe_pathid::JoinIndexCache;
 use xpe_synopsis::Summary;
 use xpe_xpath::{parse_query, Query};
 
-use crate::serve::OutcomeTally;
+use crate::serve::{isolated_estimate, OutcomeTally};
 use crate::{
-    finalize_estimate, Budget, DegradedReason, EstimateCache, EstimateOutcome, EstimateStatus,
-    Estimator, JoinCache, QueryLimits, DEFAULT_ESTIMATE_CACHE_CAPACITY,
-    DEFAULT_JOIN_CACHE_CAPACITY,
+    Budget, EstimateCache, EstimateOutcome, EstimateStatus, Estimator, JoinCache, QueryLimits,
+    DEFAULT_ESTIMATE_CACHE_CAPACITY, DEFAULT_JOIN_CACHE_CAPACITY,
 };
 
 // ---------------------------------------------------------------------------
@@ -624,7 +624,7 @@ pub struct ServerConfig {
     /// the epoch bump.
     pub estimate_cache_capacity: usize,
     /// Chaos hook: an estimate whose *target tag* equals this panics
-    /// inside the server's `catch_unwind`, exercising the
+    /// inside the panic guard every estimate runs under, exercising the
     /// panic-isolation path end-to-end. The integration tests and the
     /// serve bench's hostile mix use it; never set it in production.
     pub poison_tag: Option<String>,
@@ -706,17 +706,21 @@ struct LifetimeCounters {
 }
 
 impl LifetimeCounters {
-    fn record_status(&self, status: &EstimateStatus) {
-        match status {
-            EstimateStatus::Ok => self.ok.fetch_add(1, Ordering::Relaxed),
-            EstimateStatus::Degraded { reason } => {
-                if matches!(reason, DegradedReason::Panicked { .. }) {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                self.degraded.fetch_add(1, Ordering::Relaxed)
+    /// Counts one estimate outcome through [`OutcomeTally::record`], the
+    /// one status-to-counter mapping.
+    fn record(&self, status: &EstimateStatus) {
+        let mut one = OutcomeTally::default();
+        one.record(status);
+        for (counter, n) in [
+            (&self.ok, one.ok),
+            (&self.degraded, one.degraded),
+            (&self.rejected, one.rejected),
+            (&self.panics, one.panics),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
-            EstimateStatus::Rejected { .. } => self.rejected.fetch_add(1, Ordering::Relaxed),
-        };
+        }
     }
 
     fn snapshot(&self) -> OutcomeTally {
@@ -1088,20 +1092,9 @@ fn next_estimate(
     }
 }
 
-/// The degraded outcome of an estimate that panicked: the same
-/// `finalize_estimate(f(tag), f(tag))` clamp every degraded answer uses.
-fn panic_outcome(cap: f64, message: String) -> EstimateOutcome {
-    EstimateOutcome {
-        value: finalize_estimate(cap, cap),
-        status: EstimateStatus::Degraded {
-            reason: DegradedReason::Panicked { message },
-        },
-    }
-}
-
 /// Serves one connection until it closes. The thread answers every
 /// request itself, estimates included, with one estimator per serving
-/// generation.
+/// generation, built at its first estimate and again after a panic.
 fn handle_connection(mut stream: TcpStream, state: &SharedState) {
     state.counters.connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_read_timeout(state.config.read_timeout);
@@ -1123,7 +1116,7 @@ fn handle_connection(mut stream: TcpStream, state: &SharedState) {
     let mut carried: Option<Query> = None;
     'generation: loop {
         let generation = state.generation();
-        let estimator = generation.estimator(state.config.max_connections);
+        let mut estimator = None;
         loop {
             let Some(query) = carried
                 .take()
@@ -1135,21 +1128,25 @@ fn handle_connection(mut stream: TcpStream, state: &SharedState) {
                 carried = Some(query);
                 continue 'generation;
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if state.config.poison_tag.as_ref() == Some(&query.node(query.target()).tag) {
-                    panic!("poisoned query");
-                }
-                estimator.try_estimate(&query, &state.config.limits, &state.config.budget)
-            }));
+            let outcome = isolated_estimate(
+                &mut estimator,
+                || generation.estimator(state.config.max_connections),
+                &query,
+                |est, query| {
+                    if state.config.poison_tag.as_ref() == Some(&query.node(query.target()).tag) {
+                        panic!("poisoned query");
+                    }
+                    est.try_estimate(query, &state.config.limits, &state.config.budget)
+                },
+            );
             // Fold the estimator's local cache tallies into the shared
             // counters after every estimate so the `stats` verb reads
-            // live hit rates; the estimate hot path stays tally-local.
-            estimator.flush_caches();
-            let rebuild = result.is_err();
-            let outcome = result.unwrap_or_else(|payload| {
-                panic_outcome(estimator.tag_cap(&query), panic_message(payload))
-            });
-            state.counters.record_status(&outcome.status);
+            // live hit rates; the estimate hot path stays tally-local. An
+            // estimator dropped after a panic folds its tallies in on drop.
+            if let Some(est) = &estimator {
+                est.flush_caches();
+            }
+            state.counters.record(&outcome.status);
             tally.record(&outcome.status);
             if !respond(
                 state,
@@ -1157,11 +1154,6 @@ fn handle_connection(mut stream: TcpStream, state: &SharedState) {
                 estimate_response(&outcome, generation.epoch),
             ) {
                 return;
-            }
-            if rebuild {
-                // The estimator's scratch may be poisoned mid-join: start
-                // the next estimate from a fresh one.
-                continue 'generation;
             }
         }
     }

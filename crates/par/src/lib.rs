@@ -12,49 +12,8 @@
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// A panic caught while mapping one item in
-/// [`par_map_init_chunked_isolated`]: the item's index slot carries this
-/// instead of a result, and the rest of the batch completes normally.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ItemPanic {
-    /// The panic payload rendered as text (`&str`/`String` payloads are
-    /// passed through; anything else becomes a placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for ItemPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for ItemPanic {}
-
-/// Renders a caught panic payload as text (`&str`/`String` payloads are
-/// passed through; anything else becomes a placeholder).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Acquires `m` even if a previous holder panicked. Every critical
-/// section in this crate only pushes whole `(index, value)` records into
-/// a collection vector, so a poisoned lock cannot expose a half-written
-/// record — recovery is always sound here, and it keeps one panicking
-/// worker from cascading an unrelated `PoisonError` panic through every
-/// other worker's result flush.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Resolves a thread-count knob: `0` means one worker per available core,
 /// anything else is taken literally.
@@ -134,7 +93,11 @@ where
                     flush(&mut state);
                 }
                 flush(&mut state);
-                lock_ignore_poison(&done).extend(local);
+                // A worker's item panics outside this lock, so it is
+                // never poisoned; recovering costs nothing all the same.
+                done.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(local);
             });
         }
     });
@@ -143,53 +106,6 @@ where
     debug_assert_eq!(tagged.len(), n);
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_init_flushed`] with **panic isolation** and no flush hook:
-/// each item's `f` call runs under [`catch_unwind`], so a panicking item
-/// yields `Err(ItemPanic)` in its slot while every other item still
-/// completes and returns in order. This is the serving-layer primitive:
-/// one poisoned query must cost one answer, not the whole batch.
-///
-/// Two containment rules keep the isolation sound:
-///
-/// * a worker whose item panicked **discards its per-worker state** and
-///   rebuilds it with `init` before the next item — `f` holds `&mut S`
-///   when it panics, so `S` may be mid-mutation and is never reused
-///   (this is also what makes the `AssertUnwindSafe` below honest);
-/// * result collection recovers from poisoned locks instead of
-///   propagating them (`lock_ignore_poison`), so a panic elsewhere
-///   never aborts the flush of completed results.
-///
-/// `init` itself is *not* isolated: it builds caches/scratch from trusted
-/// state, and a panic there is a programming error that should propagate.
-/// On the non-panicking path, results are bit-identical to the serial
-/// loop for any thread count.
-pub fn par_map_init_chunked_isolated<S, R, I, F>(
-    threads: usize,
-    n: usize,
-    init: I,
-    f: F,
-) -> Vec<Result<R, ItemPanic>>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    // One isolated step: run item `i`, replacing worker state on panic.
-    let step = |state: &mut Option<S>, i: usize| -> Result<R, ItemPanic> {
-        let s = state.get_or_insert_with(&init);
-        match catch_unwind(AssertUnwindSafe(|| f(s, i))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                *state = None; // state may be mid-mutation: rebuild lazily
-                Err(ItemPanic {
-                    message: panic_message(payload),
-                })
-            }
-        }
-    };
-    par_map_init_flushed(threads, n, || None, step, |_| {})
 }
 
 #[cfg(test)]
@@ -295,121 +211,5 @@ mod tests {
             })
         });
         assert!(res.is_err());
-    }
-
-    /// A quiet panic hook for isolation tests: the default hook prints a
-    /// backtrace banner per caught panic, which floods test output.
-    fn hushed<T>(f: impl FnOnce() -> T) -> T {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
-    }
-
-    #[test]
-    fn isolated_map_matches_serial_when_nothing_panics() {
-        let serial: Vec<u64> = (0..103).map(|i| (i as u64).wrapping_mul(31)).collect();
-        for threads in [0, 1, 2, 8] {
-            let out = par_map_init_chunked_isolated(
-                threads,
-                103,
-                || (),
-                |(), i| (i as u64).wrapping_mul(31),
-            );
-            let vals: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(vals, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn one_poisoned_item_yields_one_error_slot() {
-        hushed(|| {
-            for threads in [1, 4] {
-                let out = par_map_init_chunked_isolated(
-                    threads,
-                    40,
-                    || (),
-                    |(), i| {
-                        if i == 17 {
-                            panic!("poisoned query 17");
-                        }
-                        i * 2
-                    },
-                );
-                assert_eq!(out.len(), 40);
-                for (i, r) in out.iter().enumerate() {
-                    if i == 17 {
-                        let e = r.as_ref().unwrap_err();
-                        assert!(e.message.contains("poisoned query 17"), "{e}");
-                    } else {
-                        assert_eq!(*r.as_ref().unwrap(), i * 2, "slot {i}");
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn every_item_panicking_still_returns_full_batch() {
-        hushed(|| {
-            let out = par_map_init_chunked_isolated::<(), usize, _, _>(
-                4,
-                25,
-                || (),
-                |(), _| panic!("all poisoned"),
-            );
-            assert_eq!(out.len(), 25);
-            assert!(out.iter().all(|r| r.is_err()));
-        });
-    }
-
-    /// Worker state contaminated by a panicking item is discarded: items
-    /// processed after a panic on the same worker see freshly-initialized
-    /// state, never the mid-mutation leftovers.
-    #[test]
-    fn state_is_rebuilt_after_a_panic() {
-        hushed(|| {
-            // Serial (1 thread) so one worker handles every item: state
-            // counts items since (re)init; item 5 corrupts it and panics.
-            let out = par_map_init_chunked_isolated(
-                1,
-                10,
-                || 0usize,
-                |seen, i| {
-                    *seen += 1000; // corrupt first…
-                    if i == 5 {
-                        panic!("die mid-mutation");
-                    }
-                    *seen -= 999; // …then repair: net +1 per clean item
-                    *seen
-                },
-            );
-            // Items 0..5 count 1..=5; item 5 errors; items 6..10 restart
-            // from rebuilt state, counting 1..=4 again.
-            let want: Vec<Result<usize, ()>> = (1..=5)
-                .map(Ok)
-                .chain([Err(())])
-                .chain((1..=4).map(Ok))
-                .collect();
-            let got: Vec<Result<usize, ()>> = out.into_iter().map(|r| r.map_err(|_| ())).collect();
-            assert_eq!(got, want);
-        });
-    }
-
-    #[test]
-    fn non_string_panic_payloads_are_described() {
-        hushed(|| {
-            let out = par_map_init_chunked_isolated::<(), (), _, _>(
-                1,
-                1,
-                || (),
-                |(), _| std::panic::panic_any(42u32),
-            );
-            assert_eq!(
-                out[0].as_ref().unwrap_err().message,
-                "non-string panic payload"
-            );
-        });
     }
 }

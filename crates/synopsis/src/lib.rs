@@ -44,7 +44,6 @@ mod phistogram;
 mod rootpids;
 mod stream;
 mod summary;
-mod view;
 
 pub use freq::PathIdFrequencyTable;
 pub use ohistogram::{OBucket, OHistogram, OHistogramSet, Region};
@@ -53,4 +52,3 @@ pub use persist::LoadError;
 pub use phistogram::{PBucket, PHistogram, PHistogramSet};
 pub use rootpids::RootPidIndex;
 pub use summary::{BuildTimings, Summary, SummaryConfig, SummarySizes};
-pub use view::{SectionSpan, SectionSpans, SummaryView};

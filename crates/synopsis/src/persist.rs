@@ -93,23 +93,21 @@ impl From<WireError> for LoadError {
 }
 
 /// Validates the integrity envelope of a serialized summary and returns
-/// `(version, payload)` with the payload borrowed from `bytes` — **the**
-/// single envelope path: [`Summary::from_bytes`] decodes the returned
-/// slice into owned structures, and [`SummaryView`](crate::SummaryView)
-/// walks it in place without materializing anything.
+/// its payload, borrowed from `bytes` — the envelope check every load
+/// route runs before [`Summary::from_bytes`] decodes the payload.
 ///
 /// For a v2 image this checks magic, version, the recorded payload
 /// length against the actual byte count (short ⇒ `Truncated`, long ⇒
 /// `TrailingBytes`), and the CRC-32 trailer — all before any structural
 /// field is touched. A v1 image (no framing, no checksum) passes its
 /// bare payload through for structural validation only.
-pub(crate) fn validated_payload(bytes: &[u8]) -> Result<(u32, &[u8]), LoadError> {
+fn validated_payload(bytes: &[u8]) -> Result<&[u8], LoadError> {
     let mut r = Reader::new(bytes);
     if r.u32()? != MAGIC {
         return Err(WireError::BadHeader("not an xpe summary").into());
     }
     match r.u32()? {
-        VERSION_UNCHECKED => Ok((VERSION_UNCHECKED, &bytes[8..])),
+        VERSION_UNCHECKED => Ok(&bytes[8..]),
         VERSION => {
             let payload_len = r.u64()? as usize;
             let expected_total = V2_HEADER_LEN
@@ -135,7 +133,7 @@ pub(crate) fn validated_payload(bytes: &[u8]) -> Result<(u32, &[u8]), LoadError>
             if stored != computed {
                 return Err(LoadError::ChecksumMismatch { stored, computed });
             }
-            Ok((VERSION, &body[V2_HEADER_LEN..]))
+            Ok(&body[V2_HEADER_LEN..])
         }
         _ => Err(WireError::BadHeader("unsupported summary version").into()),
     }
@@ -169,7 +167,7 @@ impl Summary {
     }
 
     /// Decodes the payload fields; `r` must span exactly the payload.
-    pub(crate) fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_payload(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let tags = TagInterner::decode(r)?;
         let encoding = EncodingTable::decode(r)?;
         // The pid width is redundant with the encoding table's path
@@ -217,7 +215,7 @@ impl Summary {
     /// images (written before the checksum existed) are accepted with
     /// structural validation only.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, LoadError> {
-        let (_, payload) = validated_payload(bytes)?;
+        let payload = validated_payload(bytes)?;
         let mut r = Reader::new(payload);
         Ok(Self::decode_payload(&mut r)?)
     }
@@ -232,10 +230,9 @@ impl Summary {
         std::fs::write(path, self.to_bytes())
     }
 
-    /// Reads a summary from `r`. Every load route — this method,
-    /// [`load_from_file`](Self::load_from_file), and
-    /// [`SummaryView::to_summary`](crate::SummaryView::to_summary) —
-    /// funnels through [`from_bytes`](Self::from_bytes) and its single
+    /// Reads a summary from `r`. Both load routes — this method and
+    /// [`load_from_file`](Self::load_from_file) — funnel through
+    /// [`from_bytes`](Self::from_bytes) and its single
     /// envelope-validation path, so integrity and version handling can
     /// never diverge between them.
     pub fn load<R: Read>(mut r: R) -> Result<Self, LoadError> {
@@ -458,9 +455,36 @@ mod tests {
         ));
     }
 
-    /// The payload sections of a v2 image.
-    fn sections(image: &[u8]) -> crate::SectionSpans {
-        crate::SummaryView::parse(image).unwrap().sections()
+    /// Payload offsets where three of the payload's parts start.
+    struct Starts {
+        encoding: usize,
+        phist: usize,
+        ohist: usize,
+    }
+
+    /// Where `s`'s encoding table and histogram sets start in its
+    /// payload, from encoding its parts in payload order with their own
+    /// `encode` methods.
+    fn starts(s: &Summary) -> Starts {
+        let mut buf = Vec::new();
+        s.tags.encode(&mut buf);
+        let encoding = buf.len();
+        s.encoding.encode(&mut buf);
+        s.pids.encode(&mut buf);
+        wire::put_f64(&mut buf, s.config.p_variance);
+        wire::put_f64(&mut buf, s.config.o_variance);
+        let phist = buf.len();
+        s.phist.encode(&mut buf);
+        let ohist = buf.len();
+        s.ohist.encode(&mut buf);
+        let mut payload = Vec::new();
+        s.encode_payload(&mut payload);
+        assert_eq!(buf, payload, "the parts make up the payload");
+        Starts {
+            encoding,
+            phist,
+            ohist,
+        }
     }
 
     /// The `u32` at payload offset `at` of a v2 image.
@@ -497,7 +521,7 @@ mod tests {
         let mut bad = s.to_bytes();
         // variance, set length, first histogram's bucket count, its first
         // bucket's average and pid count; then the first pid.
-        let first_pid = sections(&bad).phist.start + 28;
+        let first_pid = starts(&s).phist + 28;
         patch_u32(&mut bad, first_pid, 1_000_000);
         assert_out_of_range(&bad, "p-histogram pid", 1_000_000, s.pids.len());
     }
@@ -506,7 +530,7 @@ mod tests {
     fn dangling_o_histogram_handles_are_rejected() {
         let s = summary();
         let image = s.to_bytes();
-        let ohist = sections(&image).ohist.start;
+        let ohist = starts(&s).ohist;
         // variance, then the tag count and one row rank per tag.
         let tag_count = payload_u32(&image, ohist + 8) as usize;
         let first_rank = ohist + 12;
@@ -530,7 +554,7 @@ mod tests {
         let s = summary();
         let mut bad = s.to_bytes();
         // Path count, first path's length, then its first tag.
-        let first_tag = sections(&bad).encoding.start + 8;
+        let first_tag = starts(&s).encoding + 8;
         patch_u32(&mut bad, first_tag, 1_000_000);
         assert_out_of_range(&bad, "encoding-table tag", 1_000_000, s.tags.len());
     }

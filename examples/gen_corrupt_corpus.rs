@@ -71,9 +71,20 @@ fn main() {
     // reject the lie. The decoder's length-capped preallocation
     // (`wire::cap_alloc`) is what keeps this from requesting a
     // multi-gigabyte buffer before the truncation check fires.
-    let sections = xpe::synopsis::SummaryView::parse(&base)
-        .expect("base image parses")
-        .sections();
+    // Payload offsets of the two histogram sets, from the writer itself:
+    // the summary's parts encoded in payload order with their own
+    // `encode` methods make up the payload byte for byte.
+    let mut parts = Vec::new();
+    summary.tags.encode(&mut parts);
+    summary.encoding.encode(&mut parts);
+    summary.pids.encode(&mut parts);
+    xpe::xml::wire::put_f64(&mut parts, summary.config.p_variance);
+    xpe::xml::wire::put_f64(&mut parts, summary.config.o_variance);
+    let phist_start = parts.len();
+    summary.phist.encode(&mut parts);
+    let ohist_start = parts.len();
+    summary.ohist.encode(&mut parts);
+    assert_eq!(parts, base[16..base.len() - 4], "parts make up the payload");
     // Rewrites the u32 at a file offset and recomputes the CRC-32 trailer.
     let patch = |image: &mut Vec<u8>, off: usize, value: u32| {
         image[off..off + 4].copy_from_slice(&value.to_le_bytes());
@@ -83,7 +94,7 @@ fn main() {
     };
     let mut inflated = base.clone();
     // File offset: 16-byte v2 header + section offset + 8-byte variance.
-    patch(&mut inflated, 16 + sections.ohist.start + 8, u32::MAX);
+    patch(&mut inflated, 16 + ohist_start + 8, u32::MAX);
     write("inflated.xps", &inflated);
 
     // A dangling handle with a *valid* checksum: the first p-histogram
@@ -93,6 +104,6 @@ fn main() {
     // first histogram's bucket count, its first bucket's average and pid
     // count.
     let mut dangling = base;
-    patch(&mut dangling, 16 + sections.phist.start + 28, 1_000_000);
+    patch(&mut dangling, 16 + phist_start + 28, 1_000_000);
     write("dangling.xps", &dangling);
 }
