@@ -299,8 +299,10 @@ fn main() {
         let stats = stats.expect("REPS >= 1");
 
         // Per-phase breakdown from an instrumented serial pass over
-        // the workload (warm caches — the phases, not the adjacency
-        // builds, are what this prices). Best total of `REPS` passes.
+        // the workload. Each pass starts a fresh estimator, and with it
+        // a fresh `JoinIndexCache`, so the pass is cold: its screen
+        // phase includes the containment-relation build and every
+        // adjacency build. Best total of `REPS` passes.
         let mut phases = None;
         for _ in 0..REPS {
             let est = Estimator::new(&summary);

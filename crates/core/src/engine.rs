@@ -69,7 +69,7 @@ pub struct KernelStats {
     pub adjacency_builds: u64,
     /// Total wall-clock milliseconds spent building adjacencies.
     pub adjacency_build_ms: f64,
-    /// Total `(pid_u, pid_v)` pairs materialized across all adjacencies.
+    /// Total compatible `(pid_u, pid_v)` pairs counted across all adjacencies.
     pub adjacency_pairs: u64,
     /// Lock (mutex) acquisitions across the engine's shared caches: the
     /// adjacency index and the shards of the join and estimate caches.

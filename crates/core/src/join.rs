@@ -14,8 +14,8 @@
 //!   bit for bit.
 //! * [`path_join_bitmap`] — the bit-parallel kernel the estimator runs:
 //!   each node's surviving set is a pid-index *bitmap*, each edge step is
-//!   a word-parallel semi-join over the precomputed
-//!   [`ContainmentAdjacency`] bitmap rows screened by its candidate
+//!   a word-parallel semi-join over the summary's shared containment
+//!   rows screened by the edge's [`ContainmentAdjacency`] candidate
 //!   bitmap, a **worklist fixpoint** re-examines only edges whose
 //!   endpoint sets shrank, and the final `(pid, f)` lists are rebuilt from
 //!   the bitmaps in histogram order.
@@ -129,6 +129,9 @@ pub struct JoinScratch {
     bit_pool: Vec<Vec<u64>>,
     /// The semi-join's union accumulator, reused across edges.
     acc: Vec<u64>,
+    /// The semi-join's source set screened by the edge's candidates,
+    /// reused across edges.
+    screened: Vec<u64>,
     /// Hoisted worklist state: per-node incident edge indices.
     incident: Vec<Vec<usize>>,
     /// Hoisted worklist state: per-edge queued flags.
@@ -391,12 +394,12 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 
 /// The bit-parallel join kernel: each query node's surviving set is a
 /// pid-index bitmap and each edge examination is a word-parallel
-/// semi-join over the adjacency's precomputed bitmap rows and candidate
-/// bitmaps. Final `(pid, frequency)` lists are rebuilt by filtering the
-/// p-histogram entries through the final bitmaps — histogram order is
-/// exactly the order the reference kernel's `retain` preserves, so the
-/// lists (and every downstream `f64` sum) are bit-identical to
-/// [`path_join`].
+/// semi-join over the summary's containment rows, screened by the
+/// adjacency's candidate bitmap. Final `(pid, frequency)` lists are
+/// rebuilt by filtering the p-histogram entries through the final
+/// bitmaps — histogram order is exactly the order the reference
+/// kernel's `retain` preserves, so the lists (and every downstream `f64`
+/// sum) are bit-identical to [`path_join`].
 ///
 /// The kernel reads nothing of the query but `plan`, and the result's
 /// lists are indexed by plan node. `plan` must have been built from this
@@ -502,6 +505,9 @@ pub fn path_join_bitmap(
     let mut acc = std::mem::take(&mut scratch.acc);
     acc.clear();
     acc.resize(set_words, 0);
+    let mut screened = std::mem::take(&mut scratch.screened);
+    screened.clear();
+    screened.resize(set_words, 0);
     timer.lap(&mut screen_ns);
     while let Some(ei) = worklist.pop_front() {
         if let Some(b) = budget {
@@ -514,8 +520,16 @@ pub fn path_join_bitmap(
         let (ub, vb) = two_lists(&mut node_bits, edge.u.index(), edge.v.index());
         let before_u = counts[edge.u.index()];
         let before_v = counts[edge.v.index()];
-        counts[edge.u.index()] =
-            semi_join_bits(ub, before_u, vb, before_v, &edge.adj, true, &mut acc);
+        counts[edge.u.index()] = semi_join_bits(
+            ub,
+            before_u,
+            vb,
+            before_v,
+            &edge.adj,
+            true,
+            &mut screened,
+            &mut acc,
+        );
         counts[edge.v.index()] = semi_join_bits(
             vb,
             before_v,
@@ -523,6 +537,7 @@ pub fn path_join_bitmap(
             counts[edge.u.index()],
             &edge.adj,
             false,
+            &mut screened,
             &mut acc,
         );
         // Re-enqueue neighbors of shrunk endpoints — including this edge:
@@ -570,6 +585,7 @@ pub fn path_join_bitmap(
     // stale `Arc`s never outlive this call's summary, and the drained
     // node bitmaps recycle through the bitmap pool.
     scratch.acc = acc;
+    scratch.screened = screened;
     scratch.bit_pool.append(&mut node_bits);
     scratch.node_bits = node_bits;
     scratch.counts = counts;
@@ -585,7 +601,7 @@ pub fn path_join_bitmap(
 }
 
 /// One structural query edge resolved to its containment adjacency (the
-/// adjacency folds the relation-mask test into its pair relation).
+/// adjacency folds the relation-mask test into its candidates).
 #[derive(Debug)]
 struct BitEdge {
     u: QueryNodeId,
@@ -593,13 +609,17 @@ struct BitEdge {
     adj: Arc<ContainmentAdjacency>,
 }
 
-/// One direction of the bitmap semi-join: keep in `dst` only pids whose
-/// adjacency row (forward rows when `forward`, else reverse) intersects
-/// `src`. Two strategies compute the identical set — test each surviving
-/// `dst` pid's row against `src`, or union the `src` pids' opposite-side
-/// rows into `acc` and intersect — and the smaller side picks which, so
-/// the work tracks `min(|dst|, |src|)` row touches. Returns `dst`'s new
-/// population count.
+/// One direction of the bitmap semi-join: keep in `dst` only candidate
+/// pids whose containment row (forward rows when `forward`, else reverse)
+/// holds a candidate of `src`. Both sides are screened by the edge's
+/// candidates first — `dst` in place, `src` into `screened` — so the
+/// shared, unmasked relation rows give exactly the edge's pairs. Two
+/// strategies then compute the identical set — test each surviving `dst`
+/// pid's row against the screened source, or union the screened source
+/// pids' opposite-side rows into `acc` and intersect — and the smaller
+/// side picks which, so the work tracks `min(|dst|, |src|)` row touches.
+/// Returns `dst`'s new population count.
+#[allow(clippy::too_many_arguments)]
 fn semi_join_bits(
     dst: &mut [u64],
     dst_count: usize,
@@ -607,13 +627,15 @@ fn semi_join_bits(
     src_count: usize,
     adj: &ContainmentAdjacency,
     forward: bool,
+    screened: &mut [u64],
     acc: &mut [u64],
 ) -> usize {
-    // Candidate screen: pids outside the relation have empty rows and
-    // cannot survive; one word-parallel AND clears them all before any
-    // per-pid work. (The per-row `None` checks below make this redundant
-    // for correctness — it only saves the per-bit walks.)
+    // Candidate screen: a pid outside the candidates pairs with nothing,
+    // on either side; one word-parallel AND per side clears them all.
+    let relation = adj.relation();
     words::and_assign(dst, adj.candidates());
+    screened.copy_from_slice(src);
+    words::and_assign(screened, adj.candidates());
     if dst_count <= src_count {
         for (wi, word) in dst.iter_mut().enumerate() {
             let mut w = *word;
@@ -621,13 +643,13 @@ fn semi_join_bits(
             while w != 0 {
                 let b = w.trailing_zeros();
                 w &= w - 1;
-                let pid = Pid::from_index(wi * 64 + b as usize);
+                let pid = wi * 64 + b as usize;
                 let row = if forward {
-                    adj.forward_bits(pid)
+                    relation.forward_row(pid)
                 } else {
-                    adj.reverse_bits(pid)
+                    relation.reverse_row(pid)
                 };
-                if !row.is_some_and(|r| words::intersects(r, src)) {
+                if !words::intersects(row, screened) {
                     keep &= !(1u64 << b);
                 }
             }
@@ -635,16 +657,13 @@ fn semi_join_bits(
         }
     } else {
         acc.fill(0);
-        for v in words::ones(src) {
-            let pid = Pid::from_index(v);
+        for pid in words::ones(screened) {
             let row = if forward {
-                adj.reverse_bits(pid)
+                relation.reverse_row(pid)
             } else {
-                adj.forward_bits(pid)
+                relation.forward_row(pid)
             };
-            if let Some(r) = row {
-                words::or_assign(acc, r);
-            }
+            words::or_assign(acc, row);
         }
         words::and_assign(dst, acc);
     }

@@ -1,25 +1,30 @@
-//! Precomputed containment adjacency — the bitmap join kernel's lookup
-//! structure.
+//! Containment adjacency — the bitmap join kernel's lookup structure.
 //!
 //! The path join's inner loop asks, per query edge, "which surviving
 //! `(pid_u, pid_v)` pairs pass the §2 containment + tag-relationship
-//! test?". With a [`relation_mask`] that is still an `O(|list_u| ·
-//! |list_v|)` scan of multi-word bit operations, repeated on every
-//! fixpoint pass of every query. But the answer per pair depends only on
-//! `(pid_u, pid_v, tag_u, tag_v, axis-class)` and the summary — not on
-//! the query — so a whole workload keeps re-deriving the same relation.
+//! test?" — `pv ⊆ pu` and `pv ∩ mask ≠ ∅` for the edge's
+//! [`relation_mask`]. The answer depends only on the summary and the key
+//! `(tag_u, tag_v, child_axis)`, never on the query, and it splits in two:
 //!
-//! A [`ContainmentAdjacency`] materializes that relation once per
-//! `(tag_u, tag_v, child_axis)` key: for every interned pid it stores the
-//! bitmap of compatible partner pids, in both directions. The join's
-//! pruning step then becomes a word-parallel semi-join — "does this pid's
-//! adjacency row intersect the surviving set on the other side?" —
-//! instead of scanning all candidate pairs with 344-bit containment
-//! tests.
+//! * the subset relation `pv ⊆ pu` depends only on the interner, so one
+//!   [`PidContainmentRelation`] per summary answers it for every key. It
+//!   keeps one pid bitmap per path (an inverted list: the pids whose id
+//!   holds that path) and builds each pid's row of ancestors-or-self as
+//!   the AND of its paths' lists;
+//! * the mask test reads only `pv`, and every superset of a pid that
+//!   passes it passes too, so a key adds just a candidate bitmap: the OR
+//!   of the relation's per-path lists over the mask's paths.
 //!
-//! [`JoinIndexCache`] memoizes adjacencies per summary and counts builds
-//! and build wall-time so the bench harness can report amortization
-//! (`adjacency_build_ms` in the perf snapshot).
+//! A [`ContainmentAdjacency`] is that candidate bitmap plus a shared
+//! handle on the relation: `(pu, pv)` is compatible iff both pids are
+//! candidates and the relation's row holds the pair. The join's pruning
+//! step is then a word-parallel semi-join — "does this pid's row
+//! intersect the surviving candidates on the other side?" — instead of a
+//! scan of all candidate pairs with multi-word containment tests.
+//!
+//! [`JoinIndexCache`] memoizes the relation and the adjacencies per
+//! summary and counts builds and build wall-time so the bench harness can
+//! report amortization (`adjacency_build_ms` in the perf snapshot).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,10 +33,10 @@ use std::time::{Duration, Instant};
 
 use xpe_xml::TagId;
 
+use crate::bits::PathIdBits;
 use crate::encoding::EncodingTable;
-use crate::interner::{Pid, PidInterner};
+use crate::interner::PidInterner;
 use crate::rel::relation_mask;
-use crate::slab::PidBitmapSlab;
 use crate::words;
 
 /// The full pid-containment relation of one interner, as bitmap rows.
@@ -40,9 +45,16 @@ use crate::words;
 /// so the family is *not* laminar in general — two ids can overlap
 /// without nesting (Figure 1's interner already does). What every
 /// `(tag_u, tag_v, axis)` adjacency shares is the underlying subset
-/// relation `pv ⊆ pu`, which depends only on the interner. Computing it
-/// once per summary turns each per-key build from a quadratic pair scan
-/// into a row copy plus a word-AND with that key's mask candidates.
+/// relation `pv ⊆ pu`, which depends only on the interner.
+///
+/// It is built by column intersection, in `O(Σ |pv| · n / 64)` word
+/// operations for `n` pids plus one bit per pair: column `c` is the
+/// bitmap of pids whose id sets physical bit `c`, the reverse row of `v`
+/// is the AND of the columns of `v`'s paths (exactly the pids holding
+/// every path of `v`), and the forward rows are the reverse rows'
+/// transpose. Columns are indexed by *physical* bit position — bit
+/// `c % 64` of storage word `c / 64`, LSB = 0 — so a mask's storage
+/// words address them directly, whatever the id layout's path order.
 ///
 /// Rows use the dense pid-index bitmap layout (LSB-first, like
 /// [`ContainmentAdjacency::candidates`]): `set_words` words per pid, bit
@@ -51,89 +63,65 @@ use crate::words;
 /// they fail every mask screen and contain nothing nonempty.
 #[derive(Debug)]
 pub struct PidContainmentRelation {
-    /// Words per row (`pid_count.div_ceil(64)`).
+    /// Number of pids (the interner size at build time).
+    pids: usize,
+    /// Words per pid-index bitmap (`pids.div_ceil(64)`).
     set_words: usize,
+    /// Column `c` at `c * set_words`: the pids whose id sets physical
+    /// bit `c`. One column per storage bit, padding bits included.
+    cols: Vec<u64>,
     /// Forward rows: bit `v` of row `u` set iff `pv ⊆ pu`.
     fwd_bits: Vec<u64>,
     /// Reverse rows: bit `u` of row `v` set iff `pv ⊆ pu`.
     rev_bits: Vec<u64>,
+    /// Population of each reverse row — how many pids contain each pid,
+    /// itself included — so a key counts its pairs per candidate.
+    rev_counts: Vec<u32>,
     /// Number of `(u, v)` pairs in the relation.
     pairs: usize,
 }
 
 impl PidContainmentRelation {
-    /// Builds the relation over every row of `slab`: a screened quadratic
-    /// loop — ascending-popcount prefix bound, word-support signature
-    /// refutation, support-truncated subset walks — run once over the
-    /// nonempty pids, so no per-key build ever tests containment.
-    pub fn build(slab: &PidBitmapSlab) -> Self {
-        let n = slab.rows();
+    /// Builds the relation of every pid in `pids` by column intersection.
+    pub fn build(pids: &PidInterner) -> Self {
+        let n = pids.len();
         let set_words = n.div_ceil(64);
-        let mut fwd_bits = vec![0u64; n * set_words];
-        let mut rev_bits = vec![0u64; n * set_words];
-
-        let ne: Vec<u32> = (0..n as u32)
-            .filter(|&i| !words::is_empty(slab.row_words(i as usize)))
-            .collect();
-        let m = ne.len();
-        let pc: Vec<u32> = ne
-            .iter()
-            .map(|&i| words::count_ones(slab.row_words(i as usize)))
-            .collect();
-        let sig: Vec<u64> = ne
-            .iter()
-            .map(|&i| words::support_signature(slab.row_words(i as usize)))
-            .collect();
-
-        // Candidates in ascending-popcount order with popcounts,
-        // signatures, and dense indices permuted alongside: `pv ⊆ pu`
-        // forces `pc(v) ≤ pc(u)`, so each u examines only the sorted
-        // prefix and the popcount screen degenerates into the loop bound.
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by_key(|&r| pc[r as usize]);
-        let spc: Vec<u32> = order.iter().map(|&r| pc[r as usize]).collect();
-        let ssig: Vec<u64> = order.iter().map(|&r| sig[r as usize]).collect();
-        let sidx: Vec<u32> = order.iter().map(|&r| ne[r as usize]).collect();
-
-        // The signature aliases word `j` to bit `j % 64`, so its top bit
-        // only bounds a row's true support when rows fit in 64 words;
-        // wider rows must walk their full width or any word at index
-        // ≥ 64 would be silently ignored, admitting false pairs.
-        let full = slab.words_per_row();
-        let sig_exact = full <= 64;
-
-        let mut pairs = 0usize;
-        for (r, &u32_) in ne.iter().enumerate() {
-            let u = u32_ as usize;
-            let wu = slab.row_words(u);
-            let (pc_u, sig_u) = (pc[r], sig[r]);
-            for k in 0..m {
-                if spc[k] > pc_u {
-                    break;
-                }
-                if ssig[k] & !sig_u != 0 {
-                    continue;
-                }
-                // Words past v's highest nonzero word are zero and subset
-                // anything, so the multi-word walk stops at v's support —
-                // when the signature is exact about where that support ends.
-                let lv = if sig_exact {
-                    64 - ssig[k].leading_zeros() as usize
-                } else {
-                    full
-                };
-                let v = sidx[k] as usize;
-                if words::is_subset(&slab.row_words(v)[..lv], &wu[..lv]) {
-                    words::set_bit(&mut fwd_bits[u * set_words..(u + 1) * set_words], v);
-                    words::set_bit(&mut rev_bits[v * set_words..(v + 1) * set_words], u);
-                    pairs += 1;
-                }
+        let col_count = pids.width().div_ceil(64) as usize * 64;
+        let mut cols = vec![0u64; col_count * set_words];
+        for (p, bits) in pids.iter() {
+            for c in words::ones(bits.words()) {
+                words::set_bit(&mut cols[c * set_words..(c + 1) * set_words], p.index());
             }
         }
+
+        let mut fwd_bits = vec![0u64; n * set_words];
+        let mut rev_bits = vec![0u64; n * set_words];
+        let mut rev_counts = vec![0u32; n];
+        let mut pairs = 0usize;
+        for (v, bits) in pids.iter() {
+            let v = v.index();
+            let row = &mut rev_bits[v * set_words..(v + 1) * set_words];
+            let mut paths = words::ones(bits.words());
+            let Some(first) = paths.next() else {
+                continue; // an empty id: empty rows
+            };
+            row.copy_from_slice(&cols[first * set_words..(first + 1) * set_words]);
+            for c in paths {
+                words::and_assign(row, &cols[c * set_words..(c + 1) * set_words]);
+            }
+            for u in words::ones(row) {
+                words::set_bit(&mut fwd_bits[u * set_words..(u + 1) * set_words], v);
+                rev_counts[v] += 1;
+            }
+            pairs += rev_counts[v] as usize;
+        }
         Self {
+            pids: n,
             set_words,
+            cols,
             fwd_bits,
             rev_bits,
+            rev_counts,
             pairs,
         }
     }
@@ -161,153 +149,94 @@ impl PidContainmentRelation {
     pub fn pair_count(&self) -> usize {
         self.pairs
     }
+
+    /// Bitmap of pids whose id intersects `mask`: the OR of the columns
+    /// of `mask`'s paths.
+    fn intersecting(&self, mask: &PathIdBits) -> Vec<u64> {
+        debug_assert!(mask.words().len() * 64 * self.set_words <= self.cols.len());
+        let mut out = vec![0u64; self.set_words];
+        for c in words::ones(mask.words()) {
+            words::or_assign(
+                &mut out,
+                &self.cols[c * self.set_words..(c + 1) * self.set_words],
+            );
+        }
+        out
+    }
 }
 
-/// The compatible-pair relation of one `(tag_u, tag_v, child_axis)` key,
-/// stored as forward (`pid_u → pid_v`) and reverse (`pid_v → pid_u`)
-/// bitmap rows over the interner's dense pid indices.
+/// The compatible-pair relation of one `(tag_u, tag_v, child_axis)` key:
+/// its candidate pids over the shared [`PidContainmentRelation`].
 ///
-/// `(pu, pv)` is in the relation iff
+/// `(pu, pv)` is in the relation iff both pids are
+/// [`candidates`](Self::candidates) and `pv ⊆ pu` (bit `v` of the
+/// relation's forward row `u`, equivalently bit `u` of its reverse row
+/// `v`) — exactly when
 /// [`axis_compatible_masked`](crate::axis_compatible_masked) holds for the
-/// key's relation mask — the index never changes which pairs pass, only
+/// key's relation mask. The index never changes which pairs pass, only
 /// how fast the question is answered.
 #[derive(Debug)]
 pub struct ContainmentAdjacency {
     /// Candidate bitmap over dense pid indices (LSB-first index layout):
-    /// bit `i` set iff pid `i` survives the relation-mask screen.
-    /// Containment-or-equality is reflexive, so every screened-in pid
-    /// pairs at least with itself — the candidates are *exactly* the pids
-    /// with nonempty rows, on both sides.
+    /// bit `i` set iff pid `i` intersects the key's relation mask.
+    /// Containment-or-equality is reflexive and every superset of a
+    /// candidate is one, so the candidates are *exactly* the pids in
+    /// some compatible pair, on both sides.
     cand: Vec<u64>,
-    /// Words per pid-index bitmap (`pid_count.div_ceil(64)`).
-    set_words: usize,
-    /// Dense pid index → row in `fwd_bits`/`rev_bits`; `u32::MAX` when
-    /// the pid was screened out (its row is empty).
-    row_of: Vec<u32>,
-    /// Forward rows: `set_words` words per candidate, bit `v` of the row
-    /// of `u` set iff `(u, v)` is in the relation.
-    fwd_bits: Vec<u64>,
-    /// Reverse rows: bit `u` of the row of `v` set iff `(u, v)` is in
-    /// the relation.
-    rev_bits: Vec<u64>,
     /// Number of `(u, v)` pairs in the relation.
     pairs: usize,
+    /// The summary's containment relation, shared by every key.
+    relation: Arc<PidContainmentRelation>,
 }
 
 impl ContainmentAdjacency {
-    /// Materializes the relation for `(tag_u, tag_v, child_axis)` over
-    /// every interned pid. `O(#pids² × id words)` once, versus the same
-    /// cost *per query edge* for the scan it replaces.
+    /// Builds the adjacency of `(tag_u, tag_v, child_axis)` over the
+    /// summary's containment relation: a relation mask plus an OR of the
+    /// relation's columns over the mask's paths. `(pu, pv)` is compatible
+    /// iff `pv ⊆ pu` **and** `pv ∩ mask ≠ ∅`, and the candidates are
+    /// upward closed, so the pair count is the summed reverse-row
+    /// population of the candidates. No containment test runs and no row
+    /// is copied.
     pub fn build(
         encoding: &EncodingTable,
-        pids: &PidInterner,
+        relation: Arc<PidContainmentRelation>,
         tag_u: TagId,
         tag_v: TagId,
         child_axis: bool,
     ) -> Self {
-        let slab = PidBitmapSlab::from_interner(pids);
-        let relation = PidContainmentRelation::build(&slab);
-        Self::build_with_layout(encoding, pids, &slab, &relation, tag_u, tag_v, child_axis)
-    }
-
-    /// [`build`](Self::build) against a prebuilt slab *and* containment
-    /// relation, so a cache amortizes both across every `(tag_u, tag_v,
-    /// axis)` key of a summary. With the subset relation precomputed the
-    /// fill is a row copy and a word-AND per mask survivor: `(pu, pv)` is
-    /// compatible iff `pv ⊆ pu` **and** `pv ∩ mask ≠ ∅`, so each
-    /// adjacency row is the relation row masked by the key's candidate
-    /// bitmap. No containment test runs at all.
-    pub fn build_with_layout(
-        encoding: &EncodingTable,
-        pids: &PidInterner,
-        slab: &PidBitmapSlab,
-        relation: &PidContainmentRelation,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Self {
-        debug_assert_eq!(slab.rows(), pids.len(), "slab/interner mismatch");
-        debug_assert_eq!(relation.set_words(), pids.len().div_ceil(64));
         let mask = relation_mask(encoding, tag_u, tag_v, child_axis);
-        let mask_words = mask.words();
-        let n = pids.len();
-        let set_words = n.div_ceil(64);
-
-        // A compatible pair needs `pv ∩ mask ≠ ∅`, and `pu ⊇ pv` then
-        // forces `pu ∩ mask ≠ ∅` as well — so only pids intersecting the
-        // mask can appear on *either* side.
-        let ok: Vec<usize> = (0..n)
-            .filter(|&i| words::intersects(slab.row_words(i), mask_words))
-            .collect();
-        let m = ok.len();
-        let mut cand = vec![0u64; set_words];
-        let mut row_of = vec![u32::MAX; n];
-        for (r, &i) in ok.iter().enumerate() {
-            words::set_bit(&mut cand, i);
-            row_of[i] = r as u32;
-        }
-
-        // Forward row of a survivor `u` is `relation.forward_row(u) ∩
-        // cand`: the AND removes descendants that fail the mask. The
-        // reverse AND is a no-op by the screen argument (every superset
-        // of a survivor intersects the mask too) but keeps the two fills
-        // uniform.
-        let mut fwd_bits = vec![0u64; m * set_words];
-        let mut rev_bits = vec![0u64; m * set_words];
-        let mut pairs = 0;
-        for (r, &i) in ok.iter().enumerate() {
-            let frow = &mut fwd_bits[r * set_words..(r + 1) * set_words];
-            frow.copy_from_slice(relation.forward_row(i));
-            words::and_assign(frow, &cand);
-            pairs += words::count_ones(frow) as usize;
-
-            let rrow = &mut rev_bits[r * set_words..(r + 1) * set_words];
-            rrow.copy_from_slice(relation.reverse_row(i));
-            words::and_assign(rrow, &cand);
-        }
-
+        let cand = relation.intersecting(&mask);
+        let pairs = words::ones(&cand)
+            .map(|v| relation.rev_counts[v] as usize)
+            .sum();
         ContainmentAdjacency {
             cand,
-            set_words,
-            row_of,
-            fwd_bits,
-            rev_bits,
             pairs,
+            relation,
         }
     }
 
     /// Candidate bitmap over dense pid indices (LSB-first index layout,
     /// [`set_words`](Self::set_words) words): bit `i` set iff pid `i`
-    /// has a nonempty row — on either side, the sets coincide by
-    /// reflexivity. The bitmap kernel ANDs this into its surviving sets
-    /// so "which pids can pass this edge" is word-parallel.
+    /// passes the key's relation-mask screen — on either side, the sets
+    /// coincide. The bitmap kernel ANDs this into both sides of every
+    /// semi-join before it reads a [`relation`](Self::relation) row.
     #[inline]
     pub fn candidates(&self) -> &[u64] {
         &self.cand
     }
 
+    /// The shared containment relation whose rows, restricted to the
+    /// candidates, are this key's pairs.
+    #[inline]
+    pub fn relation(&self) -> &PidContainmentRelation {
+        &self.relation
+    }
+
     /// Words per pid-index bitmap row (`pid_count.div_ceil(64)`).
     #[inline]
     pub fn set_words(&self) -> usize {
-        self.set_words
-    }
-
-    /// Bitmap of pids compatible as the descendant side of `pid_u`, or
-    /// `None` when `pid_u` was screened out (its row is empty).
-    #[inline]
-    pub fn forward_bits(&self, pid_u: Pid) -> Option<&[u64]> {
-        let r = self.row_of[pid_u.index()] as usize;
-        (r != u32::MAX as usize)
-            .then(|| &self.fwd_bits[r * self.set_words..(r + 1) * self.set_words])
-    }
-
-    /// Bitmap of pids compatible as the ancestor side of `pid_v`, or
-    /// `None` when `pid_v` was screened out.
-    #[inline]
-    pub fn reverse_bits(&self, pid_v: Pid) -> Option<&[u64]> {
-        let r = self.row_of[pid_v.index()] as usize;
-        (r != u32::MAX as usize)
-            .then(|| &self.rev_bits[r * self.set_words..(r + 1) * self.set_words])
+        self.relation.set_words
     }
 
     /// Number of compatible pairs in the relation.
@@ -317,7 +246,7 @@ impl ContainmentAdjacency {
 
     /// Number of pids the index covers (the interner size at build time).
     pub fn pid_count(&self) -> usize {
-        self.row_of.len()
+        self.relation.pids
     }
 }
 
@@ -366,9 +295,11 @@ fn seed_key(tag: TagId, rooted: bool) -> u64 {
     ((tag.index() as u64) << 1) | u64::from(rooted)
 }
 
-/// Memo table over [`ContainmentAdjacency::build`] keyed by `(tag_u,
-/// tag_v, child_axis)`, plus the join's seed bitmaps keyed by `(tag,
-/// rooted)`.
+/// Memo table over [`ContainmentAdjacency::build`] keyed by
+/// `(tag_u, tag_v, child_axis)`, plus the join's seed bitmaps keyed by
+/// `(tag, rooted)`. Every adjacency shares the one
+/// [`PidContainmentRelation`] built on first use; a worker that needs it
+/// while another builds it waits for that build.
 ///
 /// One mutex guards the maps, which are updated in place; estimators
 /// mirror what they read into their own flat tables, so warm joins never
@@ -380,18 +311,16 @@ fn seed_key(tag: TagId, rooted: bool) -> u64 {
 /// every caller of one key gets the same `Arc`. A build that panics
 /// releases its claim, and a waiter then builds the key itself.
 /// Builds are pure functions of the key and the (immutable) summary
-/// structures, so every reader observes the same rows. Build count,
+/// structures, so every reader observes the same candidates. Build count,
 /// build attempts, cumulative build time, pair totals, and mutex
-/// acquisitions are tracked for the perf snapshot.
+/// acquisitions are tracked for the perf snapshot; the build time counts
+/// the per-key builds, not the shared relation's.
 #[derive(Debug, Default)]
 pub struct JoinIndexCache {
     maps: Mutex<IndexMaps>,
-    /// Arena layout of the summary's interner, built on first use and
-    /// shared by every adjacency build (the cache is per-summary, like
+    /// Containment relation of the summary's interner, built on first
+    /// use and shared by every adjacency (the cache is per-summary, like
     /// the adjacencies themselves).
-    slab: OnceLock<Arc<PidBitmapSlab>>,
-    /// Containment relation over the slab rows, built on first use and
-    /// shared by every adjacency build.
     relation: OnceLock<Arc<PidContainmentRelation>>,
     builds: AtomicU64,
     build_nanos: AtomicU64,
@@ -517,17 +446,16 @@ impl JoinIndexCache {
             (axis as u8, key),
             || self.lock_maps().adjacencies[axis].get(&key).cloned(),
             || {
-                // Resolve the shared layout first: the OnceLocks
-                // serialize their own (expensive, once-per-summary)
-                // builds.
-                let slab = self.slab(pids);
+                // Resolve the shared relation first: its OnceLock
+                // serializes the once-per-summary build.
                 let relation = self.relation(pids);
-                // Build outside the maps mutex, so a long adjacency
-                // build never convoys other workers' probes.
+                // Build outside the maps mutex: a key's build (a mask
+                // and an OR of columns) is short, but probes of other
+                // keys never wait on it.
                 self.build_attempts.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
-                let built = Arc::new(ContainmentAdjacency::build_with_layout(
-                    encoding, pids, &slab, &relation, tag_u, tag_v, child_axis,
+                let built = Arc::new(ContainmentAdjacency::build(
+                    encoding, relation, tag_u, tag_v, child_axis,
                 ));
                 let build_nanos = t0.elapsed().as_nanos() as u64;
                 let mut maps = self.lock_maps();
@@ -543,26 +471,13 @@ impl JoinIndexCache {
         )
     }
 
-    /// The memoized arena layout of `pids`, building it on first use.
-    /// Callers must always pass the same interner (the cache is
-    /// per-summary); the first call fixes the layout.
-    pub fn slab(&self, pids: &PidInterner) -> Arc<PidBitmapSlab> {
-        Arc::clone(
-            self.slab
-                .get_or_init(|| Arc::new(PidBitmapSlab::from_interner(pids))),
-        )
-    }
-
-    /// The memoized containment relation of `pids`, building it (and the
-    /// slab, if cold) on first use.
+    /// The memoized containment relation of `pids`, building it on first
+    /// use. Callers must always pass the same interner (the cache is
+    /// per-summary); the first call fixes the relation.
     pub fn relation(&self, pids: &PidInterner) -> Arc<PidContainmentRelation> {
-        if let Some(r) = self.relation.get() {
-            return Arc::clone(r);
-        }
-        let slab = self.slab(pids);
         Arc::clone(
             self.relation
-                .get_or_init(|| Arc::new(PidContainmentRelation::build(&slab))),
+                .get_or_init(|| Arc::new(PidContainmentRelation::build(pids))),
         )
     }
 
@@ -639,23 +554,81 @@ impl JoinIndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::Pid;
     use crate::label::Labeling;
     use crate::rel::axis_compatible_masked;
+    use proptest::prelude::*;
 
-    /// Whether `(pu, pv)` is in the adjacency, read from both row sides
-    /// (which must agree).
+    /// Whether `(pu, pv)` is in the adjacency by its contract — both pids
+    /// candidates and the shared relation holding the pair — with the
+    /// relation read from both row sides (which must agree).
     fn related(adj: &ContainmentAdjacency, pu: Pid, pv: Pid) -> bool {
-        let fwd = adj
-            .forward_bits(pu)
-            .is_some_and(|r| words::test_bit(r, pv.index()));
-        let rev = adj
-            .reverse_bits(pv)
-            .is_some_and(|r| words::test_bit(r, pu.index()));
+        let (u, v) = (pu.index(), pv.index());
+        let fwd = words::test_bit(adj.relation().forward_row(u), v);
+        let rev = words::test_bit(adj.relation().reverse_row(v), u);
         assert_eq!(
             fwd, rev,
             "forward and reverse rows disagree on {pu:?}->{pv:?}"
         );
-        fwd
+        let cand = adj.candidates();
+        words::test_bit(cand, u) && words::test_bit(cand, v) && fwd
+    }
+
+    /// Checks every pair of `adj` and its pair count against the masked
+    /// §2 test.
+    fn assert_matches_masked(
+        adj: &ContainmentAdjacency,
+        pids: &PidInterner,
+        mask: &PathIdBits,
+        ctx: &str,
+    ) {
+        let mut pairs = 0;
+        for (pu, _) in pids.iter() {
+            for (pv, _) in pids.iter() {
+                let expected = axis_compatible_masked(pids, pu, pv, mask);
+                assert_eq!(related(adj, pu, pv), expected, "{ctx} {pu:?}->{pv:?}");
+                pairs += usize::from(expected);
+            }
+        }
+        assert_eq!(adj.pair_count(), pairs, "{ctx}");
+        assert_eq!(adj.pid_count(), pids.len(), "{ctx}");
+    }
+
+    /// Checks every forward and reverse row of `relation` against
+    /// brute-force containment. Empty ids relate to nothing.
+    fn assert_relation_exact(relation: &PidContainmentRelation, pids: &PidInterner, ctx: &str) {
+        let mut pairs = 0;
+        for (pu, bu) in pids.iter() {
+            for (pv, bv) in pids.iter() {
+                let expected = bv.count_ones() > 0 && bu.contains_or_equal(bv);
+                assert_eq!(
+                    words::test_bit(relation.forward_row(pu.index()), pv.index()),
+                    expected,
+                    "{ctx} fwd {pu:?} ⊇ {pv:?}"
+                );
+                assert_eq!(
+                    words::test_bit(relation.reverse_row(pv.index()), pu.index()),
+                    expected,
+                    "{ctx} rev {pu:?} ⊇ {pv:?}"
+                );
+                pairs += usize::from(expected);
+            }
+        }
+        assert_eq!(relation.pair_count(), pairs, "{ctx}");
+        assert_eq!(relation.pids, pids.len(), "{ctx}");
+    }
+
+    /// An interner of `width`-bit ids, one per list of 1-based paths.
+    fn interner_of(width: u32, ids: &[&[u32]]) -> PidInterner {
+        let mut pids = PidInterner::new(width);
+        for bits in ids {
+            let mut id = PathIdBits::zero(width);
+            for &p in *bits {
+                id.set(p);
+            }
+            pids.intern(id);
+        }
+        pids
     }
 
     #[test]
@@ -663,49 +636,55 @@ mod tests {
         let doc = xpe_xml::fixtures::paper_figure1();
         let lab = Labeling::compute(&doc);
         let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
+        let relation = Arc::new(PidContainmentRelation::build(&lab.interner));
         for &tu in &tags {
             for &tv in &tags {
                 for child in [true, false] {
-                    let adj =
-                        ContainmentAdjacency::build(&lab.encoding, &lab.interner, tu, tv, child);
+                    let adj = ContainmentAdjacency::build(
+                        &lab.encoding,
+                        Arc::clone(&relation),
+                        tu,
+                        tv,
+                        child,
+                    );
                     let mask = relation_mask(&lab.encoding, tu, tv, child);
-                    let mut pairs = 0;
-                    for (pu, _) in lab.interner.iter() {
-                        for (pv, _) in lab.interner.iter() {
-                            let expected = axis_compatible_masked(&lab.interner, pu, pv, &mask);
-                            assert_eq!(
-                                related(&adj, pu, pv),
-                                expected,
-                                "{tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
-                            );
-                            pairs += usize::from(expected);
-                        }
-                    }
-                    assert_eq!(adj.pair_count(), pairs);
-                    assert_eq!(adj.pid_count(), lab.interner.len());
+                    let ctx = format!("{tu:?}/{tv:?} child={child}");
+                    assert_matches_masked(&adj, &lab.interner, &mask, &ctx);
                 }
             }
         }
     }
 
     #[test]
-    fn candidates_are_exactly_the_nonempty_rows() {
+    fn candidates_are_exactly_the_paired_pids() {
         let doc = xpe_xml::fixtures::paper_figure1();
         let lab = Labeling::compute(&doc);
         let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
+        let relation = Arc::new(PidContainmentRelation::build(&lab.interner));
         for &tu in &tags {
             for &tv in &tags {
                 for child in [true, false] {
-                    let adj =
-                        ContainmentAdjacency::build(&lab.encoding, &lab.interner, tu, tv, child);
+                    let adj = ContainmentAdjacency::build(
+                        &lab.encoding,
+                        Arc::clone(&relation),
+                        tu,
+                        tv,
+                        child,
+                    );
+                    let mask = relation_mask(&lab.encoding, tu, tv, child);
                     assert_eq!(adj.set_words(), lab.interner.len().div_ceil(64));
-                    for (p, _) in lab.interner.iter() {
-                        // Reflexivity makes the candidates exactly the
-                        // pids with nonempty rows, on both sides.
+                    assert_eq!(adj.candidates().len(), adj.set_words());
+                    for (p, bits) in lab.interner.iter() {
+                        // A candidate passes the mask screen and pairs with
+                        // itself; a non-candidate pairs with nothing, on
+                        // either side.
                         let is_cand = words::test_bit(adj.candidates(), p.index());
-                        for row in [adj.forward_bits(p), adj.reverse_bits(p)] {
-                            assert_eq!(row.is_some(), is_cand);
-                            assert!(row.map_or(true, |r| !words::is_empty(r)));
+                        assert_eq!(is_cand, bits.intersects(&mask), "{p:?}");
+                        assert_eq!(related(&adj, p, p), is_cand, "{p:?}");
+                        for (q, _) in lab.interner.iter() {
+                            if !is_cand {
+                                assert!(!related(&adj, p, q) && !related(&adj, q, p));
+                            }
                         }
                     }
                 }
@@ -717,12 +696,9 @@ mod tests {
     /// per-instance union of leaf-path encodings), so the relation must
     /// handle arbitrary bit-set families exactly — no laminarity
     /// assumption anywhere. Hand-build an overlapping family and check
-    /// the fill against the §2 predicate directly.
+    /// the relation and the adjacency against the §2 predicate directly.
     #[test]
     fn overlapping_unnested_ids_are_exact() {
-        use crate::bits::PathIdBits;
-        use crate::interner::PidInterner;
-
         // Overlap without containment: {1,2} and {2,3} over three paths.
         let mut tags = xpe_xml::TagInterner::new();
         let a = tags.intern("a");
@@ -732,106 +708,53 @@ mod tests {
         encoding.intern(&[a, b, b]);
         encoding.intern(&[a]);
         let width = encoding.len() as u32;
-        let mut pids = PidInterner::new(width);
-        for bits in [&[1u32, 2][..], &[2, 3], &[1, 2, 3]] {
-            let mut id = PathIdBits::zero(width);
-            for &p in bits {
-                id.set(p);
-            }
-            pids.intern(id);
-        }
-        let slab = PidBitmapSlab::from_interner(&pids);
-        let relation = PidContainmentRelation::build(&slab);
+        let pids = interner_of(width, &[&[1, 2], &[2, 3], &[1, 2, 3]]);
+        let relation = Arc::new(PidContainmentRelation::build(&pids));
         // {1,2} ⊆ {1,2,3}, {2,3} ⊆ {1,2,3}, plus the three reflexive
         // pairs; the overlapping pair {1,2} vs {2,3} nests neither way.
         assert_eq!(relation.pair_count(), 5);
+        assert_relation_exact(&relation, &pids, "overlap");
 
         for child in [true, false] {
-            let adj = ContainmentAdjacency::build_with_layout(
-                &encoding, &pids, &slab, &relation, a, b, child,
-            );
+            let adj = ContainmentAdjacency::build(&encoding, Arc::clone(&relation), a, b, child);
             let mask = relation_mask(&encoding, a, b, child);
-            for (pu, _) in pids.iter() {
-                for (pv, _) in pids.iter() {
-                    assert_eq!(
-                        related(&adj, pu, pv),
-                        axis_compatible_masked(&pids, pu, pv, &mask),
-                        "{pu:?}->{pv:?} child={child}"
-                    );
-                }
-            }
+            assert_matches_masked(&adj, &pids, &mask, &format!("child={child}"));
         }
     }
 
-    /// Interners wider than 64 words alias the support signature (word
-    /// `j` → bit `j % 64`), so the subset walk must not truncate rows to
-    /// the aliased support. Regression: a 65-word interner with ids
-    /// {1,2} and {1,4099} used to report a bogus {1,2} ⊇ {1,4099} pair
-    /// (pair_count 3 instead of 2) in every builder that took the
-    /// truncated fast path.
+    /// A 65-word interner: past the reach of a 64-bit word signature
+    /// (word `j` → bit `j % 64`), the shape where an earlier screened
+    /// build admitted a bogus {1,2} ⊇ {1,4099} pair (pair_count 3
+    /// instead of 2). The column build reads every word of every id, and
+    /// this keeps it honest.
     #[test]
     fn wide_interner_relation_is_exact() {
-        use crate::bits::PathIdBits;
-        use crate::interner::PidInterner;
+        let width = 4160u32; // 65 words
+        let pids = interner_of(
+            width,
+            &[
+                &[1, 2],
+                &[1, 4099],
+                &[4099],
+                &[2, 4099, 4100],
+                &[1, 2, 4099, 4100],
+                &[65, 4160],
+            ],
+        );
+        let relation = PidContainmentRelation::build(&pids);
+        assert_relation_exact(&relation, &pids, "wide");
 
-        let width = 4160u32; // 65 words — one past the signature's reach
-        let mut pids = PidInterner::new(width);
-        for bits in [
-            &[1u32, 2][..],
-            &[1, 4099],
-            &[4099],
-            &[2, 4099, 4100],
-            &[1, 2, 4099, 4100],
-            &[65, 4160],
-        ] {
-            let mut id = PathIdBits::zero(width);
-            for &p in bits {
-                id.set(p);
-            }
-            pids.intern(id);
-        }
-        let slab = PidBitmapSlab::from_interner(&pids);
-        let relation = PidContainmentRelation::build(&slab);
-        let mut pairs = 0;
-        for (pu, bu) in pids.iter() {
-            for (pv, bv) in pids.iter() {
-                let expected = bu.contains_or_equal(bv);
-                assert_eq!(
-                    words::test_bit(relation.forward_row(pu.index()), pv.index()),
-                    expected,
-                    "fwd {pu:?} ⊇ {pv:?}"
-                );
-                assert_eq!(
-                    words::test_bit(relation.reverse_row(pv.index()), pu.index()),
-                    expected,
-                    "rev {pu:?} ⊇ {pv:?}"
-                );
-                pairs += usize::from(expected);
-            }
-        }
-        assert_eq!(relation.pair_count(), pairs);
-
-        // The reviewer's minimal counterexample, verbatim.
-        let mut two = PidInterner::new(width);
-        for bits in [&[1u32, 2][..], &[1, 4099]] {
-            let mut id = PathIdBits::zero(width);
-            for &p in bits {
-                id.set(p);
-            }
-            two.intern(id);
-        }
-        let rel = PidContainmentRelation::build(&PidBitmapSlab::from_interner(&two));
+        // The minimal counterexample of the signature bug.
+        let two = interner_of(width, &[&[1, 2], &[1, 4099]]);
+        let rel = PidContainmentRelation::build(&two);
         assert_eq!(rel.pair_count(), 2, "only the two reflexive pairs");
     }
 
-    /// The masked adjacency fill stays exact past 64 words of interner
-    /// width — the same regression as `wide_interner_relation_is_exact`,
-    /// checked through the per-key rows.
+    /// The adjacency stays exact past 64 words of interner width — the
+    /// same regression as `wide_interner_relation_is_exact`, checked
+    /// through a key's candidates and the shared rows.
     #[test]
     fn wide_interner_adjacency_matches_masked_test() {
-        use crate::bits::PathIdBits;
-        use crate::interner::PidInterner;
-
         // 4160 distinct paths via binary strings over two tags: enough
         // encodings that high pid words are real, cheap to intern.
         let mut tags = xpe_xml::TagInterner::new();
@@ -849,41 +772,165 @@ mod tests {
         let width = encoding.len() as u32;
         assert!(width > 4096);
 
-        let mut pids = PidInterner::new(width);
-        for bits in [
-            &[1u32, 2][..],
-            &[1, 4099],
-            &[4099],
-            &[2, 4099, 4100],
-            &[1, 2, 4099, 4100],
-            &[65, 126, 4160],
-        ] {
-            let mut id = PathIdBits::zero(width);
-            for &p in bits {
-                id.set(p);
-            }
-            pids.intern(id);
-        }
-        let slab = PidBitmapSlab::from_interner(&pids);
-        let relation = PidContainmentRelation::build(&slab);
+        let pids = interner_of(
+            width,
+            &[
+                &[1, 2],
+                &[1, 4099],
+                &[4099],
+                &[2, 4099, 4100],
+                &[1, 2, 4099, 4100],
+                &[65, 126, 4160],
+            ],
+        );
+        let relation = Arc::new(PidContainmentRelation::build(&pids));
         for child in [true, false] {
-            let adj = ContainmentAdjacency::build_with_layout(
-                &encoding, &pids, &slab, &relation, r, a, child,
-            );
+            let adj = ContainmentAdjacency::build(&encoding, Arc::clone(&relation), r, a, child);
             let mask = relation_mask(&encoding, r, a, child);
-            let mut pairs = 0;
-            for (pu, _) in pids.iter() {
-                for (pv, _) in pids.iter() {
-                    let expected = axis_compatible_masked(&pids, pu, pv, &mask);
-                    assert_eq!(
-                        related(&adj, pu, pv),
-                        expected,
-                        "{pu:?}->{pv:?} child={child}"
-                    );
-                    pairs += usize::from(expected);
+            assert_matches_masked(&adj, &pids, &mask, &format!("child={child}"));
+        }
+    }
+
+    /// Tiny xorshift stream for the property test's id families.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// An encoding table of exactly `width` paths over the tags `r, a, b,
+    /// c`: `r`, up to three random tags, then the path's index in binary
+    /// over `a`/`b` at a fixed digit count. Equal paths would need equal
+    /// lengths, hence equal prefixes and equal indices, so every path is
+    /// distinct; the random prefixes vary which tag pairs relate where.
+    fn random_encoding(width: u32, t: [TagId; 4], next: &mut impl FnMut() -> u64) -> EncodingTable {
+        let digits = 32 - (width.max(2) - 1).leading_zeros();
+        let mut encoding = EncodingTable::new();
+        for i in 0..width {
+            let mut path = vec![t[0]];
+            for _ in 0..next() % 4 {
+                path.push(t[1 + (next() % 3) as usize]);
+            }
+            for d in 0..digits {
+                path.push(if i >> d & 1 == 1 { t[1] } else { t[2] });
+            }
+            encoding.intern(&path);
+        }
+        assert_eq!(encoding.len(), width as usize);
+        encoding
+    }
+
+    /// `count` random ids of `width` bits, each fresh bit set with
+    /// probability `per_mille / 1000`. Three in eight ids are a random
+    /// subset of an earlier id and two in eight an earlier id plus fresh
+    /// bits, so the family nests as well as overlapping without nesting;
+    /// one in eight is the empty id.
+    fn random_family(
+        width: u32,
+        per_mille: u64,
+        count: usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> PidInterner {
+        let mut ids: Vec<PathIdBits> = Vec::new();
+        for _ in 0..count {
+            let mut id = PathIdBits::zero(width);
+            let kind = next() % 8;
+            if kind == 0 {
+                ids.push(id);
+                continue;
+            }
+            let base = (!ids.is_empty()).then(|| ids[(next() % ids.len() as u64) as usize].clone());
+            match (kind % 3, base) {
+                (1, Some(base)) => {
+                    for p in base.ones() {
+                        if next() % 2 == 0 {
+                            id.set(p);
+                        }
+                    }
+                }
+                (2, Some(base)) => {
+                    id = base;
+                    for p in 1..=width {
+                        if next() % 1000 < per_mille {
+                            id.set(p);
+                        }
+                    }
+                }
+                _ => {
+                    for p in 1..=width {
+                        if next() % 1000 < per_mille {
+                            id.set(p);
+                        }
+                    }
                 }
             }
-            assert_eq!(adj.pair_count(), pairs);
+            ids.push(id);
+        }
+        let mut pids = PidInterner::new(width);
+        for id in ids {
+            pids.intern(id);
+        }
+        pids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// The column-built relation and every key's candidates agree
+        /// with brute force on random id families — widths of one word
+        /// and its edges up to 65 words, densities from a bit or two per
+        /// id to three quarters of the paths.
+        #[test]
+        fn relation_and_adjacency_match_brute_force(
+            width_ix in 0usize..6,
+            density_ix in 0usize..4,
+            count in 1usize..36,
+            seed in any::<u64>(),
+        ) {
+            let width = [1u32, 63, 64, 65, 200, 4160][width_ix];
+            // Expected set bits per independent id: ~1.5, ~8, a quarter
+            // and three quarters of the width.
+            let per_mille = [
+                (1500 / width as u64).max(1),
+                (8000 / width as u64).max(1),
+                250,
+                750,
+            ][density_ix];
+            let mut next = xorshift(seed);
+            let mut tags = xpe_xml::TagInterner::new();
+            let t = ["r", "a", "b", "c"].map(|name| tags.intern(name));
+            let encoding = random_encoding(width, t, &mut next);
+            let pids = random_family(width, per_mille, count, &mut next);
+            let relation = Arc::new(PidContainmentRelation::build(&pids));
+            let ctx = format!("width={width} per_mille={per_mille} seed={seed:#x}");
+            assert_relation_exact(&relation, &pids, &ctx);
+            for tu in t {
+                for tv in t {
+                    for child in [true, false] {
+                        let adj = ContainmentAdjacency::build(
+                            &encoding,
+                            Arc::clone(&relation),
+                            tu,
+                            tv,
+                            child,
+                        );
+                        let mask = relation_mask(&encoding, tu, tv, child);
+                        for (p, bits) in pids.iter() {
+                            prop_assert_eq!(
+                                words::test_bit(adj.candidates(), p.index()),
+                                bits.intersects(&mask),
+                                "{} {:?}", ctx, p
+                            );
+                        }
+                        let key = format!("{ctx} {tu:?}/{tv:?} child={child}");
+                        assert_matches_masked(&adj, &pids, &mask, &key);
+                    }
+                }
+            }
         }
     }
 
@@ -899,10 +946,10 @@ mod tests {
         assert_eq!(*s1, vec![0b101]);
         let s3 = cache.seed_bitmap(tags[0], false, || vec![0b11]);
         assert_eq!(*s3, vec![0b11]);
-        let slab1 = cache.slab(&lab.interner);
-        let slab2 = cache.slab(&lab.interner);
-        assert!(Arc::ptr_eq(&slab1, &slab2));
-        assert_eq!(slab1.rows(), lab.interner.len());
+        let rel1 = cache.relation(&lab.interner);
+        let rel2 = cache.relation(&lab.interner);
+        assert!(Arc::ptr_eq(&rel1, &rel2));
+        assert_eq!(rel1.pids, lab.interner.len());
     }
 
     #[test]
@@ -918,9 +965,14 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.builds(), 1);
         assert_eq!(cache.pair_total(), a1.pair_count() as u64);
-        cache.get(&lab.encoding, &lab.interner, tags[1], tags[0], false);
+        let a3 = cache.get(&lab.encoding, &lab.interner, tags[1], tags[0], false);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.builds(), 2);
+        // Every key shares the cache's one relation.
+        let relation = cache.relation(&lab.interner);
+        for a in [&a1, &a3] {
+            assert!(std::ptr::eq(a.relation(), &*relation));
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl PathIdBits {
     }
 
     /// The raw storage words (leftmost path in the most significant bit
-    /// of word 0) — how the slab ingests interned ids.
+    /// of word 0) — how the containment relation reads interned ids.
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
         &self.words

@@ -41,7 +41,6 @@ mod encoding;
 mod interner;
 mod label;
 mod rel;
-mod slab;
 mod stream;
 mod tree;
 pub mod words;
@@ -52,6 +51,5 @@ pub use encoding::{EncodingTable, PathEncoding};
 pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
 pub use rel::{axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache};
-pub use slab::{PidBitmapSlab, PidBitsRef};
 pub use stream::{Closed, StreamLabeler, StreamLabeling};
 pub use tree::PathIdTree;

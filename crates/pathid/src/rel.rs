@@ -56,7 +56,7 @@ pub fn relation_mask(
 }
 
 /// An empty placeholder: no join kernel reads a relation-mask cache any
-/// more ([`ContainmentAdjacency`](crate::ContainmentAdjacency) rows fold
+/// more ([`ContainmentAdjacency`](crate::ContainmentAdjacency) candidates fold
 /// the mask test in, and the reference join computes its masks fresh).
 /// It stays only because `perfbench/src/replay.rs` compiles against it,
 /// and goes with the next benchmark change.

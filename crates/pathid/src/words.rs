@@ -1,18 +1,16 @@
 //! Word-level bit-kernel primitives shared by every bitset in the system.
 //!
-//! [`PathIdBits`](crate::PathIdBits), the arena rows of
-//! [`PidBitmapSlab`](crate::PidBitmapSlab), and the pid-index bitmaps of
-//! the bit-parallel join kernel all reduce their set operations to the
-//! same handful of loops over `&[u64]` slices. Centralizing them here
+//! [`PathIdBits`](crate::PathIdBits), the rows and columns of
+//! [`PidContainmentRelation`](crate::PidContainmentRelation), and the
+//! pid-index bitmaps of the bit-parallel join kernel all reduce their set
+//! operations to the same handful of loops over `&[u64]` slices. Centralizing them here
 //! keeps one tuned implementation: each loop processes **4 words per
 //! iteration into independent accumulators** — plain Rust the compiler
 //! autovectorizes (the workspace is registry-free, so no SIMD crates) —
 //! with a chunk-granular early exit for the predicates.
 //!
 //! Slices of different lengths are fine everywhere: the missing tail of
-//! the shorter slice is treated as zero words, which is exactly the
-//! padding convention of slab rows (rows are padded to 64-byte
-//! boundaries with zero words).
+//! the shorter slice is treated as zero words.
 
 /// Width of one accumulator chunk. Four `u64` lanes match a 256-bit
 /// vector register and leave the predicates' early exit coarse enough
@@ -92,21 +90,6 @@ pub fn and_assign(dst: &mut [u64], src: &[u64]) {
     for d in &mut dst[n..] {
         *d = 0;
     }
-}
-
-/// The 64-bit *support signature* of a row: bit `j % 64` is set iff word
-/// `j` is nonzero. A single-word necessary condition for subset tests —
-/// `sig(sub) & !sig(sup) ≠ 0` proves `sub ⊄ sup` without touching the
-/// rows (for rows up to 64 words the signature is exact word support) —
-/// which the adjacency builder uses to refuse most of its quadratic
-/// candidate pairs one `u64` early.
-#[inline]
-pub fn support_signature(a: &[u64]) -> u64 {
-    let mut sig = 0u64;
-    for (j, &w) in a.iter().enumerate() {
-        sig |= u64::from(w != 0) << (j % 64);
-    }
-    sig
 }
 
 /// Sets bit `i` of an LSB-first *index bitmap* (bit `i` lives at word
@@ -245,18 +228,6 @@ mod tests {
                 assert_eq!(and[i], pa[i] & pb[i], "and word {i}");
             }
         }
-    }
-
-    #[test]
-    fn signature_screens_are_sound() {
-        for (a, b) in cases() {
-            // The screen may pass non-subsets but must never refuse one.
-            if is_subset(&a, &b) {
-                assert_eq!(support_signature(&a) & !support_signature(&b), 0);
-            }
-        }
-        assert_eq!(support_signature(&[]), 0);
-        assert_eq!(support_signature(&[0, 5, 0, 1]), 0b1010);
     }
 
     #[test]

@@ -13,15 +13,20 @@
 # scale 0.03 sustain ~75–100k q/s on XMark; the default floor is 8k.
 # Override with XPE_PERF_FLOOR_XMARK_QPS.
 #
-# A second, ratio-based floor guards the screen phase: after prepared
-# plans and the flat per-estimator memos, XMark screen time sits near
-# 32–40% of the instrumented join total (plan+screen+fixpoint+finalize);
-# before them it was 54–57%. Phase *shares* are robust to runner speed,
-# so a share above the cap means the screen phase re-grew per-query
-# constants (string lookups, lock round-trips, allocations) — exactly
-# the regression the prepared-plan work removed. Override with
-# XPE_PERF_MAX_SCREEN_SHARE; snapshots predating the plan lap (no
-# plan_ms field) are still accepted, with plan time read as zero.
+# A second, ratio-based floor guards the screen phase: XMark screen time
+# as a share of the instrumented join total (plan+screen+fixpoint+
+# finalize) of a cold serial pass, whose screen phase also builds the
+# containment relation and every adjacency. Five CI-scale runs
+# (XPE_SCALE=0.01 XPE_ATTEMPTS=200, 2-vCPU box) read 28.8–32.9% with
+# the relation built from per-path pid columns, against 47.4–50.5% with
+# the quadratic pair scan that built it before; before prepared plans
+# and the flat per-estimator memos it was 54–57%. Phase *shares* are
+# robust to runner speed, so a share above the cap means the screen
+# phase re-grew per-query constants (string lookups, lock round-trips,
+# allocations) — exactly the regression the prepared-plan work
+# removed. Override with XPE_PERF_MAX_SCREEN_SHARE; snapshots
+# predating the plan lap (no plan_ms field) are still accepted, with
+# plan time read as zero.
 #
 # A third floor keeps the one-worker batch path level with the serial
 # loop: on the XMark and DBLP rows, `batch_jobs1_qps / serial_qps` must
