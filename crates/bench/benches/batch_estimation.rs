@@ -5,10 +5,11 @@
 //! numbers compare throughput shapes directly:
 //!
 //! * `serial_loop` — a plain `Estimator`, one query at a time (each run
-//!   still benefits from its own adjacency memo and scratch);
+//!   still benefits from its own adjacency index and scratch);
 //! * `batch_jobs1` — the engine pinned to one worker: the batching
 //!   machinery without parallelism;
-//! * `batch_auto` — the engine with one worker per core;
+//! * `batch_auto` — the engine with one worker per core, all reading
+//!   the engine's one adjacency index;
 //! * `cold_cache` / `warm_cache` — engine construction inside vs outside
 //!   the timed region, isolating what the engine's caches buy once warm
 //!   (a warm batch is served from the full-query estimate cache).

@@ -34,7 +34,7 @@ use crate::editor;
 use crate::estcache::{EstimateCache, EstimateCacheReader, EstimateKey};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
-    path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
+    path_join, path_join_bitmap, JoinKernel, JoinPhaseStats, JoinResult, JoinScratch,
 };
 use crate::joincache::{JoinCache, SkeletonKey, WorkerJoinCache};
 use crate::planner::QueryPlan;
@@ -47,13 +47,12 @@ use crate::serve::{
 ///
 /// Every estimator memoizes the containment adjacencies its joins compute
 /// (keyed by `(tag_u, tag_v, axis)` — pure functions of the summary's
-/// encoding table) and recycles the joins' per-node allocations. On top
-/// of the shared caches each estimator keeps a private lock-free
-/// [`JoinMemo`] — flat `Vec`-indexed adjacency and seed-bitmap tables
-/// filled on first miss — so a warm join never takes a lock or hashes a
-/// key. Estimators built by [`EstimationEngine`](crate::EstimationEngine)
-/// share one adjacency index and one workload-level [`JoinCache`], so a
-/// batch warms both for every worker.
+/// encoding table) in a [`JoinIndexCache`] of write-once cells, which a
+/// warm join reads without a lock or a hash, and recycles the joins'
+/// per-node allocations. Estimators built by
+/// [`EstimationEngine`](crate::EstimationEngine) share one adjacency
+/// index and one workload-level [`JoinCache`], so a batch warms both for
+/// every worker.
 ///
 /// An estimate resolves its query against the summary once — tag ids,
 /// parent links, subtree spans and order chains — and derives every
@@ -71,10 +70,6 @@ pub struct Estimator<'s> {
     /// without a lock (see `estcache`).
     est_cache: Option<RefCell<EstimateCacheReader>>,
     scratch: RefCell<JoinScratch>,
-    /// Flat per-estimator mirror of the shared adjacency/seed caches —
-    /// valid for this estimator's `(summary, adjacency)` pairing, which
-    /// both live as long as the estimator by construction.
-    memo: RefCell<JoinMemo>,
     /// Which join kernel [`join`](Self::join) dispatches to. Both are
     /// bit-identical; `Naive` is the reference oracle and opts out of
     /// caches and budget cooperation.
@@ -349,7 +344,6 @@ impl<'s> Estimator<'s> {
             join_cache: join_cache.map(|c| RefCell::new(WorkerJoinCache::new(c))),
             est_cache: None,
             scratch: RefCell::new(JoinScratch::new()),
-            memo: RefCell::new(JoinMemo::new()),
             kernel: JoinKernel::default(),
             budget: RefCell::new(None),
             resolutions: RefCell::default(),
@@ -417,11 +411,6 @@ impl<'s> Estimator<'s> {
     /// [`set_join_timing`](Self::set_join_timing) enabled collection).
     pub fn join_phase_stats(&self) -> JoinPhaseStats {
         self.scratch.borrow().phase_stats()
-    }
-
-    /// The shared containment-adjacency index.
-    pub fn adjacency_cache(&self) -> &Arc<JoinIndexCache> {
-        &self.adjacency
     }
 
     /// Runs `f`, lapping its time into the plan phase when join timing is
@@ -492,7 +481,6 @@ impl<'s> Estimator<'s> {
             self.summary,
             plan,
             &self.adjacency,
-            Some(&mut self.memo.borrow_mut()),
             Some(&mut self.scratch.borrow_mut()),
             budget.as_ref(),
         )
@@ -1069,8 +1057,9 @@ mod tests {
         );
     }
 
-    /// Warm private memos and plans change nothing observable: a reused
-    /// estimator reproduces a fresh estimator's results bit for bit.
+    /// Warm index cells and reused plan buffers change nothing
+    /// observable: a reused estimator reproduces a fresh estimator's
+    /// results bit for bit.
     #[test]
     fn warm_memos_are_bit_identical_to_cold() {
         let s = summary();
@@ -1087,7 +1076,7 @@ mod tests {
                 let query = parse_query(q).unwrap();
                 let cold = Estimator::new(&s).with_kernel(kernel);
                 let a = cold.estimate(&query);
-                // Twice through the same estimator: cold memo, then warm.
+                // Twice through the same estimator: cold cells, then warm.
                 let b = warm.estimate(&query);
                 let c = warm.estimate(&query);
                 assert_eq!(a.to_bits(), b.to_bits(), "{q} {kernel:?}");

@@ -63,8 +63,12 @@ pub enum JoinKernel {
 /// nanoseconds. Collected only when a [`JoinScratch`] has timing enabled
 /// (an `Instant::now` pair per phase is measurable on µs-scale joins, so
 /// it is off by default); the bench harness turns it on to report where
-/// join time goes. Adjacency build time is *not* in here — builds are
-/// memoized in [`JoinIndexCache`] and timed by its own counters.
+/// join time goes. A cold join builds what its lookups miss — the
+/// summary's containment relation, adjacencies and seed bitmaps — inside
+/// the screen lap, so `screen_ns` includes those builds.
+/// [`JoinIndexCache`] also times the per-key adjacency builds on its own
+/// ([`build_ms`](JoinIndexCache::build_ms)), a subset of the screen
+/// phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinPhaseStats {
     /// Resolving each query against the summary (tag names, parent
@@ -73,7 +77,7 @@ pub struct JoinPhaseStats {
     /// outside the kernel.
     pub plan_ns: u64,
     /// Seeding candidate bitmaps, root pinning, and edge resolution
-    /// (adjacency lookups).
+    /// (adjacency lookups, with the builds of cold ones).
     pub screen_ns: u64,
     /// The worklist fixpoint itself.
     pub fixpoint_ns: u64,
@@ -213,97 +217,6 @@ impl JoinScratch {
     }
 }
 
-/// Per-estimator lock-free memo tables over the shared [`JoinIndexCache`].
-///
-/// A `JoinMemo` is a plain `Vec`-indexed mirror owned by one estimator:
-/// adjacency rows are keyed by `(dense tag index, axis)` and seed bitmaps
-/// by `(dense tag index, rooted)`, each slot filled on first miss from
-/// the shared cache (one mutex acquisition, plus a build if no worker
-/// has published the key yet). Warm joins read only the flat tables and
-/// never take a lock.
-///
-/// A memo is only meaningful against a single `(summary, JoinIndexCache)`
-/// pair — the estimator owns one of each for its whole lifetime, which
-/// guarantees the pairing by construction. Callers driving the kernel
-/// directly must do the same or pass `None`.
-#[derive(Debug, Default)]
-pub struct JoinMemo {
-    /// Tag-interner width the tables are sized for (fixed at first use;
-    /// a summary's interner never grows after construction).
-    ntags: usize,
-    /// `(tag_u, axis)`-indexed rows of `(tag_v)`-indexed adjacency slots,
-    /// allocated lazily per touched row — `tag_u.index() * 2 + child`.
-    adj_rows: Vec<Option<AdjacencyRow>>,
-    /// `(tag, rooted)`-indexed seed bitmaps — `tag.index() * 2 + rooted`.
-    seeds: Vec<Option<Arc<Vec<u64>>>>,
-}
-
-/// One lazily-allocated memo row: `tag_v`-indexed adjacency slots.
-type AdjacencyRow = Box<[Option<Arc<ContainmentAdjacency>>]>;
-
-impl JoinMemo {
-    /// Creates an empty memo; tables size themselves on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, ntags: usize) {
-        if ntags > self.ntags {
-            self.ntags = ntags;
-            self.adj_rows.clear();
-            self.adj_rows.resize_with(ntags * 2, || None);
-            self.seeds.clear();
-            self.seeds.resize_with(ntags * 2, || None);
-        }
-    }
-
-    /// The adjacency of `(tag_u, tag_v, child)`, served from the flat
-    /// table; a flat miss asks the shared cache.
-    fn adjacency(
-        &mut self,
-        summary: &Summary,
-        cache: &JoinIndexCache,
-        tag_u: TagId,
-        tag_v: TagId,
-        child: bool,
-    ) -> Arc<ContainmentAdjacency> {
-        self.ensure(summary.tags.len());
-        let slot = tag_u.index() * 2 + usize::from(child);
-        if let Some(row) = &self.adj_rows[slot] {
-            if let Some(a) = &row[tag_v.index()] {
-                return Arc::clone(a);
-            }
-        }
-        let a = summary.adjacency(cache, tag_u, tag_v, child);
-        let ntags = self.ntags;
-        let row = self.adj_rows[slot].get_or_insert_with(|| vec![None; ntags].into_boxed_slice());
-        row[tag_v.index()] = Some(Arc::clone(&a));
-        a
-    }
-
-    /// The seed bitmap of `(tag, rooted)`, served from the flat table;
-    /// a flat miss asks the shared cache.
-    fn seed(
-        &mut self,
-        summary: &Summary,
-        cache: &JoinIndexCache,
-        tag: TagId,
-        rooted: bool,
-        set_words: usize,
-    ) -> Arc<Vec<u64>> {
-        self.ensure(summary.tags.len());
-        let slot = tag.index() * 2 + usize::from(rooted);
-        if let Some(s) = &self.seeds[slot] {
-            return Arc::clone(s);
-        }
-        let s = cache.seed_bitmap(tag, rooted, || {
-            build_seed_bitmap(summary, tag, rooted, set_words)
-        });
-        self.seeds[slot] = Some(Arc::clone(&s));
-        s
-    }
-}
-
 /// Builds the `(tag, rooted)` seed bitmap: every pid of `tag`'s
 /// p-histogram, restricted to depth-0 pids when `rooted`.
 fn build_seed_bitmap(summary: &Summary, tag: TagId, rooted: bool, set_words: usize) -> Vec<u64> {
@@ -403,11 +316,10 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 ///
 /// The kernel reads nothing of the query but `plan`, and the result's
 /// lists are indexed by plan node. `plan` must have been built from this
-/// `summary`, and `memo` (when given) must only ever be used with this
-/// `(summary, index)` pair; the estimator guarantees both by
-/// construction. With the memo filled and the scratch recycled, the
-/// screen phase is pure word moves: one bitmap copy per node and one
-/// `Vec` push per edge.
+/// `summary`, and `index` must only ever be used with this `summary`;
+/// the estimator guarantees both by construction. With the index's cells
+/// filled and the scratch recycled, the screen phase is pure word moves:
+/// one bitmap copy per node and one `Vec` push per edge.
 ///
 /// Under a cooperative [`BudgetState`] every worklist edge examination
 /// charges the budget, and on exhaustion the fixpoint stops where it
@@ -420,7 +332,6 @@ pub fn path_join_bitmap(
     summary: &Summary,
     plan: &QueryPlan,
     index: &JoinIndexCache,
-    mut memo: Option<&mut JoinMemo>,
     scratch: Option<&mut JoinScratch>,
     budget: Option<&BudgetState>,
 ) -> JoinResult {
@@ -433,6 +344,7 @@ pub fn path_join_bitmap(
     let (mut screen_ns, mut fixpoint_ns, mut finalize_ns) = (0u64, 0u64, 0u64);
 
     let set_words = summary.pids.len().div_ceil(64);
+    let tags = summary.tags.len();
 
     // Seed one bitmap per query node from the memoized per-(tag, rooted)
     // seed bitmaps — root pinning is baked into the rooted seeds, so a
@@ -445,13 +357,9 @@ pub fn path_join_bitmap(
         let mut bm = scratch.take_bits(set_words);
         let rooted = plan.rooted().is_some_and(|r| r.index() == i);
         if let Some(tag) = tag {
-            let seed = match memo.as_deref_mut() {
-                Some(m) => m.seed(summary, index, tag, rooted, set_words),
-                None => index.seed_bitmap(tag, rooted, || {
-                    build_seed_bitmap(summary, tag, rooted, set_words)
-                }),
-            };
-            bm.copy_from_slice(&seed);
+            bm.copy_from_slice(index.seed_bitmap(tags, tag, rooted, || {
+                build_seed_bitmap(summary, tag, rooted, set_words)
+            }));
         }
         counts.push(words::count_ones(&bm) as usize);
         node_bits.push(bm);
@@ -470,14 +378,18 @@ pub fn path_join_bitmap(
             counts[e.v.index()] = 0;
             continue;
         };
-        let adj = match memo.as_deref_mut() {
-            Some(m) => m.adjacency(summary, index, tag_u, tag_v, e.child),
-            None => summary.adjacency(index, tag_u, tag_v, e.child),
-        };
+        let adj = index.get(
+            &summary.encoding,
+            &summary.pids,
+            tags,
+            tag_u,
+            tag_v,
+            e.child,
+        );
         edges.push(BitEdge {
             u: e.u,
             v: e.v,
-            adj,
+            adj: Arc::clone(adj),
         });
     }
 
@@ -816,7 +728,7 @@ mod tests {
     }
 
     /// The bitmap kernel — bare, with a recycled scratch, and with a
-    /// scratch plus a warm memo — agrees with the reference kernel bit
+    /// scratch over a warm index — agrees with the reference kernel bit
     /// for bit on every test query.
     #[test]
     fn bitmap_kernel_matches_reference_on_all_shapes() {
@@ -834,23 +746,18 @@ mod tests {
             "//Root[/A]//E",
         ];
         let index = JoinIndexCache::new();
-        let mut memo = JoinMemo::new();
         let mut scratch = JoinScratch::new();
         scratch.set_timing(true);
         for q in queries {
             let query = parse_query(q).unwrap();
             let plan = QueryPlan::build(&s, &query);
             let reference = bits(&path_join(&s, &query));
-            let bare = path_join_bitmap(&s, &plan, &index, None, None, None);
+            let bare = path_join_bitmap(&s, &plan, &index, None, None);
             assert_eq!(bits(&bare), reference, "{q} bare");
-            let pooled = path_join_bitmap(&s, &plan, &index, None, Some(&mut scratch), None);
-            assert_eq!(bits(&pooled), reference, "{q} scratch");
-            scratch.recycle(pooled);
-            for pass in ["cold memo", "warm memo"] {
-                let memoized =
-                    path_join_bitmap(&s, &plan, &index, Some(&mut memo), Some(&mut scratch), None);
-                assert_eq!(bits(&memoized), reference, "{q} {pass}");
-                scratch.recycle(memoized);
+            for pass in ["scratch", "warm scratch"] {
+                let pooled = path_join_bitmap(&s, &plan, &index, Some(&mut scratch), None);
+                assert_eq!(bits(&pooled), reference, "{q} {pass}");
+                scratch.recycle(pooled);
             }
         }
         // Timing was enabled: the phase breakdown accumulated something.
@@ -874,7 +781,7 @@ mod tests {
             let plan = QueryPlan::build(&s, &query);
             let reference = bits(&path_join(&s, &query));
             let unlimited = BudgetState::start(&Budget::unlimited());
-            path_join_bitmap(&s, &plan, &index, None, None, Some(&unlimited));
+            path_join_bitmap(&s, &plan, &index, None, Some(&unlimited));
             let full = unlimited.edges_charged();
             assert!(full > 0, "{q}: every query here has a join edge");
             assert!(unlimited.exhausted().is_none());
@@ -883,7 +790,7 @@ mod tests {
                     deadline: None,
                     max_join_edges: Some(cap),
                 });
-                let got = path_join_bitmap(&s, &plan, &index, None, None, Some(&state));
+                let got = path_join_bitmap(&s, &plan, &index, None, Some(&state));
                 assert_eq!(state.edges_charged(), full.min(cap + 1), "{q} cap={cap}");
                 assert_eq!(state.exhausted().is_some(), full > cap, "{q} cap={cap}");
                 if state.exhausted().is_none() {

@@ -56,9 +56,7 @@ pub use engine::{
 pub use estcache::{estimate_key, EstimateCache, EstimateCacheReader, EstimateKey};
 pub use estimator::Estimator;
 pub use invariant::{finalize_estimate, safe_div};
-pub use join::{
-    path_join, path_join_bitmap, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult, JoinScratch,
-};
+pub use join::{path_join, path_join_bitmap, JoinKernel, JoinPhaseStats, JoinResult, JoinScratch};
 pub use joincache::{skeleton_key, JoinCache, SkeletonKey, WorkerJoinCache};
 pub use memo::{MemoFront, MemoKey, SharedMemo};
 pub use metrics::{mean_relative_error, relative_error, ErrorStats};

@@ -3,16 +3,16 @@
 //!
 //! `path_join` is the paper's Figure 3 verbatim. `path_join_bitmap`
 //! replaces the per-node `(Pid, f64)` candidate lists with dense
-//! pid-index bitmaps, resolves containment edges through the adjacency
-//! index's forward/reverse row bitmaps, pre-screens each semi-join with
-//! the per-(tag,axis) candidate bitmap, and rebuilds the surviving lists
-//! from the p-histogram at the end. Because the path join converges to a
-//! greatest fixpoint, both kernels must agree **bit-for-bit** — same
-//! pids, same order, same `f64` frequency bits. These tests assert
-//! exactly that over random documents and random twig queries (both
-//! axes, order constraints, and tags absent from the document), cold,
-//! with pooled scratch and warm memos, and under a budget it can never
-//! exhaust.
+//! pid-index bitmaps, resolves containment edges through the summary's
+//! shared forward/reverse containment rows, pre-screens each semi-join
+//! with the per-(tag,axis) candidate bitmap, and rebuilds the surviving
+//! lists from the p-histogram at the end. Because the path join
+//! converges to a greatest fixpoint, both kernels must agree
+//! **bit-for-bit** — same pids, same order, same `f64` frequency bits.
+//! These tests assert exactly that over random documents and random twig
+//! queries (both axes, order constraints, and tags absent from the
+//! document), cold, with pooled scratch over a warm adjacency index, and
+//! under a budget it can never exhaust.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use xpe_core::{
     path_join, path_join_bitmap, Budget, BudgetState, EstimationEngine, Estimator, JoinCache,
-    JoinKernel, JoinMemo, JoinScratch, QueryPlan,
+    JoinKernel, JoinScratch, QueryPlan,
 };
 use xpe_datagen::{random_document, RandomDocConfig};
 use xpe_diff::{random_query, tag_paths};
@@ -64,10 +64,10 @@ fn as_bits(lists: &[Vec<(Pid, f64)>]) -> Vec<Vec<(Pid, u64)>> {
 /// bits (> 64 `u64` words): 70 blocks of nested `m` elements, each with
 /// 60 uniquely-tagged leaves, for 4200 distinct root-to-leaf paths. The
 /// random scenarios above cap tag count and depth, so interner widths
-/// stay far below the adjacency builders' 64-word support-signature
-/// reach; this is the regime where the signature aliases word `j` to bit
-/// `j % 64` and an unsound truncation once admitted false containment
-/// pairs between pids living in low and high words.
+/// stay far below 64 words; this is the regime where an earlier
+/// relation build, which screened pairs by a one-word digest of each id,
+/// once admitted false containment pairs between pids living in low and
+/// high words.
 fn wide_scenario() -> (Summary, Vec<xpe_xpath::Query>) {
     let mut leaf = 0usize;
     let mut block = |b: &mut xpe_xml::TreeBuilder| {
@@ -110,14 +110,14 @@ fn wide_scenario() -> (Summary, Vec<xpe_xpath::Query>) {
     (summary, queries)
 }
 
-/// Asserts that every warm execution path — reused per-estimator flat
-/// memos, cached prepared plans, and the engine's shared join cache at
-/// 1/2/4 worker threads — reproduces the bit pattern of a completely
-/// cold estimator, for both kernels, and that the two kernels' cold
-/// estimates agree. The cold reference rebuilds the `Estimator` per
-/// query so no memo, plan, or cache entry survives between queries; the
-/// warm runs then replay the same batch twice so the second pass hits
-/// every cache the first pass filled.
+/// Asserts that every warm execution path — a reused estimator with its
+/// filled adjacency index and reused plan buffers, and the engine's
+/// shared join cache at 1/2/4 worker threads — reproduces the bit
+/// pattern of a completely cold estimator, for both kernels, and that
+/// the two kernels' cold estimates agree. The cold reference rebuilds
+/// the `Estimator` per query so no index cell, buffer, or cache entry
+/// survives between queries; the warm runs then replay the same batch
+/// twice so the second pass hits every cache the first pass filled.
 fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
     let mut naive_cold = Vec::new();
     for kernel in KERNELS {
@@ -136,8 +136,8 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
             JoinKernel::Naive => naive_cold = cold.clone(),
             JoinKernel::Bitmap => assert_eq!(cold, naive_cold, "bitmap vs naive, cold"),
         }
-        // One reused serial estimator: warm flat memos and adjacency
-        // caches, but no join/plan cache in front of the kernel.
+        // One reused serial estimator: a warm adjacency index, but no
+        // join cache in front of the kernel.
         let est = Estimator::new(summary).with_kernel(kernel);
         for pass in 0..2 {
             for (query, &want) in queries.iter().zip(&cold) {
@@ -148,8 +148,8 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
                 );
             }
         }
-        // Engines add the skeleton-keyed join cache and prepared-plan
-        // reuse; parallel batches add per-worker scratch and memos.
+        // Engines add the skeleton-keyed join cache; parallel batches
+        // add per-worker scratch over one shared adjacency index.
         for threads in [1usize, 2, 4] {
             let engine = EstimationEngine::new(summary)
                 .with_kernel(kernel)
@@ -169,40 +169,31 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
     }
 }
 
-/// Warm plans and memos on the wide (> 64-word) interner: the flat
-/// memo tables and packed adjacency keys must index correctly far past
-/// the support-signature reach.
+/// Warm estimators and engines on the wide (> 64-word) interner: the
+/// index's cells and the shared containment rows must index correctly
+/// far past one word of pids.
 #[test]
-fn warm_plans_are_bit_identical_on_wide_interner() {
+fn warm_estimators_and_engines_are_bit_identical_on_wide_interner() {
     let (summary, queries) = wide_scenario();
     check_warm_paths(&summary, &queries);
 }
 
 /// The bitmap kernel stays bit-identical to the naive oracle on an
-/// interner wider than the 64-bit support signature — deterministic
-/// coverage the random scenarios (tag_count ≤ 3, max_depth ≤ 5) can
-/// never reach.
+/// interner wider than 64 words — deterministic coverage the random
+/// scenarios (tag_count ≤ 3, max_depth ≤ 5) can never reach.
 #[test]
 fn wide_interner_kernels_match_naive() {
     let (summary, queries) = wide_scenario();
     let index = JoinIndexCache::new();
-    let mut memo = JoinMemo::new();
     let mut scratch = JoinScratch::new();
     for query in &queries {
         let reference = as_bits(&path_join(&summary, query).lists);
         let plan = QueryPlan::build(&summary, query);
-        let bare = path_join_bitmap(&summary, &plan, &index, None, None, None);
+        let bare = path_join_bitmap(&summary, &plan, &index, None, None);
         assert_eq!(as_bits(&bare.lists), reference, "bare {query}");
-        let memoized = path_join_bitmap(
-            &summary,
-            &plan,
-            &index,
-            Some(&mut memo),
-            Some(&mut scratch),
-            None,
-        );
-        assert_eq!(as_bits(&memoized.lists), reference, "memoized {query}");
-        scratch.recycle(memoized);
+        let warm = path_join_bitmap(&summary, &plan, &index, Some(&mut scratch), None);
+        assert_eq!(as_bits(&warm.lists), reference, "warm {query}");
+        scratch.recycle(warm);
     }
 }
 
@@ -211,32 +202,23 @@ proptest! {
 
     /// The bitmap kernel returns exactly the reference kernel's lists on
     /// every random document and query: cold, with pooled scratch, and
-    /// with a per-estimator memo warmed by the earlier queries.
+    /// again over the index cells the earlier calls filled.
     #[test]
     fn bitmap_join_is_bit_identical_to_naive(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
         let index = JoinIndexCache::new();
-        let mut memo = JoinMemo::new();
         let mut scratch = JoinScratch::new();
         for query in &queries {
             let reference = as_bits(&path_join(&summary, query).lists);
             let plan = QueryPlan::build(&summary, query);
-            let cold = path_join_bitmap(&summary, &plan, &index, None, None, None);
+            let cold = path_join_bitmap(&summary, &plan, &index, None, None);
             prop_assert_eq!(&as_bits(&cold.lists), &reference, "cold, seed {}", seed);
-            let pooled =
-                path_join_bitmap(&summary, &plan, &index, None, Some(&mut scratch), None);
+            let pooled = path_join_bitmap(&summary, &plan, &index, Some(&mut scratch), None);
             prop_assert_eq!(&as_bits(&pooled.lists), &reference, "pooled, seed {}", seed);
             scratch.recycle(pooled);
-            let memoized = path_join_bitmap(
-                &summary,
-                &plan,
-                &index,
-                Some(&mut memo),
-                Some(&mut scratch),
-                None,
-            );
-            prop_assert_eq!(&as_bits(&memoized.lists), &reference, "memoized, seed {}", seed);
-            scratch.recycle(memoized);
+            let warm = path_join_bitmap(&summary, &plan, &index, Some(&mut scratch), None);
+            prop_assert_eq!(&as_bits(&warm.lists), &reference, "warm, seed {}", seed);
+            scratch.recycle(warm);
         }
     }
 
@@ -254,14 +236,7 @@ proptest! {
                 deadline: None,
                 max_join_edges: Some(1_000_000),
             });
-            let got = path_join_bitmap(
-                &summary,
-                &plan,
-                &index,
-                None,
-                Some(&mut scratch),
-                Some(&budget),
-            );
+            let got = path_join_bitmap(&summary, &plan, &index, Some(&mut scratch), Some(&budget));
             prop_assert!(budget.exhausted().is_none(), "seed {}", seed);
             prop_assert_eq!(&as_bits(&got.lists), &reference, "seed {}", seed);
             scratch.recycle(got);
@@ -269,13 +244,13 @@ proptest! {
     }
 }
 
-/// Asserts the lazy-merge seam directly: several estimators sharing one
-/// [`JoinCache`] through their private worker fronts, with merges forced
+/// Asserts the shared-cache seam directly: several estimators sharing one
+/// [`JoinCache`] through their private fronts, with tally flushes forced
 /// at adversarial points (after every single query, on another worker
 /// than the one that ran it, and finally via drop), reproduce a bare
 /// cache-free estimator bit for bit — and a fresh estimator served
-/// purely from the merged shared cache does too.
-fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
+/// purely from what the others published to the shared cache does too.
+fn check_shared_join_cache_fronts(summary: &Summary, queries: &[xpe_xpath::Query]) {
     for kernel in KERNELS {
         let bare: Vec<u64> = queries
             .iter()
@@ -300,8 +275,8 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
             };
             let ests: Vec<Estimator> = (0..workers).map(|_| make()).collect();
             // Round-robin the queries across workers; after each query,
-            // flush a *different* worker, so merge points interleave
-            // with lookups in every order the engine could produce.
+            // flush a *different* worker, so flushes interleave with
+            // lookups in every order the engine could produce.
             for pass in 0..2 {
                 for (i, (query, &want)) in queries.iter().zip(&bare).enumerate() {
                     let got = ests[i % workers].estimate(query).to_bits();
@@ -312,46 +287,48 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
                     ests[(i + 1) % workers].flush_caches();
                 }
             }
-            // Drop-merge whatever is still pending, then serve a fresh
-            // estimator entirely from the merged shared cache.
+            // Drop flushes whatever is still pending; then serve a fresh
+            // estimator entirely from the shared cache.
             drop(ests);
             let fresh = make();
             for (query, &want) in queries.iter().zip(&bare) {
                 assert_eq!(
                     fresh.estimate(query).to_bits(),
                     want,
-                    "post-merge fresh estimator, kernel {kernel:?}, workers {workers}, {query}"
+                    "fresh estimator on the shared cache, kernel {kernel:?}, workers {workers}, {query}"
                 );
             }
         }
     }
 }
 
-/// Deterministic lazy-merge coverage on the wide (> 64-word) interner.
+/// Deterministic shared-cache coverage on the wide (> 64-word) interner.
 #[test]
-fn lazy_merge_is_bit_identical_on_wide_interner() {
+fn shared_join_cache_fronts_are_bit_identical_on_wide_interner() {
     let (summary, queries) = wide_scenario();
-    check_lazy_merge(&summary, &queries);
+    check_shared_join_cache_fronts(&summary, &queries);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Warm prepared plans, flat per-estimator memos, and the shared
-    /// join cache never perturb a single estimate bit, for both kernels
-    /// and 1/2/4 worker threads, on random documents and twig queries.
+    /// A reused estimator over a warm adjacency index, and engines with
+    /// the shared join cache, never perturb a single estimate bit, for
+    /// both kernels and 1/2/4 worker threads, on random documents and
+    /// twig queries.
     #[test]
-    fn warm_plans_and_memos_are_bit_identical(seed in 0u64..1_000_000) {
+    fn warm_estimators_and_engines_are_bit_identical(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
         check_warm_paths(&summary, &queries);
     }
 
-    /// Worker-private join caches with lazy merge are pure speed: any
-    /// interleaving of queries and merges across 1/2/4 workers, for
-    /// both kernels, is bit-identical to the cache-free estimator.
+    /// Estimator-private fronts over one shared join cache are pure
+    /// speed: any interleaving of queries and flushes across 1/2/4
+    /// workers, for both kernels, is bit-identical to the cache-free
+    /// estimator.
     #[test]
-    fn lazily_merged_worker_caches_are_bit_identical(seed in 0u64..1_000_000) {
+    fn shared_join_cache_fronts_are_bit_identical(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
-        check_lazy_merge(&summary, &queries);
+        check_shared_join_cache_fronts(&summary, &queries);
     }
 }

@@ -8,9 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use xpe_pathid::{
-    ContainmentAdjacency, EncodingTable, JoinIndexCache, Labeling, PathIdTree, Pid, PidInterner,
-};
+use xpe_pathid::{EncodingTable, Labeling, PathIdTree, Pid, PidInterner};
 use xpe_xml::{Document, TagId, TagInterner};
 
 use crate::freq::PathIdFrequencyTable;
@@ -194,20 +192,6 @@ impl Summary {
     /// Estimated `g(pid, y_tag)` from the order summaries.
     pub fn order_count(&self, x_tag: TagId, pid: Pid, y_tag: TagId, region: Region) -> f64 {
         self.ohist.count(x_tag, pid, y_tag, region)
-    }
-
-    /// The containment adjacency of `(tag_u, tag_v, child_axis)` over this
-    /// summary's encoding table and interned pids, built through (and
-    /// memoized in) `cache` — the per-summary hook the bitmap join kernel
-    /// resolves edges against.
-    pub fn adjacency(
-        &self,
-        cache: &JoinIndexCache,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> std::sync::Arc<ContainmentAdjacency> {
-        cache.get(&self.encoding, &self.pids, tag_u, tag_v, child_axis)
     }
 
     /// Byte sizes of every component.
