@@ -106,29 +106,23 @@ impl<'s> EstimationEngine<'s> {
     /// Creates an engine with one worker per available core and the
     /// default estimate-cache capacity.
     pub fn new(summary: &'s Summary) -> Self {
-        Self::with_parts(summary, 0, DEFAULT_ESTIMATE_CACHE_CAPACITY)
-    }
-
-    fn with_parts(summary: &'s Summary, threads: usize, estimate_cache_capacity: usize) -> Self {
         let masks = Arc::new(RelationMaskCache);
         let adjacency = Arc::new(JoinIndexCache::new());
         let join_cache = Arc::new(JoinCache::with_capacity(DEFAULT_JOIN_CACHE_CAPACITY));
-        let est_cache = (estimate_cache_capacity > 0)
-            .then(|| Arc::new(EstimateCache::with_capacity(estimate_cache_capacity)));
         EstimationEngine {
             summary,
             masks: Arc::clone(&masks),
             adjacency: Arc::clone(&adjacency),
             join_cache: Arc::clone(&join_cache),
-            est_cache: est_cache.clone(),
-            threads,
+            est_cache: None,
+            threads: 0,
             kernel: JoinKernel::default(),
-            local: Estimator::with_caches(summary, masks, adjacency, Some(join_cache))
-                .with_estimate_cache(est_cache),
+            local: Estimator::with_caches(summary, masks, adjacency, Some(join_cache)),
             limits: QueryLimits::unlimited(),
             budget: Budget::unlimited(),
             outcomes: Cell::default(),
         }
+        .with_estimate_cache_capacity(DEFAULT_ESTIMATE_CACHE_CAPACITY)
     }
 
     /// Sets the batch worker count: `0` uses one worker per available
@@ -142,17 +136,13 @@ impl<'s> EstimationEngine<'s> {
     /// Sets how many finished estimates the full-query estimate cache
     /// retains; `0` disables the skew-aware fast path entirely (every
     /// arrival runs the join machinery, as before this cache existed).
-    /// The engine is rebuilt with fresh caches.
-    pub fn with_estimate_cache_capacity(self, capacity: usize) -> Self {
-        let mut rebuilt = Self::with_parts(self.summary, self.threads, capacity);
-        rebuilt.limits = self.limits;
-        rebuilt.budget = self.budget;
-        // The outcome tallies are lifetime counters of *this* engine, not
-        // of one cache configuration — carry them into the rebuild or
-        // `outcomes()` silently under-reports after a capacity change.
-        rebuilt.outcomes = self.outcomes;
-        rebuilt = rebuilt.with_kernel(self.kernel);
-        rebuilt
+    /// The estimate cache is replaced by an empty one, and the resident
+    /// estimator's front with it; the join caches, the policy and the
+    /// outcome tallies stay.
+    pub fn with_estimate_cache_capacity(mut self, capacity: usize) -> Self {
+        self.est_cache = (capacity > 0).then(|| Arc::new(EstimateCache::with_capacity(capacity)));
+        self.local = self.local.with_estimate_cache(self.est_cache.clone());
+        self
     }
 
     /// Selects the join kernel every estimator of this engine runs — the
@@ -459,11 +449,11 @@ mod tests {
                 .collect();
             assert_eq!(got, reference, "threads={threads}");
         }
-        // Rebuilding the caches preserves the kernel selection.
-        let rebuilt = EstimationEngine::new(&s)
+        // Resizing the estimate cache preserves the kernel selection.
+        let resized = EstimationEngine::new(&s)
             .with_kernel(JoinKernel::Naive)
             .with_estimate_cache_capacity(8);
-        assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
+        assert_eq!(resized.kernel(), JoinKernel::Naive);
     }
 
     #[test]
@@ -709,9 +699,9 @@ mod tests {
         let stats = engine.outcomes();
         assert_eq!(stats.ok, 1);
         assert_eq!(stats.rejected, 1);
-        // Rebuilding the caches keeps the policy.
-        let rebuilt = engine.with_estimate_cache_capacity(8);
-        assert_eq!(rebuilt.limits().max_nodes, Some(2));
+        // Resizing the estimate cache keeps the policy.
+        let resized = engine.with_estimate_cache_capacity(8);
+        assert_eq!(resized.limits().max_nodes, Some(2));
     }
 
     #[test]
@@ -795,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuilding_estimate_cache_carries_outcome_counters_and_policy() {
+    fn estimate_cache_capacity_keeps_outcome_counters_and_policy() {
         let s = summary();
         let engine = EstimationEngine::new(&s)
             .with_kernel(JoinKernel::Naive)
@@ -806,19 +796,19 @@ mod tests {
         let q = parse_query("//A//C").unwrap();
         engine.try_estimate(&q);
         engine.try_estimate(&q);
-        let rebuilt = engine.with_estimate_cache_capacity(64);
+        let resized = engine.with_estimate_cache_capacity(64);
         assert_eq!(
-            rebuilt.outcomes().ok,
+            resized.outcomes().ok,
             2,
             "lifetime outcome tallies survive a cache capacity change"
         );
-        rebuilt.try_estimate(&q);
-        assert_eq!(rebuilt.outcomes().ok, 3);
-        assert_eq!(rebuilt.kernel(), JoinKernel::Naive);
-        assert_eq!(rebuilt.limits().max_nodes, Some(8));
-        assert_eq!(rebuilt.estimate_cache().unwrap().capacity(), 64);
+        resized.try_estimate(&q);
+        assert_eq!(resized.outcomes().ok, 3);
+        assert_eq!(resized.kernel(), JoinKernel::Naive);
+        assert_eq!(resized.limits().max_nodes, Some(8));
+        assert_eq!(resized.estimate_cache().unwrap().capacity(), 64);
         assert_eq!(
-            rebuilt.join_cache().unwrap().capacity(),
+            resized.join_cache().unwrap().capacity(),
             DEFAULT_JOIN_CACHE_CAPACITY
         );
     }

@@ -1069,6 +1069,9 @@ mod tests {
             "//C[/$E]/F",
             "/Root/A/C/F",
             "//A[/C/folls::$B]",
+            "/A//C",
+            "/C/F",
+            "/Zebra/A",
         ];
         for kernel in [JoinKernel::Naive, JoinKernel::Bitmap] {
             let warm = Estimator::new(&s).with_kernel(kernel);

@@ -34,7 +34,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use xpe_pathid::{
-    axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache, Pid,
+    axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache, PathIdBits,
+    Pid,
 };
 use xpe_synopsis::Summary;
 use xpe_xml::TagId;
@@ -218,11 +219,25 @@ impl JoinScratch {
 }
 
 /// Builds the `(tag, rooted)` seed bitmap: every pid of `tag`'s
-/// p-histogram, restricted to depth-0 pids when `rooted`.
+/// p-histogram, restricted when `rooted` to the pids holding a
+/// root-to-leaf path that starts with `tag`. The summary's index runs
+/// this once per `(tag, rooted)` cell, with one mask of those paths.
 fn build_seed_bitmap(summary: &Summary, tag: TagId, rooted: bool, set_words: usize) -> Vec<u64> {
+    let roots = rooted.then(|| {
+        let mut mask = PathIdBits::zero(summary.pids.width());
+        for (enc, path) in summary.encoding.iter() {
+            if path.first() == Some(&tag) {
+                mask.set(enc);
+            }
+        }
+        mask
+    });
     let mut s = vec![0u64; set_words];
     for &(pid, _) in summary.phist.histogram(tag).entries_slice() {
-        if !rooted || summary.root_pids.pid_starts_with(tag, pid) {
+        if roots
+            .as_ref()
+            .map_or(true, |mask| summary.pids.bits(pid).intersects(mask))
+        {
             words::set_bit(&mut s, pid.index());
         }
     }
@@ -250,8 +265,9 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 
     // A `/`-rooted query pins its first step to the document root: keep
     // only ids whose paths carry the step's tag at depth 0. The reference
-    // kernel re-derives this from the encoding table per pid (the shape
-    // the precomputed `Summary::root_pids` index is validated against).
+    // kernel re-derives this from the encoding table per pid; the bitmap
+    // kernel tests each pid once against a mask of those paths, in its
+    // rooted seed.
     if query.root_axis() == Axis::Child {
         let root_node = query.root();
         if let Some(tag) = summary.tags.get(&query.node(root_node).tag) {
@@ -744,6 +760,11 @@ mod tests {
             "//A[/C]/B",
             "/Root/A/C/F",
             "//Root[/A]//E",
+            // Rooted queries whose first tag is not the document root:
+            // their rooted seeds are empty.
+            "/A//C",
+            "/C/F",
+            "/Zebra/A",
         ];
         let index = JoinIndexCache::new();
         let mut scratch = JoinScratch::new();

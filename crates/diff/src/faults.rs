@@ -390,7 +390,9 @@ fn run_integrity(report: &mut FaultReport, class: FaultClass, case: u64, rng: &m
             bytes.truncate(keep);
         }
         FaultClass::VersionFlip => {
-            // Versions 1 and 2 are real; anything else must be refused.
+            // Only version 2 is readable; anything else must be refused.
+            // The draw also skips 1 (the unchecked version, refused as
+            // well) so each seed keeps its draws and its report bytes.
             // The version field is the little-endian u32 after the magic.
             let bogus: u32 = loop {
                 let v = rng.gen_range(0..=255u32);

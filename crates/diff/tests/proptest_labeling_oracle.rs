@@ -26,9 +26,11 @@ use xpe_xml::{parse_document, Document, NodeId, TagId, TreeBuilder, MAX_DEPTH};
 
 /// The bottom-up labeling: encodings in first-encounter pre-order of the
 /// leaves, then one `PathIdBits` per node, ORed from the leaves up and
-/// interned in node (pre-)order.
+/// interned in node (pre-)order. The tables append whatever they are
+/// given, so two maps here keep each path and each id once.
 fn reference_labeling(doc: &Document) -> Labeling {
     let mut encoding = EncodingTable::new();
+    let mut encodings: HashMap<Vec<TagId>, u32> = HashMap::new();
     let mut leaf_encoding = vec![0u32; doc.len()];
     let mut stack = vec![(doc.root(), 0usize)];
     let mut path = Vec::new();
@@ -37,7 +39,9 @@ fn reference_labeling(doc: &Document) -> Labeling {
         path.push(doc.tag(id));
         let children = doc.children(id);
         if children.is_empty() {
-            leaf_encoding[id.index()] = encoding.intern(&path);
+            leaf_encoding[id.index()] = *encodings
+                .entry(path.clone())
+                .or_insert_with(|| encoding.push(path.clone()));
         } else {
             stack.extend(children.iter().rev().map(|&c| (c, depth + 1)));
         }
@@ -56,7 +60,11 @@ fn reference_labeling(doc: &Document) -> Labeling {
         }
     }
     let mut interner = PidInterner::new(width);
-    let node_pids = bits.into_iter().map(|b| interner.intern(b)).collect();
+    let mut pids: HashMap<PathIdBits, Pid> = HashMap::new();
+    let node_pids = bits
+        .into_iter()
+        .map(|b| *pids.entry(b.clone()).or_insert_with(|| interner.push(b)))
+        .collect();
     Labeling {
         encoding,
         interner,

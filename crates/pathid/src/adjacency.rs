@@ -467,7 +467,7 @@ mod tests {
             for &p in *bits {
                 id.set(p);
             }
-            pids.intern(id);
+            pids.push(id);
         }
         pids
     }
@@ -545,9 +545,9 @@ mod tests {
         let a = tags.intern("a");
         let b = tags.intern("b");
         let mut encoding = EncodingTable::new();
-        encoding.intern(&[a, b]);
-        encoding.intern(&[a, b, b]);
-        encoding.intern(&[a]);
+        encoding.push(vec![a, b]);
+        encoding.push(vec![a, b, b]);
+        encoding.push(vec![a]);
         let width = encoding.len() as u32;
         let pids = interner_of(width, &[&[1, 2], &[2, 3], &[1, 2, 3]]);
         let relation = Arc::new(PidContainmentRelation::build(&pids));
@@ -608,7 +608,7 @@ mod tests {
             for bit in 0..13 {
                 path.push(if i >> bit & 1 == 1 { a } else { b });
             }
-            encoding.intern(&path);
+            encoding.push(path);
         }
         let width = encoding.len() as u32;
         assert!(width > 4096);
@@ -659,7 +659,7 @@ mod tests {
             for d in 0..digits {
                 path.push(if i >> d & 1 == 1 { t[1] } else { t[2] });
             }
-            encoding.intern(&path);
+            encoding.push(path);
         }
         assert_eq!(encoding.len(), width as usize);
         encoding
@@ -669,7 +669,7 @@ mod tests {
     /// probability `per_mille / 1000`. Three in eight ids are a random
     /// subset of an earlier id and two in eight an earlier id plus fresh
     /// bits, so the family nests as well as overlapping without nesting;
-    /// one in eight is the empty id.
+    /// one in eight is the empty id. An id drawn twice is pushed once.
     fn random_family(
         width: u32,
         per_mille: u64,
@@ -712,8 +712,10 @@ mod tests {
             ids.push(id);
         }
         let mut pids = PidInterner::new(width);
-        for id in ids {
-            pids.intern(id);
+        for (i, id) in ids.iter().enumerate() {
+            if !ids[..i].contains(id) {
+                pids.push(id.clone());
+            }
         }
         pids
     }

@@ -5,20 +5,21 @@
 //! encoding table." Encodings are 1-based, assigned in first-encounter
 //! document order.
 
-use std::collections::HashMap;
-
 use xpe_xml::TagId;
 
 /// A 1-based root-to-leaf path encoding.
 pub type PathEncoding = u32;
 
-/// Maps distinct root-to-leaf label paths to integers and back, and answers
-/// tag-relationship questions along a given path (paper Example 2.2: "we
-/// can check the relationship between the tags from the encoding table").
+/// The list of distinct root-to-leaf label paths, numbered from 1, which
+/// answers tag-relationship questions along a given path (paper Example
+/// 2.2: "we can check the relationship between the tags from the encoding
+/// table"). The table itself never looks for an equal path: the
+/// [`StreamLabeler`](crate::StreamLabeler) keeps the path-to-encoding map
+/// while it labels and pushes each distinct path once, and
+/// [`decode`](Self::decode) keeps the stored paths as stored.
 #[derive(Clone, Debug, Default)]
 pub struct EncodingTable {
     paths: Vec<Vec<TagId>>,
-    index: HashMap<Vec<TagId>, PathEncoding>,
 }
 
 impl EncodingTable {
@@ -27,20 +28,10 @@ impl EncodingTable {
         Self::default()
     }
 
-    /// Interns `path`, returning its encoding (existing or fresh).
-    pub fn intern(&mut self, path: &[TagId]) -> PathEncoding {
-        if let Some(&e) = self.index.get(path) {
-            return e;
-        }
-        let enc = (self.paths.len() + 1) as PathEncoding;
-        self.paths.push(path.to_vec());
-        self.index.insert(path.to_vec(), enc);
-        enc
-    }
-
-    /// The encoding of `path`, if present.
-    pub fn encoding_of(&self, path: &[TagId]) -> Option<PathEncoding> {
-        self.index.get(path).copied()
+    /// Appends `path` under the next encoding and returns it.
+    pub fn push(&mut self, path: Vec<TagId>) -> PathEncoding {
+        self.paths.push(path);
+        self.paths.len() as PathEncoding
     }
 
     /// The label path for `encoding`.
@@ -57,7 +48,7 @@ impl EncodingTable {
         self.paths.len()
     }
 
-    /// True when no path has been interned.
+    /// True when the table holds no path.
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
     }
@@ -121,20 +112,20 @@ impl EncodingTable {
         }
     }
 
-    /// Deserializes a table encoded by [`encode`](Self::encode); encodings
-    /// are preserved.
+    /// Deserializes a table encoded by [`encode`](Self::encode), keeping
+    /// every stored path under its stored encoding.
     pub fn decode(r: &mut xpe_xml::wire::Reader<'_>) -> Result<Self, xpe_xml::wire::WireError> {
         let n = r.u32()? as usize;
-        let mut t = EncodingTable::new();
+        let mut paths = Vec::with_capacity(xpe_xml::wire::cap_alloc(n));
         for _ in 0..n {
             let len = r.u32()? as usize;
             let mut path = Vec::with_capacity(xpe_xml::wire::cap_alloc(len));
             for _ in 0..len {
                 path.push(TagId::from_index(r.u32()? as usize));
             }
-            t.intern(&path);
+            paths.push(path);
         }
-        Ok(t)
+        Ok(EncodingTable { paths })
     }
 
     /// Byte size of the table under the paper's accounting: each path is
@@ -165,25 +156,35 @@ mod tests {
             tags.intern("F"),
         );
         let mut t = EncodingTable::new();
-        assert_eq!(t.intern(&[root, a, b, d]), 1);
-        assert_eq!(t.intern(&[root, a, b, e]), 2);
-        assert_eq!(t.intern(&[root, a, c, e]), 3);
-        assert_eq!(t.intern(&[root, a, c, f]), 4);
-        let _ = (b, c, d, e, f);
+        assert_eq!(t.push(vec![root, a, b, d]), 1);
+        assert_eq!(t.push(vec![root, a, b, e]), 2);
+        assert_eq!(t.push(vec![root, a, c, e]), 3);
+        assert_eq!(t.push(vec![root, a, c, f]), 4);
         (t, tags)
     }
 
     #[test]
-    fn intern_is_idempotent_and_one_based() {
-        let (mut t, tags) = figure1();
+    fn push_numbers_from_one() {
+        let (t, tags) = figure1();
         let root = tags.get("Root").unwrap();
         let a = tags.get("A").unwrap();
         let b = tags.get("B").unwrap();
         let d = tags.get("D").unwrap();
-        assert_eq!(t.intern(&[root, a, b, d]), 1);
         assert_eq!(t.len(), 4);
-        assert_eq!(t.encoding_of(&[root, a, b, d]), Some(1));
-        assert_eq!(t.encoding_of(&[root, a]), None);
+        assert_eq!(t.path(1), [root, a, b, d]);
+    }
+
+    #[test]
+    fn decode_keeps_every_stored_path() {
+        let (mut t, tags) = figure1();
+        let root = tags.get("Root").unwrap();
+        t.push(vec![root]);
+        t.push(vec![root]);
+        let mut buf = Vec::new();
+        t.encode(&mut buf);
+        let back = EncodingTable::decode(&mut xpe_xml::wire::Reader::new(&buf)).unwrap();
+        assert_eq!(back.len(), 6, "an equal stored path keeps its own encoding");
+        assert!(back.iter().eq(t.iter()));
     }
 
     #[test]
@@ -205,7 +206,7 @@ mod tests {
         let l = tags.intern("list");
         let i = tags.intern("item");
         let mut t = EncodingTable::new();
-        let enc = t.intern(&[l, i, l, i]);
+        let enc = t.push(vec![l, i, l, i]);
         assert_eq!(t.positions(enc, l).collect::<Vec<_>>(), vec![0, 2]);
         // list is both parent and ancestor of item at multiple depths.
         assert!(t.axis_holds(enc, l, i, true));

@@ -5,7 +5,6 @@
 //! per-element and per-table reference is a 4-byte [`Pid`] handle into a
 //! [`PidInterner`].
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::bits::PathIdBits;
@@ -38,12 +37,15 @@ impl fmt::Debug for Pid {
     }
 }
 
-/// Append-only store of distinct path-id bit sequences.
+/// Append-only table of distinct path-id bit sequences, indexed by
+/// [`Pid`]. The table itself never looks for an equal id: the
+/// [`StreamLabeler`](crate::StreamLabeler) pushes each distinct id once
+/// (its own row map dedupes them), and [`decode`](Self::decode) keeps
+/// every stored id under its stored handle.
 #[derive(Clone, Debug)]
 pub struct PidInterner {
     width: u32,
     pids: Vec<PathIdBits>,
-    index: HashMap<PathIdBits, Pid>,
 }
 
 impl PidInterner {
@@ -53,7 +55,6 @@ impl PidInterner {
         PidInterner {
             width,
             pids: Vec::new(),
-            index: HashMap::new(),
         }
     }
 
@@ -63,19 +64,15 @@ impl PidInterner {
         self.width
     }
 
-    /// Interns `bits`, returning its handle.
+    /// Appends `bits` under the next handle and returns it.
     ///
     /// # Panics
     ///
     /// Panics if `bits` has the wrong width.
-    pub fn intern(&mut self, bits: PathIdBits) -> Pid {
+    pub fn push(&mut self, bits: PathIdBits) -> Pid {
         assert_eq!(bits.nbits(), self.width, "path id width mismatch");
-        if let Some(&p) = self.index.get(&bits) {
-            return p;
-        }
         let p = Pid(u32::try_from(self.pids.len()).expect("too many distinct pids"));
-        self.pids.push(bits.clone());
-        self.index.insert(bits, p);
+        self.pids.push(bits);
         p
     }
 
@@ -83,11 +80,6 @@ impl PidInterner {
     #[inline]
     pub fn bits(&self, pid: Pid) -> &PathIdBits {
         &self.pids[pid.index()]
-    }
-
-    /// The handle of `bits`, if interned.
-    pub fn get(&self, bits: &PathIdBits) -> Option<Pid> {
-        self.index.get(bits).copied()
     }
 
     /// Number of distinct path ids.
@@ -132,38 +124,27 @@ impl PidInterner {
         }
     }
 
-    /// Deserializes an interner encoded by [`encode`](Self::encode); pid
-    /// handles are preserved.
-    pub fn decode(r: &mut xpe_xml::wire::Reader<'_>) -> Result<Self, xpe_xml::wire::WireError> {
-        Self::decode_inner(r, None)
-    }
-
-    /// [`decode`](Self::decode) with the width cross-checked against the
-    /// caller's expectation **before any bit sequence is allocated**. The
-    /// stored width sizes every decoded [`PathIdBits`], so in a corrupt
-    /// or hostile image it is an allocation amplifier — `u32::MAX` means
-    /// half a gigabyte of zeroed words *per pid*. Summary decode knows
-    /// the true width independently (the encoding table's path count,
-    /// decoded just before), so it refuses a disagreeing value up front.
-    pub fn decode_checked(
+    /// Deserializes an interner encoded by [`encode`](Self::encode),
+    /// keeping every stored id under its stored handle.
+    ///
+    /// The stored width must equal `width`, and it is checked **before
+    /// any bit sequence is allocated**. The width sizes every decoded
+    /// [`PathIdBits`], so in a corrupt or hostile image it is an
+    /// allocation amplifier — `u32::MAX` means half a gigabyte of zeroed
+    /// words *per pid*. Summary decode knows the true width independently
+    /// (the encoding table's path count, decoded just before) and passes
+    /// it here.
+    pub fn decode(
         r: &mut xpe_xml::wire::Reader<'_>,
-        expected_width: u32,
+        width: u32,
     ) -> Result<Self, xpe_xml::wire::WireError> {
-        Self::decode_inner(r, Some(expected_width))
-    }
-
-    fn decode_inner(
-        r: &mut xpe_xml::wire::Reader<'_>,
-        expected_width: Option<u32>,
-    ) -> Result<Self, xpe_xml::wire::WireError> {
-        let width = r.u32()?;
-        if expected_width.is_some_and(|w| w != width) {
+        if r.u32()? != width {
             return Err(xpe_xml::wire::WireError::BadHeader(
                 "pid width disagrees with encoding table",
             ));
         }
         let n = r.u32()? as usize;
-        let mut interner = PidInterner::new(width);
+        let mut pids = Vec::with_capacity(xpe_xml::wire::cap_alloc(n));
         for _ in 0..n {
             let ones = r.u32()? as usize;
             let mut bits = PathIdBits::zero(width);
@@ -176,9 +157,9 @@ impl PidInterner {
                 }
                 bits.set(pos);
             }
-            interner.intern(bits);
+            pids.push(bits);
         }
-        Ok(interner)
+        Ok(PidInterner { width, pids })
     }
 
     /// Size of the flat path-id table under the paper's accounting:
@@ -203,23 +184,39 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedupes() {
+    fn push_appends_in_handle_order() {
         let mut i = PidInterner::new(4);
-        let a = i.intern(from_str("0011"));
-        let b = i.intern(from_str("0011"));
-        let c = i.intern(from_str("0010"));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let a = i.push(from_str("0011"));
+        let b = i.push(from_str("0010"));
+        assert_eq!((a.index(), b.index()), (0, 1));
         assert_eq!(i.len(), 2);
-        assert_eq!(i.get(&from_str("0010")), Some(c));
-        assert_eq!(i.get(&from_str("1111")), None);
+        assert_eq!(i.bits(b), &from_str("0010"));
+    }
+
+    #[test]
+    fn decode_keeps_handles_and_checks_the_width() {
+        let mut i = PidInterner::new(4);
+        i.push(from_str("0011"));
+        i.push(from_str("0011"));
+        i.push(from_str("0100"));
+        let mut buf = Vec::new();
+        i.encode(&mut buf);
+        let back = PidInterner::decode(&mut xpe_xml::wire::Reader::new(&buf), 4).unwrap();
+        assert_eq!(back.len(), 3, "an equal stored id keeps its own handle");
+        for (pid, bits) in i.iter() {
+            assert_eq!(back.bits(pid), bits);
+        }
+        assert!(matches!(
+            PidInterner::decode(&mut xpe_xml::wire::Reader::new(&buf), 5),
+            Err(xpe_xml::wire::WireError::BadHeader(_))
+        ));
     }
 
     #[test]
     fn containment_via_handles() {
         let mut i = PidInterner::new(4);
-        let p3 = i.intern(from_str("0011"));
-        let p2 = i.intern(from_str("0010"));
+        let p3 = i.push(from_str("0011"));
+        let p2 = i.push(from_str("0010"));
         assert!(i.contains(p3, p2));
         assert!(!i.contains(p2, p3));
         assert!(!i.contains(p3, p3));
@@ -230,8 +227,8 @@ mod tests {
     fn table_size_matches_paper_model() {
         // XMark-style: 344-bit ids → 43 bytes each.
         let mut i = PidInterner::new(344);
-        i.intern(PathIdBits::single(344, 1));
-        i.intern(PathIdBits::single(344, 2));
+        i.push(PathIdBits::single(344, 1));
+        i.push(PathIdBits::single(344, 2));
         assert_eq!(i.table_size_bytes(), 2 * 43);
     }
 
@@ -239,6 +236,6 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let mut i = PidInterner::new(4);
-        i.intern(PathIdBits::zero(5));
+        i.push(PathIdBits::zero(5));
     }
 }

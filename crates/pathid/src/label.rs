@@ -116,11 +116,10 @@ mod tests {
         // First-encounter document order reproduces the paper's Figure 1(b)
         // exactly: 1 = Root/A/B/D, 2 = Root/A/B/E, 3 = Root/A/C/E,
         // 4 = Root/A/C/F.
-        assert_eq!(lab.encoding.encoding_of(&[root, a, b, d]), Some(1));
-        assert_eq!(lab.encoding.encoding_of(&[root, a, b, e]), Some(2));
-        assert_eq!(lab.encoding.encoding_of(&[root, a, c, e]), Some(3));
-        assert_eq!(lab.encoding.encoding_of(&[root, a, c, f]), Some(4));
-        let _ = (e, f);
+        assert_eq!(lab.encoding.path(1), [root, a, b, d]);
+        assert_eq!(lab.encoding.path(2), [root, a, b, e]);
+        assert_eq!(lab.encoding.path(3), [root, a, c, e]);
+        assert_eq!(lab.encoding.path(4), [root, a, c, f]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use xpe_xml::TagId;
 
 use crate::bits::PathIdBits;
-use crate::encoding::EncodingTable;
+use crate::encoding::{EncodingTable, PathEncoding};
 use crate::interner::{Pid, PidInterner};
 
 /// One element, retired at its close event.
@@ -90,6 +90,8 @@ impl StreamLabeling {
 #[derive(Debug, Default)]
 pub struct StreamLabeler {
     encoding: EncodingTable,
+    /// Encodings by label path: the table's only dedupe.
+    encodings: HashMap<Vec<TagId>, PathEncoding>,
     /// Tags of the open elements, root first: the current label path.
     path: Vec<TagId>,
     frames: Vec<Frame>,
@@ -131,7 +133,7 @@ impl StreamLabeler {
         let pid = if self.words.len() > frame.start {
             self.intern_row(frame.start)
         } else {
-            let bit = self.encoding.intern(&self.path) as usize - 1;
+            let bit = self.encoding_of_path() as usize - 1;
             self.words.resize(frame.start + bit / 64 + 1, 0);
             self.words[frame.start + bit / 64] = 1 << (63 - bit % 64);
             match self.leaf_pids.get(bit) {
@@ -173,6 +175,17 @@ impl StreamLabeler {
         }
     }
 
+    /// The encoding of the current label path, pushing it to the table on
+    /// first sight.
+    fn encoding_of_path(&mut self) -> PathEncoding {
+        if let Some(&enc) = self.encodings.get(self.path.as_slice()) {
+            return enc;
+        }
+        let enc = self.encoding.push(self.path.clone());
+        self.encodings.insert(self.path.clone(), enc);
+        enc
+    }
+
     /// The temporary pid of the row `words[start..]`, interning it on
     /// first sight.
     fn intern_row(&mut self, start: usize) -> Pid {
@@ -199,10 +212,11 @@ impl StreamLabeler {
         // unique and the order is total.
         let mut by_pre: Vec<usize> = (0..rows.len()).collect();
         by_pre.sort_unstable_by_key(|&i| self.first_pre[i]);
+        // `ids` held each row once, so each id is pushed once.
         let mut interner = PidInterner::new(width);
         let mut remap = vec![Pid::from_index(0); rows.len()];
         for i in by_pre {
-            remap[i] = interner.intern(PathIdBits::from_words(width, &rows[i]));
+            remap[i] = interner.push(PathIdBits::from_words(width, &rows[i]));
         }
         StreamLabeling {
             encoding: self.encoding,

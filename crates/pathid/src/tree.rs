@@ -225,10 +225,11 @@ impl Builder {
     fn build(&mut self, items: &[(u32, &PathIdBits)], depth: u32) -> Child {
         match items {
             [] => Child::Empty,
+            // Items left at full depth are equal ids. A labeling never
+            // repeats one, but a decoded image may: the repeats share the
+            // first one's leaf.
+            [(ord, _), ..] if depth == self.nbits => Child::Leaf { ord: *ord },
             [(ord, bits)] => {
-                if depth == self.nbits {
-                    return Child::Leaf { ord: *ord };
-                }
                 let rest = depth + 1..=self.nbits;
                 if rest.clone().all(|p| !bits.get(p)) {
                     return Child::Trimmed {
@@ -249,7 +250,6 @@ impl Builder {
     }
 
     fn split(&mut self, items: &[(u32, &PathIdBits)], depth: u32) -> Child {
-        debug_assert!(depth < self.nbits, "duplicate path ids");
         let bit = depth + 1;
         let cut = items.partition_point(|(_, b)| !b.get(bit));
         let (lo, hi) = items.split_at(cut);
@@ -290,13 +290,14 @@ mod tests {
         b
     }
 
-    /// The paper's Figure 1(c)/Figure 6 path-id set.
+    /// The paper's Figure 1(c)/Figure 6 path-id set: `Pid(i)` is the
+    /// paper's `p(i + 1)`.
     fn figure6_interner() -> PidInterner {
         let mut i = PidInterner::new(4);
         for s in [
             "0001", "0010", "0011", "0100", "1000", "1010", "1011", "1100", "1111",
         ] {
-            i.intern(from_str(s));
+            i.push(from_str(s));
         }
         i
     }
@@ -307,8 +308,9 @@ mod tests {
         let tree = PathIdTree::new(&interner);
         assert_eq!(tree.len(), 9);
         // p1 = 0001 has ordinal 1, p9 = 1111 has ordinal 9 (Figure 6).
-        let p1 = interner.get(&from_str("0001")).unwrap();
-        let p9 = interner.get(&from_str("1111")).unwrap();
+        let (p1, p9) = (Pid::from_index(0), Pid::from_index(8));
+        assert_eq!(interner.bits(p1).to_string(), "0001");
+        assert_eq!(interner.bits(p9).to_string(), "1111");
         assert_eq!(tree.ord(p1), 1);
         assert_eq!(tree.ord(p9), 9);
         assert_eq!(tree.pid_of_ord(1), p1);
@@ -335,7 +337,7 @@ mod tests {
         // more internal nodes than the compressed one.
         assert!(tree.internal_nodes() < 15, "trimming must drop chains");
         // Still reconstructs everything (checked above); spot-check 1000.
-        let p5 = interner.get(&from_str("1000")).unwrap();
+        let p5 = Pid::from_index(4);
         assert_eq!(tree.bits_of_ord(tree.ord(p5)).unwrap().to_string(), "1000");
     }
 
@@ -354,7 +356,7 @@ mod tests {
         // XMark-like: long ids, few bits set → large all-zero tails.
         let mut interner = PidInterner::new(256);
         for i in 1..=40u32 {
-            interner.intern(PathIdBits::single(256, i));
+            interner.push(PathIdBits::single(256, i));
         }
         let tree = PathIdTree::new(&interner);
         for (pid, bits) in interner.iter() {
@@ -369,9 +371,22 @@ mod tests {
     }
 
     #[test]
+    fn equal_ids_share_a_leaf() {
+        let mut interner = figure6_interner();
+        let repeat = interner.push(from_str("1010"));
+        let tree = PathIdTree::new(&interner);
+        assert_eq!(tree.len(), 10);
+        assert_eq!(tree.leaf_nodes(), 9);
+        assert_eq!(
+            tree.ord_of_bits(interner.bits(repeat)),
+            Some(tree.ord(repeat) - 1)
+        );
+    }
+
+    #[test]
     fn single_pid_tree() {
         let mut interner = PidInterner::new(8);
-        let pid = interner.intern(from_str("00000000"));
+        let pid = interner.push(from_str("00000000"));
         let tree = PathIdTree::new(&interner);
         assert_eq!(tree.ord(pid), 1);
         assert_eq!(tree.bits_of_ord(1).unwrap().to_string(), "00000000");

@@ -13,10 +13,12 @@
 //! * [`OHistogram`] / [`OHistogramSet`] — rectangular buckets over the
 //!   sparse path-order grid (Algorithm 2).
 //!
-//! [`Summary`] bundles the histograms with the encoding table and the
-//! compressed path-id binary tree: the complete data structure the
-//! estimator queries, with per-phase construction timings and the byte
-//! accounting used to reproduce Tables 3–5 and Figure 9.
+//! [`Summary`] bundles the histograms with the tag dictionary, the
+//! encoding table and the path ids: exactly what a `.xps` file stores,
+//! the complete data structure the estimator queries, with per-phase
+//! construction timings and the byte accounting used to reproduce Tables
+//! 3–5 and Figure 9 (which builds the compressed path-id binary tree to
+//! count its bytes).
 //!
 //! # Example
 //!
@@ -41,7 +43,6 @@ mod ohistogram;
 mod order;
 mod persist;
 mod phistogram;
-mod rootpids;
 mod stream;
 mod summary;
 
@@ -50,5 +51,4 @@ pub use ohistogram::{OBucket, OHistogram, OHistogramSet, Region};
 pub use order::{OrderCell, PathOrderTable};
 pub use persist::LoadError;
 pub use phistogram::{PBucket, PHistogram, PHistogramSet};
-pub use rootpids::RootPidIndex;
 pub use summary::{BuildTimings, Summary, SummaryConfig, SummarySizes};

@@ -4,8 +4,9 @@
 //! document) and consulted forever after; [`Summary::to_bytes`] /
 //! [`Summary::from_bytes`] let applications ship it without the document.
 //! The payload is the versioned little-endian encoding of
-//! [`xpe_xml::wire`]; the path-id binary tree is rebuilt from the interned
-//! ids on load (it is derived data), and build timings are not persisted.
+//! [`xpe_xml::wire`]. Decode builds only what the file stores: the tag
+//! dictionary, the encoding table, the path ids and the histograms.
+//! Build timings are not persisted.
 //!
 //! # Integrity envelope (format version 2)
 //!
@@ -19,14 +20,14 @@
 //! bit-flipped, truncated, or padded file is rejected with a typed
 //! [`LoadError`] — [`ChecksumMismatch`](LoadError::ChecksumMismatch),
 //! `Truncated`, or `TrailingBytes` respectively — without the decoder ever
-//! walking attacker-controlled field lengths. Version 1 files (no length,
-//! no checksum) are still accepted for compatibility; they get structural
-//! validation only, which is exactly what they always had.
+//! walking attacker-controlled field lengths. Every other version,
+//! including the unchecked version 1 that preceded the checksum, is
+//! refused as unsupported.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use xpe_pathid::{EncodingTable, PathIdTree, PidInterner};
+use xpe_pathid::{EncodingTable, PidInterner};
 use xpe_xml::wire::{self, Reader, WireError};
 use xpe_xml::TagInterner;
 
@@ -38,9 +39,6 @@ use crate::summary::{BuildTimings, Summary, SummaryConfig};
 const MAGIC: u32 = 0x5345_5058;
 /// Current format version: length-framed payload + CRC-32 trailer.
 const VERSION: u32 = 2;
-/// First version: bare payload, no length framing, no checksum. Still
-/// readable; see the module docs.
-const VERSION_UNCHECKED: u32 = 1;
 /// Bytes before the payload in a v2 image: magic, version, payload_len.
 const V2_HEADER_LEN: usize = 4 + 4 + 8;
 /// Bytes after the payload in a v2 image: the CRC-32 trailer.
@@ -96,52 +94,47 @@ impl From<WireError> for LoadError {
 /// its payload, borrowed from `bytes` — the envelope check every load
 /// route runs before [`Summary::from_bytes`] decodes the payload.
 ///
-/// For a v2 image this checks magic, version, the recorded payload
-/// length against the actual byte count (short ⇒ `Truncated`, long ⇒
-/// `TrailingBytes`), and the CRC-32 trailer — all before any structural
-/// field is touched. A v1 image (no framing, no checksum) passes its
-/// bare payload through for structural validation only.
+/// It checks magic, version, the recorded payload length against the
+/// actual byte count (short ⇒ `Truncated`, long ⇒ `TrailingBytes`), and
+/// the CRC-32 trailer — all before any structural field is touched.
 fn validated_payload(bytes: &[u8]) -> Result<&[u8], LoadError> {
     let mut r = Reader::new(bytes);
     if r.u32()? != MAGIC {
         return Err(WireError::BadHeader("not an xpe summary").into());
     }
-    match r.u32()? {
-        VERSION_UNCHECKED => Ok(&bytes[8..]),
-        VERSION => {
-            let payload_len = r.u64()? as usize;
-            let expected_total = V2_HEADER_LEN
-                .checked_add(payload_len)
-                .and_then(|n| n.checked_add(V2_TRAILER_LEN))
-                .ok_or(WireError::Truncated)?;
-            if bytes.len() < expected_total {
-                return Err(WireError::Truncated.into());
-            }
-            if bytes.len() > expected_total {
-                return Err(WireError::TrailingBytes {
-                    remaining: bytes.len() - expected_total,
-                }
-                .into());
-            }
-            let body = &bytes[..expected_total - V2_TRAILER_LEN];
-            let stored = u32::from_le_bytes(
-                bytes[expected_total - V2_TRAILER_LEN..expected_total]
-                    .try_into()
-                    .expect("4 trailer bytes"),
-            );
-            let computed = wire::crc32(body);
-            if stored != computed {
-                return Err(LoadError::ChecksumMismatch { stored, computed });
-            }
-            Ok(&body[V2_HEADER_LEN..])
-        }
-        _ => Err(WireError::BadHeader("unsupported summary version").into()),
+    if r.u32()? != VERSION {
+        return Err(WireError::BadHeader("unsupported summary version").into());
     }
+    let payload_len = r.u64()? as usize;
+    let expected_total = V2_HEADER_LEN
+        .checked_add(payload_len)
+        .and_then(|n| n.checked_add(V2_TRAILER_LEN))
+        .ok_or(WireError::Truncated)?;
+    if bytes.len() < expected_total {
+        return Err(WireError::Truncated.into());
+    }
+    if bytes.len() > expected_total {
+        return Err(WireError::TrailingBytes {
+            remaining: bytes.len() - expected_total,
+        }
+        .into());
+    }
+    let body = &bytes[..expected_total - V2_TRAILER_LEN];
+    let stored = u32::from_le_bytes(
+        bytes[expected_total - V2_TRAILER_LEN..expected_total]
+            .try_into()
+            .expect("4 trailer bytes"),
+    );
+    let computed = wire::crc32(body);
+    if stored != computed {
+        return Err(LoadError::ChecksumMismatch { stored, computed });
+    }
+    Ok(&body[V2_HEADER_LEN..])
 }
 
 impl Summary {
     /// Serializes the summary payload fields (everything between the
-    /// header and the trailer), shared by every format version.
+    /// header and the trailer).
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         self.tags.encode(buf);
         self.encoding.encode(buf);
@@ -173,7 +166,7 @@ impl Summary {
         // The pid width is redundant with the encoding table's path
         // count; cross-checking it here blocks a corrupt width from
         // sizing multi-gigabyte bit sequences during decode.
-        let pids = PidInterner::decode_checked(r, encoding.len() as u32)?;
+        let pids = PidInterner::decode(r, encoding.len() as u32)?;
         let config = SummaryConfig {
             p_variance: r.f64()?,
             o_variance: r.f64()?,
@@ -182,38 +175,30 @@ impl Summary {
         let ohist = OHistogramSet::decode(r)?;
         r.expect_exhausted()?;
         // Every handle must land inside the table it indexes before any
-        // derived index or estimate dereferences it.
+        // estimate dereferences it.
         for tag in encoding.iter().flat_map(|(_, path)| path) {
             wire::check_index("encoding-table tag", tag.index(), tags.len())?;
         }
         phist.check_handles(tags.len(), pids.len())?;
         ohist.check_handles(tags.len(), pids.len())?;
-        let pid_tree = PathIdTree::new(&pids);
-        // Derived indexes (like the p-histograms' entry lists) are rebuilt
-        // from the decoded structures rather than persisted.
-        let root_pids = crate::rootpids::RootPidIndex::build(&encoding, &pids);
         Ok(Summary {
             tags,
             encoding,
             pids,
-            pid_tree,
             phist,
             ohist,
             config,
             timings: BuildTimings::default(),
-            root_pids,
         })
     }
 
     /// Deserializes a summary produced by [`to_bytes`](Self::to_bytes).
     ///
-    /// Integrity is checked before structure: a version-2 image whose
-    /// CRC-32 trailer disagrees with its bytes is rejected as
+    /// Integrity is checked before structure: an image whose CRC-32
+    /// trailer disagrees with its bytes is rejected as
     /// [`LoadError::ChecksumMismatch`] without decoding any field, an
     /// image shorter than its recorded length is `Truncated`, and one
-    /// longer is `TrailingBytes` with the exact leftover count. Version-1
-    /// images (written before the checksum existed) are accepted with
-    /// structural validation only.
+    /// longer is `TrailingBytes` with the exact leftover count.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, LoadError> {
         let payload = validated_payload(bytes)?;
         let mut r = Reader::new(payload);
@@ -262,17 +247,6 @@ mod tests {
         )
     }
 
-    /// Re-frames a v2 image as a version-1 image: strip the length field
-    /// and the trailer, patch the version. The payload encoding itself is
-    /// identical across versions.
-    fn as_v1(v2: &[u8]) -> Vec<u8> {
-        let mut v1 = Vec::with_capacity(v2.len() - 12);
-        v1.extend_from_slice(&v2[..4]);
-        v1.extend_from_slice(&VERSION_UNCHECKED.to_le_bytes());
-        v1.extend_from_slice(&v2[V2_HEADER_LEN..v2.len() - V2_TRAILER_LEN]);
-        v1
-    }
-
     #[test]
     fn round_trip_preserves_everything_observable() {
         let s = summary();
@@ -283,9 +257,7 @@ mod tests {
         assert_eq!(s2.encoding.len(), s.encoding.len());
         assert_eq!(s2.pids.len(), s.pids.len());
         assert_eq!(s2.config, s.config);
-        assert_eq!(s2.sizes().p_histograms, s.sizes().p_histograms);
-        assert_eq!(s2.sizes().o_histograms, s.sizes().o_histograms);
-        assert_eq!(s2.pid_tree.len(), s.pid_tree.len());
+        assert_eq!(s2.sizes(), s.sizes());
 
         // Histogram lookups agree for every (tag, pid).
         for (tag, _) in s.tags.iter() {
@@ -299,6 +271,21 @@ mod tests {
         for (pid, bits) in s.pids.iter() {
             assert_eq!(s2.pids.bits(pid), bits);
         }
+    }
+
+    /// Decode keeps the pid table as stored: an image that repeats an id
+    /// loads with both handles, encodes back to its own bytes, and its
+    /// sizes still count.
+    #[test]
+    fn repeated_stored_pid_keeps_its_handle() {
+        let mut s = summary();
+        let first = xpe_pathid::Pid::from_index(0);
+        let repeat = s.pids.push(s.pids.bits(first).clone());
+        let image = s.to_bytes();
+        let loaded = Summary::from_bytes(&image).unwrap();
+        assert_eq!(loaded.pids.bits(repeat), s.pids.bits(first));
+        assert_eq!(loaded.to_bytes(), image);
+        assert_eq!(loaded.sizes(), s.sizes());
     }
 
     #[test]
@@ -321,13 +308,17 @@ mod tests {
             Summary::from_bytes(&bad),
             Err(LoadError::Wire(WireError::BadHeader(_)))
         ));
-        // Wrong version.
-        let mut bad = bytes.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            Summary::from_bytes(&bad),
-            Err(LoadError::Wire(WireError::BadHeader(_)))
-        ));
+        // Wrong version, the unchecked version 1 included.
+        for version in [1, 99] {
+            let mut bad = bytes.clone();
+            bad[4] = version;
+            assert!(matches!(
+                Summary::from_bytes(&bad),
+                Err(LoadError::Wire(WireError::BadHeader(
+                    "unsupported summary version"
+                )))
+            ));
+        }
         // Truncation anywhere must not panic.
         for cut in (0..bytes.len()).step_by(7) {
             assert!(Summary::from_bytes(&bytes[..cut]).is_err());
@@ -397,26 +388,6 @@ mod tests {
         assert!(matches!(
             Summary::from_bytes(&bad),
             Err(LoadError::Wire(WireError::TrailingBytes { remaining })) if remaining == expect
-        ));
-    }
-
-    /// Version negotiation: a version-1 image (no length framing, no
-    /// checksum) still loads, and observably equals its v2 counterpart.
-    #[test]
-    fn version_1_images_still_load() {
-        let s = summary();
-        let v2 = s.to_bytes();
-        let v1 = as_v1(&v2);
-        let loaded = Summary::from_bytes(&v1).unwrap();
-        assert_eq!(loaded.pids.len(), s.pids.len());
-        assert_eq!(loaded.config, s.config);
-        // v1 keeps its historical behavior for over-long input: the
-        // trailing-bytes check of the payload decoder.
-        let mut long = v1.clone();
-        long.push(7);
-        assert!(matches!(
-            Summary::from_bytes(&long),
-            Err(LoadError::Wire(WireError::TrailingBytes { remaining: 1 }))
         ));
     }
 

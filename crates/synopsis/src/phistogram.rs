@@ -7,8 +7,6 @@
 //! `v = 0` stores exact frequencies (equal-frequency ids can still share a
 //! bucket, which is what makes the structure compact even when lossless).
 
-use std::collections::HashMap;
-
 use xpe_pathid::Pid;
 use xpe_xml::TagId;
 
@@ -27,7 +25,6 @@ pub struct PBucket {
 #[derive(Clone, Debug, Default)]
 pub struct PHistogram {
     buckets: Vec<PBucket>,
-    bucket_of: HashMap<Pid, u32>,
     // Flattened (pid, bucket-average) pairs in histogram order. Derived
     // from `buckets` at construction so the estimator's join loop can
     // borrow a contiguous slice instead of re-materializing the iterator
@@ -97,17 +94,12 @@ impl PHistogram {
 
     /// Rebuilds a histogram from its buckets (persistence, ablations).
     pub fn from_buckets(buckets: Vec<PBucket>) -> Self {
-        let mut bucket_of = HashMap::new();
-        let mut entry_list = Vec::new();
-        for (bi, b) in buckets.iter().enumerate() {
-            for &p in &b.pids {
-                bucket_of.insert(p, bi as u32);
-                entry_list.push((p, b.avg));
-            }
+        let mut entry_list = Vec::with_capacity(buckets.iter().map(|b| b.pids.len()).sum());
+        for b in &buckets {
+            entry_list.extend(b.pids.iter().map(|&p| (p, b.avg)));
         }
         PHistogram {
             buckets,
-            bucket_of,
             entry_list,
         }
     }
@@ -141,11 +133,12 @@ impl PHistogram {
     }
 
     /// Estimated frequency of `pid`: the average of its bucket, or `None`
-    /// if the tag never occurs with `pid`.
+    /// if the tag never occurs with `pid`. Scans the entries.
     pub fn frequency(&self, pid: Pid) -> Option<f64> {
-        self.bucket_of
-            .get(&pid)
-            .map(|&bi| self.buckets[bi as usize].avg)
+        self.entry_list
+            .iter()
+            .find(|&&(p, _)| p == pid)
+            .map(|&(_, f)| f)
     }
 
     /// All path ids of this tag with their estimated frequencies, in
@@ -168,7 +161,7 @@ impl PHistogram {
 
     /// Number of path ids summarized.
     pub fn pid_count(&self) -> usize {
-        self.bucket_of.len()
+        self.entry_list.len()
     }
 
     /// Byte size under the paper-calibrated model: 4 bytes per bucket (the

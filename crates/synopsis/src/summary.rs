@@ -1,10 +1,15 @@
 //! The complete estimation summary: everything the estimator keeps after
 //! the document itself is thrown away.
 //!
-//! Mirrors the paper's storage layout: encoding table + path-id binary tree
-//! (+ interned ids) + p-histograms for path information, and o-histograms
-//! for order information. Construction is timed per phase so the harness
-//! can reproduce Tables 4 and 5.
+//! Mirrors the paper's storage layout: encoding table + path ids +
+//! p-histograms for path information, and o-histograms for order
+//! information. A [`Summary`] holds exactly what the `.xps` file stores;
+//! the paper's compressed path-id binary tree is built only to count its
+//! bytes ([`Summary::sizes`]), and the join's indexes live in a
+//! per-summary [`JoinIndexCache`](xpe_pathid::JoinIndexCache), built
+//! where queries need them.
+//! Construction is timed per phase so the harness can reproduce Tables 4
+//! and 5.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +20,6 @@ use crate::freq::PathIdFrequencyTable;
 use crate::ohistogram::{OHistogramSet, Region};
 use crate::order::PathOrderTable;
 use crate::phistogram::{PHistogram, PHistogramSet};
-use crate::rootpids::RootPidIndex;
 
 /// Construction thresholds (paper: p-histogram variance 0–2 and o-histogram
 /// variance 0–4 "typically perform well").
@@ -42,7 +46,7 @@ pub struct BuildTimings {
 }
 
 /// Byte sizes of every summary component (Tables 3–5, Figure 9).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SummarySizes {
     /// Encoding table.
     pub encoding_table: usize,
@@ -79,8 +83,6 @@ pub struct Summary {
     pub encoding: EncodingTable,
     /// Distinct path ids.
     pub pids: PidInterner,
-    /// Compressed index over the ids.
-    pub pid_tree: PathIdTree,
     /// Path summaries.
     pub phist: PHistogramSet,
     /// Order summaries.
@@ -89,10 +91,6 @@ pub struct Summary {
     pub config: SummaryConfig,
     /// Wall-clock phase costs.
     pub timings: BuildTimings,
-    /// Depth-0 pids per tag — derived from `encoding` + `pids` at
-    /// construction (and on decode), never persisted. Lets the join's
-    /// root-pinning check skip re-deriving path encodings per query.
-    pub root_pids: RootPidIndex,
 }
 
 impl Summary {
@@ -156,8 +154,6 @@ impl Summary {
         let ohist = OHistogramSet::build(order, &phist, &tags, config.o_variance);
         let build_o = t3.elapsed();
         Summary {
-            pid_tree: PathIdTree::new(&pids),
-            root_pids: RootPidIndex::build(&encoding, &pids),
             tags,
             encoding,
             pids,
@@ -194,12 +190,13 @@ impl Summary {
         self.ohist.count(x_tag, pid, y_tag, region)
     }
 
-    /// Byte sizes of every component.
+    /// Byte sizes of every component. The compressed path-id tree is
+    /// built here to count its bytes; nothing else reads it.
     pub fn sizes(&self) -> SummarySizes {
         SummarySizes {
             encoding_table: self.encoding.size_bytes(),
             pid_table: self.pids.table_size_bytes(),
-            pid_tree: self.pid_tree.size_bytes(),
+            pid_tree: PathIdTree::new(&self.pids).size_bytes(),
             p_histograms: self.phist.size_bytes(),
             o_histograms: self.ohist.size_bytes(),
         }
@@ -216,8 +213,8 @@ mod tests {
         let s = Summary::build(&doc, SummaryConfig::default());
         assert_eq!(s.encoding.len(), 4);
         assert_eq!(s.pids.len(), 9);
-        assert_eq!(s.pid_tree.len(), 9);
         let sizes = s.sizes();
+        assert_eq!(sizes.pid_tree, PathIdTree::new(&s.pids).size_bytes());
         assert!(sizes.encoding_table > 0);
         assert!(sizes.p_histograms > 0);
         assert!(sizes.o_histograms > 0);

@@ -3,9 +3,10 @@
 //! A warm estimate allocates nothing: not when the estimate cache answers
 //! it, and not with the estimate cache off and every join served by the
 //! estimator's join-cache front. A cold estimate stays under
-//! [`COLD_ALLOCATIONS_PER_QUERY`]. The count is process-wide, so this
-//! binary holds exactly one test and runs every estimate on the test's
-//! own thread.
+//! [`COLD_ALLOCATIONS_PER_QUERY`], and decoding a summary stays under
+//! [`DECODE_ALLOCATIONS_PER_PID`]. The count is process-wide, so this
+//! binary holds exactly one test and runs every estimate and decode on
+//! the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -64,12 +65,21 @@ const QUERIES: &[&str] = &[
 ];
 
 /// The cold bound. A fresh engine's first pass over [`QUERIES`] averages
-/// 43.5 allocations a query: about 24 publish join results and estimates
+/// 43.6 allocations a query: about 24 publish join results and estimates
 /// to the caches, 11 build the containment relation, adjacency cells and
 /// seed bitmaps the queries touch, and 9 grow the estimator's reused
 /// buffers. Rebuilding every derived sub-query as a `Query` with a
 /// string-keyed join-cache key took 162.3.
 const COLD_ALLOCATIONS_PER_QUERY: f64 = 80.0;
+
+/// The decode bound, per stored pid. `Summary::from_bytes` of the test's
+/// summary (604 pids) makes 1,538 allocations (2.5 a pid), for what the
+/// image stores — the tag dictionary, one tag list per path, one bit
+/// sequence per pid, the histograms' buckets — plus one entry list per
+/// p-histogram. Rebuilding the pid tree, a root-pid index, both
+/// interning maps and a pid-to-bucket map per p-histogram on every
+/// decode took 2,848 (4.7 a pid).
+const DECODE_ALLOCATIONS_PER_PID: f64 = 3.5;
 
 /// Allocations made while `f` runs.
 fn allocations(f: impl FnOnce()) -> u64 {
@@ -83,6 +93,16 @@ fn warm_estimates_allocate_nothing_and_cold_ones_stay_bounded() {
     let doc = xpe::datagen::xmark::generate(0.02, 42);
     let summary = Summary::build(&doc, SummaryConfig::default());
     let queries: Vec<Query> = QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
+
+    let image = summary.to_bytes();
+    let decode = allocations(|| {
+        black_box(Summary::from_bytes(&image).unwrap());
+    });
+    let per_pid = decode as f64 / summary.pids.len() as f64;
+    assert!(
+        per_pid <= DECODE_ALLOCATIONS_PER_PID,
+        "decoding made {per_pid:.1} allocations a pid"
+    );
     let pass = |engine: &EstimationEngine<'_>| {
         for q in &queries {
             black_box(engine.estimate(q));
