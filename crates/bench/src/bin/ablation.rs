@@ -9,36 +9,28 @@
 //!    versus the Node-Independence-corrected estimate for branch targets.
 
 use xpe_bench::{
-    err, kb, load, print_table, summary_at, workload_error, workload_error_with, ExpContext,
+    err, kb, load_all, print_table, summary_at, workload_error, workload_error_with, ExpContext,
 };
-use xpe_core::{path_join, Estimator};
-use xpe_datagen::Dataset;
-use xpe_synopsis::{OHistogramSet, PHistogramSet, PathIdFrequencyTable, PathOrderTable};
+use xpe_core::{path_join, EstimationEngine};
+use xpe_synopsis::{OHistogramSet, PHistogramSet};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Ablations (scale = {})", ctx.scale);
+    let bundles = load_all(&ctx);
 
     // --- 1. p-histogram bucketing strategy -----------------------------
     let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let freq = PathIdFrequencyTable::build(&b.doc, &b.labeling);
-        let all: Vec<_> = b
-            .workload
-            .simple
-            .iter()
-            .chain(&b.workload.branch)
-            .cloned()
-            .collect();
+    for b in &bundles {
+        let all = b.without_order();
         for v in [2.0, 6.0] {
-            let base = summary_at(&b, v, 0.0);
+            let base = summary_at(b, v, 0.0);
             let mut equi = base.clone();
-            equi.phist = PHistogramSet::build_equi_width_like(&freq, v);
-            let e_var = workload_error(&Estimator::new(&base), &all);
-            let e_equi = workload_error(&Estimator::new(&equi), &all);
+            equi.phist = PHistogramSet::build_equi_width_like(&b.freq, v);
+            let e_var = workload_error(&EstimationEngine::new(&base).with_threads(ctx.jobs), &all);
+            let e_equi = workload_error(&EstimationEngine::new(&equi).with_threads(ctx.jobs), &all);
             rows.push(vec![
-                ds.name().to_owned(),
+                b.dataset.name().to_owned(),
                 format!("{v}"),
                 base.phist.size_bytes().to_string(),
                 equi.phist.size_bytes().to_string(),
@@ -62,15 +54,12 @@ fn main() {
 
     // --- 2. o-histogram box growth --------------------------------------
     let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let freq = PathIdFrequencyTable::build(&b.doc, &b.labeling);
-        let order = PathOrderTable::build(&b.doc, &b.labeling);
-        let phist = PHistogramSet::build(&freq, 0.0);
-        let grown = OHistogramSet::build(&order, &phist, b.doc.tags(), 0.0);
-        let cells = OHistogramSet::build_single_cell(&order, &phist, b.doc.tags());
+    for b in &bundles {
+        let phist = PHistogramSet::build(&b.freq, 0.0);
+        let grown = OHistogramSet::build(&b.order, &phist, b.doc.tags(), 0.0);
+        let cells = OHistogramSet::build_single_cell(&b.order, &phist, b.doc.tags());
         rows.push(vec![
-            ds.name().to_owned(),
+            b.dataset.name().to_owned(),
             kb(grown.size_bytes()),
             grown.bucket_count().to_string(),
             kb(cells.size_bytes()),
@@ -85,17 +74,18 @@ fn main() {
 
     // --- 3. Eq. 2 branch correction -------------------------------------
     let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let s = summary_at(&b, 0.0, 0.0);
-        let est = Estimator::new(&s);
-        let e_eq2 = workload_error(&est, &b.workload.branch);
+    for b in &bundles {
+        let s = summary_at(b, 0.0, 0.0);
+        let e_eq2 = workload_error(
+            &EstimationEngine::new(&s).with_threads(ctx.jobs),
+            &b.workload.branch,
+        );
         // Raw join frequency of the target, no correction.
         let e_raw = workload_error_with(&b.workload.branch, |c| {
             path_join(&s, &c.query).frequency(c.query.target())
         });
         rows.push(vec![
-            ds.name().to_owned(),
+            b.dataset.name().to_owned(),
             b.workload.branch.len().to_string(),
             err(e_eq2),
             err(e_raw),

@@ -4,7 +4,9 @@
 //! histograms) — plus what fraction of the *full* workload each model can
 //! answer at all.
 
-use xpe_bench::{err, kb, load, print_table, summary_at, workload_error_engine, ExpContext};
+use xpe_bench::{
+    err, kb, load, print_table, summary_at, workload_error, workload_error_with, ExpContext,
+};
 use xpe_core::{mean_relative_error, EstimationEngine};
 use xpe_datagen::{Dataset, QueryCase};
 use xpe_markov::MarkovEstimator;
@@ -41,14 +43,13 @@ fn main() {
             ds.name().to_owned(),
             "proposed (v=0)".to_owned(),
             kb(s.sizes().path_total() + s.sizes().o_histograms),
-            err(workload_error_engine(&engine, simple)),
+            err(workload_error(&engine, simple)),
             format!("{total_queries}/{total_queries}"),
         ]);
 
         // XSketch at the matched budget.
         let sketch = XSketch::build(&b.doc, s.sizes().path_total());
-        let e = mean_relative_error(simple.iter().map(|c| (sketch.estimate(&c.query), c.actual)))
-            .unwrap_or(f64::NAN);
+        let e = workload_error_with(simple, |c| sketch.estimate(&c.query));
         let covered = all
             .iter()
             .filter(|c| !c.query.has_order_constraints())

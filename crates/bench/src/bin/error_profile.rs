@@ -5,8 +5,9 @@
 //! joins) concentrate their damage.
 
 use xpe_bench::{load, print_table, ExpContext};
-use xpe_core::{ErrorStats, Estimator};
+use xpe_core::{ErrorStats, EstimationEngine};
 use xpe_datagen::{Dataset, QueryCase};
+use xpe_xpath::Query;
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -15,7 +16,7 @@ fn main() {
     for ds in Dataset::ALL {
         let b = load(&ctx, ds);
         let s = xpe_bench::summary_at(&b, 0.0, 0.0);
-        let est = Estimator::new(&s);
+        let engine = EstimationEngine::new(&s).with_threads(ctx.jobs);
         let classes: [(&str, &[QueryCase]); 4] = [
             ("simple", &b.workload.simple),
             ("branch", &b.workload.branch),
@@ -23,8 +24,10 @@ fn main() {
             ("order/trunk", &b.workload.order_trunk),
         ];
         for (class, cases) in classes {
+            let queries: Vec<Query> = cases.iter().map(|c| c.query.clone()).collect();
+            let estimates = engine.estimate_batch(&queries);
             let Some(stats) =
-                ErrorStats::compute(cases.iter().map(|c| (est.estimate(&c.query), c.actual)))
+                ErrorStats::compute(estimates.into_iter().zip(cases.iter().map(|c| c.actual)))
             else {
                 continue;
             };

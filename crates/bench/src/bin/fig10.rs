@@ -1,58 +1,10 @@
-//! Figure 10: estimation error of queries *without* order axes versus
-//! p-histogram memory (series: simple queries, branch queries, all).
-//! Expected shape: error falls as memory grows (variance shrinks); simple
-//! queries reach zero error at variance 0 (Theorem 4.1); branch queries
-//! keep a small residual from the Node Independence Assumption.
+//! Figure 10: error of queries without order axes vs p-histogram memory.
+//! Computed by [`xpe_bench::paper::fig10`].
 
-use xpe_bench::{err, kb, load, print_table, summary_at, workload_error, ExpContext, P_VARIANCES};
-use xpe_core::Estimator;
-use xpe_datagen::Dataset;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Figure 10 reproduction (scale = {})", ctx.scale);
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let mut rows = Vec::new();
-        for &pv in P_VARIANCES.iter().rev() {
-            let s = summary_at(&b, pv, 0.0);
-            let est = Estimator::new(&s);
-            let e_simple = workload_error(&est, &b.workload.simple);
-            let e_branch = workload_error(&est, &b.workload.branch);
-            let all: Vec<_> = b
-                .workload
-                .simple
-                .iter()
-                .chain(&b.workload.branch)
-                .cloned()
-                .collect();
-            let e_all = workload_error(&est, &all);
-            rows.push(vec![
-                format!("{pv}"),
-                kb(s.sizes().p_histograms),
-                err(e_simple),
-                err(e_branch),
-                err(e_all),
-            ]);
-        }
-        print_table(
-            &format!(
-                "Figure 10 ({}): error vs p-histogram memory (no order axes)",
-                ds.name()
-            ),
-            &[
-                "P-Var",
-                "P-Histo (KB)",
-                "Err(simple)",
-                "Err(branch)",
-                "Err(all)",
-            ],
-            &rows,
-        );
-    }
-    println!(
-        "\n  Shape check: error decreases toward the last row (variance 0),\n  \
-         where simple queries are exact and branch error is small (<7% in\n  \
-         the paper)."
-    );
+    paper::fig10(&load_all(&ctx), ctx.jobs);
 }

@@ -1,60 +1,10 @@
-//! Figure 11: the proposed p-histogram method versus XSketch, error as a
-//! function of total memory on queries without order axes. Expected shape:
-//! XSketch is competitive at very small budgets; with enough memory the
-//! p-histogram (whose floor is the encoding table + pid tree) wins and
-//! converges to near-zero error.
+//! Figure 11: p-histogram vs XSketch error as a function of total memory.
+//! Computed by [`xpe_bench::paper::fig11`].
 
-use xpe_bench::{
-    err, kb, load, print_table, summary_at, workload_error, workload_error_with, ExpContext,
-    P_VARIANCES,
-};
-use xpe_core::Estimator;
-use xpe_datagen::Dataset;
-use xpe_xsketch::XSketch;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Figure 11 reproduction (scale = {})", ctx.scale);
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let all: Vec<_> = b
-            .workload
-            .simple
-            .iter()
-            .chain(&b.workload.branch)
-            .cloned()
-            .collect();
-        let mut rows = Vec::new();
-        for &pv in P_VARIANCES.iter().rev() {
-            let s = summary_at(&b, pv, 0.0);
-            let total = s.sizes().path_total();
-            let est = Estimator::new(&s);
-            let e_ours = workload_error(&est, &all);
-
-            let sketch = XSketch::build(&b.doc, total);
-            let e_sketch = workload_error_with(&all, |c| sketch.estimate(&c.query));
-            rows.push(vec![
-                format!("{pv}"),
-                kb(total),
-                err(e_ours),
-                kb(sketch.size_bytes()),
-                err(e_sketch),
-            ]);
-        }
-        print_table(
-            &format!("Figure 11 ({}): p-histogram vs XSketch", ds.name()),
-            &[
-                "P-Var",
-                "OursTotal(KB)",
-                "Err(ours)",
-                "XSketch(KB)",
-                "Err(xsketch)",
-            ],
-            &rows,
-        );
-    }
-    println!(
-        "\n  Shape check: with sufficient memory the proposed method's error\n  \
-         drops below XSketch's; XSketch holds up at the smallest budgets."
-    );
+    paper::fig11(&load_all(&ctx), ctx.jobs);
 }

@@ -1,11 +1,7 @@
-//! Figure 12: estimation error of order-axis queries with the target in
-//! the **branch** part, versus o-histogram memory, one curve per
-//! p-histogram variance (0, 1, 5, 10). Expected shape: error falls with
-//! o-histogram memory when the p-histogram is accurate; at high p-variance
-//! the curves flatten (inaccurate path information caps what better order
-//! information can buy — paper §7.3).
+//! Figure 12: order-axis query error, target in the branch part.
+//! Computed by [`xpe_bench::paper::fig12`].
 
-use xpe_bench::{order_figure, ExpContext};
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -13,5 +9,5 @@ fn main() {
         "Figure 12 reproduction (scale = {}; target in branch part)",
         ctx.scale
     );
-    order_figure(&ctx, false);
+    paper::fig12(&load_all(&ctx), ctx.jobs);
 }

@@ -1,10 +1,7 @@
-//! Figure 13: like Figure 12 but with the target in the **trunk** part.
-//! Expected shape: lower error than Figure 12 at low p-variance even with
-//! coarse o-histograms — Eq. 5 takes the minimum of one order-free and two
-//! order-based estimates, so accurate path information compensates for
-//! lost order detail (paper §7.3).
+//! Figure 13: order-axis query error, target in the trunk part.
+//! Computed by [`xpe_bench::paper::fig13`].
 
-use xpe_bench::{order_figure, ExpContext};
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -12,5 +9,5 @@ fn main() {
         "Figure 13 reproduction (scale = {}; target in trunk part)",
         ctx.scale
     );
-    order_figure(&ctx, true);
+    paper::fig13(&load_all(&ctx), ctx.jobs);
 }

@@ -1,34 +1,10 @@
-//! Figure 9: p-histogram and o-histogram memory usage as the intra-bucket
-//! variance grows, per dataset. Expected shape: both curves decrease
-//! monotonically with the variance; DBLP's o-histogram dwarfs its
-//! p-histogram (wide sibling structure ⇒ much more order information).
+//! Figure 9: p- and o-histogram memory vs intra-bucket variance.
+//! Computed by [`xpe_bench::paper::fig9`].
 
-use xpe_bench::{kb, load, print_table, summary_at, ExpContext, O_VARIANCES, P_VARIANCES};
-use xpe_datagen::Dataset;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Figure 9 reproduction (scale = {})", ctx.scale);
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let mut rows = Vec::new();
-        for (&pv, &ov) in P_VARIANCES.iter().zip(O_VARIANCES.iter()) {
-            let s = summary_at(&b, pv, ov);
-            let sz = s.sizes();
-            rows.push(vec![
-                format!("{pv}"),
-                kb(sz.p_histograms),
-                kb(sz.o_histograms),
-            ]);
-        }
-        print_table(
-            &format!("Figure 9 ({}): memory vs intra-bucket variance", ds.name()),
-            &["Variance", "P-Histo (KB)", "O-Histo (KB)"],
-            &rows,
-        );
-    }
-    println!(
-        "\n  Shape check: both series decrease with variance; for the DBLP-like\n  \
-         dataset the o-histogram needs much more space than the p-histogram."
-    );
+    paper::fig9(&load_all(&ctx));
 }

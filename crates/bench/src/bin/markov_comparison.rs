@@ -5,7 +5,7 @@
 //! estimate branch or order queries, which is the gap the paper targets.
 
 use xpe_bench::{err, kb, load, print_table, summary_at, workload_error, ExpContext};
-use xpe_core::{mean_relative_error, Estimator};
+use xpe_core::{mean_relative_error, EstimationEngine};
 use xpe_datagen::Dataset;
 use xpe_markov::MarkovEstimator;
 
@@ -16,8 +16,8 @@ fn main() {
     for ds in Dataset::ALL {
         let b = load(&ctx, ds);
         let s = summary_at(&b, 0.0, 0.0);
-        let est = Estimator::new(&s);
-        let ours_simple = workload_error(&est, &b.workload.simple);
+        let engine = EstimationEngine::new(&s).with_threads(ctx.jobs);
+        let ours_simple = workload_error(&engine, &b.workload.simple);
 
         for k in [1usize, 2, 3] {
             let markov = MarkovEstimator::build(&b.doc, k);

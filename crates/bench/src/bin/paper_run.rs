@@ -1,7 +1,7 @@
 //! One-shot reproduction driver: regenerates every table and figure of the
-//! paper in sequence, printing to stdout. Equivalent to running each
-//! `tableN`/`figN` binary in turn but sharing dataset bundles, so a full
-//! sweep is much faster.
+//! paper in sequence, printing to stdout the same tables as the
+//! `tableN`/`figN` binaries in turn, but from one set of dataset bundles,
+//! so a full sweep is much faster.
 //!
 //! ```sh
 //! XPE_SCALE=0.1 XPE_ATTEMPTS=4000 cargo run --release -p xpe-bench --bin paper_run
@@ -9,15 +9,7 @@
 
 use std::time::Instant;
 
-use xpe_bench::{
-    err, kb, load, print_table, secs, summary_at, workload_error_engine, workload_error_with,
-    DatasetBundle, ExpContext, O_VARIANCES, P_VARIANCES,
-};
-use xpe_core::EstimationEngine;
-use xpe_datagen::Dataset;
-use xpe_pathid::PathIdTree;
-use xpe_xml::stats::DocumentStats;
-use xpe_xsketch::XSketch;
+use xpe_bench::{load_all, paper, secs, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -26,297 +18,22 @@ fn main() {
         ctx.scale, ctx.attempts, ctx.seed, ctx.jobs
     );
     let t0 = Instant::now();
-    let bundles: Vec<DatasetBundle> = Dataset::ALL.iter().map(|&d| load(&ctx, d)).collect();
+    let bundles = load_all(&ctx);
     println!(
         "datasets + workloads ready in {} (workload eval: {})",
         secs(t0.elapsed().as_secs_f64()),
         secs(bundles.iter().map(|b| b.workload_secs).sum())
     );
 
-    table1(&bundles);
-    table2(&bundles);
-    table3(&bundles);
-    tables4_5(&bundles);
-    fig9(&bundles);
-    fig10(&bundles, ctx.jobs);
-    fig11(&bundles, ctx.jobs);
-    fig12_13(&bundles, false, ctx.jobs);
-    fig12_13(&bundles, true, ctx.jobs);
+    paper::table1(&bundles);
+    paper::table2(&bundles);
+    paper::table3(&bundles);
+    paper::table4(&bundles);
+    paper::table5(&bundles);
+    paper::fig9(&bundles);
+    paper::fig10(&bundles, ctx.jobs);
+    paper::fig11(&bundles, ctx.jobs);
+    paper::fig12(&bundles, ctx.jobs);
+    paper::fig13(&bundles, ctx.jobs);
     println!("\ntotal wall time: {}", secs(t0.elapsed().as_secs_f64()));
-}
-
-fn table1(bundles: &[DatasetBundle]) {
-    let rows = bundles
-        .iter()
-        .map(|b| {
-            let s = DocumentStats::compute(&b.doc);
-            vec![
-                b.dataset.name().to_owned(),
-                format!("{} KB", kb(s.serialized_bytes)),
-                s.distinct_tags.to_string(),
-                s.elements.to_string(),
-                s.distinct_paths.to_string(),
-            ]
-        })
-        .collect::<Vec<_>>();
-    print_table(
-        "Table 1: dataset characteristics",
-        &["Dataset", "Size", "#DistTags", "#Eles", "#DistPaths"],
-        &rows,
-    );
-}
-
-fn table2(bundles: &[DatasetBundle]) {
-    let rows = bundles
-        .iter()
-        .map(|b| {
-            let w = &b.workload;
-            vec![
-                b.dataset.name().to_owned(),
-                w.simple.len().to_string(),
-                w.branch.len().to_string(),
-                (w.simple.len() + w.branch.len()).to_string(),
-                (w.order_branch.len() + w.order_trunk.len()).to_string(),
-            ]
-        })
-        .collect::<Vec<_>>();
-    print_table(
-        "Table 2: query workload",
-        &["Dataset", "Simple", "Branch", "Total", "WithOrder"],
-        &rows,
-    );
-}
-
-fn table3(bundles: &[DatasetBundle]) {
-    let rows = bundles
-        .iter()
-        .map(|b| {
-            let lab = &b.labeling;
-            let tree = PathIdTree::new(&lab.interner);
-            vec![
-                b.dataset.name().to_owned(),
-                lab.encoding.len().to_string(),
-                (lab.interner.width() as usize).div_ceil(8).to_string(),
-                lab.interner.len().to_string(),
-                kb(lab.encoding.size_bytes()),
-                kb(lab.interner.table_size_bytes()),
-                kb(tree.size_bytes()),
-            ]
-        })
-        .collect::<Vec<_>>();
-    print_table(
-        "Table 3: encoding table / pid table / pid binary tree",
-        &[
-            "Dataset",
-            "#DistPaths",
-            "PidSize(B)",
-            "#DistPid",
-            "EncTab(KB)",
-            "PidTab(KB)",
-            "BinTree(KB)",
-        ],
-        &rows,
-    );
-}
-
-fn tables4_5(bundles: &[DatasetBundle]) {
-    let mut rows4 = Vec::new();
-    let mut rows5 = Vec::new();
-    for b in bundles {
-        let mut p_range = (usize::MAX, 0usize);
-        let mut o_range = (usize::MAX, 0usize);
-        let mut times = (b.collect_path_secs, 0.0f64, b.collect_order_secs, 0.0f64);
-        let mut budget = 0usize;
-        for (&pv, &ov) in P_VARIANCES.iter().zip(O_VARIANCES.iter()) {
-            let s = summary_at(b, pv, ov);
-            let sz = s.sizes();
-            p_range = (
-                p_range.0.min(sz.p_histograms),
-                p_range.1.max(sz.p_histograms),
-            );
-            o_range = (
-                o_range.0.min(sz.o_histograms),
-                o_range.1.max(sz.o_histograms),
-            );
-            times = (
-                times.0,
-                times.1.max(s.timings.build_p.as_secs_f64()),
-                times.2,
-                times.3.max(s.timings.build_o.as_secs_f64()),
-            );
-            budget = budget.max(sz.path_total());
-        }
-        let t = Instant::now();
-        let sketch = XSketch::build(&b.doc, budget);
-        let sketch_time = t.elapsed().as_secs_f64();
-        rows4.push(vec![
-            b.dataset.name().to_owned(),
-            secs(times.0),
-            format!("{} ~ {} KB", kb(p_range.0), kb(p_range.1)),
-            secs(times.1),
-            format!("{} KB", kb(sketch.size_bytes())),
-            secs(sketch_time),
-        ]);
-        rows5.push(vec![
-            b.dataset.name().to_owned(),
-            secs(times.2),
-            format!("{} ~ {} KB", kb(o_range.0), kb(o_range.1)),
-            secs(times.3),
-        ]);
-    }
-    print_table(
-        "Table 4: path construction (ours vs XSketch at matched budget)",
-        &[
-            "Dataset",
-            "CollectPath",
-            "P-HistoSize",
-            "P-HistoBuild",
-            "XSketchSize",
-            "XSketchBuild",
-        ],
-        &rows4,
-    );
-    print_table(
-        "Table 5: order construction",
-        &["Dataset", "CollectOrder", "O-HistoSize", "O-HistoBuild"],
-        &rows5,
-    );
-}
-
-fn fig9(bundles: &[DatasetBundle]) {
-    for b in bundles {
-        let rows: Vec<Vec<String>> = P_VARIANCES
-            .iter()
-            .zip(O_VARIANCES.iter())
-            .map(|(&pv, &ov)| {
-                let s = summary_at(b, pv, ov);
-                vec![
-                    format!("{pv}"),
-                    kb(s.sizes().p_histograms),
-                    kb(s.sizes().o_histograms),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 9 ({})", b.dataset.name()),
-            &["Variance", "P-Histo (KB)", "O-Histo (KB)"],
-            &rows,
-        );
-    }
-}
-
-fn fig10(bundles: &[DatasetBundle], jobs: usize) {
-    for b in bundles {
-        let all: Vec<_> = b
-            .workload
-            .simple
-            .iter()
-            .chain(&b.workload.branch)
-            .cloned()
-            .collect();
-        let rows: Vec<Vec<String>> = P_VARIANCES
-            .iter()
-            .rev()
-            .map(|&pv| {
-                let s = summary_at(b, pv, 0.0);
-                let engine = EstimationEngine::new(&s).with_threads(jobs);
-                vec![
-                    format!("{pv}"),
-                    kb(s.sizes().p_histograms),
-                    err(workload_error_engine(&engine, &b.workload.simple)),
-                    err(workload_error_engine(&engine, &b.workload.branch)),
-                    err(workload_error_engine(&engine, &all)),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 10 ({})", b.dataset.name()),
-            &[
-                "P-Var",
-                "P-Histo(KB)",
-                "Err(simple)",
-                "Err(branch)",
-                "Err(all)",
-            ],
-            &rows,
-        );
-    }
-}
-
-fn fig11(bundles: &[DatasetBundle], jobs: usize) {
-    for b in bundles {
-        let all: Vec<_> = b
-            .workload
-            .simple
-            .iter()
-            .chain(&b.workload.branch)
-            .cloned()
-            .collect();
-        let rows: Vec<Vec<String>> = P_VARIANCES
-            .iter()
-            .rev()
-            .map(|&pv| {
-                let s = summary_at(b, pv, 0.0);
-                let total = s.sizes().path_total();
-                let engine = EstimationEngine::new(&s).with_threads(jobs);
-                let sketch = XSketch::build(&b.doc, total);
-                vec![
-                    format!("{pv}"),
-                    kb(total),
-                    err(workload_error_engine(&engine, &all)),
-                    kb(sketch.size_bytes()),
-                    err(workload_error_with(&all, |c| sketch.estimate(&c.query))),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 11 ({})", b.dataset.name()),
-            &[
-                "P-Var",
-                "Ours(KB)",
-                "Err(ours)",
-                "XSketch(KB)",
-                "Err(xsketch)",
-            ],
-            &rows,
-        );
-    }
-}
-
-fn fig12_13(bundles: &[DatasetBundle], trunk: bool, jobs: usize) {
-    for b in bundles {
-        let cases = if trunk {
-            &b.workload.order_trunk
-        } else {
-            &b.workload.order_branch
-        };
-        let rows: Vec<Vec<String>> = O_VARIANCES
-            .iter()
-            .rev()
-            .map(|&ov| {
-                let mut row = vec![format!("{ov}")];
-                let mut mem = String::new();
-                for pv in [0.0, 1.0, 5.0, 10.0] {
-                    let s = summary_at(b, pv, ov);
-                    if pv == 0.0 {
-                        mem = kb(s.sizes().o_histograms);
-                    }
-                    let engine = EstimationEngine::new(&s).with_threads(jobs);
-                    row.push(err(workload_error_engine(&engine, cases)));
-                }
-                row.insert(1, mem);
-                row
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Figure {} ({}): {} queries",
-                if trunk { 13 } else { 12 },
-                b.dataset.name(),
-                cases.len()
-            ),
-            &["O-Var", "O-Histo(KB)", "p.v=0", "p.v=1", "p.v=5", "p.v=10"],
-            &rows,
-        );
-    }
 }

@@ -1,9 +1,7 @@
-//! Table 1: characteristics of datasets (size, #distinct tags, #elements),
-//! ours vs the paper's real corpora.
+//! Table 1: dataset characteristics, ours vs the paper's corpora.
+//! Computed by [`xpe_bench::paper::table1`].
 
-use xpe_bench::{kb, load, print_table, ExpContext};
-use xpe_datagen::Dataset;
-use xpe_xml::stats::DocumentStats;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -11,34 +9,5 @@ fn main() {
         "Table 1 reproduction (scale = {}, paper scale = 1.0)",
         ctx.scale
     );
-    let paper: [(&str, &str, &str, &str); 3] = [
-        ("SSPlays", "7.5 MB", "21", "179,690"),
-        ("DBLP", "65.2 MB", "31", "1,711,542"),
-        ("XMark", "20.4 MB", "74", "319,815"),
-    ];
-    let mut rows = Vec::new();
-    for (i, ds) in Dataset::ALL.into_iter().enumerate() {
-        let bundle = load(&ctx, ds);
-        let s = DocumentStats::compute(&bundle.doc);
-        rows.push(vec![
-            ds.name().to_owned(),
-            format!("{} KB", kb(s.serialized_bytes)),
-            s.distinct_tags.to_string(),
-            s.elements.to_string(),
-            s.distinct_paths.to_string(),
-            format!("{} / {} / {}", paper[i].1, paper[i].2, paper[i].3),
-        ]);
-    }
-    print_table(
-        "Table 1: dataset characteristics",
-        &[
-            "Dataset",
-            "Size",
-            "#DistTags",
-            "#Eles",
-            "#DistPaths",
-            "paper (size/#tags/#eles)",
-        ],
-        &rows,
-    );
+    paper::table1(&load_all(&ctx));
 }

@@ -1,8 +1,7 @@
-//! Table 2: query workload — positive, deduplicated query counts per class
-//! (simple / branch / with order axes), ours vs the paper's.
+//! Table 2: query workload counts per class, ours vs the paper's.
+//! Computed by [`xpe_bench::paper::table2`].
 
-use xpe_bench::{load, print_table, ExpContext};
-use xpe_datagen::Dataset;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
@@ -10,38 +9,5 @@ fn main() {
         "Table 2 reproduction (scale = {}, {} attempts per class; paper: 4000)",
         ctx.scale, ctx.attempts
     );
-    let paper: [(&str, u32, u32, u32, u32); 3] = [
-        ("SSPlays", 188, 2328, 2516, 1168),
-        ("DBLP", 202, 1013, 1215, 646),
-        ("XMark", 1358, 2686, 4044, 1654),
-    ];
-    let mut rows = Vec::new();
-    for (i, ds) in Dataset::ALL.into_iter().enumerate() {
-        let b = load(&ctx, ds);
-        let w = &b.workload;
-        let with_order = w.order_branch.len() + w.order_trunk.len();
-        rows.push(vec![
-            ds.name().to_owned(),
-            w.simple.len().to_string(),
-            w.branch.len().to_string(),
-            (w.simple.len() + w.branch.len()).to_string(),
-            with_order.to_string(),
-            format!(
-                "{} / {} / {} / {}",
-                paper[i].1, paper[i].2, paper[i].3, paper[i].4
-            ),
-        ]);
-    }
-    print_table(
-        "Table 2: query workload",
-        &[
-            "Dataset",
-            "Simple",
-            "Branch",
-            "Total",
-            "WithOrder",
-            "paper (S/B/T/O)",
-        ],
-        &rows,
-    );
+    paper::table2(&load_all(&ctx));
 }

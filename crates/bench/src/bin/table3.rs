@@ -1,56 +1,10 @@
-//! Table 3: space requirement of the encoding table, the flat path-id
-//! table and the compressed path-id binary tree, plus pid length and
-//! distinct-pid counts.
+//! Table 3: encoding-table, pid-table and pid-tree sizes.
+//! Computed by [`xpe_bench::paper::table3`].
 
-use xpe_bench::{kb, load, print_table, ExpContext};
-use xpe_datagen::Dataset;
-use xpe_pathid::PathIdTree;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Table 3 reproduction (scale = {})", ctx.scale);
-    let paper: [(&str, &str); 3] = [
-        ("SSPlays", "40 paths, 5 B pid, 115 pids; 0.24/0.92/0.93 KB"),
-        ("DBLP", "87 paths, 11 B pid, 327 pids; 0.39/3.60/2.97 KB"),
-        (
-            "XMark",
-            "344 paths, 43 B pid, 6811 pids; 2.90/299.7/67.3 KB",
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (i, ds) in Dataset::ALL.into_iter().enumerate() {
-        let b = load(&ctx, ds);
-        let lab = &b.labeling;
-        let tree = PathIdTree::new(&lab.interner);
-        let pid_bytes = (lab.interner.width() as usize).div_ceil(8);
-        rows.push(vec![
-            ds.name().to_owned(),
-            lab.encoding.len().to_string(),
-            pid_bytes.to_string(),
-            lab.interner.len().to_string(),
-            kb(lab.encoding.size_bytes()),
-            kb(lab.interner.table_size_bytes()),
-            kb(tree.size_bytes()),
-            format!(
-                "{:.0}%",
-                100.0 * (1.0 - tree.size_bytes() as f64 / lab.interner.table_size_bytes() as f64)
-            ),
-            paper[i].1.to_owned(),
-        ]);
-    }
-    print_table(
-        "Table 3: encoding table / pid table / pid binary tree",
-        &[
-            "Dataset",
-            "#DistPaths",
-            "PidSize(B)",
-            "#DistPid",
-            "EncTab(KB)",
-            "PidTab(KB)",
-            "BinTree(KB)",
-            "TreeSaving",
-            "paper",
-        ],
-        &rows,
-    );
+    paper::table3(&load_all(&ctx));
 }

@@ -1,83 +1,10 @@
-//! Table 4: construction cost for queries *without* order axes — the
-//! proposed path-based solution (collection time, p-histogram size range
-//! over the variance sweep, construction time) versus XSketch at a
-//! matched memory budget.
+//! Table 4: path construction cost, ours vs XSketch at a matched budget.
+//! Computed by [`xpe_bench::paper::table4`].
 
-use std::time::Instant;
-
-use xpe_bench::{kb, load, print_table, secs, summary_at, ExpContext, P_VARIANCES};
-use xpe_datagen::Dataset;
-use xpe_xsketch::XSketch;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Table 4 reproduction (scale = {})", ctx.scale);
-
-    let mut ours = Vec::new();
-    let mut theirs = Vec::new();
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        // Sweep the variance to get the p-histogram size range and the
-        // worst-case construction time.
-        let mut min_p = usize::MAX;
-        let mut max_p = 0usize;
-        let mut max_build = 0.0f64;
-        let collect = b.collect_path_secs;
-        let mut total_budget = 0usize;
-        for v in P_VARIANCES {
-            let s = summary_at(&b, v, 0.0);
-            let sz = s.sizes();
-            min_p = min_p.min(sz.p_histograms);
-            max_p = max_p.max(sz.p_histograms);
-            max_build = max_build.max(s.timings.build_p.as_secs_f64());
-            total_budget = total_budget.max(sz.path_total());
-        }
-        ours.push(vec![
-            ds.name().to_owned(),
-            secs(collect),
-            format!("{} ~ {} KB", kb(min_p), kb(max_p)),
-            secs(max_build),
-        ]);
-
-        // XSketch at the same total budget (paper: "we ensure the summary
-        // size of XSketch is approximately the same as the total memory
-        // size of the encoding table, path id binary tree and p-histogram").
-        let t0 = Instant::now();
-        let sketch = XSketch::build(&b.doc, total_budget);
-        let build = t0.elapsed().as_secs_f64();
-        theirs.push(vec![
-            ds.name().to_owned(),
-            format!("{} KB", kb(sketch.size_bytes())),
-            sketch.refinement_steps.to_string(),
-            secs(build),
-        ]);
-    }
-
-    print_table(
-        "Table 4a: proposed path-based solution",
-        &[
-            "Dataset",
-            "CollectPathTime",
-            "P-HistoSize",
-            "P-HistoBuildTime",
-        ],
-        &ours,
-    );
-    println!(
-        "  paper: SSPlays 1.6s / 0.55~0.75 KB / <1ms; DBLP 78.4s / 1.4~2.1 KB / <1ms; \
-         XMark 246.2s / 20.4~24.6 KB / <1ms"
-    );
-
-    print_table(
-        "Table 4b: XSketch at a matched budget",
-        &["Dataset", "StatSize", "RefineSteps", "BuildTime"],
-        &theirs,
-    );
-    println!(
-        "  paper: SSPlays 1.6~2 KB / 2~3s; DBLP 4.8~5.8 KB / 19~30s; XMark 90~95 KB / >1 week"
-    );
-    println!(
-        "\n  Shape check: p-histogram construction must be orders of magnitude\n  \
-         faster than XSketch's greedy refinement at every budget."
-    );
+    paper::table4(&load_all(&ctx));
 }

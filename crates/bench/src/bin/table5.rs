@@ -1,53 +1,10 @@
-//! Table 5: construction cost for the order data — order-information
-//! collection time and o-histogram size range / construction time over the
-//! variance sweep.
+//! Table 5: order-data construction cost.
+//! Computed by [`xpe_bench::paper::table5`].
 
-use xpe_bench::{kb, load, print_table, secs, summary_at, ExpContext, O_VARIANCES};
-use xpe_datagen::Dataset;
+use xpe_bench::{load_all, paper, ExpContext};
 
 fn main() {
     let ctx = ExpContext::from_env();
     println!("Table 5 reproduction (scale = {})", ctx.scale);
-    let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let b = load(&ctx, ds);
-        let mut min_o = usize::MAX;
-        let mut max_o = 0usize;
-        let mut min_t = f64::MAX;
-        let mut max_t = 0.0f64;
-        let collect = b.collect_order_secs;
-        for v in O_VARIANCES {
-            let s = summary_at(&b, 0.0, v);
-            let sz = s.sizes();
-            min_o = min_o.min(sz.o_histograms);
-            max_o = max_o.max(sz.o_histograms);
-            let t = s.timings.build_o.as_secs_f64();
-            min_t = min_t.min(t);
-            max_t = max_t.max(t);
-        }
-        rows.push(vec![
-            ds.name().to_owned(),
-            secs(collect),
-            format!("{} ~ {} KB", kb(min_o), kb(max_o)),
-            format!("{} ~ {}", secs(min_t), secs(max_t)),
-        ]);
-    }
-    print_table(
-        "Table 5: construction time for order data",
-        &[
-            "Dataset",
-            "CollectOrderTime",
-            "O-HistoSize",
-            "O-HistoBuildTime",
-        ],
-        &rows,
-    );
-    println!(
-        "  paper: SSPlays 2.2s / 1.2~1.8 KB / 2~3ms; DBLP 4574.8s / 7.4~12.7 KB / 20~30ms; \
-         XMark 2347.2s / 11~21.3 KB / 1.2~2.1s"
-    );
-    println!(
-        "\n  Shape check: collecting order data costs far more than collecting\n  \
-         path data (compare Table 4a), especially for the wide DBLP."
-    );
+    paper::table5(&load_all(&ctx));
 }

@@ -1,9 +1,11 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index); this library provides the
-//! common pieces: dataset loading, variance sweeps, error measurement and
-//! plain-text table rendering.
+//! [`paper`] computes each table and figure of the paper in one function
+//! (see DESIGN.md's per-experiment index). Each `tableN`/`figN` binary in
+//! `src/bin/` prints a header line and calls one of them; `paper_run`
+//! calls all ten on one set of dataset bundles. This library also
+//! provides the common pieces: dataset loading, variance sweeps, error
+//! measurement and plain-text table rendering.
 //!
 //! Scale and workload size are configurable through environment variables
 //! so the same binaries serve quick checks and full-scale runs:
@@ -13,15 +15,17 @@
 //! * `XPE_ATTEMPTS` — query-generation attempts per class (default 1200;
 //!   the paper used 4000);
 //! * `XPE_SEED` — RNG seed (default 42);
-//! * `XPE_JOBS` — worker threads for batched estimation (0 = one per
-//!   core, the default).
+//! * `XPE_JOBS` — worker threads of the estimation engine the experiment
+//!   binaries score with (0 = one per core, the default).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod paper;
+
 use std::time::Instant;
 
-use xpe_core::{mean_relative_error, EstimationEngine, Estimator};
+use xpe_core::{mean_relative_error, EstimationEngine};
 use xpe_datagen::{generate_workload, Dataset, DatasetSpec, QueryCase, Workload, WorkloadConfig};
 use xpe_pathid::Labeling;
 use xpe_synopsis::{PathIdFrequencyTable, PathOrderTable, Summary, SummaryConfig};
@@ -42,7 +46,7 @@ pub struct ExpContext {
 }
 
 impl ExpContext {
-    /// Reads `XPE_SCALE`, `XPE_ATTEMPTS` and `XPE_SEED`.
+    /// Reads `XPE_SCALE`, `XPE_ATTEMPTS`, `XPE_SEED` and `XPE_JOBS`.
     pub fn from_env() -> Self {
         fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
             std::env::var(name)
@@ -121,6 +125,20 @@ pub fn load(ctx: &ExpContext, dataset: Dataset) -> DatasetBundle {
     }
 }
 
+impl DatasetBundle {
+    /// The workload's queries without order axes: simple, then branch.
+    pub fn without_order(&self) -> Vec<QueryCase> {
+        let w = &self.workload;
+        w.simple.iter().chain(&w.branch).cloned().collect()
+    }
+}
+
+/// Generates the document and workload for every dataset, in
+/// [`Dataset::ALL`] order.
+pub fn load_all(ctx: &ExpContext) -> Vec<DatasetBundle> {
+    Dataset::ALL.iter().map(|&d| load(ctx, d)).collect()
+}
+
 /// Builds a summary for a bundle at the given variances from the cached
 /// exact statistics (only the histograms are rebuilt).
 pub fn summary_at(bundle: &DatasetBundle, p_variance: f64, o_variance: f64) -> Summary {
@@ -136,16 +154,10 @@ pub fn summary_at(bundle: &DatasetBundle, p_variance: f64, o_variance: f64) -> S
     )
 }
 
-/// Mean relative error of the estimator over a set of cases.
-pub fn workload_error(est: &Estimator<'_>, cases: &[QueryCase]) -> f64 {
-    mean_relative_error(cases.iter().map(|c| (est.estimate(&c.query), c.actual)))
-        .unwrap_or(f64::NAN)
-}
-
-/// Mean relative error via the batch engine: same result as
-/// [`workload_error`] (batching is bit-identical), produced by fanning
-/// the cases across the engine's workers.
-pub fn workload_error_engine(engine: &EstimationEngine<'_>, cases: &[QueryCase]) -> f64 {
+/// Mean relative error of the engine's estimates over a set of cases,
+/// fanned across the engine's workers (bit-identical to a serial
+/// estimate loop).
+pub fn workload_error(engine: &EstimationEngine<'_>, cases: &[QueryCase]) -> f64 {
     let queries: Vec<Query> = cases.iter().map(|c| c.query.clone()).collect();
     let estimates = engine.estimate_batch(&queries);
     mean_relative_error(estimates.into_iter().zip(cases.iter().map(|c| c.actual)))
@@ -203,49 +215,6 @@ pub fn err(e: f64) -> String {
     }
 }
 
-/// Driver shared by Figures 12 and 13: error of order-axis queries versus
-/// o-histogram memory, one column per p-histogram variance.
-pub fn order_figure(ctx: &ExpContext, trunk: bool) {
-    for ds in Dataset::ALL {
-        let b = load(ctx, ds);
-        let cases = if trunk {
-            &b.workload.order_trunk
-        } else {
-            &b.workload.order_branch
-        };
-        let mut rows = Vec::new();
-        for &ov in O_VARIANCES.iter().rev() {
-            let mut row = vec![format!("{ov}")];
-            let mut mem = String::new();
-            for pv in [0.0, 1.0, 5.0, 10.0] {
-                let s = summary_at(&b, pv, ov);
-                if pv == 0.0 {
-                    mem = kb(s.sizes().o_histograms);
-                }
-                let engine = EstimationEngine::new(&s).with_threads(ctx.jobs);
-                row.push(err(workload_error_engine(&engine, cases)));
-            }
-            row.insert(1, mem);
-            rows.push(row);
-        }
-        print_table(
-            &format!(
-                "Figure {} ({}): {} queries, error vs o-histogram memory",
-                if trunk { 13 } else { 12 },
-                ds.name(),
-                cases.len()
-            ),
-            &["O-Var", "O-Histo(KB)", "p.v=0", "p.v=1", "p.v=5", "p.v=10"],
-            &rows,
-        );
-    }
-    println!(
-        "\n  Shape check: at p.v=0 the error falls as the o-histogram grows\n  \
-         (last row = o-variance 0); higher p-variance curves sit above and\n  \
-         flatten out."
-    );
-}
-
 /// Formats seconds adaptively.
 pub fn secs(s: f64) -> String {
     if s < 0.001 {
@@ -298,14 +267,14 @@ mod tests {
         let b = load(&ctx, Dataset::SSPlays);
         assert!(!b.workload.simple.is_empty());
         let s = summary_at(&b, 0.0, 0.0);
-        let est = Estimator::new(&s);
-        let e = workload_error(&est, &b.workload.simple);
+        let engine = EstimationEngine::new(&s).with_threads(ctx.jobs);
+        let e = workload_error(&engine, &b.workload.simple);
         assert!(e.is_finite());
         assert!(e < 0.05, "simple error {e} at v=0");
-        // Batch mode agrees with the serial scorer exactly.
-        let engine = EstimationEngine::new(&s).with_threads(ctx.jobs);
-        let e_batch = workload_error_engine(&engine, &b.workload.simple);
-        assert_eq!(e_batch.to_bits(), e.to_bits());
+        // The batch scorer agrees with a serial estimate loop exactly.
+        let est = xpe_core::Estimator::new(&s);
+        let serial = workload_error_with(&b.workload.simple, |c| est.estimate(&c.query));
+        assert_eq!(e.to_bits(), serial.to_bits());
         let e2 = workload_error_with(&b.workload.simple, |c| c.actual as f64);
         assert_eq!(e2, 0.0, "oracle function has zero error");
     }

@@ -73,16 +73,6 @@ impl std::hash::Hash for EstimateKey {
 }
 
 impl EstimateKey {
-    /// Builds a key from canonical query text the caller already has
-    /// (the workload generator computes it for deduplication; reusing it
-    /// skips a re-render).
-    pub fn from_text(text: String) -> EstimateKey {
-        EstimateKey {
-            hash: hash_text(&text),
-            text,
-        }
-    }
-
     /// Re-renders this key as `query`'s canonical text, reusing its
     /// buffer.
     pub(crate) fn set(&mut self, query: &Query) {

@@ -59,16 +59,6 @@ impl PathIdFrequencyTable {
         counts.into_table(doc.tags().len(), |pid| pid)
     }
 
-    /// Total element count (every element carries exactly one tag and one
-    /// pid, so the frequencies sum to the document size).
-    pub fn total_elements(&self) -> u64 {
-        self.rows
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|&(_, f)| f)
-            .sum()
-    }
-
     /// The `(pid, frequency)` row of `tag`.
     pub fn row(&self, tag: TagId) -> &[(Pid, u64)] {
         self.rows.get(tag.index()).map(Vec::as_slice).unwrap_or(&[])
@@ -91,11 +81,6 @@ impl PathIdFrequencyTable {
             .find(|&&(p, _)| p == pid)
             .map(|&(_, f)| f)
             .unwrap_or(0)
-    }
-
-    /// Total number of `(tag, pid)` entries across all rows.
-    pub fn entry_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
     }
 }
 

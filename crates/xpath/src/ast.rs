@@ -32,13 +32,6 @@ pub enum Axis {
     Preceding,
 }
 
-impl Axis {
-    /// Whether this is one of the four order-based axes.
-    pub fn is_order_based(self) -> bool {
-        !matches!(self, Axis::Child | Axis::Descendant)
-    }
-}
-
 impl fmt::Display for Axis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
