@@ -137,7 +137,7 @@ fn main() {
         // Raw tokenizer throughput, plus the event/element tallies.
         let (mut elements, mut events) = (0u64, 0u64);
         let tok_secs = best_secs(|| {
-            let mut parser = StreamParser::new(xml.as_bytes());
+            let mut parser = StreamParser::new(&xml);
             let mut opens = 0u64;
             while let Some(event) = parser.next_event().expect("dataset XML is well-formed") {
                 if matches!(event, StreamEvent::Open { .. }) {

@@ -74,9 +74,11 @@ const USAGE: &str = "usage:
 --jobs N batches queries across N workers (estimate); 0 = one worker per
 core, default 1.
 build reads the XML in one streaming pass on two threads (the tokenizer
-hands batches of tag-id events to a labeling worker) without
-materializing the document tree; live memory is bounded by depth x path
-count plus a constant number of event batches, not node count.
+walks a trie of the document's label paths and hands batches of
+path-node events to a labeling worker) without materializing the
+document tree; live memory is bounded by depth x path count plus the
+distinct label paths and a constant number of event batches, not node
+count.
 --estimate-cache N caps the full-query estimate cache at N finished
 estimates (estimate, serve); 0 disables the skew-aware fast path. Only
 'ok' answers are ever cached, and a serve reload invalidates the cache

@@ -148,6 +148,24 @@ impl PathIdBits {
         None
     }
 
+    /// Whether every bit at positions `from..=nbits` (1-based from the
+    /// left) equals `fill`, tested a word at a time; true for an empty
+    /// range.
+    pub(crate) fn suffix_is(&self, from: u32, fill: bool) -> bool {
+        if from > self.nbits {
+            return true;
+        }
+        let (first, last) = ((from - 1) as usize, (self.nbits - 1) as usize);
+        let want = if fill { u64::MAX } else { 0 };
+        (first / 64..=last / 64).all(|wi| {
+            // Bits `lo..=hi` of the word, counted from its high end.
+            let lo = if wi == first / 64 { first % 64 } else { 0 };
+            let hi = if wi == last / 64 { last % 64 } else { 63 };
+            let mask = (u64::MAX >> lo) & (u64::MAX << (63 - hi));
+            (self.words[wi] ^ want) & mask == 0
+        })
+    }
+
     /// True if no bit is set.
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -365,6 +383,41 @@ mod tests {
                 let got: Vec<u32> = b.ones().collect();
                 assert_eq!(got, ones_reference(b), "width {width}, pattern {offset}");
                 assert_eq!(got.len() as u32, b.count_ones());
+            }
+        }
+    }
+
+    /// `suffix_is` agrees with reading the suffix bit by bit, for suffixes
+    /// that start and end inside, at and across word boundaries.
+    #[test]
+    fn suffix_is_matches_bitwise_reads() {
+        for width in [1u32, 63, 64, 65, 128, 130, 200] {
+            for tail in 0..=width.min(70) {
+                // Ones, then zeros, from bit `width - tail + 1` on, over a
+                // mixed head; and the complement.
+                let mut ones_tail = PathIdBits::zero(width);
+                let mut zeros_tail = PathIdBits::zero(width);
+                for i in 1..=width {
+                    let head = i <= width - tail;
+                    if !head || i % 3 == 0 {
+                        ones_tail.set(i);
+                    }
+                    if head && i % 3 != 0 {
+                        zeros_tail.set(i);
+                    }
+                }
+                for b in [&ones_tail, &zeros_tail] {
+                    for from in 1..=width + 1 {
+                        for fill in [false, true] {
+                            let reference = (from..=width).all(|p| b.get(p) == fill);
+                            assert_eq!(
+                                b.suffix_is(from, fill),
+                                reference,
+                                "width {width} tail {tail} from {from} fill {fill} {b:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

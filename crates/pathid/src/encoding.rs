@@ -14,8 +14,8 @@ pub type PathEncoding = u32;
 /// answers tag-relationship questions along a given path (paper Example
 /// 2.2: "we can check the relationship between the tags from the encoding
 /// table"). The table itself never looks for an equal path: the
-/// [`StreamLabeler`](crate::StreamLabeler) keeps the path-to-encoding map
-/// while it labels and pushes each distinct path once, and
+/// [`StreamLabeler`](crate::StreamLabeler) pushes each node of its
+/// label-path trie once, at the node's first leaf close, and
 /// [`decode`](Self::decode) keeps the stored paths as stored.
 #[derive(Clone, Debug, Default)]
 pub struct EncodingTable {

@@ -1,10 +1,10 @@
 //! Assigning path ids to every element of a document (paper §2).
 //!
-//! The document's open/close events, carrying its own [`TagId`]s, drive
-//! the one-pass [`StreamLabeler`]: a leaf takes the single-bit id of its
-//! root-to-leaf path, an internal node the OR of its children's ids, and
-//! every id is interned — the same labeler `xpe build` runs on the
-//! tokenizer's events.
+//! The document's open/close events drive the one-pass [`StreamLabeler`]:
+//! each open steps the labeler's label-path trie by the node's own
+//! [`TagId`], a leaf takes the single-bit id of its root-to-leaf path, an
+//! internal node the OR of its children's ids, and every id is interned —
+//! the same labeler `xpe build` runs on the tokenizer's events.
 
 use xpe_xml::{Document, NodeId, TagId};
 
@@ -37,7 +37,8 @@ impl Labeling {
                 let done = open.pop().expect("a node's parent is open");
                 temp[done.index()] = labeler.close().pid;
             }
-            labeler.open(doc.tag(node));
+            let path = labeler.child(doc.tag(node));
+            labeler.open(path);
             open.push(node);
         }
         while let Some(done) = open.pop() {

@@ -38,18 +38,22 @@
 mod adjacency;
 mod bits;
 mod encoding;
+mod index_map;
 mod interner;
 mod label;
 mod rel;
 mod stream;
 mod tree;
+mod trie;
 pub mod words;
 
 pub use adjacency::{ContainmentAdjacency, JoinIndexCache, PidContainmentRelation};
 pub use bits::{Ones, PathIdBits};
 pub use encoding::{EncodingTable, PathEncoding};
+pub use index_map::{pack, unpack, IndexHasher, IndexMap};
 pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
 pub use rel::{axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache};
 pub use stream::{Closed, StreamLabeler, StreamLabeling};
 pub use tree::PathIdTree;
+pub use trie::{PathNode, PathTrie, SCAN};

@@ -8,18 +8,24 @@
 //! element's close event. [`StreamLabeler`] therefore needs no first
 //! pass:
 //!
+//! * **Opens as trie steps.** Every element opens at a node of the
+//!   labeler's [`PathTrie`], the child of its parent's node labeled with
+//!   its tag ([`StreamLabeler::child`]); its label path is never
+//!   rebuilt or hashed.
 //! * **Encodings as leaves close.** A leaf has no descendants, so it opens
 //!   and closes before the next leaf opens: leaves close in pre-order,
-//!   which is the DOM's first-encounter order, and interning each leaf's
-//!   path at its close numbers the [`EncodingTable`] identically.
+//!   which is the DOM's first-encounter order, and numbering a node's path
+//!   at its first leaf close numbers the [`EncodingTable`] identically.
 //! * **Flat word rows.** Every open element owns one row of the flat word
 //!   stack, holding the OR of its closed children. A row is *trimmed*: it
 //!   ends at its last nonzero word, so it widens only when a path number
 //!   past its last word arrives, and two rows are equal exactly when their
 //!   bit sets are, whatever the final width. A closing row is ORed into
 //!   its parent's row in place.
-//! * **Interning by slice.** A finished row is looked up by its borrowed
-//!   word slice, so only a new distinct id allocates.
+//! * **Interning by slice.** A finished inner row is looked up by its
+//!   borrowed word slice, so only a new distinct id allocates. Rows are
+//!   the document's choosing, so they hash with std's keyed hasher; a
+//!   leaf's id is found by its encoding.
 //!
 //! One ordering wrinkle: the DOM path interns ids in node *pre*-order, but
 //! an id is only known at its node's *close* (post-order). The labeler
@@ -36,11 +42,12 @@ use xpe_xml::TagId;
 use crate::bits::PathIdBits;
 use crate::encoding::{EncodingTable, PathEncoding};
 use crate::interner::{Pid, PidInterner};
+use crate::trie::{PathNode, PathTrie};
 
 /// One element, retired at its close event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Closed {
-    /// The element's tag, as given to [`StreamLabeler::open`].
+    /// The element's tag: the last tag of its node's path.
     pub tag: TagId,
     /// Its **temporary** path id; translate it with
     /// [`StreamLabeling::resolve`] after [`StreamLabeler::finish`].
@@ -54,6 +61,8 @@ pub struct Closed {
 struct Frame {
     /// Pre-order index of the element.
     pre: u64,
+    /// The element's label path.
+    node: PathNode,
     /// Where the element's row starts in the word stack; it runs to the
     /// next frame's start (or to the end of the stack for the innermost).
     /// Every closed child sets a bit, so the row is empty until then.
@@ -86,14 +95,16 @@ impl StreamLabeling {
 
 /// Assigns path ids from open/close events in one pass. Live state is
 /// the open-element stack and its trimmed rows — O(depth × width) words —
-/// plus the distinct ids; nothing is proportional to node count.
+/// plus the label-path trie and the distinct ids; nothing is
+/// proportional to node count.
 #[derive(Debug, Default)]
 pub struct StreamLabeler {
     encoding: EncodingTable,
-    /// Encodings by label path: the table's only dedupe.
-    encodings: HashMap<Vec<TagId>, PathEncoding>,
-    /// Tags of the open elements, root first: the current label path.
-    path: Vec<TagId>,
+    /// The label paths seen so far.
+    trie: PathTrie,
+    /// `encodings[node.index()]`: the encoding of the node's path, 0 until
+    /// an element on it closes as a leaf (or past the end).
+    encodings: Vec<PathEncoding>,
     frames: Vec<Frame>,
     /// The open elements' rows, back to back.
     words: Vec<u64>,
@@ -112,11 +123,26 @@ impl StreamLabeler {
         Self::default()
     }
 
-    /// Feeds an element open event.
-    pub fn open(&mut self, tag: TagId) {
-        self.path.push(tag);
+    /// The node of a child labeled `tag` of the innermost open element
+    /// (of the empty path when none is open), added on first sight. Open
+    /// the element with [`open`](Self::open).
+    pub fn child(&mut self, tag: TagId) -> PathNode {
+        let parent = self.frames.last().map_or(PathNode::ROOT, |f| f.node);
+        self.trie.child(parent, tag)
+    }
+
+    /// Feeds an element open event: the element's `node`, which
+    /// [`child`](Self::child) returned for the current innermost open
+    /// element — or earlier for an element with the same parent path.
+    pub fn open(&mut self, node: PathNode) {
+        debug_assert_eq!(
+            self.trie.parent(node),
+            Some(self.frames.last().map_or(PathNode::ROOT, |f| f.node)),
+            "an element opens at a child of its parent's node"
+        );
         self.frames.push(Frame {
             pre: self.next_pre,
+            node,
             start: self.words.len(),
         });
         self.next_pre += 1;
@@ -133,7 +159,7 @@ impl StreamLabeler {
         let pid = if self.words.len() > frame.start {
             self.intern_row(frame.start)
         } else {
-            let bit = self.encoding_of_path() as usize - 1;
+            let bit = self.encoding_of(frame.node) as usize - 1;
             self.words.resize(frame.start + bit / 64 + 1, 0);
             self.words[frame.start + bit / 64] = 1 << (63 - bit % 64);
             match self.leaf_pids.get(bit) {
@@ -148,7 +174,7 @@ impl StreamLabeler {
         };
         let first = &mut self.first_pre[pid.index()];
         *first = (*first).min(frame.pre);
-        let tag = self.path.pop().expect("path tracks the open elements");
+        let tag = self.trie.tag(frame.node);
 
         // OR the finished row into the parent's, which ends where it
         // starts. A longer child row widens the parent: its tail words
@@ -175,15 +201,17 @@ impl StreamLabeler {
         }
     }
 
-    /// The encoding of the current label path, pushing it to the table on
-    /// first sight.
-    fn encoding_of_path(&mut self) -> PathEncoding {
-        if let Some(&enc) = self.encodings.get(self.path.as_slice()) {
-            return enc;
+    /// The encoding of `node`'s label path, pushing the path to the table
+    /// on first sight.
+    fn encoding_of(&mut self, node: PathNode) -> PathEncoding {
+        let i = node.index();
+        if i >= self.encodings.len() {
+            self.encodings.resize(i + 1, 0);
         }
-        let enc = self.encoding.push(self.path.clone());
-        self.encodings.insert(self.path.clone(), enc);
-        enc
+        if self.encodings[i] == 0 {
+            self.encodings[i] = self.encoding.push(self.trie.path(node));
+        }
+        self.encodings[i]
     }
 
     /// The temporary pid of the row `words[start..]`, interning it on
@@ -237,10 +265,13 @@ mod tests {
         let mut tags = TagInterner::new();
         let mut labeler = StreamLabeler::new();
         let mut closed = Vec::new();
-        let mut p = StreamParser::new(input.as_bytes());
+        let mut p = StreamParser::new(input);
         while let Some(ev) = p.next_event().unwrap() {
             match ev {
-                StreamEvent::Open { name } => labeler.open(tags.intern(&name)),
+                StreamEvent::Open { name } => {
+                    let node = labeler.child(tags.intern(&name));
+                    labeler.open(node);
+                }
                 StreamEvent::Close => closed.push(labeler.close()),
                 StreamEvent::Text(_) => {}
             }

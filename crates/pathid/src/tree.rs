@@ -230,18 +230,10 @@ impl Builder {
             // first one's leaf.
             [(ord, _), ..] if depth == self.nbits => Child::Leaf { ord: *ord },
             [(ord, bits)] => {
-                let rest = depth + 1..=self.nbits;
-                if rest.clone().all(|p| !bits.get(p)) {
-                    return Child::Trimmed {
-                        ord: *ord,
-                        fill: false,
-                    };
-                }
-                if rest.clone().all(|p| bits.get(p)) {
-                    return Child::Trimmed {
-                        ord: *ord,
-                        fill: true,
-                    };
+                for fill in [false, true] {
+                    if bits.suffix_is(depth + 1, fill) {
+                        return Child::Trimmed { ord: *ord, fill };
+                    }
                 }
                 self.split(items, depth)
             }

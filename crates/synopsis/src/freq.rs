@@ -4,10 +4,8 @@
 //! occurs with and its frequency. This is the exact statistic the
 //! p-histogram summarizes and the path join consumes.
 
-use xpe_pathid::{Labeling, Pid};
+use xpe_pathid::{pack, IndexMap, Labeling, Pid};
 use xpe_xml::{Document, TagId};
-
-use crate::index_map::IndexMap;
 
 /// Exact per-tag `(path id, frequency)` lists.
 #[derive(Clone, Debug)]
@@ -19,16 +17,49 @@ pub struct PathIdFrequencyTable {
 /// Counts `(tag, pid)` pairs as elements are retired, in any order,
 /// with each pair's minimal pre-order index: the key that puts a row in
 /// first-encounter order, whose ties the p-histogram's stable frequency
-/// sort exposes.
+/// sort exposes. Each distinct pair is a *cell*, numbered from 0 in the
+/// order pairs first arrive; [`add`](Self::add) returns it so the sibling
+/// scan keys on one number instead of the pair.
 #[derive(Default)]
-pub(crate) struct FreqCounts(IndexMap<(TagId, Pid), (u64, u64)>);
+pub(crate) struct FreqCounts {
+    /// The cell of each pair, keyed by [`pack`]`(tag, pid)`.
+    index: IndexMap<u64, u32>,
+    cells: Vec<FreqCell>,
+}
+
+struct FreqCell {
+    tag: TagId,
+    pid: Pid,
+    count: u64,
+    /// Minimal pre-order index over the pair's elements.
+    first: u64,
+}
 
 impl FreqCounts {
-    /// Counts one element with `tag` and `pid`, the `pre`-th to open.
-    pub(crate) fn add(&mut self, tag: TagId, pid: Pid, pre: u64) {
-        let (count, first) = self.0.entry((tag, pid)).or_insert((0, pre));
-        *count += 1;
-        *first = (*first).min(pre);
+    /// Counts one element with `tag` and `pid`, the `pre`-th to open, and
+    /// returns the pair's cell.
+    pub(crate) fn add(&mut self, tag: TagId, pid: Pid, pre: u64) -> u32 {
+        let next = u32::try_from(self.cells.len()).expect("too many (tag, pid) cells");
+        let key = pack(tag.index() as u32, pid.index() as u32);
+        let cell = *self.index.entry(key).or_insert(next);
+        if cell == next {
+            self.cells.push(FreqCell {
+                tag,
+                pid,
+                count: 0,
+                first: pre,
+            });
+        }
+        let c = &mut self.cells[cell as usize];
+        c.count += 1;
+        c.first = c.first.min(pre);
+        cell
+    }
+
+    /// The `(tag, pid)` pair of a cell [`add`](Self::add) returned.
+    pub(crate) fn pair(&self, cell: u32) -> (TagId, Pid) {
+        let c = &self.cells[cell as usize];
+        (c.tag, c.pid)
     }
 
     /// The table over `tag_count` tags, every pid mapped through
@@ -38,12 +69,12 @@ impl FreqCounts {
         tag_count: usize,
         resolve: impl Fn(Pid) -> Pid,
     ) -> PathIdFrequencyTable {
-        let mut cells: Vec<_> = self.0.into_iter().collect();
+        let mut cells = self.cells;
         // The minima are unique: an element has one tag and one pid.
-        cells.sort_unstable_by_key(|&(_, (_, first))| first);
+        cells.sort_unstable_by_key(|c| c.first);
         let mut rows = vec![Vec::new(); tag_count];
-        for ((tag, pid), (count, _)) in cells {
-            rows[tag.index()].push((resolve(pid), count));
+        for c in cells {
+            rows[c.tag.index()].push((resolve(c.pid), c.count));
         }
         PathIdFrequencyTable { rows }
     }

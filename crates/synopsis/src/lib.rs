@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod freq;
-mod index_map;
 mod ohistogram;
 mod order;
 mod persist;

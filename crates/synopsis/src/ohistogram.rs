@@ -7,6 +7,10 @@
 //! `element+` region. Buckets grow from each uncovered non-empty cell —
 //! first along the row, then across subsequent rows — while the box's
 //! frequency deviation stays within the threshold.
+//!
+//! The grid is sparse (paper §6): most rows of a tag are empty, and an
+//! empty row stops every box, so each tag's grid holds only its non-empty
+//! rows, with their numbers in the full layout.
 
 use std::collections::HashMap;
 
@@ -182,25 +186,33 @@ impl OHistogramSet {
                     .map(|(i, (p, _))| (p, i as u32))
                     .collect();
                 let cols = col_of.len();
-                let rows = 2 * tag_count;
-                let mut grid = vec![0.0f64; rows * cols];
+                // (full-layout row, column, count) of every non-empty cell.
+                let mut cells = Vec::new();
                 for (pid, y_tag, cell) in order.cells_of(x_tag) {
                     let Some(&col) = col_of.get(&pid) else {
                         continue;
                     };
-                    let before_row = rank_of[y_tag.index()] as usize;
-                    let after_row = tag_count + before_row;
+                    let before_row = rank_of[y_tag.index()];
+                    let after_row = tag_count as u32 + before_row;
                     if cell.before > 0 {
-                        grid[before_row * cols + col as usize] = cell.before as f64;
+                        cells.push((before_row, col, cell.before));
                     }
                     if cell.after > 0 {
-                        grid[after_row * cols + col as usize] = cell.after as f64;
+                        cells.push((after_row, col, cell.after));
                     }
                 }
+                let mut rows: Vec<u32> = cells.iter().map(|&(row, _, _)| row).collect();
+                rows.sort_unstable();
+                rows.dedup();
+                let mut grid = vec![0.0f64; rows.len() * cols];
+                for &(row, col, count) in &cells {
+                    let y = rows.binary_search(&row).expect("every cell's row is kept");
+                    grid[y * cols + col as usize] = count as f64;
+                }
                 let buckets = if grow {
-                    build_buckets(&grid, rows, cols, variance)
+                    build_buckets(&grid, &rows, cols, variance)
                 } else {
-                    single_cell_buckets(&grid, rows, cols)
+                    single_cell_buckets(&grid, &rows, cols)
                 };
                 OHistogram { buckets, col_of }
             })
@@ -296,19 +308,28 @@ impl OHistogramSet {
     }
 }
 
-/// The bucket-growing pass of Algorithm 2 on a dense row-major grid.
+/// The bucket-growing pass of Algorithm 2 on a row-major grid of some
+/// rows of the full layout: grid row `i` is full-layout row `rows[i]`,
+/// ascending, and every row left out is empty. A box grows only into the
+/// next full-layout row, so a left-out row stops it, as an empty row
+/// does.
 ///
 /// Exposed within the crate for direct unit testing and for the ablation
 /// benchmark that compares box growth against single-cell buckets.
-pub(crate) fn build_buckets(grid: &[f64], rows: usize, cols: usize, variance: f64) -> Vec<OBucket> {
-    let mut covered = vec![false; rows * cols];
+pub(crate) fn build_buckets(
+    grid: &[f64],
+    rows: &[u32],
+    cols: usize,
+    variance: f64,
+) -> Vec<OBucket> {
+    let mut covered = vec![false; rows.len() * cols];
     let mut buckets = Vec::new();
     if cols == 0 {
         return buckets;
     }
     let at = |y: usize, x: usize| grid[y * cols + x];
 
-    for y in 0..rows {
+    for y in 0..rows.len() {
         for x in 0..cols {
             if at(y, x) == 0.0 || covered[y * cols + x] {
                 continue;
@@ -336,7 +357,7 @@ pub(crate) fn build_buckets(grid: &[f64], rows: usize, cols: usize, variance: f6
             // Step 2: extend the box to subsequent rows until a fully
             // empty row segment, a covered cell, or a deviation overflow.
             let mut y_end = y;
-            'rows: while y_end + 1 < rows {
+            'rows: while y_end + 1 < rows.len() && rows[y_end + 1] == rows[y_end] + 1 {
                 let ny = y_end + 1;
                 let mut rsum = 0.0;
                 let mut rsumsq = 0.0;
@@ -371,9 +392,9 @@ pub(crate) fn build_buckets(grid: &[f64], rows: usize, cols: usize, variance: f6
             }
             buckets.push(OBucket {
                 x_start: x as u32,
-                y_start: y as u32,
+                y_start: rows[y],
                 x_end: x_end as u32,
-                y_end: y_end as u32,
+                y_end: rows[y_end],
                 avg: sum / n as f64,
             });
         }
@@ -381,21 +402,22 @@ pub(crate) fn build_buckets(grid: &[f64], rows: usize, cols: usize, variance: f6
     buckets
 }
 
-/// One bucket per non-empty cell (the no-box-growth ablation).
-fn single_cell_buckets(grid: &[f64], rows: usize, cols: usize) -> Vec<OBucket> {
+/// One bucket per non-empty cell (the no-box-growth ablation), on the
+/// grid [`build_buckets`] takes.
+fn single_cell_buckets(grid: &[f64], rows: &[u32], cols: usize) -> Vec<OBucket> {
     let mut buckets = Vec::new();
     if cols == 0 {
         return buckets;
     }
-    for y in 0..rows {
+    for (y, &row) in rows.iter().enumerate() {
         for x in 0..cols {
             let v = grid[y * cols + x];
             if v != 0.0 {
                 buckets.push(OBucket {
                     x_start: x as u32,
-                    y_start: y as u32,
+                    y_start: row,
                     x_end: x as u32,
-                    y_end: y as u32,
+                    y_end: row,
                     avg: v,
                 });
             }
@@ -415,6 +437,11 @@ mod tests {
     use crate::freq::PathIdFrequencyTable;
     use xpe_pathid::Labeling;
 
+    /// The row numbers of a dense grid of `n` rows.
+    fn all_rows(n: usize) -> Vec<u32> {
+        (0..n as u32).collect()
+    }
+
     fn grid(rows: usize, cols: usize, cells: &[(usize, usize, f64)]) -> Vec<f64> {
         let mut g = vec![0.0; rows * cols];
         for &(y, x, v) in cells {
@@ -426,7 +453,7 @@ mod tests {
     #[test]
     fn single_cells_become_single_buckets_at_variance_0() {
         let g = grid(3, 3, &[(0, 0, 1.0), (2, 2, 5.0)]);
-        let b = build_buckets(&g, 3, 3, 0.0);
+        let b = build_buckets(&g, &all_rows(3), 3, 0.0);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].avg, 1.0);
         assert_eq!(b[1].avg, 5.0);
@@ -435,7 +462,7 @@ mod tests {
     #[test]
     fn row_extension_merges_equal_neighbours() {
         let g = grid(2, 4, &[(0, 0, 3.0), (0, 1, 3.0), (0, 2, 3.0)]);
-        let b = build_buckets(&g, 2, 4, 0.0);
+        let b = build_buckets(&g, &all_rows(2), 4, 0.0);
         assert_eq!(b.len(), 1);
         assert_eq!((b[0].x_start, b[0].x_end), (0, 2));
         assert_eq!(b[0].avg, 3.0);
@@ -444,14 +471,14 @@ mod tests {
     #[test]
     fn row_extension_stops_at_empty_cell() {
         let g = grid(1, 5, &[(0, 0, 2.0), (0, 1, 2.0), (0, 3, 2.0)]);
-        let b = build_buckets(&g, 1, 5, 10.0);
+        let b = build_buckets(&g, &all_rows(1), 5, 10.0);
         assert_eq!(b.len(), 2, "gap splits buckets");
     }
 
     #[test]
     fn box_extension_spans_rows() {
         let g = grid(3, 2, &[(0, 0, 4.0), (0, 1, 4.0), (1, 0, 4.0), (1, 1, 4.0)]);
-        let b = build_buckets(&g, 3, 2, 0.0);
+        let b = build_buckets(&g, &all_rows(3), 2, 0.0);
         assert_eq!(b.len(), 1);
         assert_eq!((b[0].y_start, b[0].y_end), (0, 1));
     }
@@ -463,7 +490,7 @@ mod tests {
             2,
             &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 100.0), (1, 1, 100.0)],
         );
-        let b = build_buckets(&g, 2, 2, 0.5);
+        let b = build_buckets(&g, &all_rows(2), 2, 0.5);
         assert_eq!(b.len(), 2, "second row deviates too much");
     }
 
@@ -471,7 +498,7 @@ mod tests {
     fn box_average_includes_zero_cells() {
         // Row 1 has one filled and one empty cell; merging makes avg 3.
         let g = grid(2, 2, &[(0, 0, 4.0), (0, 1, 4.0), (1, 0, 4.0)]);
-        let b = build_buckets(&g, 2, 2, 2.0);
+        let b = build_buckets(&g, &all_rows(2), 2, 2.0);
         assert_eq!(b.len(), 1);
         assert!((b[0].avg - 3.0).abs() < 1e-9);
     }
@@ -490,7 +517,7 @@ mod tests {
             ],
         );
         for v in [0.0, 1.0, 5.0, 100.0] {
-            let buckets = build_buckets(&g, 4, 4, v);
+            let buckets = build_buckets(&g, &all_rows(4), 4, v);
             // Every non-empty cell is in exactly one bucket.
             for y in 0..4u32 {
                 for x in 0..4u32 {
@@ -503,6 +530,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Random sparse grids, with runs of equal values so boxes span rows:
+    /// the compact grid of the non-empty rows yields the dense grid's
+    /// buckets, including boxes that an empty row stops.
+    #[test]
+    fn compact_grid_matches_the_dense_grid() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut stopped_by_empty_row = 0;
+        for case in 0..400 {
+            let (rows, cols) = (1 + next(12) as usize, 1 + next(6) as usize);
+            let mut dense = vec![0.0; rows * cols];
+            for y in 0..rows {
+                // About half the rows stay empty.
+                if next(2) == 0 {
+                    continue;
+                }
+                for x in 0..cols {
+                    if next(3) != 0 {
+                        dense[y * cols + x] = (1 + next(3)) as f64;
+                    }
+                }
+            }
+            let kept: Vec<u32> = (0..rows as u32)
+                .filter(|&y| dense[y as usize * cols..][..cols].iter().any(|&v| v != 0.0))
+                .collect();
+            let compact: Vec<f64> = kept
+                .iter()
+                .flat_map(|&y| dense[y as usize * cols..][..cols].iter().copied())
+                .collect();
+            for variance in [0.0, 0.5, 1.0, 100.0] {
+                let want = build_buckets(&dense, &all_rows(rows), cols, variance);
+                let got = build_buckets(&compact, &kept, cols, variance);
+                assert_eq!(got, want, "case {case} variance {variance}");
+                let cells = single_cell_buckets(&compact, &kept, cols);
+                assert_eq!(cells, single_cell_buckets(&dense, &all_rows(rows), cols));
+                stopped_by_empty_row += want
+                    .iter()
+                    .filter(|b| {
+                        let below = b.y_end as usize + 1;
+                        below < rows
+                            && !kept.contains(&(below as u32))
+                            && kept.contains(&(below as u32 + 1))
+                    })
+                    .count();
+            }
+        }
+        assert!(stopped_by_empty_row > 0, "no box met an empty row");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use std::collections::HashMap;
 
-use xpe_pathid::{Labeling, Pid};
+use xpe_pathid::{pack, unpack, IndexMap, Labeling, Pid};
 use xpe_xml::{Document, TagId};
 
-use crate::index_map::IndexMap;
+use crate::freq::FreqCounts;
 
 /// Before/after counts of one `(pid, sibling tag)` cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,69 +31,73 @@ pub struct PathOrderTable {
 }
 
 /// The paper's sibling scan: fed each parent's children in document
-/// order, it accumulates every `(X, pid, Y)` cell.
+/// order, it accumulates every `(X, pid, Y)` cell. A child comes as its
+/// tag and its [`FreqCounts`] cell, which stands for its `(X, pid)` pair.
 #[derive(Default)]
 pub(crate) struct SiblingScan {
-    cells: IndexMap<(TagId, Pid, TagId), OrderCell>,
-    /// Scratch: first/last sibling position per tag, reset per parent;
-    /// grown as tags appear.
-    first: Vec<usize>,
-    last: Vec<usize>,
-    touched: Vec<usize>,
+    /// Counts keyed by [`pack`]`(cell of (X, pid), Y)`.
+    cells: IndexMap<u64, OrderCell>,
+    /// Scratch: per tag, the index of its span in `spans`, `usize::MAX`
+    /// when the current parent has no child with it; grown as tags
+    /// appear.
+    slot: Vec<usize>,
+    /// Scratch: `(Y, first, last)` sibling positions of every tag among
+    /// one parent's children, in first-seen order.
+    spans: Vec<(u32, usize, usize)>,
 }
 
 impl SiblingScan {
-    /// Counts the order facts of one parent's `(tag, pid)` children, in
+    /// Counts the order facts of one parent's `(tag, cell)` children, in
     /// document order: a child is before some `Y` sibling when the last
     /// `Y` comes after it, and after some `Y` sibling when the first `Y`
     /// comes before it.
-    pub(crate) fn scan(&mut self, children: &[(TagId, Pid)]) {
+    pub(crate) fn scan(&mut self, children: &[(TagId, u32)]) {
         if children.len() < 2 {
             return;
         }
         for (k, &(tag, _)) in children.iter().enumerate() {
             let t = tag.index();
-            if t >= self.first.len() {
-                self.first.resize(t + 1, usize::MAX);
-                self.last.resize(t + 1, usize::MAX);
+            if t >= self.slot.len() {
+                self.slot.resize(t + 1, usize::MAX);
             }
-            if self.first[t] == usize::MAX {
-                self.first[t] = k;
-                self.touched.push(t);
+            match self.slot[t] {
+                usize::MAX => {
+                    self.slot[t] = self.spans.len();
+                    self.spans.push((t as u32, k, k));
+                }
+                span => self.spans[span].2 = k,
             }
-            self.last[t] = k;
         }
-        for (k, &(x, pid)) in children.iter().enumerate() {
-            for &y in &self.touched {
-                let before = self.last[y] > k;
-                let after = self.first[y] < k;
+        for (k, &(_, cell)) in children.iter().enumerate() {
+            for &(y, first, last) in &self.spans {
+                let before = last > k;
+                let after = first < k;
                 if before || after {
-                    let cell = self
-                        .cells
-                        .entry((x, pid, TagId::from_index(y)))
-                        .or_default();
-                    cell.before += u64::from(before);
-                    cell.after += u64::from(after);
+                    let c = self.cells.entry(pack(cell, y)).or_default();
+                    c.before += u64::from(before);
+                    c.after += u64::from(after);
                 }
             }
         }
-        for &t in &self.touched {
-            self.first[t] = usize::MAX;
-            self.last[t] = usize::MAX;
+        for &(y, _, _) in &self.spans {
+            self.slot[y as usize] = usize::MAX;
         }
-        self.touched.clear();
+        self.spans.clear();
     }
 
-    /// The table over `tag_count` tags, every pid mapped through
-    /// `resolve`.
+    /// The table over `tag_count` tags, with each cell's `(X, pid)` pair
+    /// read from `freq` and every pid mapped through `resolve`.
     pub(crate) fn into_table(
         self,
         tag_count: usize,
+        freq: &FreqCounts,
         resolve: impl Fn(Pid) -> Pid,
     ) -> PathOrderTable {
         let mut rows: Vec<HashMap<(Pid, TagId), OrderCell>> = vec![HashMap::new(); tag_count];
-        for ((x, pid, y), cell) in self.cells {
-            rows[x.index()].insert((resolve(pid), y), cell);
+        for (key, cell) in self.cells {
+            let (xp, y) = unpack(key);
+            let (x, pid) = freq.pair(xp);
+            rows[x.index()].insert((resolve(pid), TagId::from_index(y as usize)), cell);
         }
         PathOrderTable { rows }
     }
@@ -102,6 +106,11 @@ impl SiblingScan {
 impl PathOrderTable {
     /// Collects sibling order information in one pass over all parents.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
+        let mut freq = FreqCounts::default();
+        let cells: Vec<u32> = doc
+            .node_ids()
+            .map(|n| freq.add(doc.tag(n), labeling.pid(n), n.index() as u64))
+            .collect();
         let mut scan = SiblingScan::default();
         let mut children = Vec::new();
         for parent in doc.node_ids() {
@@ -109,11 +118,11 @@ impl PathOrderTable {
             children.extend(
                 doc.children(parent)
                     .iter()
-                    .map(|&c| (doc.tag(c), labeling.pid(c))),
+                    .map(|&c| (doc.tag(c), cells[c.index()])),
             );
             scan.scan(&children);
         }
-        scan.into_table(doc.tags().len(), |pid| pid)
+        scan.into_table(doc.tags().len(), &freq, |pid| pid)
     }
 
     /// The cell for `X` elements with `pid` relative to sibling tag `y`.

@@ -2,29 +2,36 @@
 //! [`Summary`], without materializing the document tree.
 //!
 //! The pass runs in two stages joined by a bounded channel. The calling
-//! thread tokenizes ([`StreamParser`]) and interns tag names, packing the
-//! element events into fixed-size batches of `u32` codes: an open as its
-//! tag id, a close as [`CLOSE`], which no tag id can take. One scoped
-//! worker feeds the batches, in document order, to a [`Collector`] — the
-//! one-pass [`StreamLabeler`] plus both statistics tables — and hands each
-//! emptied batch back for reuse. The worker starts when the first batch
-//! fills; a document that fits one batch runs both stages inline through
-//! the same [`Collector::feed`].
+//! thread tokenizes ([`StreamParser`]) and walks a label-path trie
+//! ([`PathTrie`]) along its open elements: each open is matched by name
+//! against the children of its parent's node — a scan of the first
+//! [`SCAN`](xpe_pathid::SCAN), then the tag interner's keyed map and the
+//! trie's id map — and the tag interner runs only when a node is created.
+//! Stage 1 packs the element events into fixed-size batches of `u32`
+//! codes: an open as its node, an open that creates a node as [`NEW`]
+//! with the node's tag (its parent is the innermost open element's node),
+//! and a close as [`CLOSE`]. One scoped worker feeds the batches, in
+//! document order, to a [`Collector`] — the one-pass [`StreamLabeler`],
+//! which grows the same trie from the `NEW` codes, plus both statistics
+//! tables — and hands each emptied batch back for reuse. The stages share
+//! no mutable state. The worker starts when the first batch fills; a
+//! document that fits one batch runs both stages inline through the same
+//! [`Collector::feed`].
 //!
 //! An element's path id and `(tag, pid)` count are final at its close
 //! event, and so are the sibling-order facts among its children, which
 //! have all closed by then. Live state is the open elements' trimmed rows,
-//! their closed children, at most [`QUEUE`] + 2 batches and the output
-//! tables — never the node count. The collector sees the event sequence a
-//! serial pass would, so the result is **bit-identical** to
-//! `Summary::build(parse(input))` (DESIGN.md, "Ingest architecture").
+//! their closed children, the trie's nodes, at most [`QUEUE`] + 2 batches
+//! and the output tables — never the node count. The collector sees the
+//! event sequence a serial pass would, so the result is **bit-identical**
+//! to `Summary::build(parse(input))` (DESIGN.md, "Ingest architecture").
 
 use std::panic;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
-use xpe_pathid::{Closed, Pid, StreamLabeler};
+use xpe_pathid::{Closed, PathNode, PathTrie, StreamLabeler};
 use xpe_xml::{ParseError, StreamEvent, StreamParser, TagId, TagInterner};
 
 use crate::freq::FreqCounts;
@@ -35,8 +42,12 @@ use crate::summary::{Summary, SummaryConfig};
 const BATCH: usize = 4096;
 /// Full batches the channel holds while the worker is busy.
 const QUEUE: usize = 4;
-/// The code of a close event; an open's code is its tag id.
+/// The code of a close event.
 const CLOSE: u32 = u32::MAX;
+/// The flag of an open that creates its trie node; the code's other bits
+/// are the node's tag. An open of an existing node is the node's index,
+/// which stays below this flag.
+const NEW: u32 = 1 << 31;
 
 /// Stage 2: labels every element and collects both exact statistics
 /// tables at its close event.
@@ -45,9 +56,10 @@ struct Collector {
     labeler: StreamLabeler,
     freq: FreqCounts,
     order: SiblingScan,
-    /// The closed children of every open element, in document order; the
-    /// innermost element's run is last.
-    children: Vec<(TagId, Pid)>,
+    /// The closed children of every open element, in document order, as
+    /// their tags and [`FreqCounts`] cells; the innermost element's run is
+    /// last.
+    children: Vec<(TagId, u32)>,
     /// Per open element: where its run in `children` starts.
     starts: Vec<usize>,
 }
@@ -58,10 +70,16 @@ impl Collector {
         for &code in batch {
             if code == CLOSE {
                 self.close();
-            } else {
-                self.labeler.open(TagId::from_index(code as usize));
-                self.starts.push(self.children.len());
+                continue;
             }
+            let node = if code & NEW != 0 {
+                self.labeler
+                    .child(TagId::from_index((code & !NEW) as usize))
+            } else {
+                PathNode::from_index(code as usize)
+            };
+            self.labeler.open(node);
+            self.starts.push(self.children.len());
         }
     }
 
@@ -69,11 +87,53 @@ impl Collector {
     /// sibling order, and files it as a closed child of its parent.
     fn close(&mut self) {
         let Closed { tag, pid, pre } = self.labeler.close();
-        self.freq.add(tag, pid, pre);
+        let cell = self.freq.add(tag, pid, pre);
         let start = self.starts.pop().expect("close without open");
         self.order.scan(&self.children[start..]);
         self.children.truncate(start);
-        self.children.push((tag, pid));
+        self.children.push((tag, cell));
+    }
+}
+
+/// Stage 1's walk of the label-path trie: the tags, the trie and the
+/// nodes of the open elements.
+#[derive(Default)]
+struct PathWalk {
+    tags: TagInterner,
+    trie: PathTrie,
+    /// The nodes of the open elements, innermost last.
+    stack: Vec<PathNode>,
+}
+
+impl PathWalk {
+    /// The code of an element named `name` opening under the innermost
+    /// open element.
+    fn open(&mut self, name: &str) -> u32 {
+        let parent = self.stack.last().copied().unwrap_or(PathNode::ROOT);
+        let tags = &self.tags;
+        let found = self
+            .trie
+            .scan(parent, |tag| tags.name(tag) == name)
+            .or_else(|| tags.get(name).and_then(|tag| self.trie.get(parent, tag)));
+        let (node, code) = match found {
+            Some(node) => (node, node.index() as u32),
+            None => {
+                let tag = self.tags.intern(name);
+                let node = self.trie.insert(parent, tag);
+                assert!(
+                    node.index() < NEW as usize && tag.index() < (CLOSE & !NEW) as usize,
+                    "too many distinct label paths"
+                );
+                (node, NEW | tag.index() as u32)
+            }
+        };
+        self.stack.push(node);
+        code
+    }
+
+    /// The innermost open element closed.
+    fn close(&mut self) {
+        self.stack.pop();
     }
 }
 
@@ -82,19 +142,18 @@ impl Collector {
 /// worker has drained what it was sent; a worker panic resumes on the
 /// calling thread.
 fn collect(input: &str) -> Result<(TagInterner, Collector), ParseError> {
-    let mut tags = TagInterner::new();
-    let mut parser = StreamParser::new(input.as_bytes());
+    let mut walk = PathWalk::default();
+    let mut parser = StreamParser::new(input);
     // Stage 1: fills `batch` with event codes; `Ok(false)` at the end of
     // the document.
     let mut fill = |batch: &mut Vec<u32>| -> Result<bool, ParseError> {
         while batch.len() < BATCH {
             match parser.next_event()? {
-                Some(StreamEvent::Open { name }) => {
-                    let tag = tags.intern(&name).index();
-                    assert!(tag < CLOSE as usize, "too many distinct tags");
-                    batch.push(tag as u32);
+                Some(StreamEvent::Open { name }) => batch.push(walk.open(&name)),
+                Some(StreamEvent::Close) => {
+                    walk.close();
+                    batch.push(CLOSE);
                 }
-                Some(StreamEvent::Close) => batch.push(CLOSE),
                 Some(StreamEvent::Text(_)) => {}
                 None => return Ok(false),
             }
@@ -105,7 +164,7 @@ fn collect(input: &str) -> Result<(TagInterner, Collector), ParseError> {
     if !fill(&mut batch)? {
         let mut collector = Collector::default();
         collector.feed(&batch);
-        return Ok((tags, collector));
+        return Ok((walk.tags, collector));
     }
     let (full_tx, full_rx) = mpsc::sync_channel::<Vec<u32>>(QUEUE);
     let (empty_tx, empty_rx) = mpsc::channel();
@@ -145,7 +204,7 @@ fn collect(input: &str) -> Result<(TagInterner, Collector), ParseError> {
             .unwrap_or_else(|payload| panic::resume_unwind(payload));
         (collector, parsed)
     });
-    parsed.map(|()| (tags, collector))
+    parsed.map(|()| (walk.tags, collector))
 }
 
 impl Summary {
@@ -168,12 +227,13 @@ impl Summary {
         let (tags, collector) = collect(input)?;
         let labeling = collector.labeler.finish();
         let resolve = |temp| labeling.resolve(temp);
-        let freq = collector.freq.into_table(tags.len(), resolve);
-        let collect_path = t0.elapsed();
-
         let t2 = Instant::now();
-        let order = collector.order.into_table(tags.len(), resolve);
+        let order = collector
+            .order
+            .into_table(tags.len(), &collector.freq, resolve);
         let collect_order = t2.elapsed();
+        let freq = collector.freq.into_table(tags.len(), resolve);
+        let collect_path = t0.elapsed() - collect_order;
 
         let mut summary = Summary::from_parts(
             tags,
@@ -229,6 +289,50 @@ mod tests {
             "<r>  <x/>\n  <y/>\t<x/>  </r>",
         ] {
             assert_bit_identical(input, SummaryConfig::default());
+        }
+    }
+
+    /// `fan.xml`'s shape: `<r>`, then `<p><tI/></p>` for `I` in `0..n`,
+    /// then the same again in reverse order, so `n` distinct names sit
+    /// under the one path `r/p` and every name past the first [`SCAN`] is
+    /// found through the trie's map on its second visit.
+    ///
+    /// [`SCAN`]: xpe_pathid::SCAN
+    fn fan_out(n: usize) -> String {
+        let mut xml = String::from("<r>");
+        for i in (0..n).chain((0..n).rev()) {
+            xml.push_str(&format!("<p><t{i}/></p>"));
+        }
+        xml.push_str("</r>");
+        xml
+    }
+
+    /// Shapes that stress the label-path trie: fan-out past the scan
+    /// bound, one name on several paths, recursion, a name that is a
+    /// prefix of its sibling's, and multi-byte names.
+    #[test]
+    fn streaming_build_is_bit_identical_on_trie_shapes() {
+        let shapes = [
+            fan_out(20),
+            fan_out(2000),
+            "<r><a><x/></a><b><x/><a><x/></a></b><x/></r>".to_owned(),
+            "<item><parlist><listitem><parlist><listitem><text/></listitem>\
+             </parlist></listitem><listitem><text/></listitem></parlist>\
+             <parlist><listitem><parlist/></listitem></parlist></item>"
+                .to_owned(),
+            "<r><ab/><a/><ab><a/></ab><a><ab/></a><abc/><a/></r>".to_owned(),
+            "<é><名前/><名/><é><名前/></é><e/></é>".to_owned(),
+        ];
+        for xml in &shapes {
+            for config in [
+                SummaryConfig::default(),
+                SummaryConfig {
+                    p_variance: 1.5,
+                    o_variance: 2.0,
+                },
+            ] {
+                assert_bit_identical(xml, config);
+            }
         }
     }
 
@@ -319,7 +423,7 @@ mod tests {
         ] {
             for truncated in [false, true] {
                 let xml = malformed(events, truncated);
-                let mut parser = StreamParser::new(xml.as_bytes());
+                let mut parser = StreamParser::new(&xml);
                 let mut seen = 0;
                 while let Ok(Some(_)) = parser.next_event() {
                     seen += 1;

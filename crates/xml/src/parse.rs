@@ -110,7 +110,7 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 /// assert_eq!(doc.tag_name(doc.root()), "PLAY");
 /// ```
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
-    let mut parser = StreamParser::new(input.as_bytes());
+    let mut parser = StreamParser::new(input);
     let mut builder = TreeBuilder::new();
     while let Some(event) = parser.next_event()? {
         match event {

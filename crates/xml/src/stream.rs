@@ -16,7 +16,7 @@
 //! ```
 //! use xpe_xml::{StreamEvent, StreamParser};
 //!
-//! let mut p = StreamParser::new(b"<a>hi<b/></a>");
+//! let mut p = StreamParser::new("<a>hi<b/></a>");
 //! let mut opens = 0;
 //! while let Some(ev) = p.next_event().unwrap() {
 //!     if matches!(ev, StreamEvent::Open { .. }) {
@@ -40,7 +40,7 @@ pub enum StreamEvent<'a> {
     /// An element opened. Fires for `<a>` and for `<a/>` (the latter is
     /// immediately followed by its `Close`).
     Open {
-        /// The tag name, borrowed from the input where it is valid UTF-8.
+        /// The tag name, borrowed from the input.
         name: Cow<'a, str>,
     },
     /// The most recently opened element closed.
@@ -64,13 +64,17 @@ enum State {
 }
 
 /// Pull parser yielding [`StreamEvent`]s over a complete document held in
-/// (or mapped into) a byte slice.
+/// a string.
 ///
-/// State is O(depth): a stack of open tag names plus a cursor. Call
+/// The input is text, so every name and text run between markup bytes is
+/// borrowed from it without another UTF-8 check. State is O(depth): a
+/// stack of open tag names plus a cursor. Call
 /// [`next_event`](Self::next_event) until it returns `Ok(None)`; after an
 /// error the parser is poisoned and keeps returning `Ok(None)`.
 #[derive(Debug)]
 pub struct StreamParser<'a> {
+    input: &'a str,
+    /// `input` as bytes, which the scans walk.
     bytes: &'a [u8],
     pos: usize,
     /// Byte ranges of the open tag names, innermost last (bounds nesting
@@ -84,9 +88,10 @@ pub struct StreamParser<'a> {
 
 impl<'a> StreamParser<'a> {
     /// Creates a tokenizer over a full document.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub fn new(input: &'a str) -> Self {
         StreamParser {
-            bytes,
+            input,
+            bytes: input.as_bytes(),
             pos: 0,
             open: Vec::new(),
             state: State::Prolog,
@@ -160,6 +165,20 @@ impl<'a> StreamParser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The input from the cursor on.
+    #[inline]
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    /// Advances the cursor past the leading bytes of the rest that
+    /// satisfy `keep`, up to the end of the input.
+    #[inline]
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = self.rest();
+        self.pos += rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len());
+    }
+
     fn starts_with(&self, s: &str) -> bool {
         self.bytes[self.pos..].starts_with(s.as_bytes())
     }
@@ -180,9 +199,7 @@ impl<'a> StreamParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
+        self.skip_while(|c| matches!(c, b' ' | b'\t' | b'\r' | b'\n'));
     }
 
     fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
@@ -242,22 +259,21 @@ impl<'a> StreamParser<'a> {
     /// Consumes a name token, returning its byte range in the input.
     fn name_range(&mut self) -> Result<(usize, usize), ParseError> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ok =
-                c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80;
-            if ok {
-                if self.pos - start >= MAX_NAME_LEN {
-                    return Err(ParseError {
-                        offset: start,
-                        kind: ParseErrorKind::TokenTooLong,
-                    });
-                }
-                self.pos += 1;
-            } else {
-                break;
-            }
+        // Scan one byte past the cap: a name that long is an error.
+        let rest = self.rest();
+        let window = &rest[..rest.len().min(MAX_NAME_LEN + 1)];
+        let len = window
+            .iter()
+            .position(|&c| !is_name_byte(c))
+            .unwrap_or(window.len());
+        if len > MAX_NAME_LEN {
+            return Err(ParseError {
+                offset: start,
+                kind: ParseErrorKind::TokenTooLong,
+            });
         }
-        if self.pos == start {
+        self.pos += len;
+        if len == 0 {
             return Err(self.err(ParseErrorKind::BadName));
         }
         // Names must not start with a digit, '-' or '.'.
@@ -277,32 +293,47 @@ impl<'a> StreamParser<'a> {
         }
         self.expect(b'<')?;
         let (start, end) = self.name_range()?;
-        let name = String::from_utf8_lossy(&self.bytes[start..end]);
+        // Markup bytes are ASCII, so a name ends on a char boundary.
+        let name = &self.input[start..end];
         self.open.push((start, end));
-        self.attributes()?;
-        self.skip_ws();
-        if self.starts_with("/>") {
-            self.bump(2);
-            self.pending_close = true;
-        } else {
-            self.expect(b'>')?;
+        match self.rest() {
+            [b'>', ..] => self.pos += 1,
+            [b'/', b'>', ..] => {
+                self.pos += 2;
+                self.pending_close = true;
+            }
+            _ => {
+                self.attributes()?;
+                self.skip_ws();
+                if self.starts_with("/>") {
+                    self.bump(2);
+                    self.pending_close = true;
+                } else {
+                    self.expect(b'>')?;
+                }
+            }
         }
         self.state = State::Content;
-        Ok(StreamEvent::Open { name })
+        Ok(StreamEvent::Open {
+            name: Cow::Borrowed(name),
+        })
     }
 
     fn close_tag(&mut self) -> Result<StreamEvent<'a>, ParseError> {
         self.bump(2);
         let (start, end) = self.name_range()?;
-        self.skip_ws();
-        self.expect(b'>')?;
+        if let [b'>', ..] = self.rest() {
+            self.pos += 1;
+        } else {
+            self.skip_ws();
+            self.expect(b'>')?;
+        }
         let (open_start, open_end) = self.open.last().copied().unwrap_or_default();
-        let (open, found) = (&self.bytes[open_start..open_end], &self.bytes[start..end]);
-        // Names compare as (lossily decoded) text; equal bytes always do.
-        if open != found && String::from_utf8_lossy(open) != String::from_utf8_lossy(found) {
+        let (open, found) = (&self.input[open_start..open_end], &self.input[start..end]);
+        if open != found {
             return Err(self.err(ParseErrorKind::MismatchedTag {
-                open: String::from_utf8_lossy(open).into_owned(),
-                found: String::from_utf8_lossy(found).into_owned(),
+                open: open.to_owned(),
+                found: found.to_owned(),
             }));
         }
         Ok(self.emit_close())
@@ -327,12 +358,7 @@ impl<'a> StreamParser<'a> {
             self.pos += 1;
             // Attribute values are validated but not reported: the
             // estimation system summarises element structure only.
-            while let Some(c) = self.peek() {
-                if c == quote {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.skip_while(|c| c != quote);
             self.expect(quote)?;
         }
     }
@@ -342,8 +368,11 @@ impl<'a> StreamParser<'a> {
             match self.peek() {
                 None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
                 Some(b'<') => {
-                    if self.starts_with("</") {
+                    let next = self.bytes.get(self.pos + 1).copied();
+                    if next == Some(b'/') {
                         return self.close_tag().map(Some);
+                    } else if next != Some(b'!') && next != Some(b'?') {
+                        return self.open_tag().map(Some);
                     } else if self.starts_with("<!--") {
                         self.bump(4);
                         self.skip_until("-->")?;
@@ -353,8 +382,8 @@ impl<'a> StreamParser<'a> {
                         match find_sub(&self.bytes[self.pos..], b"]]>") {
                             Some(i) => {
                                 self.pos = start + i + 3;
-                                return Ok(Some(StreamEvent::Text(String::from_utf8_lossy(
-                                    &self.bytes[start..start + i],
+                                return Ok(Some(StreamEvent::Text(Cow::Borrowed(
+                                    &self.input[start..start + i],
                                 ))));
                             }
                             None => {
@@ -375,14 +404,9 @@ impl<'a> StreamParser<'a> {
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' || c == b'&' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    return Ok(Some(StreamEvent::Text(String::from_utf8_lossy(
-                        &self.bytes[start..self.pos],
+                    self.skip_while(|c| c != b'<' && c != b'&');
+                    return Ok(Some(StreamEvent::Text(Cow::Borrowed(
+                        &self.input[start..self.pos],
                     ))));
                 }
             }
@@ -427,7 +451,7 @@ impl<'a> StreamParser<'a> {
             }
             self.pos += 1;
         }
-        let name = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+        let name = self.input[start..self.pos].to_owned();
         self.expect(b';')?;
         match name.as_str() {
             "lt" => Ok('<'),
@@ -451,6 +475,25 @@ impl<'a> StreamParser<'a> {
     }
 }
 
+/// Whether `c` may appear in a name: ASCII alphanumerics, `_-.:` and
+/// every byte of a multi-byte UTF-8 sequence.
+#[inline]
+fn is_name_byte(c: u8) -> bool {
+    NAME_BYTES[c as usize]
+}
+
+/// [`is_name_byte`] as a table, built at compile time.
+const NAME_BYTES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < 256 {
+        let c = i as u8;
+        table[i] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80;
+        i += 1;
+    }
+    table
+};
+
 fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
@@ -460,7 +503,7 @@ mod tests {
     use super::*;
 
     fn events(input: &str) -> Result<Vec<StreamEvent<'_>>, ParseError> {
-        let mut p = StreamParser::new(input.as_bytes());
+        let mut p = StreamParser::new(input);
         let mut out = Vec::new();
         while let Some(ev) = p.next_event()? {
             out.push(ev);
@@ -521,7 +564,7 @@ mod tests {
 
     #[test]
     fn poisoned_after_error() {
-        let mut p = StreamParser::new(b"<a><b></a></b>");
+        let mut p = StreamParser::new("<a><b></a></b>");
         let last = loop {
             match p.next_event() {
                 Ok(Some(_)) => continue,
@@ -536,9 +579,44 @@ mod tests {
         assert!(matches!(p.next_event(), Ok(None)));
     }
 
+    /// Names and text runs are slices of the `&str` input; multi-byte
+    /// characters next to every kind of markup stay whole, and errors
+    /// beside them keep their byte offsets.
+    #[test]
+    fn multi_byte_characters_stay_whole() {
+        let evs = events("<é a=\"ü\">x名y<![CDATA[ß]]>&amp;ö<名前/><!--ç--></é>").unwrap();
+        let text = |t| StreamEvent::Text(Cow::Borrowed(t));
+        assert_eq!(
+            evs,
+            vec![
+                open("é"),
+                text("x名y"),
+                text("ß"),
+                text("&"),
+                text("ö"),
+                open("名前"),
+                StreamEvent::Close,
+                StreamEvent::Close,
+            ]
+        );
+        let err = |input, offset, kind| {
+            assert_eq!(events(input), Err(ParseError { offset, kind }), "{input}");
+        };
+        err(
+            "<é></e>",
+            8,
+            ParseErrorKind::MismatchedTag {
+                open: "é".into(),
+                found: "e".into(),
+            },
+        );
+        err("<名前", 7, ParseErrorKind::UnexpectedEof);
+        err("<a>&é;</a>", 4, ParseErrorKind::Expected(';'));
+    }
+
     #[test]
     fn depth_is_bounded_state() {
-        let mut p = StreamParser::new(b"<a><b><c/></b></a>");
+        let mut p = StreamParser::new("<a><b><c/></b></a>");
         let mut max_depth = 0;
         while let Some(_ev) = p.next_event().unwrap() {
             max_depth = max_depth.max(p.depth());

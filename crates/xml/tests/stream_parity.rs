@@ -11,7 +11,7 @@ use xpe_xml::{
 /// Drains the stream parser to completion, returning the (open, close, text)
 /// event tally or the first error.
 fn drain(input: &str) -> Result<(u64, u64, u64), ParseError> {
-    let mut parser = StreamParser::new(input.as_bytes());
+    let mut parser = StreamParser::new(input);
     let (mut opens, mut closes, mut texts) = (0, 0, 0);
     while let Some(event) = parser.next_event()? {
         match event {
