@@ -12,7 +12,7 @@
 //!   sets, adjacency-row semi-joins, per-(tag, axis) candidate screens,
 //!   worklist fixpoint — cold builds every adjacency inside the timed
 //!   region (what the first workload pass pays), warm is the steady
-//!   state with pooled scratch.
+//!   state with a warm scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -63,7 +63,6 @@ fn join_all_bitmap(
         let plan = QueryPlan::build(summary, q);
         let j = path_join_bitmap(summary, &plan, index, Some(scratch), None);
         sum += j.frequency(q.target());
-        scratch.recycle(j);
     }
     sum
 }

@@ -5,7 +5,12 @@
 //!
 //! * queries/sec of the serial per-query `Estimator` loop versus
 //!   `EstimationEngine::estimate_batch` (one worker and one per core)
-//!   over the full ≥500-query workload;
+//!   over the full ≥500-query workload. The serial loop's
+//!   `Estimator::new` joins through a join cache of its own, as each
+//!   batch worker joins through the engine's, so one batch worker reads
+//!   a little under the serial loop: 0.86–0.97× on XMark and 0.84–0.91×
+//!   on DBLP over five CI-scale runs (`XPE_SCALE=0.01
+//!   XPE_ATTEMPTS=200`, 2-vCPU box);
 //! * a thread-scaling sweep: steady-state batch throughput of a
 //!   persistent (warmed-up) engine at 1, 2 and 4 workers and at `auto`
 //!   (one per core), each row recording the *effective* worker count so

@@ -184,7 +184,6 @@ fn limits_and_budget(
 ) -> Result<(xpe::estimator::QueryLimits, xpe::estimator::Budget), String> {
     let limits = xpe::estimator::QueryLimits {
         max_nodes: parse_opt_flag(flags, "max-query-nodes")?,
-        ..xpe::estimator::QueryLimits::unlimited()
     };
     let budget = xpe::estimator::Budget {
         deadline: parse_opt_flag(flags, "deadline-ms")?.map(std::time::Duration::from_millis),

@@ -2,16 +2,16 @@
 //! [`Estimator`].
 //!
 //! A single [`Estimator`] already memoizes containment adjacencies and
-//! recycles join allocations; the engine adds workload-level machinery on
-//! top: a shared containment-adjacency index and a workload-level
-//! [`JoinCache`] that every worker warms for the others,
-//! plus [`estimate_batch`](EstimationEngine::estimate_batch), which fans a
-//! query slice across scoped worker threads. Each worker owns one
-//! estimator (scratch arenas never cross threads) while all of them read
-//! the same summary and memo tables. Results come back in input order and
-//! are bit-identical to a serial `estimate` loop — estimates are pure
-//! functions of `(summary, query)`; the caches only change how fast they
-//! are produced.
+//! joins through a private [`JoinCache`]; the engine shares both across
+//! estimators instead — one containment-adjacency index and one
+//! workload-level join cache that every worker warms for the others —
+//! and adds [`estimate_batch`](EstimationEngine::estimate_batch), which
+//! fans a query slice across scoped worker threads. Each worker owns one
+//! estimator (kernel scratch never crosses threads) while all of them
+//! read the same summary and memo tables. Results come back in input
+//! order and are bit-identical to a serial `estimate` loop — estimates
+//! are pure functions of `(summary, query)`; the caches only change how
+//! fast they are produced.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -685,10 +685,7 @@ mod tests {
         let s = summary();
         let engine = EstimationEngine::new(&s)
             .with_threads(2)
-            .with_limits(crate::QueryLimits {
-                max_nodes: Some(2),
-                ..crate::QueryLimits::unlimited()
-            });
+            .with_limits(crate::QueryLimits { max_nodes: Some(2) });
         let queries: Vec<Query> = ["//A//C", "//A[/C/F]/B/D"]
             .iter()
             .map(|q| parse_query(q).unwrap())
@@ -789,10 +786,7 @@ mod tests {
         let s = summary();
         let engine = EstimationEngine::new(&s)
             .with_kernel(JoinKernel::Naive)
-            .with_limits(crate::QueryLimits {
-                max_nodes: Some(8),
-                ..crate::QueryLimits::unlimited()
-            });
+            .with_limits(crate::QueryLimits { max_nodes: Some(8) });
         let q = parse_query("//A//C").unwrap();
         engine.try_estimate(&q);
         engine.try_estimate(&q);

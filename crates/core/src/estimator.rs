@@ -16,10 +16,14 @@
 //! predicates, chains longer than two, multiple constrained nodes) are
 //! documented inline and in DESIGN.md; on the paper's query shapes the
 //! implementation reproduces the worked examples digit for digit.
+//!
+//! Every join the formulas read comes back as an `Arc<JoinResult>`
+//! through the estimator's join-cache front, whose cache owns each
+//! published result. The naive kernel's results and budget-truncated
+//! ones are never published, and are freed with their last reference.
 
 use std::cell::RefCell;
 use std::convert::Infallible;
-use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,6 +35,7 @@ use xpe_xpath::{
 };
 
 use crate::editor;
+use crate::engine::DEFAULT_JOIN_CACHE_CAPACITY;
 use crate::estcache::{EstimateCache, EstimateCacheReader, EstimateKey};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
@@ -48,11 +53,12 @@ use crate::serve::{
 /// Every estimator memoizes the containment adjacencies its joins compute
 /// (keyed by `(tag_u, tag_v, axis)` — pure functions of the summary's
 /// encoding table) in a [`JoinIndexCache`] of write-once cells, which a
-/// warm join reads without a lock or a hash, and recycles the joins'
-/// per-node allocations. Estimators built by
+/// warm join reads without a lock or a hash, and joins through a
+/// [`JoinCache`] front: a join result has one owner, the cache, and
+/// every formula reads it as an `Arc<JoinResult>`. Estimators built by
 /// [`EstimationEngine`](crate::EstimationEngine) share one adjacency
 /// index and one workload-level [`JoinCache`], so a batch warms both for
-/// every worker.
+/// every worker; an estimator built without one gets a private cache.
 ///
 /// An estimate resolves its query against the summary once — tag ids,
 /// parent links, subtree spans and order chains — and derives every
@@ -62,17 +68,17 @@ use crate::serve::{
 pub struct Estimator<'s> {
     summary: &'s Summary,
     adjacency: Arc<JoinIndexCache>,
-    /// Worker-private front for the shared workload-level [`JoinCache`]:
-    /// warm lookups probe this estimator's own map without a lock.
-    join_cache: Option<RefCell<WorkerJoinCache>>,
+    /// Worker-private front for the workload-level [`JoinCache`]: warm
+    /// lookups probe this estimator's own map without a lock.
+    join_cache: RefCell<WorkerJoinCache>,
     /// Worker-private front for the shared full-query
     /// [`EstimateCache`]: warm hits are served above all join machinery
     /// without a lock (see `estcache`).
     est_cache: Option<RefCell<EstimateCacheReader>>,
     scratch: RefCell<JoinScratch>,
     /// Which join kernel [`join`](Self::join) dispatches to. Both are
-    /// bit-identical; `Naive` is the reference oracle and opts out of
-    /// caches and budget cooperation.
+    /// bit-identical; `Naive` is the reference oracle and opts out of the
+    /// join cache and budget cooperation.
     kernel: JoinKernel,
     /// Live budget of the in-flight [`try_estimate`](Self::try_estimate)
     /// call, threaded into every join it runs; `None` outside one.
@@ -86,25 +92,6 @@ pub struct Estimator<'s> {
     skeleton: RefCell<SkeletonKey>,
     /// The estimate-cache key of the query being estimated.
     est_key: RefCell<EstimateKey>,
-}
-
-/// A join result that is either owned by this estimator or aliased out of
-/// the shared [`JoinCache`]. Derefs to [`JoinResult`] either way; only
-/// owned results give their allocations back to the scratch pool.
-enum Joined {
-    Owned(JoinResult),
-    Shared(Arc<JoinResult>),
-}
-
-impl Deref for Joined {
-    type Target = JoinResult;
-
-    fn deref(&self) -> &JoinResult {
-        match self {
-            Joined::Owned(j) => j,
-            Joined::Shared(j) => j,
-        }
-    }
 }
 
 /// A query resolved against the estimator's summary: everything the
@@ -325,9 +312,11 @@ impl<'s> Estimator<'s> {
     }
 
     /// Creates an estimator sharing the kernel caches: containment
-    /// adjacency and (optionally) the workload-level join cache. Neither
-    /// changes any estimate — joins are pure functions of `(summary,
-    /// query skeleton)` — only how fast the estimate is produced.
+    /// adjacency and the workload-level join cache. With `None` for the
+    /// latter the estimator joins through a private [`JoinCache`] of
+    /// [`DEFAULT_JOIN_CACHE_CAPACITY`] results. Neither cache changes any
+    /// estimate — joins are pure functions of `(summary, query
+    /// skeleton)` — only how fast the estimate is produced.
     ///
     /// `_masks` is not read: the bitmap kernel's adjacencies fold the
     /// relation-mask test in, and the reference kernel computes its masks
@@ -341,7 +330,9 @@ impl<'s> Estimator<'s> {
         Estimator {
             summary,
             adjacency,
-            join_cache: join_cache.map(|c| RefCell::new(WorkerJoinCache::new(c))),
+            join_cache: RefCell::new(WorkerJoinCache::new(join_cache.unwrap_or_else(|| {
+                Arc::new(JoinCache::with_capacity(DEFAULT_JOIN_CACHE_CAPACITY))
+            }))),
             est_cache: None,
             scratch: RefCell::new(JoinScratch::new()),
             kernel: JoinKernel::default(),
@@ -377,9 +368,7 @@ impl<'s> Estimator<'s> {
     /// daemon, which runs one estimator per open connection, passes its
     /// connection cap.
     pub(crate) fn with_front_share(self, fronts: usize) -> Self {
-        if let Some(front) = &self.join_cache {
-            front.borrow_mut().share(fronts);
-        }
+        self.join_cache.borrow_mut().share(fronts);
         if let Some(front) = &self.est_cache {
             front.borrow_mut().share(fronts);
         }
@@ -445,34 +434,32 @@ impl<'s> Estimator<'s> {
     /// by the plan (the front probes the shared memo once on a local
     /// miss), publishing a completed result through the front. The naive
     /// kernel rebuilds the sub-query as a [`Query`] and runs the
-    /// reference join on it, with no cache.
-    fn join(&self, r: Resolved<'_>, sub: Sub) -> Joined {
+    /// reference join on it, with no cache. A result that is not
+    /// published is dropped with its last reference.
+    fn join(&self, r: Resolved<'_>, sub: Sub) -> Arc<JoinResult> {
         if self.kernel == JoinKernel::Naive {
             let keep: Vec<bool> = r.query.node_ids().map(|x| sub.contains(r, x)).collect();
             let derived = editor::rebuild(r.query, &keep, r.query.root());
-            return Joined::Owned(path_join(self.summary, &derived.query));
+            return Arc::new(path_join(self.summary, &derived.query));
         }
         let mut plan = self.plan.borrow_mut();
         self.timed(|| plan.fill(r.query, &r.res.tags, |x| sub.contains(r, x)));
-        let Some(cache) = &self.join_cache else {
-            return Joined::Owned(self.run_bitmap(&plan));
-        };
         let mut key = self.skeleton.borrow_mut();
         key.set(&plan);
-        let hit = cache.borrow_mut().lookup(&key);
+        let hit = self.join_cache.borrow_mut().lookup(&key);
         if let Some(result) = hit {
-            return Joined::Shared(result);
+            return result;
         }
-        let result = self.run_bitmap(&plan);
+        let result = Arc::new(self.run_bitmap(&plan));
         // A budget-truncated join is not the fixpoint — never publish it
         // to the cache, where an unbudgeted estimator (or a later
         // healthy query) would mistake it for the real result.
-        if self.budget_exhausted() {
-            return Joined::Owned(result);
+        if !self.budget_exhausted() {
+            self.join_cache
+                .borrow_mut()
+                .publish(key.clone(), Arc::clone(&result));
         }
-        let result = Arc::new(result);
-        cache.borrow_mut().publish(key.clone(), Arc::clone(&result));
-        Joined::Shared(result)
+        result
     }
 
     fn run_bitmap(&self, plan: &QueryPlan) -> JoinResult {
@@ -491,9 +478,7 @@ impl<'s> Estimator<'s> {
     /// immediately; only the counters are batched). Takes no lock. Also
     /// runs on drop.
     pub fn flush_caches(&self) {
-        if let Some(front) = &self.join_cache {
-            front.borrow_mut().flush();
-        }
+        self.join_cache.borrow_mut().flush();
         if let Some(front) = &self.est_cache {
             front.borrow_mut().flush();
         }
@@ -504,14 +489,6 @@ impl<'s> Estimator<'s> {
             .borrow()
             .as_ref()
             .is_some_and(|b| b.exhausted().is_some())
-    }
-
-    /// Returns an owned join's allocations to the scratch pool; shared
-    /// (cache-resident) joins just drop their reference.
-    fn recycle(&self, join: Joined) {
-        if let Joined::Owned(j) = join {
-            self.scratch.borrow_mut().recycle(j);
-        }
     }
 
     /// Estimates the selectivity of the target node of `query`.
@@ -666,9 +643,7 @@ impl<'s> Estimator<'s> {
     /// Estimates node `n` of the sub-query `sub` (§4).
     fn plain(&self, r: Resolved<'_>, sub: Sub, n: QueryNodeId) -> f64 {
         let join = self.join(r, sub);
-        let s = self.plain_with_join(r, sub, &join, n);
-        self.recycle(join);
-        s
+        self.plain_with_join(r, sub, &join, n)
     }
 
     fn plain_with_join(&self, r: Resolved<'_>, sub: Sub, join: &JoinResult, n: QueryNodeId) -> f64 {
@@ -687,7 +662,6 @@ impl<'s> Estimator<'s> {
         let join_spine = self.join(r, spine);
         let f_spine_n = join_spine.frequency(spine.local(r, n));
         let f_spine_b = join_spine.frequency(spine.local(r, b));
-        self.recycle(join_spine);
         let f_b = join.frequency(sub.local(r, b));
         safe_div(f_spine_n * f_b, f_spine_b)
     }
@@ -766,7 +740,6 @@ impl<'s> Estimator<'s> {
         // S_Q̃'(h): sum g(pid, nb_tag) over the head's surviving pids.
         let join_prime = self.join(r, q_prime);
         let (Some(tag_h), Some(tag_nb)) = (r.tag(head), r.tag(nb)) else {
-            self.recycle(join_prime);
             return HeadParts {
                 s_tilde_prime: 0.0,
                 s_prime,
@@ -776,7 +749,6 @@ impl<'s> Estimator<'s> {
             .pids(q_prime.local(r, head))
             .map(|pid| self.summary.order_count(tag_h, pid, tag_nb, region))
             .sum();
-        self.recycle(join_prime);
         HeadParts {
             s_tilde_prime,
             s_prime,
@@ -822,10 +794,7 @@ impl<'s> Estimator<'s> {
         // every node id.
         let join = self.join(r, Sub::ALL);
         let (Some(tag_owner), Some(tag_mover)) = (r.tag(owner), r.tag(mover)) else {
-            // An unknown tag means no conversion can match — but the join
-            // above still borrowed scratch vectors that must go back to
-            // the pool, not be dropped with this early return.
-            self.recycle(join);
+            // An unknown tag means no conversion can match.
             return 0.0;
         };
         let mut conversions: Vec<Vec<String>> = Vec::new();
@@ -852,7 +821,6 @@ impl<'s> Estimator<'s> {
             }
         }
 
-        self.recycle(join);
         conversions
             .into_iter()
             .map(|labels| {
@@ -1038,25 +1006,6 @@ mod tests {
         assert!(!r.within(node(&q, "D"), node(&q, "C")));
     }
 
-    /// The unknown-tag early return in `estimate_via_conversion` runs a
-    /// join first; its scratch vectors must come back to the pool, not be
-    /// dropped with the `0.0`.
-    #[test]
-    fn conversion_unknown_tag_returns_join_scratch_to_the_pool() {
-        let s = summary();
-        let est = Estimator::new(&s);
-        // Document chain (C before B), both heads known, owner tag absent
-        // from the document: the conversion join runs, then bails on the
-        // unknown owner tag.
-        let q = parse_query("//Zebra[/C/foll::$B]").unwrap();
-        assert_eq!(est.estimate(&q), 0.0);
-        assert_eq!(
-            est.scratch.borrow().pooled(),
-            q.len(),
-            "every join list recycled"
-        );
-    }
-
     /// Warm index cells and reused plan buffers change nothing
     /// observable: a reused estimator reproduces a fresh estimator's
     /// results bit for bit.
@@ -1085,6 +1034,10 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{q} {kernel:?}");
                 assert_eq!(b.to_bits(), c.to_bits(), "{q} {kernel:?}");
             }
+            // A document chain (C before B) under an owner tag the
+            // summary lacks: the conversion join runs, then finds no
+            // label chain to convert.
+            assert_eq!(warm.estimate_str("//Zebra[/C/foll::$B]"), Ok(0.0));
         }
     }
 }

@@ -20,6 +20,10 @@
 //!   endpoint sets shrank, and the final `(pid, f)` lists are rebuilt from
 //!   the bitmaps in histogram order.
 //!
+//! Neither kernel keeps what it returns: the caller owns each
+//! [`JoinResult`], and a [`JoinScratch`] holds only the bitmap kernel's
+//! working buffers between joins.
+//!
 //! The fixpoint both kernels compute is the *greatest* set of surviving
 //! pids closed under every edge constraint. Each pruning step is monotone
 //! (it only removes pids, and removing pids can only enable more
@@ -112,26 +116,16 @@ pub struct JoinResult {
     pub lists: Vec<Vec<(Pid, f64)>>,
 }
 
-/// Reusable allocations for the bitmap kernel.
+/// The bitmap kernel's working buffers, kept between joins.
 ///
-/// A join allocates one `(pid, frequency)` vector per query node, one
-/// bitmap per query node, and a handful of fixpoint bookkeeping
-/// structures; across a workload that is thousands of short-lived
-/// allocations doing identical work. The scratch keeps everything alive
-/// between joins: callers pass it to the kernel and hand finished
-/// [`JoinResult`]s back via [`recycle`](Self::recycle), after which the
-/// capacity is reused. Besides the list and bitmap pools it carries the
-/// hoisted worklist state — incident lists, queued flags, the worklist
-/// deque, per-node bitmap containers and population counts, and the
-/// resolved-edge vector — so a warm join performs **zero allocations**.
+/// A join needs one bitmap per query node and a handful of fixpoint
+/// bookkeeping structures — incident lists, queued flags, the worklist
+/// deque, population counts and the resolved-edge vector. The scratch
+/// holds all of them from one join to the next, so the kernel's own
+/// state allocates only when a plan outgrows every earlier one. The
+/// [`JoinResult`] a join returns is not scratch: the caller owns it.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    pool: Vec<Vec<(Pid, f64)>>,
-    /// Pooled outer `lists` vectors, so rebuilding a [`JoinResult`] does
-    /// not allocate its spine either.
-    outer_pool: Vec<Vec<Vec<(Pid, f64)>>>,
-    /// Pooled pid-index bitmaps for the per-node sets.
-    bit_pool: Vec<Vec<u64>>,
     /// The semi-join's union accumulator, reused across edges.
     acc: Vec<u64>,
     /// The semi-join's source set screened by the edge's candidates,
@@ -145,8 +139,8 @@ pub struct JoinScratch {
     worklist: VecDeque<usize>,
     /// Hoisted state: per-node population counts.
     counts: Vec<usize>,
-    /// Hoisted state: the per-node bitmap container (the bitmaps inside
-    /// recycle through `bit_pool`).
+    /// Hoisted state: one pid-index bitmap per plan node, reset in
+    /// place by each join; it only grows, to the largest plan joined.
     node_bits: Vec<Vec<u64>>,
     /// Hoisted state: the resolved edge vector.
     edges: Vec<BitEdge>,
@@ -157,7 +151,7 @@ pub struct JoinScratch {
 }
 
 impl JoinScratch {
-    /// Creates an empty scratch pool.
+    /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
     }
@@ -182,39 +176,6 @@ impl JoinScratch {
     /// enabled).
     pub fn phase_stats(&self) -> JoinPhaseStats {
         self.phases
-    }
-
-    fn take(&mut self) -> Vec<(Pid, f64)> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// A pooled (empty) outer `lists` vector.
-    fn take_outer(&mut self) -> Vec<Vec<(Pid, f64)>> {
-        self.outer_pool.pop().unwrap_or_default()
-    }
-
-    /// A zeroed pooled bitmap of `words` words.
-    fn take_bits(&mut self, words: usize) -> Vec<u64> {
-        let mut b = self.bit_pool.pop().unwrap_or_default();
-        b.clear();
-        b.resize(words, 0);
-        b
-    }
-
-    /// Returns a finished join's vectors — inner lists and the outer
-    /// spine — to the pools.
-    pub fn recycle(&mut self, join: JoinResult) {
-        let mut outer = join.lists;
-        self.pool.extend(outer.drain(..).map(|mut v| {
-            v.clear();
-            v
-        }));
-        self.outer_pool.push(outer);
-    }
-
-    /// Number of pooled vectors (introspection for tests).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -334,8 +295,8 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 /// lists are indexed by plan node. `plan` must have been built from this
 /// `summary`, and `index` must only ever be used with this `summary`;
 /// the estimator guarantees both by construction. With the index's cells
-/// filled and the scratch recycled, the screen phase is pure word moves:
-/// one bitmap copy per node and one `Vec` push per edge.
+/// filled and the scratch warm, the screen phase is pure word moves: one
+/// bitmap copy per node and one `Vec` push per edge.
 ///
 /// Under a cooperative [`BudgetState`] every worklist edge examination
 /// charges the budget, and on exhaustion the fixpoint stops where it
@@ -367,18 +328,21 @@ pub fn path_join_bitmap(
     // warm seed turns per-entry seeding + pinning into one word copy.
     let mut node_bits = std::mem::take(&mut scratch.node_bits);
     let mut counts = std::mem::take(&mut scratch.counts);
-    debug_assert!(node_bits.is_empty(), "node bitmaps recycled before reuse");
+    if node_bits.len() < plan.len() {
+        node_bits.resize_with(plan.len(), Vec::new);
+    }
     counts.clear();
     for (i, &tag) in plan.tags().iter().enumerate() {
-        let mut bm = scratch.take_bits(set_words);
+        let bm = &mut node_bits[i];
+        bm.clear();
+        bm.resize(set_words, 0);
         let rooted = plan.rooted().is_some_and(|r| r.index() == i);
         if let Some(tag) = tag {
             bm.copy_from_slice(index.seed_bitmap(tags, tag, rooted, || {
                 build_seed_bitmap(summary, tag, rooted, set_words)
             }));
         }
-        counts.push(words::count_ones(&bm) as usize);
-        node_bits.push(bm);
+        counts.push(words::count_ones(bm) as usize);
     }
 
     // Resolve each structural edge to its containment adjacency; an
@@ -488,9 +452,9 @@ pub fn path_join_bitmap(
     // histogram entries through its final bitmap. The reference kernel's
     // `retain` calls preserve histogram order, so this produces the same
     // entries in the same order — downstream f64 sums are bit-identical.
-    let mut lists = scratch.take_outer();
+    let mut lists = Vec::new();
     for (i, &tag) in plan.tags().iter().enumerate() {
-        let mut list = scratch.take();
+        let mut list = Vec::new();
         if counts[i] > 0 {
             if let Some(tag) = tag {
                 let bm = &node_bits[i];
@@ -510,11 +474,9 @@ pub fn path_join_bitmap(
     timer.lap(&mut finalize_ns);
 
     // Hand the hoisted structures back; the edge vector is cleared so
-    // stale `Arc`s never outlive this call's summary, and the drained
-    // node bitmaps recycle through the bitmap pool.
+    // stale `Arc`s never outlive this call's summary.
     scratch.acc = acc;
     scratch.screened = screened;
-    scratch.bit_pool.append(&mut node_bits);
     scratch.node_bits = node_bits;
     scratch.counts = counts;
     edges.clear();
@@ -743,9 +705,9 @@ mod tests {
         );
     }
 
-    /// The bitmap kernel — bare, with a recycled scratch, and with a
-    /// scratch over a warm index — agrees with the reference kernel bit
-    /// for bit on every test query.
+    /// The bitmap kernel — bare, with a scratch, and with a warm scratch
+    /// over a warm index — agrees with the reference kernel bit for bit
+    /// on every test query.
     #[test]
     fn bitmap_kernel_matches_reference_on_all_shapes() {
         let s = summary();
@@ -776,9 +738,8 @@ mod tests {
             let bare = path_join_bitmap(&s, &plan, &index, None, None);
             assert_eq!(bits(&bare), reference, "{q} bare");
             for pass in ["scratch", "warm scratch"] {
-                let pooled = path_join_bitmap(&s, &plan, &index, Some(&mut scratch), None);
-                assert_eq!(bits(&pooled), reference, "{q} {pass}");
-                scratch.recycle(pooled);
+                let got = path_join_bitmap(&s, &plan, &index, Some(&mut scratch), None);
+                assert_eq!(bits(&got), reference, "{q} {pass}");
             }
         }
         // Timing was enabled: the phase breakdown accumulated something.

@@ -37,22 +37,13 @@ use crate::invariant::finalize_estimate;
 
 /// Admission-control policy checked before any estimation work runs.
 ///
-/// Every field is an optional inclusive upper bound; `None` means
-/// unlimited. The default policy admits everything, preserving the
-/// infallible `estimate` behavior for callers that opt out.
+/// The bound is inclusive; `None` means unlimited. The default policy
+/// admits everything, preserving the infallible `estimate` behavior for
+/// callers that opt out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryLimits {
     /// Maximum number of query nodes (steps).
     pub max_nodes: Option<usize>,
-    /// Maximum number of predicate branches — edges beyond the first at
-    /// any node, summed over the query (a pure chain has zero).
-    pub max_branches: Option<usize>,
-    /// Maximum number of order constraints (`folls`/`pres`/`foll`/`prec`).
-    pub max_order_constraints: Option<usize>,
-    /// Maximum p-histogram fan-out of any single query node's tag — the
-    /// number of path ids its candidate list is seeded with, which bounds
-    /// the join's per-edge work quadratically.
-    pub max_pid_fanout: Option<usize>,
 }
 
 impl QueryLimits {
@@ -62,46 +53,14 @@ impl QueryLimits {
     }
 
     /// Checks `query` against this policy; `Err` names the violated
-    /// limit. Admission is a pure function of the query shape and the
-    /// summary's histogram sizes — it never runs the join.
-    pub fn admit(&self, summary: &Summary, query: &Query) -> Result<(), AdmissionError> {
+    /// limit. Admission is a pure function of the query's shape — it
+    /// never runs the join. The summary is not read; the parameter stays
+    /// for existing callers.
+    pub fn admit(&self, _summary: &Summary, query: &Query) -> Result<(), AdmissionError> {
         if let Some(limit) = self.max_nodes {
             let count = query.len();
             if count > limit {
                 return Err(AdmissionError::TooManyNodes { count, limit });
-            }
-        }
-        if let Some(limit) = self.max_branches {
-            let count = query
-                .node_ids()
-                .map(|n| query.node(n).edges.len().saturating_sub(1))
-                .sum();
-            if count > limit {
-                return Err(AdmissionError::TooManyBranches { count, limit });
-            }
-        }
-        if let Some(limit) = self.max_order_constraints {
-            let count = query
-                .node_ids()
-                .map(|n| query.node(n).constraints.len())
-                .sum();
-            if count > limit {
-                return Err(AdmissionError::TooManyOrderConstraints { count, limit });
-            }
-        }
-        if let Some(limit) = self.max_pid_fanout {
-            for n in query.node_ids() {
-                let tag = &query.node(n).tag;
-                let fanout = summary
-                    .phistogram(tag)
-                    .map_or(0, |h| h.entries_slice().len());
-                if fanout > limit {
-                    return Err(AdmissionError::PidFanoutTooLarge {
-                        tag: tag.clone(),
-                        fanout,
-                        limit,
-                    });
-                }
             }
         }
         Ok(())
@@ -118,29 +77,6 @@ pub enum AdmissionError {
         /// The policy's bound.
         limit: usize,
     },
-    /// The query has more predicate branches than the policy allows.
-    TooManyBranches {
-        /// Branch edges in the query.
-        count: usize,
-        /// The policy's bound.
-        limit: usize,
-    },
-    /// The query has more order constraints than the policy allows.
-    TooManyOrderConstraints {
-        /// Order constraints in the query.
-        count: usize,
-        /// The policy's bound.
-        limit: usize,
-    },
-    /// Some step's tag seeds more path ids than the policy allows.
-    PidFanoutTooLarge {
-        /// The offending step's tag.
-        tag: String,
-        /// Path ids the tag's p-histogram would seed.
-        fanout: usize,
-        /// The policy's bound.
-        limit: usize,
-    },
 }
 
 impl AdmissionError {
@@ -149,9 +85,6 @@ impl AdmissionError {
     pub fn code(&self) -> &'static str {
         match self {
             AdmissionError::TooManyNodes { .. } => "nodes",
-            AdmissionError::TooManyBranches { .. } => "branches",
-            AdmissionError::TooManyOrderConstraints { .. } => "order-constraints",
-            AdmissionError::PidFanoutTooLarge { .. } => "pid-fanout",
         }
     }
 }
@@ -161,18 +94,6 @@ impl fmt::Display for AdmissionError {
         match self {
             AdmissionError::TooManyNodes { count, limit } => {
                 write!(f, "query has {count} nodes, limit is {limit}")
-            }
-            AdmissionError::TooManyBranches { count, limit } => {
-                write!(f, "query has {count} branches, limit is {limit}")
-            }
-            AdmissionError::TooManyOrderConstraints { count, limit } => {
-                write!(f, "query has {count} order constraints, limit is {limit}")
-            }
-            AdmissionError::PidFanoutTooLarge { tag, fanout, limit } => {
-                write!(
-                    f,
-                    "tag '{tag}' fans out to {fanout} path ids, limit is {limit}"
-                )
             }
         }
     }
@@ -556,84 +477,13 @@ pub(crate) mod tests {
     fn node_limit_boundary() {
         let s = summary();
         let q = parse_query("//A/C/F").unwrap(); // 3 nodes
-        let at = QueryLimits {
-            max_nodes: Some(3),
-            ..QueryLimits::unlimited()
-        };
+        let at = QueryLimits { max_nodes: Some(3) };
         assert_eq!(at.admit(&s, &q), Ok(()));
-        let below = QueryLimits {
-            max_nodes: Some(2),
-            ..QueryLimits::unlimited()
-        };
+        let below = QueryLimits { max_nodes: Some(2) };
         assert_eq!(
             below.admit(&s, &q),
             Err(AdmissionError::TooManyNodes { count: 3, limit: 2 })
         );
-    }
-
-    #[test]
-    fn branch_limit_counts_extra_edges() {
-        let s = summary();
-        // A has two outgoing edges (C-branch and B) → one branch.
-        let q = parse_query("//A[/C/F]/B/D").unwrap();
-        let none = QueryLimits {
-            max_branches: Some(0),
-            ..QueryLimits::unlimited()
-        };
-        assert_eq!(
-            none.admit(&s, &q),
-            Err(AdmissionError::TooManyBranches { count: 1, limit: 0 })
-        );
-        let one = QueryLimits {
-            max_branches: Some(1),
-            ..QueryLimits::unlimited()
-        };
-        assert_eq!(one.admit(&s, &q), Ok(()));
-        // A pure chain has zero branches even under the zero limit.
-        let chain = parse_query("//A/C/F").unwrap();
-        assert_eq!(none.admit(&s, &chain), Ok(()));
-    }
-
-    #[test]
-    fn order_constraint_limit() {
-        let s = summary();
-        let q = parse_query("//A[/C[/F]/folls::$B/D]").unwrap();
-        let zero = QueryLimits {
-            max_order_constraints: Some(0),
-            ..QueryLimits::unlimited()
-        };
-        assert_eq!(
-            zero.admit(&s, &q),
-            Err(AdmissionError::TooManyOrderConstraints { count: 1, limit: 0 })
-        );
-        let one = QueryLimits {
-            max_order_constraints: Some(1),
-            ..QueryLimits::unlimited()
-        };
-        assert_eq!(one.admit(&s, &q), Ok(()));
-    }
-
-    #[test]
-    fn pid_fanout_limit_names_the_tag() {
-        let s = summary();
-        let q = parse_query("//A//C").unwrap();
-        let a_fanout = s.phistogram("A").unwrap().entries_slice().len();
-        assert!(a_fanout >= 1);
-        let tight = QueryLimits {
-            max_pid_fanout: Some(0),
-            ..QueryLimits::unlimited()
-        };
-        match tight.admit(&s, &q) {
-            Err(AdmissionError::PidFanoutTooLarge { tag, fanout, limit }) => {
-                assert_eq!(tag, "A");
-                assert_eq!(fanout, a_fanout);
-                assert_eq!(limit, 0);
-            }
-            other => panic!("expected fan-out rejection, got {other:?}"),
-        }
-        // Unknown tags seed zero pids and always pass the fan-out gate.
-        let unknown = parse_query("//Zebra").unwrap();
-        assert_eq!(tight.admit(&s, &unknown), Ok(()));
     }
 
     #[test]
@@ -718,10 +568,7 @@ pub(crate) mod tests {
         let s = summary();
         let est = Estimator::new(&s);
         let query = parse_query("//A//C").unwrap();
-        let limits = QueryLimits {
-            max_nodes: Some(1),
-            ..QueryLimits::unlimited()
-        };
+        let limits = QueryLimits { max_nodes: Some(1) };
         let out = est.try_estimate(&query, &limits, &Budget::unlimited());
         assert!(out.status.is_rejected());
         // The value is f(C) — the same cap every healthy estimate obeys.
@@ -811,19 +658,10 @@ pub(crate) mod tests {
                 reason: AdmissionError::TooManyNodes { count: 9, limit: 4 },
             }
             .code(),
-            EstimateStatus::Rejected {
-                reason: AdmissionError::PidFanoutTooLarge {
-                    tag: "A".into(),
-                    fanout: 8,
-                    limit: 2,
-                },
-            }
-            .code(),
         ];
         assert_eq!(codes[0], "ok");
         assert_eq!(codes[1], "degraded:deadline");
         assert_eq!(codes[4], "rejected:nodes");
-        assert_eq!(codes[5], "rejected:pid-fanout");
         for (i, a) in codes.iter().enumerate() {
             // Codes never carry spaces or quotes — safe to embed raw in
             // the hand-rolled JSON writer.

@@ -1645,10 +1645,7 @@ mod tests {
     #[test]
     fn admission_and_budget_surface_as_status_codes() {
         let (addr, _state, handle) = spawn_server(ServerConfig {
-            limits: QueryLimits {
-                max_nodes: Some(2),
-                ..QueryLimits::unlimited()
-            },
+            limits: QueryLimits { max_nodes: Some(2) },
             budget: Budget {
                 deadline: Some(Duration::ZERO),
                 max_join_edges: None,

@@ -561,7 +561,6 @@ fn run_oversized(report: &mut FaultReport, case: u64, rng: &mut StdRng) {
     let max_nodes = rng.gen_range(1..=2usize);
     let limits = QueryLimits {
         max_nodes: Some(max_nodes),
-        ..QueryLimits::unlimited()
     };
     for q in &trial.queries {
         let out = match catch_unwind(AssertUnwindSafe(|| {

@@ -34,6 +34,13 @@
 # on one thread, so the ratio is robust to runner speed; a batch path
 # several times slower than serial means per-query overhead crept back
 # into it (a copy-on-write estimate-cache insert once made it 0.14-0.5).
+# The serial loop's `Estimator::new` joins through a join cache of its
+# own, as each batch worker does through the engine's, so the ratio sits
+# a little under 1: five CI-scale runs (2-vCPU box) read 0.86-0.97 on
+# XMark and 0.84-0.91 on DBLP. Timed in process as the best of 40
+# passes, one batch worker ran 1.13-1.16x (XMark) and 1.28-1.32x
+# (DBLP) the serial loop while that loop joined without a cache, and
+# 0.94-0.96x and 0.91-0.94x once it joined through its own.
 #
 # A fourth floor guards multi-core scaling via the snapshot's `scaling`
 # array (steady-state batch throughput per worker count): on runners

@@ -3,42 +3,52 @@
 //! A warm estimate allocates nothing: not when the estimate cache answers
 //! it, and not with the estimate cache off and every join served by the
 //! estimator's join-cache front. A cold estimate stays under
-//! [`COLD_ALLOCATIONS_PER_QUERY`], and decoding a summary stays under
-//! [`DECODE_ALLOCATIONS_PER_PID`]. The count is process-wide, so this
-//! binary holds exactly one test and runs every estimate and decode on
-//! the test's own thread.
+//! [`COLD_ALLOCATIONS_PER_QUERY`], decoding a summary stays under
+//! [`DECODE_ALLOCATIONS_PER_PID`], and an estimator that publishes no
+//! join result — the naive reference kernel's — holds no more heap
+//! after repeated passes over one workload than after the second. The
+//! counts are process-wide, so this binary holds exactly one test and
+//! runs every estimate and decode on the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
+use xpe::estimator::JoinKernel;
 use xpe::prelude::*;
 
 /// Heap allocations (including reallocations) so far.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated and not yet freed.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// statistic that orders nothing.
+// which upholds the `GlobalAlloc` contract; the counters are relaxed
+// statistics that order nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Relaxed);
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,7 +75,7 @@ const QUERIES: &[&str] = &[
 ];
 
 /// The cold bound. A fresh engine's first pass over [`QUERIES`] averages
-/// 43.6 allocations a query: about 24 publish join results and estimates
+/// 43.4 allocations a query: about 24 publish join results and estimates
 /// to the caches, 11 build the containment relation, adjacency cells and
 /// seed bitmaps the queries touch, and 9 grow the estimator's reused
 /// buffers. Rebuilding every derived sub-query as a `Query` with a
@@ -132,4 +142,21 @@ fn warm_estimates_allocate_nothing_and_cold_ones_stay_bounded() {
     let after = engine.kernel_stats();
     assert_eq!(after.join_cache_misses, before.join_cache_misses);
     assert!(after.join_cache_hits > before.join_cache_hits);
+
+    // The naive kernel's join results are never published, so they must
+    // be freed with their last use: after the first pass has grown the
+    // estimator's reused buffers, further passes hold no more heap.
+    let naive = Estimator::new(&summary).with_kernel(JoinKernel::Naive);
+    let live: Vec<i64> = (0..4)
+        .map(|_| {
+            for q in &queries {
+                black_box(naive.estimate(q));
+            }
+            LIVE_BYTES.load(Relaxed)
+        })
+        .collect();
+    assert!(
+        live[3] <= live[1],
+        "a naive estimator's live heap grew over passes 2-4: {live:?} bytes after passes 1-4"
+    );
 }
