@@ -90,21 +90,6 @@ pub fn without_constraints(q: &Query) -> Rebuilt {
     rebuild(q, &vec![true; q.len()], q.target())
 }
 
-/// Marks `head` and its whole query subtree.
-pub fn subtree_of(q: &Query, head: QueryNodeId) -> Vec<bool> {
-    let mut in_sub = vec![false; q.len()];
-    let mut stack = vec![head];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut in_sub[n.index()], true) {
-            continue;
-        }
-        for e in &q.node(n).edges {
-            stack.push(e.to);
-        }
-    }
-    in_sub
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,8 +109,8 @@ mod tests {
         let q = parse_query("//A[/C/F]/B/D").unwrap();
         let c = q.node_ids().find(|&n| q.node(n).tag == "C").unwrap();
         let mut keep = vec![true; q.len()];
-        for (i, dropped) in subtree_of(&q, c).into_iter().enumerate() {
-            keep[i] &= !dropped;
+        for dropped in q.subtree(c) {
+            keep[dropped.index()] = false;
         }
         let r = rebuild(&q, &keep, q.target());
         assert_eq!(r.query.len(), 3); // A, B, D

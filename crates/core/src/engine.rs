@@ -211,9 +211,10 @@ impl<'s> EstimationEngine<'s> {
     ///
     /// Flushes the resident estimator's private cache tallies first so
     /// single-query traffic through [`estimate`](Self::estimate) is
-    /// visible; batch workers flush at chunk boundaries and when they
-    /// retire. Reads only atomics and never takes a shared lock itself,
-    /// so `lock_acquisitions` deltas measure the estimates in between.
+    /// visible; a batch worker's estimator flushes its tallies when the
+    /// worker drops it, before the batch returns. Reads only atomics and
+    /// never takes a shared lock itself, so `lock_acquisitions` deltas
+    /// measure the estimates in between.
     pub fn kernel_stats(&self) -> KernelStats {
         self.local.flush_caches();
         let join = &self.join_cache;
@@ -299,16 +300,15 @@ impl<'s> EstimationEngine<'s> {
     /// [`estimate`](Self::estimate) per query in order.
     ///
     /// Each worker owns one estimator, whose private cache fronts serve
-    /// its warm lookups without touching a shared cache line, and folds
-    /// its hit/miss tallies into the shared counters after every claimed
-    /// chunk.
+    /// its warm lookups without touching a shared cache line, and fold
+    /// their hit/miss tallies into the shared counters when the worker
+    /// drops it, before this returns.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        xpe_par::par_map_init_flushed(
+        xpe_par::par_map_init(
             self.threads,
             queries.len(),
             self.estimator_factory(),
             |est, i| est.estimate(&queries[i]),
-            |est| est.flush_caches(),
         )
     }
 
@@ -345,16 +345,11 @@ impl<'s> EstimationEngine<'s> {
         F: Fn(&Estimator<'s>, &Query) -> EstimateOutcome + Sync,
     {
         let make = self.estimator_factory();
-        let outcomes = xpe_par::par_map_init_flushed(
+        let outcomes = xpe_par::par_map_init(
             self.threads,
             queries.len(),
             || None,
             |slot, i| isolated_estimate(slot, &make, &queries[i], &f),
-            |slot| {
-                if let Some(est) = slot {
-                    est.flush_caches();
-                }
-            },
         );
         for out in &outcomes {
             self.tally(out);

@@ -31,7 +31,7 @@ use xpe_pathid::{JoinIndexCache, RelationMaskCache};
 use xpe_synopsis::{Region, Summary};
 use xpe_xml::TagId;
 use xpe_xpath::{
-    parse_query, Axis, OrderConstraint, OrderKind, Query, QueryNodeId, QueryParseError,
+    parse_query, Axis, OrderChain, OrderConstraint, OrderKind, Query, QueryNodeId, QueryParseError,
 };
 
 use crate::editor;
@@ -60,11 +60,11 @@ use crate::serve::{
 /// index and one workload-level [`JoinCache`], so a batch warms both for
 /// every worker; an estimator built without one gets a private cache.
 ///
-/// An estimate resolves its query against the summary once — tag ids,
-/// parent links, subtree spans and order chains — and derives every
-/// sub-query the formulas join as a set of the resolved query's nodes.
-/// The buffers for all of that are the estimator's own and are reused,
-/// so a warm estimate allocates nothing.
+/// An estimate resolves its query's tags against the summary once, reads
+/// the parent links, subtree spans and order chains the [`Query`]
+/// records, and derives every sub-query the formulas join as a set of
+/// the query's nodes. The buffers for all of that are the estimator's
+/// own and are reused, so a warm estimate allocates nothing.
 pub struct Estimator<'s> {
     summary: &'s Summary,
     adjacency: Arc<JoinIndexCache>,
@@ -83,9 +83,10 @@ pub struct Estimator<'s> {
     /// Live budget of the in-flight [`try_estimate`](Self::try_estimate)
     /// call, threaded into every join it runs; `None` outside one.
     budget: RefCell<Option<BudgetState>>,
-    /// Idle resolution buffers: one is in use per query being estimated,
-    /// which is more than one only while a §5 conversion recurses.
-    resolutions: RefCell<Vec<Resolution>>,
+    /// Idle tag-resolution buffers: one is in use per query being
+    /// estimated, which is more than one only while a §5 conversion
+    /// recurses.
+    resolutions: RefCell<Vec<Vec<Option<TagId>>>>,
     /// The plan of the sub-query being joined.
     plan: RefCell<QueryPlan>,
     /// The join-cache key of that plan.
@@ -94,136 +95,25 @@ pub struct Estimator<'s> {
     est_key: RefCell<EstimateKey>,
 }
 
-/// A query resolved against the estimator's summary: everything the
-/// formulas and the plans of its sub-queries read besides the query's
-/// own edges, in buffers the estimator reuses from query to query.
-#[derive(Debug, Default)]
-struct Resolution {
-    /// Per node: its tag's id, or `None` for a tag the summary lacks.
-    tags: Vec<Option<TagId>>,
-    /// Per node: its parent, `None` for the root.
-    parent: Vec<Option<QueryNodeId>>,
-    /// Per node: its pre-order number and the number just past its
-    /// subtree, so `x` lies in `a`'s subtree iff `x`'s number falls in
-    /// `a`'s span.
-    span: Vec<(u32, u32)>,
-    /// The order-constraint chains, owners in id order and each owner's
-    /// chains by first edge.
-    chains: Vec<Chain>,
-    /// Every chain's `(edge index at the owner, head)` links, before to
-    /// after; each [`Chain`] owns one range.
-    links: Vec<(usize, QueryNodeId)>,
-    /// Walk scratch: the depth-first stack.
-    stack: Vec<QueryNodeId>,
-    /// Walk scratch: the nodes in pre-order.
-    preorder: Vec<QueryNodeId>,
-}
-
-/// One order-constraint chain: its owner, its kind, and its range of
-/// [`Resolution::links`].
-#[derive(Clone, Copy, Debug)]
-struct Chain {
-    owner: QueryNodeId,
-    kind: OrderKind,
-    start: usize,
-    end: usize,
-}
-
-/// A node no pre-order walk reached.
-const UNREACHED: u32 = u32::MAX;
-
-impl Resolution {
-    /// Resolves `query` against `summary`, reusing the buffers.
-    fn fill(&mut self, summary: &Summary, query: &Query) {
-        let n = query.len();
-        self.tags.clear();
-        self.tags
-            .extend(query.nodes().iter().map(|node| summary.tags.get(&node.tag)));
-        self.parent.clear();
-        self.parent.resize(n, None);
-        self.span.clear();
-        self.span.resize(n, (UNREACHED, UNREACHED));
-
-        // Pre-order numbers from one depth-first walk, then each
-        // subtree's end from the children's, deepest first.
-        self.stack.clear();
-        self.preorder.clear();
-        self.stack.push(query.root());
-        while let Some(x) = self.stack.pop() {
-            if self.span[x.index()].0 != UNREACHED {
-                continue;
-            }
-            let pre = self.preorder.len() as u32;
-            self.span[x.index()] = (pre, pre + 1);
-            self.preorder.push(x);
-            for e in query.node(x).edges.iter().rev() {
-                if self.span[e.to.index()].0 == UNREACHED {
-                    self.parent[e.to.index()] = Some(x);
-                    self.stack.push(e.to);
-                }
-            }
-        }
-        for &x in self.preorder.iter().rev() {
-            if let Some(p) = self.parent[x.index()] {
-                let end = self.span[x.index()].1;
-                let parent = &mut self.span[p.index()].1;
-                *parent = (*parent).max(end);
-            }
-        }
-
-        self.chains.clear();
-        self.links.clear();
-        for owner in query.node_ids() {
-            for first in query.chain_starts(owner) {
-                let start = self.links.len();
-                let (_, kind) = query
-                    .chain_next(owner, first)
-                    .expect("a chain starts with a constraint");
-                let mut cur = Some(first);
-                while let Some(e) = cur {
-                    self.links.push((e, query.node(owner).edges[e].to));
-                    cur = query.chain_next(owner, e).map(|(next, _)| next);
-                }
-                self.chains.push(Chain {
-                    owner,
-                    kind,
-                    start,
-                    end: self.links.len(),
-                });
-            }
-        }
-    }
-}
-
-/// A query with its resolution: the frame every formula reads.
+/// A query with its tags resolved against the estimator's summary: the
+/// frame every formula reads. The query itself carries its shape.
 #[derive(Clone, Copy)]
 struct Resolved<'a> {
     query: &'a Query,
-    res: &'a Resolution,
+    /// Per node: its tag's id, or `None` for a tag the summary lacks.
+    tags: &'a [Option<TagId>],
 }
 
 impl<'a> Resolved<'a> {
-    /// Whether `x` lies in the subtree rooted at `a`, `a` included.
-    fn within(self, x: QueryNodeId, a: QueryNodeId) -> bool {
-        let (start, end) = self.res.span[a.index()];
-        let pre = self.res.span[x.index()].0;
-        start <= pre && pre < end
-    }
-
     fn tag(self, n: QueryNodeId) -> Option<TagId> {
-        self.res.tags[n.index()]
-    }
-
-    /// The `(edge, head)` links of `chain`, before to after.
-    fn links(self, chain: &Chain) -> &'a [(usize, QueryNodeId)] {
-        &self.res.links[chain.start..chain.end]
+        self.tags[n.index()]
     }
 
     /// The deepest proper ancestor of `n` with an edge into `sub` that
     /// leaves the root-to-`n` path (the paper's `ni`, the trunk end).
     fn lowest_branching_ancestor(self, sub: Sub, n: QueryNodeId) -> Option<QueryNodeId> {
         let mut on_path = n;
-        while let Some(anc) = self.res.parent[on_path.index()] {
+        while let Some((anc, _)) = self.query.parent_of(on_path) {
             let branches = self
                 .query
                 .node(anc)
@@ -280,10 +170,11 @@ impl Sub {
     }
 
     fn contains(self, r: Resolved<'_>, x: QueryNodeId) -> bool {
-        !self.cut.is_some_and(|c| c != x && r.within(x, c))
+        let q = r.query;
+        !self.cut.is_some_and(|c| c != x && q.in_subtree(x, c))
             && self
                 .spine
-                .map_or(true, |s| r.within(x, s) || r.within(s, x))
+                .map_or(true, |s| q.in_subtree(x, s) || q.in_subtree(s, x))
     }
 
     /// Node `x`'s number in this sub-query: how many kept nodes precede
@@ -416,13 +307,13 @@ impl<'s> Estimator<'s> {
         out
     }
 
-    /// Resolves `query` into an idle resolution buffer, runs `f` on it,
-    /// and returns the buffer.
+    /// Resolves the tags of `query` into an idle resolution buffer, runs
+    /// `f` on it, and returns the buffer.
     fn with_resolution<T>(&self, query: &Query, f: impl FnOnce(Resolved<'_>) -> T) -> T {
-        let mut res = self.resolutions.borrow_mut().pop().unwrap_or_default();
-        self.timed(|| res.fill(self.summary, query));
-        let out = f(Resolved { query, res: &res });
-        self.resolutions.borrow_mut().push(res);
+        let mut tags = self.resolutions.borrow_mut().pop().unwrap_or_default();
+        self.timed(|| resolve_tags(self.summary, query, &mut tags));
+        let out = f(Resolved { query, tags: &tags });
+        self.resolutions.borrow_mut().push(tags);
         out
     }
 
@@ -443,7 +334,7 @@ impl<'s> Estimator<'s> {
             return Arc::new(path_join(self.summary, &derived.query));
         }
         let mut plan = self.plan.borrow_mut();
-        self.timed(|| plan.fill(r.query, &r.res.tags, |x| sub.contains(r, x)));
+        self.timed(|| plan.fill(r.query, r.tags, |x| sub.contains(r, x)));
         let mut key = self.skeleton.borrow_mut();
         key.set(&plan);
         let hit = self.join_cache.borrow_mut().lookup(&key);
@@ -619,11 +510,10 @@ impl<'s> Estimator<'s> {
             return 0.0;
         }
         self.with_resolution(query, |r| {
-            let chains = &r.res.chains;
-            if let Some(doc_chain) = chains.iter().find(|c| c.kind == OrderKind::Document) {
+            if let Some(doc_chain) = query.chains().find(|c| c.kind == OrderKind::Document) {
                 return self.estimate_via_conversion(r, doc_chain, depth);
             }
-            if chains.is_empty() {
+            if !query.has_order_constraints() {
                 return self.plain(r, Sub::ALL, query.target());
             }
             self.estimate_sibling(r)
@@ -674,9 +564,9 @@ impl<'s> Estimator<'s> {
         let target = r.query.target();
 
         // Case 1: the target is a chain head or below one (Eqs. 3 and 4).
-        for chain in &r.res.chains {
-            for (pos, &(_, head)) in r.links(chain).iter().enumerate() {
-                if !r.within(target, head) {
+        for chain in r.query.chains() {
+            for (pos, &(_, head)) in chain.links.iter().enumerate() {
+                if !r.query.in_subtree(target, head) {
                     continue;
                 }
                 let parts = self.head_parts(r, chain, pos);
@@ -694,8 +584,8 @@ impl<'s> Estimator<'s> {
         // Case 2 (Eq. 5): target in the trunk — minimum of the order-free
         // estimate and the order-restricted selectivity of every head.
         let mut s = self.plain(r, Sub::ALL, target);
-        for chain in &r.res.chains {
-            for (pos, &(_, head)) in r.links(chain).iter().enumerate() {
+        for chain in r.query.chains() {
+            for (pos, &(_, head)) in chain.links.iter().enumerate() {
                 let parts = self.head_parts(r, chain, pos);
                 let s_plain_h = self.plain(r, Sub::ALL, head);
                 let s_head = safe_div(parts.s_tilde_prime * s_plain_h, parts.s_prime);
@@ -709,8 +599,8 @@ impl<'s> Estimator<'s> {
     /// `S_Q̃'(h)` (order-restricted, from the o-histogram after the join on
     /// `Q'`) and `S_Q'(h)` (the order-free estimate on `Q'`), where `Q'`
     /// trims the *neighbor* branch to its head.
-    fn head_parts(&self, r: Resolved<'_>, chain: &Chain, pos: usize) -> HeadParts {
-        let links = r.links(chain);
+    fn head_parts(&self, r: Resolved<'_>, chain: OrderChain<'_>, pos: usize) -> HeadParts {
+        let links = chain.links;
         let head = links[pos].1;
         // Neighbor: predecessor if any (head occurs After it), else the
         // successor (head occurs Before it). Chains longer than two use the
@@ -759,8 +649,8 @@ impl<'s> Estimator<'s> {
     // §5: preceding / following conversion.
     // ------------------------------------------------------------------
 
-    fn estimate_via_conversion(&self, r: Resolved<'_>, chain: &Chain, depth: usize) -> f64 {
-        let (query, links) = (r.query, r.links(chain));
+    fn estimate_via_conversion(&self, r: Resolved<'_>, chain: OrderChain<'_>, depth: usize) -> f64 {
+        let (query, links) = (r.query, chain.links);
         if links.len() != 2 {
             // The paper defines the conversion for one before/after pair;
             // longer document chains fall back to the order-free upper
@@ -829,6 +719,13 @@ impl<'s> Estimator<'s> {
             })
             .sum()
     }
+}
+
+/// Fills `tags` with each node's tag id in `summary`, `None` for a tag
+/// the summary lacks.
+fn resolve_tags(summary: &Summary, query: &Query, tags: &mut Vec<Option<TagId>>) {
+    tags.clear();
+    tags.extend(query.nodes().iter().map(|n| summary.tags.get(&n.tag)));
 }
 
 struct HeadParts {
@@ -924,11 +821,11 @@ mod tests {
     /// The tags of `sub`'s nodes, in its own numbering.
     fn kept(s: &Summary, q: &str, sub: impl Fn(&Query) -> Sub) -> Vec<String> {
         let query = parse_query(q).unwrap();
-        let mut res = Resolution::default();
-        res.fill(s, &query);
+        let mut tags = Vec::new();
+        resolve_tags(s, &query, &mut tags);
         let r = Resolved {
             query: &query,
-            res: &res,
+            tags: &tags,
         };
         let sub = sub(&query);
         // Numbered in id order, exactly as `rebuild` numbers the subset.
@@ -973,37 +870,34 @@ mod tests {
     }
 
     #[test]
-    fn resolution_reads_chains_in_constraint_order() {
+    fn resolution_holds_tag_ids_and_the_query_its_chains() {
         let s = summary();
         let q = parse_query("//A[/C/folls::B/folls::$D][/E/foll::F]/G").unwrap();
-        let mut res = Resolution::default();
-        res.fill(&s, &q);
+        let mut tags = Vec::new();
+        resolve_tags(&s, &q, &mut tags);
         let r = Resolved {
             query: &q,
-            res: &res,
+            tags: &tags,
         };
-        let chains: Vec<(OrderKind, Vec<&str>)> = res
-            .chains
-            .iter()
+        let chains: Vec<(OrderKind, Vec<&str>)> = q
+            .chains()
             .map(|c| {
-                let heads = r.links(c).iter().map(|&(_, h)| q.node(h).tag.as_str());
+                let heads = c.links.iter().map(|&(_, h)| q.node(h).tag.as_str());
                 (c.kind, heads.collect())
             })
             .collect();
-        let expected: Vec<(OrderKind, Vec<&str>)> = xpe_xpath::constraint_chains(q.node(q.root()))
-            .into_iter()
-            .map(|(kind, edges)| {
-                let heads = edges
-                    .iter()
-                    .map(|&e| q.node(q.node(q.root()).edges[e].to).tag.as_str());
-                (kind, heads.collect())
-            })
-            .collect();
-        assert_eq!(chains, expected);
+        assert_eq!(
+            chains,
+            [
+                (OrderKind::Sibling, vec!["C", "B", "D"]),
+                (OrderKind::Document, vec!["E", "F"]),
+            ]
+        );
+        assert_eq!(tags.len(), q.len());
         assert_eq!(r.tag(node(&q, "A")), s.tags.get("A"));
         assert_eq!(r.tag(node(&q, "G")), None, "G is not in Figure 1");
-        assert!(r.within(node(&q, "D"), q.root()));
-        assert!(!r.within(node(&q, "D"), node(&q, "C")));
+        assert!(q.in_subtree(node(&q, "D"), q.root()));
+        assert!(!q.in_subtree(node(&q, "D"), node(&q, "C")));
     }
 
     /// Warm index cells and reused plan buffers change nothing

@@ -76,10 +76,9 @@ pub enum JoinKernel {
 /// phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinPhaseStats {
-    /// Resolving each query against the summary (tag names, parent
-    /// links, order chains) and filling the [`QueryPlan`] of every
-    /// sub-query it joins. Lapped by the estimator, which does this
-    /// outside the kernel.
+    /// Resolving each query's tag names against the summary and filling
+    /// the [`QueryPlan`] of every sub-query it joins. Lapped by the
+    /// estimator, which does this outside the kernel.
     pub plan_ns: u64,
     /// Seeding candidate bitmaps, root pinning, and edge resolution
     /// (adjacency lookups, with the builds of cold ones).

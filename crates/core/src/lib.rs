@@ -49,7 +49,7 @@ mod planner;
 mod serve;
 pub mod server;
 
-pub use editor::{rebuild, subtree_of, without_constraints, Rebuilt};
+pub use editor::{rebuild, without_constraints, Rebuilt};
 pub use engine::{
     EstimationEngine, KernelStats, DEFAULT_ESTIMATE_CACHE_CAPACITY, DEFAULT_JOIN_CACHE_CAPACITY,
 };

@@ -202,13 +202,8 @@ impl<'s> Estimator<'s> {
             }
             // Reduced query: path to `node`, `node`, and this branch only.
             let mut keep = vec![false; q.len()];
-            for &a in &q.path_to(node) {
+            for a in q.path_to(node).into_iter().chain(q.subtree(e.to)) {
                 keep[a.index()] = true;
-            }
-            for (idx, flag) in editor::subtree_of(q, e.to).into_iter().enumerate() {
-                if flag {
-                    keep[idx] = true;
-                }
             }
             let reduced = editor::rebuild(q, &keep, node);
             let estimated_card = self.estimate_plain(&reduced.query, reduced.remap(node));

@@ -27,18 +27,16 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Maps `f` over `0..n` with per-worker state, returning results in index
-/// order, with a per-chunk `flush` hook.
+/// order.
 ///
 /// Each worker (or the calling thread, when serial) builds one `S` via
 /// `init` and threads it through every item it processes — how the batch
 /// estimator gives each worker a single reusable estimator instead of one
 /// per item. `S` never crosses threads, so it needs no `Send`/`Sync`
-/// bounds. After a worker finishes each claimed chunk (and once more
-/// before it exits), `flush` runs against its state. The batch
-/// estimator uses it to fold each worker's private cache tallies into
-/// the shared counters once per chunk instead of once per item. On the
-/// serial path the whole range is one chunk: `flush` runs once, after
-/// the last item.
+/// bounds. Each worker drops its state on its own thread when it runs
+/// out of items, so anything a state does on drop (the batch
+/// estimator's cache fronts fold their hit/miss tallies into the shared
+/// counters) is done before the map returns.
 ///
 /// Runs serially when `threads <= 1` (after [`resolve_threads`]) or when
 /// there are fewer than two items; otherwise fans out over
@@ -48,30 +46,19 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// items and large enough that sub-microsecond items are not dominated
 /// by `fetch_add` contention — keep their `(index, result)` records
 /// locally, and hand them over once when they run dry; the caller sorts
-/// them back into index order. `f` must be pure, and `flush` must
-/// not affect `f`'s *results* (publishing memoized values earlier or
-/// later may change speed, never outputs), for the parallel and serial
-/// paths to stay bit-identical. A panicking item panics the calling
-/// thread after the scope joins.
-pub fn par_map_init_flushed<S, R, I, F, X>(
-    threads: usize,
-    n: usize,
-    init: I,
-    f: F,
-    flush: X,
-) -> Vec<R>
+/// them back into index order. `f` must be pure for the parallel and
+/// serial paths to stay bit-identical. A panicking item panics the
+/// calling thread after the scope joins.
+pub fn par_map_init<S, R, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
-    X: Fn(&mut S) + Sync,
 {
     let workers = resolve_threads(threads).min(n);
     if workers <= 1 {
         let mut state = init();
-        let out: Vec<R> = (0..n).map(|i| f(&mut state, i)).collect();
-        flush(&mut state);
-        return out;
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let chunk = (n / (workers * 16)).clamp(1, 64);
 
@@ -90,9 +77,8 @@ where
                     for i in start..(start + chunk).min(n) {
                         local.push((i, f(&mut state, i)));
                     }
-                    flush(&mut state);
                 }
-                flush(&mut state);
+                drop(state);
                 // A worker's item panics outside this lock, so it is
                 // never poisoned; recovering costs nothing all the same.
                 done.lock()
@@ -112,9 +98,9 @@ where
 mod tests {
     use super::*;
 
-    /// [`par_map_init_flushed`] with no state and no flush.
+    /// [`par_map_init`] with no state.
     fn par_map(threads: usize, n: usize, f: impl Fn(usize) -> u64 + Sync) -> Vec<u64> {
-        par_map_init_flushed(threads, n, || (), |(), i| f(i), |()| {})
+        par_map_init(threads, n, || (), |(), i| f(i))
     }
 
     #[test]
@@ -161,37 +147,48 @@ mod tests {
         }
     }
 
+    /// Counts the items it saw into `tally` when dropped.
+    struct Buffered<'a> {
+        items: usize,
+        tally: &'a AtomicUsize,
+    }
+
+    impl Drop for Buffered<'_> {
+        fn drop(&mut self) {
+            self.tally.fetch_add(self.items, Ordering::Relaxed);
+        }
+    }
+
     #[test]
-    fn per_worker_state_is_reused_and_every_item_is_flushed() {
-        // State buffers items since the last flush; flush drains into the
-        // shared tally. Everything processed must be flushed by the time
-        // the call returns, and fewer inits than items proves state
+    fn per_worker_state_is_reused_and_dropped_before_the_map_returns() {
+        // Each state buffers the items it processed and hands them to the
+        // shared tally when dropped. Every item must be counted by the
+        // time the call returns, and fewer inits than items proves state
         // persists across items instead of being rebuilt per item.
         let serial: Vec<u64> = (0..91).map(|i| (i as u64).wrapping_mul(17)).collect();
         for threads in [1, 2, 4] {
-            let flushed = AtomicUsize::new(0);
+            let tally = AtomicUsize::new(0);
             let inits = AtomicUsize::new(0);
-            let par = par_map_init_flushed(
+            let par = par_map_init(
                 threads,
                 91,
                 || {
                     inits.fetch_add(1, Ordering::Relaxed);
-                    0usize
+                    Buffered {
+                        items: 0,
+                        tally: &tally,
+                    }
                 },
-                |buffered, i| {
-                    *buffered += 1;
+                |state, i| {
+                    state.items += 1;
                     (i as u64).wrapping_mul(17)
-                },
-                |buffered| {
-                    flushed.fetch_add(*buffered, Ordering::Relaxed);
-                    *buffered = 0;
                 },
             );
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(
-                flushed.load(Ordering::Relaxed),
+                tally.load(Ordering::Relaxed),
                 91,
-                "threads={threads}: every item flushed"
+                "threads={threads}: every state dropped"
             );
             assert!(
                 inits.load(Ordering::Relaxed) <= threads,

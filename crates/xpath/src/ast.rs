@@ -10,6 +10,11 @@
 //! edges of that node (`e1` before `e2` before ...). This covers every query
 //! shape the paper defines (a single before/after pair per branching node,
 //! or a sequence of them) while keeping exact evaluation tractable.
+//!
+//! [`Query::new`] is the one place that reads a query's shape: one walk
+//! from node 0 checks that the edges form a tree over every node, and
+//! records each node's parent, the pre-order with each subtree's span in
+//! it, and the order chains, which every reader then takes from the query.
 
 use std::fmt;
 
@@ -124,6 +129,20 @@ pub struct QueryNode {
     pub constraints: Vec<OrderConstraint>,
 }
 
+/// One order chain of a [`Query`], as [`Query::chains`] lists it: edges
+/// of one owner node whose heads must occur in the chain's order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OrderChain<'q> {
+    /// The node whose edges the chain orders.
+    pub owner: QueryNodeId,
+    /// The kind every constraint of the chain has.
+    pub kind: OrderKind,
+    /// The chain's links, first to last: each is an edge index at the
+    /// owner with the head node that edge leads to. A chain has at least
+    /// two.
+    pub links: &'q [(usize, QueryNodeId)],
+}
+
 /// Errors detected while assembling a [`Query`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -142,6 +161,16 @@ pub enum QueryError {
     OrderAxisWithoutOwner,
     /// More than one node was marked as the target.
     MultipleTargets,
+    /// An edge leads to a node index past the node list.
+    EdgeOutOfRange,
+    /// The target is a node index past the node list.
+    TargetOutOfRange,
+    /// Two edges lead to the same node, which would have two parents.
+    TwoParents,
+    /// An edge leads back to node 0, the query root, closing a cycle.
+    Cycle,
+    /// A node is not reachable from node 0 along the edges.
+    Unreachable,
 }
 
 impl fmt::Display for QueryError {
@@ -160,6 +189,11 @@ impl fmt::Display for QueryError {
                 "order axis requires a preceding step with an explicit parent"
             }
             QueryError::MultipleTargets => "query marks more than one target node",
+            QueryError::EdgeOutOfRange => "an edge leads to a node past the node list",
+            QueryError::TargetOutOfRange => "the target is a node past the node list",
+            QueryError::TwoParents => "two edges lead to the same query node",
+            QueryError::Cycle => "an edge leads back to the query root",
+            QueryError::Unreachable => "a query node is not reachable from the root",
         };
         f.write_str(s)
     }
@@ -167,25 +201,49 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// A validated twig query.
+/// A validated twig query: a tree over all of its nodes, rooted at node
+/// 0, with its shape recorded by [`Query::new`].
 #[derive(Clone, Debug)]
 pub struct Query {
     nodes: Vec<QueryNode>,
     root_axis: Axis,
     target: QueryNodeId,
-    /// `links[i][e]`: where edge `e` of node `i` sits in the node's order
-    /// chains, found while validating. Empty for a query without order
-    /// constraints, and for each node without them.
-    links: Vec<Box<[ChainLink]>>,
+    /// Entry `i`: node `i`'s place in the tree, and the node at position
+    /// `i` of the pre-order: one allocation of 20 bytes a node, which
+    /// every clone of the query copies.
+    shape: Box<[NodeShape]>,
+    /// Every order chain: owners in id order, each owner's chains by
+    /// first edge.
+    chains: Box<[ChainSpan]>,
+    /// The `(edge, head)` links of every chain, first to last; each
+    /// chain span owns one range.
+    links: Box<[(usize, QueryNodeId)]>,
 }
 
-/// Where one edge sits in its node's order chains.
-#[derive(Clone, Copy, Debug, Default)]
-struct ChainLink {
-    /// The chain's next edge, with the kind of the constraint to it.
-    next: Option<(usize, OrderKind)>,
-    /// Whether a chain's previous edge leads here.
-    has_prev: bool,
+/// Entry `i` of a query's shape.
+#[derive(Clone, Copy, Debug)]
+struct NodeShape {
+    /// Node `i`'s parent, `NO_PARENT` for the root.
+    parent: u32,
+    /// The index of the parent's edge to node `i`.
+    edge: u32,
+    /// Node `i`'s position in the pre-order.
+    pre: u32,
+    /// One past the last pre-order position of node `i`'s subtree.
+    end: u32,
+    /// The node at position `i` of the pre-order: a parent before its
+    /// children, and a node's children in edge order.
+    at: QueryNodeId,
+}
+
+/// One order chain: its owner, its kind and its range of the query's
+/// `links`.
+#[derive(Clone, Copy, Debug)]
+struct ChainSpan {
+    owner: QueryNodeId,
+    kind: OrderKind,
+    start: usize,
+    end: usize,
 }
 
 impl Query {
@@ -193,6 +251,17 @@ impl Query {
     ///
     /// `root_axis` is the axis connecting the document root to node 0:
     /// `Child` for queries written `/a/...`, `Descendant` for `//a/...`.
+    ///
+    /// Node 0 is the query root. The edges must form a tree over every
+    /// node: each edge leads to a node in the list
+    /// ([`QueryError::EdgeOutOfRange`]), none leads back to node 0
+    /// ([`QueryError::Cycle`]), no two lead to the same node
+    /// ([`QueryError::TwoParents`]), and every node is reached from node
+    /// 0 ([`QueryError::Unreachable`]). The target must be in the list
+    /// ([`QueryError::TargetOutOfRange`]), and each node's order
+    /// constraints must form disjoint single-kind chains over its edges.
+    /// Node ids may come in any order; the walk that checks the tree runs
+    /// without recursion, so a query of any depth is accepted.
     pub fn new(
         nodes: Vec<QueryNode>,
         root_axis: Axis,
@@ -202,21 +271,21 @@ impl Query {
             return Err(QueryError::Empty);
         }
         debug_assert!(matches!(root_axis, Axis::Child | Axis::Descendant));
-        let mut links = Vec::new();
+        let (mut chains, mut links) = (Vec::new(), Vec::new());
         for (i, node) in nodes.iter().enumerate() {
-            let node_links = validate_constraints(node)?;
-            if !node_links.is_empty() {
-                if links.is_empty() {
-                    links.resize_with(nodes.len(), Box::default);
-                }
-                links[i] = node_links;
-            }
+            push_chains(QueryNodeId::from_index(i), node, &mut chains, &mut links)?;
         }
+        if target.index() >= nodes.len() {
+            return Err(QueryError::TargetOutOfRange);
+        }
+        let shape = walk(&nodes)?;
         Ok(Query {
             nodes,
             root_axis,
             target,
-            links,
+            shape,
+            chains: chains.into_boxed_slice(),
+            links: links.into_boxed_slice(),
         })
     }
 
@@ -263,52 +332,78 @@ impl Query {
         &self.nodes
     }
 
-    /// Iterate over node ids, parents before children.
+    /// Iterate over node ids in id order. Ids come as the node list gave
+    /// them, so a child may precede its parent; walk
+    /// [`preorder`](Self::preorder) for parents first.
     pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = QueryNodeId> {
         (0..self.nodes.len() as u32).map(QueryNodeId)
     }
 
+    /// Every node once, in pre-order from the root: each parent before
+    /// its children, and a node's children in edge order. Walk it
+    /// backwards for children before parents.
+    pub fn preorder(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = QueryNodeId> + ExactSizeIterator + '_ {
+        self.shape.iter().map(|s| s.at)
+    }
+
+    /// `id` and its descendants, in pre-order: one run of
+    /// [`preorder`](Self::preorder).
+    pub fn subtree(
+        &self,
+        id: QueryNodeId,
+    ) -> impl DoubleEndedIterator<Item = QueryNodeId> + ExactSizeIterator + '_ {
+        let s = self.shape[id.index()];
+        self.shape[s.pre as usize..s.end as usize]
+            .iter()
+            .map(|s| s.at)
+    }
+
+    /// Whether `x` lies in the subtree rooted at `a`, `a` included.
+    #[inline]
+    pub fn in_subtree(&self, x: QueryNodeId, a: QueryNodeId) -> bool {
+        let s = self.shape[a.index()];
+        (s.pre..s.end).contains(&self.shape[x.index()].pre)
+    }
+
     /// The parent of `id` together with the connecting edge index, if any.
+    #[inline]
     pub fn parent_of(&self, id: QueryNodeId) -> Option<(QueryNodeId, usize)> {
-        for p in self.node_ids() {
-            if let Some(i) = self.nodes[p.index()].edges.iter().position(|e| e.to == id) {
-                return Some((p, i));
-            }
-        }
-        None
+        let s = self.shape[id.index()];
+        (s.parent != NO_PARENT).then_some((QueryNodeId(s.parent), s.edge as usize))
     }
 
     /// True when any node carries an order constraint.
     pub fn has_order_constraints(&self) -> bool {
-        self.nodes.iter().any(|n| !n.constraints.is_empty())
+        !self.chains.is_empty()
     }
 
-    fn links(&self, id: QueryNodeId) -> &[ChainLink] {
-        self.links.get(id.index()).map_or(&[], |l| l)
+    fn chain(&self, span: &ChainSpan) -> OrderChain<'_> {
+        OrderChain {
+            owner: span.owner,
+            kind: span.kind,
+            links: &self.links[span.start..span.end],
+        }
+    }
+
+    /// Every order chain of the query: owners in id order, and each
+    /// owner's chains by first edge.
+    pub fn chains(&self) -> impl ExactSizeIterator<Item = OrderChain<'_>> + '_ {
+        self.chains.iter().map(|span| self.chain(span))
+    }
+
+    /// The order chains of node `owner`, by first edge.
+    pub fn chains_at(&self, owner: QueryNodeId) -> impl Iterator<Item = OrderChain<'_>> + '_ {
+        let start = self.chains.partition_point(|c| c.owner < owner);
+        let end = self.chains.partition_point(|c| c.owner <= owner);
+        self.chains[start..end].iter().map(|span| self.chain(span))
     }
 
     /// Whether edge `e` of node `id` belongs to one of its order chains.
     pub fn is_chained(&self, id: QueryNodeId, e: usize) -> bool {
-        self.links(id)
-            .get(e)
-            .is_some_and(|l| l.next.is_some() || l.has_prev)
-    }
-
-    /// The edge after edge `e` of node `id` in its order chain, with the
-    /// chain's kind.
-    pub fn chain_next(&self, id: QueryNodeId, e: usize) -> Option<(usize, OrderKind)> {
-        self.links(id).get(e).and_then(|l| l.next)
-    }
-
-    /// The first edge of each order chain at node `id`, in ascending edge
-    /// order: the chains of [`constraint_chains`], walked with
-    /// [`chain_next`](Self::chain_next) and without allocating.
-    pub fn chain_starts(&self, id: QueryNodeId) -> impl Iterator<Item = usize> + '_ {
-        self.links(id)
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.next.is_some() && !l.has_prev)
-            .map(|(e, _)| e)
+        self.chains_at(id)
+            .any(|c| c.links.iter().any(|&(edge, _)| edge == e))
     }
 
     /// Nodes on the path from the query root to `id`, inclusive.
@@ -324,15 +419,81 @@ impl Query {
     }
 }
 
+/// The parent of the root, and of a node not yet reached by `walk`.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The pre-order position of a node not yet reached by `walk`.
+const UNSEEN: u32 = u32::MAX;
+
+/// Walks the edges from node 0 depth-first, following each node's edges
+/// in order, and returns the query's shape. The walk keeps no stack: it
+/// climbs back through the parent links it records. Fails on an edge
+/// past the node list, an edge back to node 0, a node reached twice, or
+/// a node never reached.
+fn walk(nodes: &[QueryNode]) -> Result<Box<[NodeShape]>, QueryError> {
+    let unseen = NodeShape {
+        parent: NO_PARENT,
+        edge: 0,
+        pre: UNSEEN,
+        end: UNSEEN,
+        at: QueryNodeId(0),
+    };
+    let mut shape = vec![unseen; nodes.len()];
+    let root = QueryNodeId(0);
+    shape[0].pre = 0;
+    let mut reached = 1;
+    // The node being walked and the index of its next edge to follow.
+    let (mut cur, mut next) = (root, 0);
+    loop {
+        if let Some(edge) = nodes[cur.index()].edges.get(next) {
+            let child = edge.to;
+            let place = shape
+                .get_mut(child.index())
+                .ok_or(QueryError::EdgeOutOfRange)?;
+            if child == root {
+                return Err(QueryError::Cycle);
+            }
+            if place.pre != UNSEEN {
+                return Err(QueryError::TwoParents);
+            }
+            place.parent = cur.0;
+            place.edge = next as u32;
+            place.pre = reached;
+            shape[reached as usize].at = child;
+            reached += 1;
+            (cur, next) = (child, 0);
+        } else {
+            let place = &mut shape[cur.index()];
+            place.end = reached;
+            if place.parent == NO_PARENT {
+                break;
+            }
+            (cur, next) = (QueryNodeId(place.parent), place.edge as usize + 1);
+        }
+    }
+    if (reached as usize) < nodes.len() {
+        return Err(QueryError::Unreachable);
+    }
+    Ok(shape.into_boxed_slice())
+}
+
 /// Checks that a node's constraints form disjoint, kind-homogeneous chains
-/// over valid edges, and returns each edge's chain link (nothing for a
-/// node without constraints).
-fn validate_constraints(node: &QueryNode) -> Result<Box<[ChainLink]>, QueryError> {
+/// over valid edges, and appends its chains, by first edge, to `chains`
+/// and `links`.
+fn push_chains(
+    owner: QueryNodeId,
+    node: &QueryNode,
+    chains: &mut Vec<ChainSpan>,
+    links: &mut Vec<(usize, QueryNodeId)>,
+) -> Result<(), QueryError> {
     if node.constraints.is_empty() {
-        return Ok(Box::default());
+        return Ok(());
     }
     let n = node.edges.len();
-    let mut links = vec![ChainLink::default(); n];
+    // Per edge: the chain's next edge with the constraint's kind, and
+    // whether a constraint leads here.
+    let mut next: Vec<Option<(usize, OrderKind)>> = vec![None; n];
+    let mut has_prev = vec![false; n];
     for c in &node.constraints {
         if c.before >= n || c.after >= n {
             return Err(QueryError::BadEdgeIndex);
@@ -350,66 +511,41 @@ fn validate_constraints(node: &QueryNode) -> Result<Box<[ChainLink]>, QueryError
             }
             OrderKind::Document => {}
         }
-        if links[c.before].next.is_some() || links[c.after].has_prev {
+        if next[c.before].is_some() || has_prev[c.after] {
             return Err(QueryError::NotAChain);
         }
-        links[c.before].next = Some((c.after, c.kind));
-        links[c.after].has_prev = true;
+        next[c.before] = Some((c.after, c.kind));
+        has_prev[c.after] = true;
     }
-    // Reject cycles: follow each chain from its head; every constrained edge
-    // must be reached from a head (an edge with no predecessor).
-    let mut reached = vec![false; n];
-    for start in 0..n {
-        if links[start].has_prev {
+    // Follow each chain from its first edge, the one no constraint leads
+    // to. A constraint on a cycle is never followed.
+    let mut followed = 0;
+    for first in 0..n {
+        let Some((_, kind)) = next[first].filter(|_| !has_prev[first]) else {
             continue;
-        }
-        reached[start] = true;
-        let mut kind: Option<OrderKind> = None;
-        let mut cur = start;
-        while let Some((next, k)) = links[cur].next {
-            match kind {
-                None => kind = Some(k),
-                Some(prev) if prev == k => {}
-                Some(_) => return Err(QueryError::NotAChain),
+        };
+        let start = links.len();
+        let mut cur = first;
+        links.push((cur, node.edges[cur].to));
+        while let Some((after, k)) = next[cur] {
+            if k != kind {
+                return Err(QueryError::NotAChain);
             }
-            reached[next] = true;
-            cur = next;
+            followed += 1;
+            cur = after;
+            links.push((cur, node.edges[cur].to));
         }
+        chains.push(ChainSpan {
+            owner,
+            kind,
+            start,
+            end: links.len(),
+        });
     }
-    for c in &node.constraints {
-        if !reached[c.before] || !reached[c.after] {
-            return Err(QueryError::NotAChain); // cycle
-        }
+    if followed < node.constraints.len() {
+        return Err(QueryError::NotAChain); // cycle
     }
-    Ok(links.into_boxed_slice())
-}
-
-/// The chains of order-constrained edges at one query node, in constraint
-/// order. Used by both the exact evaluator and the estimator.
-pub fn constraint_chains(node: &QueryNode) -> Vec<(OrderKind, Vec<usize>)> {
-    let n = node.edges.len();
-    let mut succ: Vec<Option<(usize, OrderKind)>> = vec![None; n];
-    let mut has_pred = vec![false; n];
-    for c in &node.constraints {
-        succ[c.before] = Some((c.after, c.kind));
-        has_pred[c.after] = true;
-    }
-    let mut chains = Vec::new();
-    for start in 0..n {
-        if has_pred[start] || succ[start].is_none() {
-            continue;
-        }
-        let mut chain = vec![start];
-        let mut kind = None;
-        let mut cur = start;
-        while let Some((next, k)) = succ[cur] {
-            kind = Some(k);
-            chain.push(next);
-            cur = next;
-        }
-        chains.push((kind.expect("chain has at least one constraint"), chain));
-    }
-    chains
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,14 +612,21 @@ mod tests {
         )
         .unwrap();
         assert!(q.has_order_constraints());
-        let chains = constraint_chains(q.node(q.root()));
-        assert_eq!(chains, vec![(OrderKind::Sibling, vec![0, 1])]);
+        let chains: Vec<OrderChain<'_>> = q.chains().collect();
+        assert_eq!(
+            chains,
+            [OrderChain {
+                owner: q.root(),
+                kind: OrderKind::Sibling,
+                links: &[(0, QueryNodeId(1)), (1, QueryNodeId(2))],
+            }]
+        );
     }
 
-    /// The allocation-free chain walk lists the chains of
-    /// `constraint_chains`, in the same order.
+    /// The chain list holds each owner's chains by first edge, whatever
+    /// order the constraints come in, and owners in id order.
     #[test]
-    fn chain_walk_matches_constraint_chains() {
+    fn chain_list_orders_owners_by_id_and_chains_by_first_edge() {
         let c = |before, after, kind| OrderConstraint {
             before,
             after,
@@ -499,32 +642,38 @@ mod tests {
             ],
         )];
         nodes.extend((1..=6).map(|_| node("B", vec![], vec![])));
+        // Node 1 owns a chain too, over two new leaves.
+        nodes[1] = node(
+            "B",
+            vec![edge(Axis::Child, 7), edge(Axis::Descendant, 8)],
+            vec![c(1, 0, OrderKind::Document)],
+        );
+        nodes.extend((7..=8).map(|_| node("C", vec![], vec![])));
         let q = Query::new(nodes, Axis::Descendant, QueryNodeId(1)).unwrap();
         let root = q.root();
-        let walked: Vec<(OrderKind, Vec<usize>)> = q
-            .chain_starts(root)
-            .map(|start| {
-                let kind = q.chain_next(root, start).unwrap().1;
-                let mut chain = vec![start];
-                while let Some((next, _)) = q.chain_next(root, *chain.last().unwrap()) {
-                    chain.push(next);
-                }
-                (kind, chain)
-            })
-            .collect();
-        assert_eq!(walked, constraint_chains(q.node(root)));
+        let edges_of = |chain: OrderChain<'_>| -> (QueryNodeId, OrderKind, Vec<usize>) {
+            for &(e, head) in chain.links {
+                assert_eq!(head, q.node(chain.owner).edges[e].to);
+            }
+            let edges = chain.links.iter().map(|&(e, _)| e).collect();
+            (chain.owner, chain.kind, edges)
+        };
+        let listed: Vec<_> = q.chains().map(edges_of).collect();
         assert_eq!(
-            walked,
+            listed,
             vec![
-                (OrderKind::Sibling, vec![4, 1, 2]),
-                (OrderKind::Document, vec![5, 3])
+                (root, OrderKind::Sibling, vec![4, 1, 2]),
+                (root, OrderKind::Document, vec![5, 3]),
+                (QueryNodeId(1), OrderKind::Document, vec![1, 0]),
             ]
         );
+        let at_root: Vec<_> = q.chains_at(root).map(edges_of).collect();
+        assert_eq!(at_root, listed[..2]);
         let chained: Vec<bool> = (0..6).map(|e| q.is_chained(root, e)).collect();
         assert_eq!(chained, [false, true, true, true, true, true]);
-        let leaf = QueryNodeId(1);
+        let leaf = QueryNodeId(2);
         assert!(!q.is_chained(leaf, 0));
-        assert_eq!(q.chain_starts(leaf).count(), 0);
+        assert_eq!(q.chains_at(leaf).count(), 0);
     }
 
     #[test]
@@ -684,5 +833,188 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, QueryError::BadEdgeIndex);
+    }
+
+    /// `//A/C/B` with `B`'s id below `C`'s: ids stay as given, and the
+    /// recorded shape walks parents first.
+    #[test]
+    fn shape_is_recorded_whatever_the_id_order() {
+        let q = Query::new(
+            vec![
+                node("A", vec![edge(Axis::Child, 2)], vec![]),
+                node("B", vec![], vec![]),
+                node("C", vec![edge(Axis::Child, 1)], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(1),
+        )
+        .unwrap();
+        let (a, b, c) = (QueryNodeId(0), QueryNodeId(1), QueryNodeId(2));
+        assert_eq!(q.node(q.target()).tag, "B");
+        assert_eq!(q.preorder().collect::<Vec<_>>(), [a, c, b]);
+        assert_eq!(q.parent_of(b), Some((c, 0)));
+        assert_eq!(q.parent_of(c), Some((a, 0)));
+        assert_eq!(q.parent_of(a), None);
+        assert_eq!(q.subtree(c).collect::<Vec<_>>(), [c, b]);
+        assert_eq!(q.subtree(b).collect::<Vec<_>>(), [b]);
+        assert!(q.in_subtree(b, c) && q.in_subtree(b, a) && q.in_subtree(c, c));
+        assert!(!q.in_subtree(c, b) && !q.in_subtree(a, c));
+        assert_eq!(q.path_to(b), [a, c, b]);
+        assert_eq!(q.to_string(), "//A/C/B");
+    }
+
+    /// Pre-order follows each node's edges in order, and a subtree is
+    /// one contiguous run of it.
+    #[test]
+    fn preorder_follows_edges_in_order() {
+        // A[/B[/D][/E]]/C, numbered A 0, C 1, B 2, E 3, D 4.
+        let q = Query::new(
+            vec![
+                node(
+                    "A",
+                    vec![edge(Axis::Child, 2), edge(Axis::Child, 1)],
+                    vec![],
+                ),
+                node("C", vec![], vec![]),
+                node(
+                    "B",
+                    vec![edge(Axis::Child, 4), edge(Axis::Descendant, 3)],
+                    vec![],
+                ),
+                node("E", vec![], vec![]),
+                node("D", vec![], vec![]),
+            ],
+            Axis::Child,
+            QueryNodeId(1),
+        )
+        .unwrap();
+        let tags: Vec<&str> = q.preorder().map(|n| &*q.node(n).tag).collect();
+        assert_eq!(tags, ["A", "B", "D", "E", "C"]);
+        let sub: Vec<&str> = q.subtree(QueryNodeId(2)).map(|n| &*q.node(n).tag).collect();
+        assert_eq!(sub, ["B", "D", "E"]);
+        assert_eq!(q.parent_of(QueryNodeId(3)), Some((QueryNodeId(2), 1)));
+        assert_eq!(q.parent_of(QueryNodeId(1)), Some((QueryNodeId(0), 1)));
+    }
+
+    #[test]
+    fn edge_out_of_range_rejected() {
+        let err = Query::new(
+            vec![
+                node(
+                    "A",
+                    vec![edge(Axis::Child, 1), edge(Axis::Child, 2)],
+                    vec![],
+                ),
+                node("B", vec![], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(1),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::EdgeOutOfRange);
+    }
+
+    #[test]
+    fn target_out_of_range_rejected() {
+        let err = Query::new(
+            vec![
+                node("A", vec![edge(Axis::Child, 1)], vec![]),
+                node("B", vec![], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(2),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::TargetOutOfRange);
+    }
+
+    #[test]
+    fn node_with_two_parents_rejected() {
+        // A/B and A/C/B share their B.
+        let err = Query::new(
+            vec![
+                node(
+                    "A",
+                    vec![edge(Axis::Child, 1), edge(Axis::Child, 2)],
+                    vec![],
+                ),
+                node("B", vec![], vec![]),
+                node("C", vec![edge(Axis::Child, 1)], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(1),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::TwoParents);
+    }
+
+    #[test]
+    fn cycle_through_the_root_rejected() {
+        let err = Query::new(
+            vec![
+                node("A", vec![edge(Axis::Child, 1)], vec![]),
+                node("B", vec![edge(Axis::Child, 0)], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(1),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::Cycle);
+    }
+
+    #[test]
+    fn unreachable_node_rejected() {
+        let err = Query::new(
+            vec![
+                node("A", vec![edge(Axis::Child, 1)], vec![]),
+                node("B", vec![], vec![]),
+                node("C", vec![], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(1),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::Unreachable);
+        // A cycle away from the root is never reached either.
+        let err = Query::new(
+            vec![
+                node("A", vec![], vec![]),
+                node("B", vec![edge(Axis::Child, 2)], vec![]),
+                node("C", vec![edge(Axis::Child, 1)], vec![]),
+            ],
+            Axis::Descendant,
+            QueryNodeId(0),
+        )
+        .unwrap_err();
+        assert_eq!(err, QueryError::Unreachable);
+    }
+
+    /// The walk keeps no stack and does not recurse: a 100,000-node chain
+    /// validates on a 256 KiB thread stack.
+    #[test]
+    fn deep_chain_validates_on_a_small_stack() {
+        const N: usize = 100_000;
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let nodes = (0..N)
+                    .map(|i| {
+                        let edges = if i + 1 < N {
+                            vec![edge(Axis::Child, (i + 1) as u32)]
+                        } else {
+                            vec![]
+                        };
+                        node("a", edges, vec![])
+                    })
+                    .collect();
+                let q = Query::new(nodes, Axis::Child, QueryNodeId::from_index(N - 1)).unwrap();
+                assert_eq!(q.preorder().len(), N);
+                assert_eq!(q.subtree(q.root()).len(), N);
+                let last = q.target();
+                assert_eq!(q.parent_of(last), Some((QueryNodeId::from_index(N - 2), 0)));
+                assert!(q.in_subtree(last, q.root()));
+            })
+            .unwrap();
+        handle.join().unwrap();
     }
 }

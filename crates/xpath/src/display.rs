@@ -78,19 +78,15 @@ fn write_node(
     }
 
     // Each chain becomes one predicate: head, then folls::/foll:: hops.
-    for start in q.chain_starts(id) {
-        let head = node.edges[start];
+    for chain in q.chains_at(id) {
         f.write_str("[")?;
-        f.write_str(axis_str(head.axis))?;
-        write_node(q, head.to, false, mark_target, f)?;
-        let mut cur = start;
-        while let Some((next, kind)) = q.chain_next(id, cur) {
-            f.write_str(match kind {
-                OrderKind::Sibling => "/folls::",
-                OrderKind::Document => "/foll::",
+        for (i, &(e, head)) in chain.links.iter().enumerate() {
+            f.write_str(match (i, chain.kind) {
+                (0, _) => axis_str(node.edges[e].axis),
+                (_, OrderKind::Sibling) => "/folls::",
+                (_, OrderKind::Document) => "/foll::",
             })?;
-            write_node(q, node.edges[next].to, false, mark_target, f)?;
-            cur = next;
+            write_node(q, head, false, mark_target, f)?;
         }
         f.write_str("]")?;
     }

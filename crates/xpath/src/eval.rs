@@ -6,7 +6,8 @@
 //!
 //! # Algorithm
 //!
-//! Two passes over the query tree:
+//! Two passes over the query tree, along the pre-order [`Query::new`]
+//! records, so node ids may come in any order:
 //!
 //! 1. **Bottom-up**: for each query node `q` (children first) compute
 //!    `B(q)` — document nodes with `q`'s tag whose subtree can embed `q`'s
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 
 use xpe_xml::{nav::DocOrder, Document, NodeId};
 
-use crate::ast::{constraint_chains, Axis, OrderKind, Query, QueryNode};
+use crate::ast::{Axis, OrderKind, Query, QueryNode};
 
 /// Match sets of every query node after full evaluation.
 #[derive(Clone, Debug)]
@@ -136,7 +137,7 @@ impl<'d> Evaluator<'d> {
 
     fn bottom_up(&self, query: &Query) -> Vec<Vec<NodeId>> {
         let mut b_sets: Vec<Vec<NodeId>> = vec![Vec::new(); query.len()];
-        for qid in query.node_ids().rev() {
+        for qid in query.preorder().rev() {
             let qnode = query.node(qid);
             let candidates = self.tag_nodes(&qnode.tag);
             if qnode.edges.is_empty() {
@@ -144,13 +145,11 @@ impl<'d> Evaluator<'d> {
                 continue;
             }
             let buckets = self.child_buckets(qnode, &b_sets);
-            let chains = constraint_chains(qnode);
-            let in_chain = chain_membership(qnode, &chains);
             let mut keep = Vec::new();
             'cand: for &d in candidates {
                 // Unchained edges: each just needs a candidate.
                 for (i, edge) in qnode.edges.iter().enumerate() {
-                    if in_chain[i] {
+                    if query.is_chained(qid, i) {
                         continue;
                     }
                     if self
@@ -161,20 +160,20 @@ impl<'d> Evaluator<'d> {
                     }
                 }
                 // Chains: forward greedy feasibility.
-                for (kind, chain) in &chains {
+                for chain in query.chains_at(qid) {
                     let sets: Vec<&[NodeId]> = chain
+                        .links
                         .iter()
-                        .map(|&e| {
-                            let edge = qnode.edges[e];
+                        .map(|&(e, head)| {
                             self.edge_candidates(
                                 d,
-                                edge.axis,
-                                &b_sets[edge.to.index()],
+                                qnode.edges[e].axis,
+                                &b_sets[head.index()],
                                 &buckets[e],
                             )
                         })
                         .collect();
-                    if !self.chain_feasible(*kind, d, &sets) {
+                    if !self.chain_feasible(chain.kind, d, &sets) {
                         continue 'cand;
                     }
                 }
@@ -220,16 +219,14 @@ impl<'d> Evaluator<'d> {
         };
         // Marks to deduplicate the union over owner matches.
         let mut mark = vec![u32::MAX; self.doc.len()];
-        for qid in query.node_ids() {
+        for qid in query.preorder() {
             let qnode = query.node(qid);
             if qnode.edges.is_empty() {
                 continue;
             }
             let buckets = self.child_buckets(qnode, b_sets);
-            let chains = constraint_chains(qnode);
-            let in_chain = chain_membership(qnode, &chains);
             for (i, edge) in qnode.edges.iter().enumerate() {
-                if in_chain[i] {
+                if query.is_chained(qid, i) {
                     continue;
                 }
                 let child = edge.to.index();
@@ -247,32 +244,30 @@ impl<'d> Evaluator<'d> {
                 r_sets[child] = out;
             }
             // Chains: usable candidates per position.
-            for (kind, chain) in &chains {
-                let mut outs: Vec<Vec<NodeId>> = vec![Vec::new(); chain.len()];
+            for chain in query.chains_at(qid) {
+                let mut outs: Vec<Vec<NodeId>> = vec![Vec::new(); chain.links.len()];
                 for &m in &r_sets[qid.index()] {
                     let sets: Vec<&[NodeId]> = chain
+                        .links
                         .iter()
-                        .map(|&e| {
-                            let edge = qnode.edges[e];
+                        .map(|&(e, head)| {
                             self.edge_candidates(
                                 m,
-                                edge.axis,
-                                &b_sets[edge.to.index()],
+                                qnode.edges[e].axis,
+                                &b_sets[head.index()],
                                 &buckets[e],
                             )
                         })
                         .collect();
-                    let usable = self.chain_usable(*kind, m, &sets);
+                    let usable = self.chain_usable(chain.kind, m, &sets);
                     for (t, u) in usable.into_iter().enumerate() {
                         outs[t].extend(u);
                     }
                 }
-                for (t, &e) in chain.iter().enumerate() {
-                    let child = qnode.edges[e].to.index();
-                    let mut v = std::mem::take(&mut outs[t]);
+                for (&(_, head), mut v) in chain.links.iter().zip(outs) {
                     v.sort_unstable();
                     v.dedup();
-                    r_sets[child] = v;
+                    r_sets[head.index()] = v;
                 }
             }
         }
@@ -441,16 +436,6 @@ impl<'d> Evaluator<'d> {
             .map(|(i, &c)| (c, i))
             .collect()
     }
-}
-
-fn chain_membership(qnode: &QueryNode, chains: &[(OrderKind, Vec<usize>)]) -> Vec<bool> {
-    let mut v = vec![false; qnode.edges.len()];
-    for (_, chain) in chains {
-        for &e in chain {
-            v[e] = true;
-        }
-    }
-    v
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ mod eval;
 mod parse;
 
 pub use ast::{
-    constraint_chains, Axis, OrderConstraint, OrderKind, Query, QueryEdge, QueryError, QueryNode,
+    Axis, OrderChain, OrderConstraint, OrderKind, Query, QueryEdge, QueryError, QueryNode,
     QueryNodeId,
 };
 pub use eval::{evaluate, selectivity, EvalResult, Evaluator};

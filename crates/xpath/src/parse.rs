@@ -376,7 +376,6 @@ impl<'a> QueryParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::constraint_chains;
 
     #[test]
     fn simple_path() {
@@ -482,9 +481,10 @@ mod tests {
         let q = parse_query("//A[/B/folls::C/folls::D]").unwrap();
         let a = q.node(q.root());
         assert_eq!(a.constraints.len(), 2);
-        let chains = constraint_chains(a);
-        assert_eq!(chains.len(), 1);
-        assert_eq!(chains[0].1.len(), 3);
+        assert_eq!(q.chains().len(), 1);
+        let chain = q.chains().next().unwrap();
+        assert_eq!(chain.owner, q.root());
+        assert_eq!(chain.links.len(), 3);
     }
 
     #[test]

@@ -36,7 +36,8 @@ fn backtrack(
         }
         return;
     }
-    let qid = QueryNodeId::from_index(idx);
+    // Assign in pre-order, so a node's parent is always assigned first.
+    let qid = q.preorder().nth(idx).expect("idx < q.len()");
     let qnode = q.node(qid);
     for d in doc.node_ids() {
         if doc.tag_name(d) != qnode.tag {
@@ -45,11 +46,11 @@ fn backtrack(
         if !structurally_ok(doc, order, q, qid, d, assignment) {
             continue;
         }
-        assignment[idx] = Some(d);
+        assignment[qid.index()] = Some(d);
         if constraints_ok_so_far(doc, order, q, assignment) {
             backtrack(doc, order, q, idx + 1, assignment, sets);
         }
-        assignment[idx] = None;
+        assignment[qid.index()] = None;
     }
 }
 
@@ -67,10 +68,7 @@ fn structurally_ok(
             _ => true,
         },
         Some((p, ei)) => {
-            let pm = match assignment[p.index()] {
-                Some(m) => m,
-                None => return true, // parent not yet assigned (never happens: parents first)
-            };
+            let pm = assignment[p.index()].expect("pre-order assigns parents first");
             match q.node(p).edges[ei].axis {
                 Axis::Child => doc.parent(d) == Some(pm),
                 Axis::Descendant => doc.is_ancestor(pm, d),

@@ -5,7 +5,9 @@
 //! (Theorem 4.1 on non-recursive data at variance 0).
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use xpe::estimator::JoinKernel;
 use xpe::prelude::*;
 use xpe::xpath::{Axis, QueryEdge, QueryNode, QueryNodeId};
 
@@ -82,8 +84,106 @@ fn build_path_query(steps: &[(bool, u8)], root_desc: bool) -> Query {
     Query::new(nodes, root_axis, target).unwrap()
 }
 
+/// `query` with its non-root nodes renumbered by a random permutation
+/// drawn from `rng`: the same tree, tags, edge order, constraints and
+/// target, under other ids, so a child's id often falls below its
+/// parent's.
+fn renumbered(query: &Query, rng: &mut StdRng) -> Query {
+    let n = query.len();
+    let mut new_id: Vec<usize> = (0..n).collect();
+    for i in (2..n).rev() {
+        let j = rng.gen_range(1..=i);
+        new_id.swap(i, j);
+    }
+    let id = |old: QueryNodeId| QueryNodeId::from_index(new_id[old.index()]);
+    let mut slots: Vec<Option<QueryNode>> = vec![None; n];
+    for old in query.node_ids() {
+        let src = query.node(old);
+        slots[new_id[old.index()]] = Some(QueryNode {
+            tag: src.tag.clone(),
+            edges: src
+                .edges
+                .iter()
+                .map(|e| QueryEdge {
+                    axis: e.axis,
+                    to: id(e.to),
+                })
+                .collect(),
+            constraints: src.constraints.clone(),
+        });
+    }
+    let nodes = slots
+        .into_iter()
+        .map(|s| s.expect("a permutation"))
+        .collect();
+    Query::new(nodes, query.root_axis(), id(query.target())).expect("same tree, other ids")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Node ids are names, not shape: a query renumbered by a random
+    /// permutation of its non-root nodes renders the same text, selects
+    /// the same number of nodes, and estimates bit for bit alike under
+    /// both join kernels. Covers every workload query class and the
+    /// differential harness's random twigs (branches, sibling and
+    /// document chains, unknown tags).
+    #[test]
+    fn renumbered_queries_answer_alike(seed in 0u64..32) {
+        let doc = DatasetSpec {
+            dataset: Dataset::SSPlays,
+            scale: 0.01,
+            seed,
+        }
+        .generate();
+        let labeling = Labeling::compute(&doc);
+        let workload = xpe::datagen::generate_workload(
+            &doc,
+            &labeling.encoding,
+            &WorkloadConfig {
+                seed,
+                simple_attempts: 20,
+                branch_attempts: 40,
+                ..WorkloadConfig::default()
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let paths = xpe::diff::tag_paths(&doc);
+        let mut queries: Vec<Query> = (0..20)
+            .map(|_| xpe::diff::random_query(&mut rng, &paths))
+            .collect();
+        queries.extend(
+            workload
+                .simple
+                .iter()
+                .chain(&workload.branch)
+                .chain(&workload.order_branch)
+                .chain(&workload.order_trunk)
+                .map(|case| case.query.clone()),
+        );
+        let summary = Summary::build(&doc, SummaryConfig::default());
+        let order = DocOrder::new(&doc);
+        let evaluator = Evaluator::new(&doc, &order);
+        let estimators = [JoinKernel::Naive, JoinKernel::Bitmap]
+            .map(|kernel| Estimator::new(&summary).with_kernel(kernel));
+        for query in &queries {
+            let other = renumbered(query, &mut rng);
+            let text = query.to_string();
+            prop_assert_eq!(other.to_string(), text.clone());
+            prop_assert_eq!(
+                evaluator.selectivity(&other),
+                evaluator.selectivity(query),
+                "{}", text
+            );
+            for est in &estimators {
+                prop_assert_eq!(
+                    est.estimate(&other).to_bits(),
+                    est.estimate(query).to_bits(),
+                    "{} {:?}", text, est.kernel()
+                );
+            }
+        }
+    }
 
     /// Theorem 4.1: simple path queries estimate exactly at variance 0 on
     /// non-recursive documents — but only when each query tag occurs at a
